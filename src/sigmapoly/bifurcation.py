@@ -689,21 +689,6 @@ def circle_displacement_samples(
     return [(float(x), tud(x) - ts(x)) for x in xs]
 
 
-def circle_germs(
-    alpha_p: float = 0.0, beta_p: float = 0.0, window: float = 0.12, m: int = 12
-) -> tuple[Germ, Germ]:
-    """(TuD, Ts) germs of the circle scenario in the tau_s chart, by flow."""
-    Z = circle_system(alpha_p, beta_p)
-    x_fold = circle_visible_fold(Z)
-    tau_s = _circle_tau_s(Z, x_fold, beta_p)
-    tud, ts = _circle_maps(Z, alpha_p, x_fold, tau_s)
-    zeta = min(x_fold, 2 * alpha_p - x_fold)
-    xs = zeta - np.linspace(0.01, window, m)
-    Tu = fit_germ([(x, tud(x)) for x in xs], x_fold, 2)
-    Ts = fit_germ([(x, ts(x)) for x in xs], x_fold, 2)
-    return Tu, Ts
-
-
 def circle_unfolding_fit(
     alpha_p: float, beta_p: float, window: float = 0.12, narrow: float = 2e-3
 ) -> dict:

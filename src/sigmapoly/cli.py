@@ -301,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("diagram", help="parameter-plane sweep: diagram.csv + curves.csv")
     c.add_argument("--scenario", required=True)
     c.add_argument("--grid", required=True, help="e.g. 41x41")
-    c.add_argument("--ranges", default=None, help="lo:hi,lo:hi")
+    c.add_argument(
+        "--ranges",
+        default=None,
+        help="lo:hi,lo:hi; a range starting with '-' must be passed as --ranges=lo:hi,lo:hi",
+    )
     c.add_argument("--out", required=True, help="output directory")
     c.set_defaults(fn=_cmd_diagram)
 
@@ -312,6 +316,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has written its message to stderr
+        return e.code
+    try:
         return args.fn(args)
     except ConfigError as e:
         sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")

@@ -142,14 +142,6 @@ SigmaClass = Crossing | StableSliding | UnstableSliding | Tangency | FoldFold | 
 # -- operations ---------------------------------------------------------------
 
 
-def eval_field(F: PolyField, p, domain=None) -> np.ndarray:
-    if domain is not None:
-        xmin, xmax, ymin, ymax = domain
-        if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-            raise OutOfDomain(f"point {tuple(p)} outside domain rectangle")
-    return F(p)
-
-
 def lie_poly(F: PolyField, h: Poly2, k: int) -> Poly2:
     """F^k h as an exact polynomial (repeated <F, grad .>)."""
     if k < 1:
@@ -289,11 +281,3 @@ def sliding_field(Z: FilippovSystem, p) -> np.ndarray:
         raise DenominatorNearZero(f"Yh - Xh = {den:.3e}")
     return (Yh * Z.X(p) - Xh * Z.Y(p)) / den
 
-
-def sliding_field_poly(Z: FilippovSystem) -> tuple[Poly2, Poly2, Poly2]:
-    """Numerator components and denominator of F_Z as exact polynomials."""
-    Xh = lie_poly(Z.X, Z.h.h, 1)
-    Yh = lie_poly(Z.Y, Z.h.h, 1)
-    num_x = Yh * Z.X.fx - Xh * Z.Y.fx
-    num_y = Yh * Z.X.fy - Xh * Z.Y.fy
-    return num_x, num_y, Yh - Xh

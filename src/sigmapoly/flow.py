@@ -1,8 +1,12 @@
 """Event-driven integration of the smooth pieces and the Filippov dynamics.
 
-Everything here rides on DOP853 with dense output; Sigma hits, section
-hits and grazing touches are localized by bracketing on the dense solution
-followed by brentq to ~1e-12 in time.
+Everything here rides on DOP853 with dense output.  A flight is integrated
+once, in chunks that each continue from the last state of the one before.
+On each chunk the event functions (section offset, h, Fh, the
+sliding-boundary Lie derivatives) are evaluated vectorised on a fixed
+sample grid of the dense solution; Sigma hits, section hits and grazing
+touches are bracketed on that grid and polished by brentq to ~1e-12 in
+time.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from .core import (
     StableSliding,
     SwitchingFunction,
     Tangency,
-    UnstableSliding,
     classify_sigma_point,
     lie_poly,
-    sliding_field,
 )
 from .errors import DomainExit, NoHit, NonDeterministicExit, TangentialHit
 
@@ -83,9 +85,9 @@ def _rhs(F: PolyField):
     return f
 
 
-def _solve(F: PolyField, p, t0: float, t1: float):
+def _solve(rhs, p, t0: float, t1: float):
     sol = solve_ivp(
-        _rhs(F),
+        rhs,
         (t0, t1),
         np.asarray(p, dtype=float),
         method="DOP853",
@@ -98,23 +100,70 @@ def _solve(F: PolyField, p, t0: float, t1: float):
     return sol
 
 
+def _flight(rhs, p, t_end: float, events, chunk: float = _CHUNK, samples: int = _SAMPLES_PER_CHUNK):
+    """Integrate rhs from p over [0, t_end] (backward if t_end < 0), chunk by chunk.
+
+    Each chunk continues from the last state of the one before, so nothing
+    is integrated twice.  Yields (sol, ts, vals) per chunk: the dense
+    solution on [t0, t1], the sample times linspace(t0, t1, samples) and
+    vals[i] = events[i](x, y), evaluated on all samples at once.  A failed
+    integration halves the chunk and retries, because the orbit may blow up
+    later in the chunk while the event happens earlier; below a chunk of
+    1e-3 the failure is raised as NoHit.
+    """
+    sgn = 1.0 if t_end > 0 else -1.0
+    t0, q = 0.0, np.asarray(p, dtype=float)
+    while abs(t0) < abs(t_end):
+        t1 = t0 + sgn * min(chunk, abs(t_end) - abs(t0))
+        try:
+            sol = _solve(rhs, q, t0, t1)
+        except NoHit:
+            if chunk <= 1e-3:
+                raise
+            chunk /= 2.0
+            continue
+        ts = np.linspace(t0, t1, samples)
+        x, y = sol.sol(ts)
+        # a constant event (the zero polynomial) evaluates to a scalar
+        yield sol, ts, [np.broadcast_to(f(x, y), ts.shape) for f in events]
+        t0, q = t1, sol.y[:, -1]
+
+
+def _along(sol, f):
+    """t -> f(x(t), y(t)) on a dense solution, for brentq polishing."""
+    return lambda t: f(*sol.sol(t))
+
+
+def _arc_points(arc, ts) -> np.ndarray:
+    """Points, shape (2, len(ts)), at the times ts of a flight's chunks in time order."""
+    ts = np.asarray(ts, dtype=float)
+    sgn = 1.0 if arc[-1].t[-1] >= arc[0].t[0] else -1.0
+    ends = np.array([sgn * sol.t[-1] for sol in arc])
+    idx = np.minimum(np.searchsorted(ends, sgn * ts), len(arc) - 1)
+    out = np.empty((2, ts.size))
+    for k in np.unique(idx):
+        at = idx == k
+        out[:, at] = arc[k].sol(ts[at])
+    return out
+
+
 def flow_smooth(F: PolyField, p, t: float, domain=None) -> np.ndarray:
     """phi_F(t; p) with local tolerance 1e-12."""
     if t == 0:
         return np.asarray(p, dtype=float)
-    sol = _solve(F, p, 0.0, t)
-    q = sol.y[:, -1]
-    if domain is not None:
-        xmin, xmax, ymin, ymax = domain
-        ts = np.linspace(0.0, t, 200)
-        pts = sol.sol(ts)
-        inside = (
-            (pts[0] >= xmin) & (pts[0] <= xmax) & (pts[1] >= ymin) & (pts[1] <= ymax)
-        )
-        if not inside.all():
-            k = int(np.argmin(inside))
-            raise DomainExit("trajectory left domain", point=pts[:, k], time=ts[k])
-    return q
+    if domain is None:
+        return _solve(_rhs(F), p, 0.0, t).y[:, -1]
+    xmin, xmax, ymin, ymax = domain
+
+    def margin(x, y):
+        return np.minimum(np.minimum(x - xmin, xmax - x), np.minimum(y - ymin, ymax - y))
+
+    for sol, ts, (m,) in _flight(_rhs(F), p, t, [margin], chunk=abs(t), samples=200):
+        out = np.flatnonzero(m < 0)
+        if out.size:
+            k = out[0]
+            raise DomainExit("trajectory left domain", point=sol.sol(ts[k]), time=ts[k])
+    return sol.y[:, -1]
 
 
 def _brentq(g, a, b):
@@ -122,16 +171,15 @@ def _brentq(g, a, b):
     return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
-def _first_root(g, ts):
-    """First bracketed sign change of g on the sample times ts, or None."""
-    vals = np.array([g(t) for t in ts])
+def _sign_changes(g, ts, vals):
+    """Roots of g where its samples vals at ts change sign, in time order.
+
+    A sign change between two nonzero samples is polished by brentq; a
+    sample after the first that is exactly zero is itself a root.
+    """
     s = np.sign(vals)
-    for k in range(len(ts) - 1):
-        if s[k] != 0 and s[k + 1] != 0 and s[k] != s[k + 1]:
-            return _brentq(g, ts[k], ts[k + 1])
-        if s[k + 1] == 0:
-            return ts[k + 1]
-    return None
+    for k in np.flatnonzero((s[:-1] * s[1:] < 0) | (s[1:] == 0)):
+        yield ts[k + 1] if s[k + 1] == 0 else _brentq(g, ts[k], ts[k + 1])
 
 
 def hit_section(
@@ -140,44 +188,36 @@ def hit_section(
     section: Section,
     direction: str = "forward",
     tmax: float = MAX_FLIGHT_TIME,
+    *,
+    _arc: list | None = None,
 ):
-    """First hit (q, tq) of the section in the given time direction."""
+    """First hit (q, tq) of the section in the given time direction.
+
+    _arc, if given, receives the flight's dense chunk solutions in time
+    order, so that a caller can reuse the arc instead of integrating it
+    again.
+    """
     sgn = 1.0 if direction == "forward" else -1.0
-    t0 = 0.0
-    nrm = section.normal
-    chunk = _CHUNK
-    while abs(t0) < tmax:
-        t1 = t0 + sgn * min(chunk, tmax - abs(t0))
-        # restart integration from scratch each chunk to keep dense output simple
-        try:
-            sol = _solve(F, p, 0.0, t1)
-        except NoHit:
-            # the orbit may blow up later in the chunk while the section hit
-            # happens earlier; retry with a shorter horizon before giving up
-            if chunk <= 1e-3:
-                raise
-            chunk /= 2.0
-            continue
-        ts = np.linspace(t0, t1, _SAMPLES_PER_CHUNK)
+    anchor, nrm = np.asarray(section.anchor), section.normal
 
-        def g(t):
-            return float(np.dot(sol.sol(t) - np.asarray(section.anchor), nrm))
+    def offset(x, y):
+        return (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
 
+    for sol, ts, (gv,) in _flight(_rhs(F), p, sgn * tmax, [offset]):
+        if _arc is not None:
+            _arc.append(sol)
         # skip a root at t = 0 when starting exactly on the section
-        if t0 == 0.0 and abs(g(0.0)) < EVENT_TOL:
-            ts = ts[ts * sgn > 1e-9]
-        troot = _first_root(g, ts)
-        if troot is not None:
+        if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
+            keep = ts * sgn > 1e-9
+            ts, gv = ts[keep], gv[keep]
+        for troot in _sign_changes(_along(sol, offset), ts, gv):
             q = sol.sol(troot)
             trans = float(np.dot(F(q), nrm))
             if abs(trans) < CLASSIFY_TOL:
                 raise TangentialHit(f"grazes section at t = {troot:.6g}")
-            if section.halfwidth is not None and abs(section.coord(q)) > section.halfwidth:
-                # passed the section line outside the segment; keep looking
-                t0 = troot + sgn * 1e-9
-                continue
-            return q, troot
-        t0 = t1
+            # a crossing of the section line outside the segment is skipped
+            if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
+                return q, troot
     raise NoHit(f"no section hit within tmax = {tmax}")
 
 
@@ -204,7 +244,6 @@ def next_sigma_hit(
     sgn = 1.0 if direction == "forward" else -1.0
     hpoly = h.h
     fhpoly = lie_poly(F, hpoly, 1)
-    t0 = 0.0
     escaped = abs(hpoly(p[0], p[1])) > EVENT_TOL
     ref_sign = np.sign(hpoly(p[0], p[1])) if escaped else 0.0
     if not escaped:
@@ -215,59 +254,42 @@ def next_sigma_hit(
             # that happens before the first sample
             escaped = True
             ref_sign = np.sign(sgn * fh0)
-    while abs(t0) < tmax:
-        t1 = t0 + sgn * min(_CHUNK, tmax - abs(t0))
-        sol = _solve(F, p, 0.0, t1)
-        ts = np.linspace(t0, t1, _SAMPLES_PER_CHUNK)
-        hv = np.array([hpoly(*sol.sol(t)) for t in ts])
-
+    for sol, ts, (hv, fhv) in _flight(_rhs(F), p, sgn * tmax, [hpoly, fhpoly]):
         k0 = 0
         if not escaped:
-            big = np.nonzero(np.abs(hv) > EVENT_TOL)[0]
+            big = np.flatnonzero(np.abs(hv) > EVENT_TOL)
             if big.size == 0:
-                t0 = t1
                 continue
             k0 = int(big[0])
             ref_sign = np.sign(hv[k0])
             escaped = True
 
-        def hfun(t):
-            return hpoly(*sol.sol(t))
-
-        def fhfun(t):
-            return fhpoly(*sol.sol(t))
-
+        hfun, fhfun = _along(sol, hpoly), _along(sol, fhpoly)
         # A crossing (or a grazing dip entirely between two samples) forces
         # hdot = Fh to cross zero somewhere near it, and Fh varies on the
         # flow timescale, so bracketing h AND Fh on the sample grid finds
         # every Sigma interaction even when the dip is much shorter than
         # the sample spacing.
-        fhv = np.array([fhpoly(*sol.sol(t)) for t in ts])
-        for k in range(k0, len(ts) - 1):
-            a, b = hv[k], hv[k + 1]
-            if np.sign(a) != 0 and np.sign(b) != 0 and np.sign(a) != np.sign(b):
+        hs, fs = np.sign(hv), np.sign(fhv)
+        cross = hs[:-1] * hs[1:] < 0
+        turn = (fs[:-1] != 0) & (fs[:-1] != fs[1:])
+        for k in np.flatnonzero(cross[k0:] | turn[k0:]) + k0:
+            if cross[k]:
                 troot = _brentq(hfun, ts[k], ts[k + 1])
                 return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
-            fa, fb = fhv[k], fhv[k + 1]
-            if np.sign(fa) != 0 and np.sign(fa) != np.sign(fb):
-                tm = _brentq(fhfun, ts[k], ts[k + 1])
-                hm = hfun(tm)
-                if np.sign(hm) != 0 and np.sign(hm) != ref_sign:
-                    lo = ts[k] if np.sign(hv[k]) == ref_sign else ts[max(k0, k - 1)]
-                    troot = _brentq(hfun, lo, tm)
-                    return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
-                if (
-                    np.sign(hm) != 0
-                    and np.sign(hv[k + 1]) != 0
-                    and np.sign(hv[k + 1]) != np.sign(hm)
-                ):
-                    # dip entirely on the departure side ending in a crossing
-                    # (start-on-Sigma orbits that return before the first sample)
-                    troot = _brentq(hfun, tm, ts[k + 1])
-                    return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
-                if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
-                    return SigmaHit(point=sol.sol(tm), time=tm, kind="touch")
-        t0 = t1
+            tm = _brentq(fhfun, ts[k], ts[k + 1])
+            hm = hfun(tm)
+            if np.sign(hm) != 0 and np.sign(hm) != ref_sign:
+                lo = ts[k] if hs[k] == ref_sign else ts[max(k0, k - 1)]
+                troot = _brentq(hfun, lo, tm)
+                return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
+            if np.sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != np.sign(hm):
+                # dip entirely on the departure side ending in a crossing
+                # (start-on-Sigma orbits that return before the first sample)
+                troot = _brentq(hfun, tm, ts[k + 1])
+                return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
+            if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
+                return SigmaHit(point=sol.sol(tm), time=tm, kind="touch")
     raise NoHit(f"no Sigma hit within tmax = {tmax}")
 
 
@@ -298,11 +320,10 @@ class Trajectory:
         return self.arcs[-1].t1
 
 
-def _sample_arc(sol, t0, t1, dt_out):
-    n = max(2, int(np.ceil(abs(t1 - t0) / dt_out)) + 1)
-    ts = np.linspace(t0, t1, n)
-    pts = np.array([sol.sol(t) for t in ts])
-    return ts, pts
+def _sample_arc(arc, t1, dt_out):
+    n = max(2, int(np.ceil(abs(t1) / dt_out)) + 1)
+    ts = np.linspace(0.0, t1, n)
+    return ts, _arc_points(arc, ts).T
 
 
 def _starting_regime(Z: FilippovSystem, p) -> str:
@@ -327,8 +348,12 @@ def _starting_regime(Z: FilippovSystem, p) -> str:
     raise NonDeterministicExit(f"cannot start a forward orbit at {tuple(p)}: {cls}")
 
 
-def _slide(Z: FilippovSystem, p, t_start, t_budget, dt_out):
-    """Integrate the sliding field until a boundary tangency or time out."""
+def _slide(Z: FilippovSystem, p, t_budget):
+    """Integrate the sliding field until a boundary tangency or time out.
+
+    Returns the arc (dense chunk solutions in time order), the exit time and
+    the field ("X" or "Y") whose contact ends the slide, or None at time out.
+    """
     Xh = lie_poly(Z.X, Z.h.h, 1)
     Yh = lie_poly(Z.Y, Z.h.h, 1)
     hx, hy = Z.h.h.dx(), Z.h.h.dy()
@@ -346,36 +371,22 @@ def _slide(Z: FilippovSystem, p, t_start, t_budget, dt_out):
         Y = Z.Y(s)
         return (yh * X - xh * Y) / (yh - xh)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_budget),
-        np.asarray(p, dtype=float),
-        method="DOP853",
-        rtol=INTEGRATOR_TOL,
-        atol=INTEGRATOR_TOL,
-        dense_output=True,
-    )
-    tend = sol.t[-1]
-    ts = np.linspace(0.0, tend, _SAMPLES_PER_CHUNK)
-
-    def bnd(f):
-        def g(t):
-            q = sol.sol(t)
-            return f(q[0], q[1])
-
-        return g
-
-    troot = None
-    which = None
-    for name, f in (("X", Xh), ("Y", Yh)):
+    arc = []
+    # one chunk for the whole budget: the boundary scan keeps its grid of
+    # _SAMPLES_PER_CHUNK points over the budget
+    for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh], chunk=t_budget):
+        arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
-        # exit immediately (exact-zero starts are skipped by _first_root)
-        r = _first_root(bnd(f), ts)
-        if r is not None and (troot is None or r < troot):
-            troot, which = r, name
-    if troot is None:
-        return sol, tend, None
-    return sol, troot, which
+        # exit immediately (exact-zero starts are skipped by _sign_changes)
+        exits = []
+        for name, f, v in zip("XY", (Xh, Yh), vals):
+            r = next(_sign_changes(_along(sol, f), ts, v), None)
+            if r is not None:
+                exits.append((r, name))
+        if exits:
+            troot, which = min(exits)
+            return arc, troot, which
+    return arc, arc[-1].t[-1], None
 
 
 def filippov_trajectory(
@@ -400,19 +411,19 @@ def filippov_trajectory(
         budget = tmax - t
         if regime in ("Mplus", "Mminus"):
             F = Z.X if regime == "Mplus" else Z.Y
+            # each arc is integrated again up to its end: sampling the chunked
+            # flight instead would change the CSV in the last digits
             try:
                 hit = next_sigma_hit(
                     F, point, Z.h, "forward", tmax=budget, include_touch=True
                 )
             except NoHit:
-                sol = _solve(F, point, 0.0, budget)
-                ts, pts = _sample_arc(sol, 0.0, budget, dt_out)
+                ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, budget)], budget, dt_out)
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + budget, entry, "time-out")
                 )
                 return traj
-            sol = _solve(F, point, 0.0, hit.time)
-            ts, pts = _sample_arc(sol, 0.0, hit.time, dt_out)
+            ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, hit.time)], hit.time, dt_out)
             if hit.kind == "touch":
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + hit.time, entry, "tangency-touch")
@@ -442,14 +453,14 @@ def filippov_trajectory(
                     f"orbit reached {type(cls).__name__} at {tuple(point)}"
                 )
         else:  # Sliding
-            sol, tslide, which = _slide(Z, point, t, budget, dt_out)
-            ts, pts = _sample_arc(sol, 0.0, tslide, dt_out)
+            arc, tslide, which = _slide(Z, point, budget)
+            ts, pts = _sample_arc(arc, tslide, dt_out)
             exit_event = "time-out" if which is None else f"fold-exit-{which}"
             traj.arcs.append(
                 Arc("Sliding", ts + t, pts, t, t + tslide, entry, exit_event)
             )
             t += tslide
-            point = sol.sol(tslide)
+            point = _arc_points(arc, [tslide])[:, 0]
             if which is None:
                 return traj
             cls = classify_sigma_point(Z, point)

@@ -34,11 +34,13 @@ from .errors import (
     UnsupportedSingularity,
     WindowTooSmall,
 )
-from .flow import MAX_FLIGHT_TIME, Section, hit_section, next_sigma_hit
+from .flow import MAX_FLIGHT_TIME, Section, _arc_points, hit_section, next_sigma_hit
 
 GERM_COND_CAP = 1e10
 SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
+# distance below which two Sigma points count as the same excluded point
+_EXCLUSION_TOL = 1e-9
 
 
 # -- germs --------------------------------------------------------------------
@@ -65,17 +67,6 @@ class Germ:
     @property
     def kappa(self) -> float:
         return self.coeffs[-1]
-
-    @property
-    def ctilde(self) -> float:
-        return self.coeffs[0]
-
-    @property
-    def dtilde(self) -> float:
-        return self.coeffs[-1]
-
-    def lam(self, i: int) -> float:
-        return self.coeffs[i]
 
     def __call__(self, x: float) -> float:
         u = x - self.base
@@ -244,31 +235,28 @@ def _arc_stays_in_half_plane(
     F: PolyField, h: SwitchingFunction, tau: Section, x: float, side: int
 ) -> bool:
     """Does the arc from the Sigma point over x to tau stay in {side*h >= 0}?"""
-    from .flow import _solve
-
     p = sigma_point(h, x)
     fh = lie_poly(F, h.h, 1)(p[0], p[1])
     if side * fh < -CLASSIFY_TOL:
         return False  # the arc leaves Sigma into the wrong half-plane
+    arc = []
     try:
-        q, tq = hit_section(F, p, tau, direction="forward")
+        q, tq = hit_section(F, p, tau, direction="forward", _arc=arc)
     except NoHit:
         return False
-    sol = _solve(F, p, 0.0, tq)
     ts = np.linspace(0.0, tq, 400)
-    hv = side * np.array([h.h(*sol.sol(t)) for t in ts])
+    hv = side * h.h(*_arc_points(arc, ts))
     depth = float(np.min(hv))
     # shallow dips near an interior tangency can be narrower than the sample
     # spacing; polish every interior local minimum before judging it
-    for k in range(1, len(ts) - 1):
-        if hv[k] <= hv[k - 1] and hv[k] <= hv[k + 1]:
-            res = minimize_scalar(
-                lambda t: side * h.h(*sol.sol(t)),
-                bounds=(ts[k - 1], ts[k + 1]),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            depth = min(depth, float(res.fun))
+    for k in np.flatnonzero((hv[1:-1] <= hv[:-2]) & (hv[1:-1] <= hv[2:])) + 1:
+        res = minimize_scalar(
+            lambda t: side * h.h(*_arc_points(arc, [t])[:, 0]),
+            bounds=(ts[k - 1], ts[k + 1]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        depth = min(depth, float(res.fun))
     return bool(depth >= -1e-9)
 
 
@@ -368,21 +356,28 @@ def exclusion_set(
     those contacts (their arc terminates at the contact).
     """
     excluded: list[float] = []
+
+    def add(x: float) -> None:
+        # the orbit of one contact often ends at another, which is then
+        # found a second time an ulp away: keep each point once
+        if all(abs(x - e) >= _EXCLUSION_TOL for e in excluded):
+            excluded.append(x)
+
     for x, n, s in sigma_contacts(F, h, window):
         arc_side = 1 if s > 0 else -1  # side the tangent arc occupies
-        visible_for_mirror = n % 2 == 0 and arc_side != side
-        if n % 2 == 1 or visible_for_mirror:
-            excluded.append(x)
-            p = sigma_point(h, x)
-            for direction in ("forward", "backward"):
-                try:
-                    hit = next_sigma_hit(F, p, h, direction, tmax=20.0, include_touch=True)
-                except NoHit:
-                    continue
-                q = hit.point
-                if window[0] <= q[0] <= window[1]:
-                    excluded.append(float(q[0]))
-    return sorted(set(excluded))
+        if n % 2 == 1 or arc_side != side:
+            add(x)
+    for x in list(excluded):
+        p = sigma_point(h, x)
+        for direction in ("forward", "backward"):
+            try:
+                hit = next_sigma_hit(F, p, h, direction, tmax=20.0, include_touch=True)
+            except NoHit:
+                continue
+            q = float(hit.point[0])
+            if window[0] <= q <= window[1]:
+                add(q)
+    return sorted(excluded)
 
 
 def mirror_map(
@@ -401,7 +396,7 @@ def mirror_map(
     """
     if exclusions:
         for e in exclusions:
-            if abs(x - e) < 1e-9:
+            if abs(x - e) < _EXCLUSION_TOL:
                 raise InExclusionSet(f"x = {x} is excluded (contact at {e})")
     p = sigma_point(h, x)
     fh = lie_poly(F, h.h, 1)(p[0], p[1])

@@ -138,3 +138,16 @@ def test_diagram_bad_ranges(tmp_path, capsys):
         "--ranges", "oops", "--out", str(tmp_path / "d"),
     ])
     assert rc == 2
+
+
+def test_unknown_command_returns_usage_error(capsys):
+    assert run(["nosuchcmd"]) == 2
+
+
+def test_diagram_negative_ranges_need_equals(tmp_path, capsys):
+    # argparse reads a separate value starting with '-' as an option
+    rc = run([
+        "diagram", "--scenario", "cusp-synthetic", "--grid", "3x3",
+        "--ranges", "-0.17:0.19,-0.2:0.2", "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 2

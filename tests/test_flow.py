@@ -40,6 +40,33 @@ def test_hit_section_respects_halfwidth(fold_field):
         hit_section(fold_field, np.array([0.2, 0.0]), narrow, "forward", tmax=5.0)
 
 
+# Flights are integrated in chunks of 4 time units, each continuing from the
+# last state of the one before; the hits below all lie past the first chunk.
+
+
+def test_hit_section_in_a_later_chunk(fold_field):
+    q, t = hit_section(fold_field, np.array([0.2, 0.0]), vertical_section(9.0), "forward")
+    assert t == pytest.approx(8.8, abs=1e-9)
+    np.testing.assert_allclose(q, [9.0, (81 - 0.04) / 2], atol=1e-9)
+
+
+def test_next_sigma_hit_in_a_later_chunk(fold_field, h_y):
+    # y(t) = -5 t + t^2 / 2 returns to Sigma at t = 10, x = 5
+    hit = next_sigma_hit(fold_field, np.array([-5.0, 0.0]), h_y, "forward")
+    assert hit.kind == "cross"
+    assert hit.time == pytest.approx(10.0, abs=1e-9)
+    np.testing.assert_allclose(hit.point, [5.0, 0.0], atol=1e-9)
+
+
+def test_hit_section_outside_halfwidth_then_inside_later(fold_field):
+    # from (-5, 0) the orbit meets the line y = -8 at t = 2 (x = -3, outside
+    # the segment around x = 3) and again at t = 8 (x = 3, inside it)
+    seg = Section(anchor=(3.0, -8.0), direction=(1.0, 0.0), halfwidth=0.5)
+    q, t = hit_section(fold_field, np.array([-5.0, 0.0]), seg, "forward")
+    assert t == pytest.approx(8.0, abs=1e-9)
+    np.testing.assert_allclose(q, [3.0, -8.0], atol=1e-9)
+
+
 def test_next_sigma_hit_parabolic_return(fold_field, h_y):
     hit = next_sigma_hit(fold_field, np.array([-0.3, 0.0]), h_y, "forward")
     assert hit.kind == "cross"

@@ -148,6 +148,14 @@ def test_exclusion_set_pitchfork(pitchfork_field, h_y):
     assert np.allclose(sorted(e), [-1.0, 1.0], atol=1e-7)
 
 
+def test_exclusion_set_pitchfork_keeps_each_point_once(pitchfork_field, h_y):
+    # the orbit through -1 touches Sigma again at 1; that touch used to be
+    # kept next to the contact 1 itself, an ulp apart
+    e = exclusion_set(pitchfork_field, h_y, (-1.775, 1.775), side=-1)
+    assert len(e) == 2
+    assert np.allclose(e, [-1.0, 1.0], atol=1e-9)
+
+
 def test_sigma_domain_visible_fold(fold_field, h_y):
     tau = place_section(fold_field, (0.0, 0.0), distance=0.3, direction="forward")
     dom = sigma_domain(fold_field, h_y, (0.0, 0.0), tau, 0.2, side=1)
