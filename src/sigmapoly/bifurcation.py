@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
-from .errors import ConfigError, NegativeLambda, NoHit, WrongSign
+from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
 from .flow import Section, hit_section
 from .maps import Germ, cheb_nodes, fit_germ, place_section, sigma_contacts, transition_map
 from .poly2 import Poly2, poly_const, poly_x, poly_y
@@ -881,7 +881,7 @@ def sweep_diagram(
         for p2 in p2s:
             try:
                 cells.append(classify_parameter_point(fam, (p1, p2)))
-            except Exception as e:  # recorded, never aborts the sweep
+            except SigmapolyError as e:  # recorded; a programming error propagates
                 cells.append(
                     RegionReport(
                         params=(float(p1), float(p2)),

@@ -9,6 +9,7 @@ transfer pairs (cases O, E-I, E-II) feeding the crossing systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -41,6 +42,10 @@ SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
 # distance below which two Sigma points count as the same excluded point
 _EXCLUSION_TOL = 1e-9
+# a polynomial root with |Im| below this, relative to max(1, |root|), is
+# real: the companion eigenvalues split a double root into a pair about
+# sqrt(machine epsilon) apart
+REAL_ROOT_TOL = 1e-7
 
 
 # -- germs --------------------------------------------------------------------
@@ -68,14 +73,16 @@ class Germ:
     def kappa(self) -> float:
         return self.coeffs[-1]
 
+    @cached_property
+    def _dcoeffs(self) -> tuple[float, ...]:
+        """Coefficients of the derivative germ, in u = x - base."""
+        return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
+
     def __call__(self, x: float) -> float:
-        u = x - self.base
-        return float(np.polynomial.polynomial.polyval(u, self.coeffs))
+        return _horner(self.coeffs, x - self.base)
 
     def deriv(self, x: float) -> float:
-        u = x - self.base
-        dcoeffs = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-        return float(np.polynomial.polynomial.polyval(u, dcoeffs))
+        return _horner(self._dcoeffs, x - self.base)
 
     def high_confidence(self) -> bool:
         return self.residual <= 1e-7 * max(self.window, 1e-12) ** self.degree
@@ -98,6 +105,21 @@ class Germ:
             window=float(d.get("window", 0.0)),
             chart=dict(d.get("chart", {})),
         )
+
+
+def _horner(coeffs, u: float) -> float:
+    """c0 + c1 u + ... + cn u^n, in the operation order of numpy's polyval."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = c + acc * u
+    return float(acc)
+
+
+def real_roots(coeffs) -> list[float]:
+    """Sorted distinct real roots of c0 + c1 x + ... + cn x^n."""
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    tol = REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
+    return sorted({float(r) for r in roots.real[np.abs(roots.imag) <= tol]})
 
 
 def cheb_nodes(base: float, halfwidth: float, m: int) -> np.ndarray:
@@ -317,24 +339,47 @@ def sigma_contacts(
 ) -> list[tuple[float, int, int]]:
     """Contacts of F with Sigma on the window: (x, order, lead sign).
 
-    Roots of Fh restricted to Sigma found by scan + brentq (exact
-    polynomial restriction when h = y).
+    Roots of g(x) = Fh on Sigma over x.  The critical points of g cut the
+    window into monotone pieces, each with at most one sign change,
+    polished by brentq; a critical point where |g| <= CLASSIFY_TOL is a
+    touching root (an even-multiplicity root, which no sign change shows).
+    When h = c*y the critical points are the real roots of the exact
+    polynomial restriction's derivative; otherwise they are the sign
+    changes of dg/dx along Sigma on an nscan-point scan, polished by brentq.
     """
     fh = lie_poly(F, h.h, 1)
+    lo, hi = window
 
     def g(x):
         p = sigma_point(h, x)
         return fh(p[0], p[1])
 
-    lo, hi = window
-    xs = np.linspace(lo, hi, nscan)
-    vals = np.array([g(x) for x in xs])
+    if set(h.h.coeffs) == {(0, 1)}:
+        dpoly = np.polynomial.polynomial.polyder(fh.restrict_y(0.0))
+        crit = [r for r in real_roots(dpoly) if lo < r < hi]
+    else:
+        fhx, fhy, hx, hy = fh.dx(), fh.dy(), h.h.dx(), h.h.dy()
+
+        def dg(x):
+            px, py = sigma_point(h, x)
+            return fhx(px, py) - fhy(px, py) * hx(px, py) / hy(px, py)
+
+        xs = np.linspace(lo, hi, nscan)
+        dv = np.array([dg(x) for x in xs])
+        crit = [float(x) for x in xs[1:-1][dv[1:-1] == 0.0]]
+        for k in np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0):
+            crit.append(brentq(dg, xs[k], xs[k + 1], xtol=1e-14))
+    knots = [lo, *sorted(crit), hi]
+    vals = [g(x) for x in knots]
+    for k in range(1, len(knots) - 1):
+        if abs(vals[k]) <= CLASSIFY_TOL:
+            vals[k] = 0.0
     roots = []
-    for k in range(nscan - 1):
-        if np.sign(vals[k]) != 0 and np.sign(vals[k]) != np.sign(vals[k + 1]):
-            roots.append(brentq(g, xs[k], xs[k + 1], xtol=1e-14))
-        elif vals[k] == 0.0:
-            roots.append(xs[k])
+    for k in range(len(knots) - 1):
+        if vals[k] == 0.0:
+            roots.append(knots[k])
+        elif np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
+            roots.append(brentq(g, knots[k], knots[k + 1], xtol=1e-14))
     out = []
     for r in roots:
         p = sigma_point(h, r)

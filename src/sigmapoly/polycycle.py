@@ -4,7 +4,9 @@ A k-leg model carries, per corner, the unstable-side transfer germ Tu, the
 stable-side germ DTs (connection diffeomorphism already composed in), and
 the admissible window sigma.  Crossing cycles are zeros of the cyclic
 displacement Delta_i(x) = Tu_i(x_i) - DTs_i(x_{i+1}); a zero on the window
-boundary is a polycycle.
+boundary is a polycycle.  They are found as the real roots of one
+polynomial in x_1: the displacement itself for one leg, the fixed-point
+equation P(x_1) = x_1 of the composed first-return map for several.
 """
 
 from __future__ import annotations
@@ -14,19 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EscapedAnnulus,
     NoConvergence,
     OutsideWindow,
     SingularJacobian,
 )
-from .maps import Germ
+from .maps import Germ, real_roots
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
 NEWTON_MAX_HALVINGS = 8
 BOUNDARY_TOL = 1e-9
 DEDUP_TOL = 1e-8
-LATTICE_PER_WINDOW = 9
+SADDLE_NODE_TOL = 1e-7
+
+_P = np.polynomial.polynomial
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,9 @@ def classify_solution(model: SyntheticModel, xs) -> CycleReport:
     residual = float(np.max(np.abs(model.displacement(xs))))
     locus = _locus(model, xs)
     dP = model.return_derivative(xs)
-    J = model.jacobian(xs)
-    saddle_node = abs(float(np.linalg.det(J))) < 1e-7
+    # det J = +-prod DTs_i' (P' - 1): testing P' itself keeps the decision
+    # independent of the DTs slopes
+    saddle_node = abs(dP - 1.0) < SADDLE_NODE_TOL
     flags = tuple()
     if locus == "outside":
         kind, stability = "outside", "unknown"
@@ -166,7 +172,7 @@ def classify_solution(model: SyntheticModel, xs) -> CycleReport:
         kind, stability = "polycycle", "unknown"
     else:
         kind = "crossing-cycle"
-        if saddle_node or abs(abs(dP) - 1.0) < 1e-7:
+        if abs(abs(dP) - 1.0) < SADDLE_NODE_TOL:
             stability = "semistable"
         elif abs(dP) < 1.0:
             stability = "attracting"
@@ -184,28 +190,70 @@ def classify_solution(model: SyntheticModel, xs) -> CycleReport:
     )
 
 
-def _lattice(model: SyntheticModel) -> list[np.ndarray]:
-    axes = []
-    for leg in model.legs:
-        lo, hi = leg.sigma
-        pad = 1e-6 * max(hi - lo, 1e-6)
-        axes.append(np.linspace(lo + pad, hi - pad, LATTICE_PER_WINDOW))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return [pts[i] for i in range(pts.shape[0])]
+def _compose(coeffs, arg) -> np.ndarray:
+    """Coefficients of c0 + c1 arg + ... + cn arg^n for a coefficient array arg."""
+    out = np.array([coeffs[-1]], dtype=float)
+    for c in coeffs[-2::-1]:
+        out = _P.polyadd(_P.polymul(out, arg), [c])
+    return out
 
 
-def find_cycles(model: SyntheticModel, guesses=None) -> list[CycleReport]:
-    """Multistart Newton over a lattice on the windows; deduplicated reports."""
+def _affine(i: int, germ: Germ) -> tuple[float, float]:
+    c = tuple(germ.coeffs) + (0.0,)
+    if any(c[2:]) or c[1] == 0.0:
+        raise ConfigError(
+            f"leg {i}: a model with several legs needs an affine DTs of nonzero "
+            f"slope, got coefficients {list(germ.coeffs)}"
+        )
+    return c[0], c[1]
+
+
+def _return_polynomial(model: SyntheticModel) -> np.ndarray:
+    """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
+
+    One leg: Delta(x) = Tu(x - 2a) - DTs(x), for any DTs.  Several legs:
+    P(x_1) - x_1 with x_{i+1} = DTs_i^{-1}(Tu_i(x_i - 2a_i)) composed around
+    the loop, which needs every DTs_i affine and invertible (ConfigError
+    otherwise).
+    """
+    if model.k == 1:
+        leg = model.legs[0]
+        tu = _compose(leg.Tu.coeffs, [-2 * leg.a - leg.Tu.base, 1.0])
+        return _P.polysub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
+    p = np.array([0.0, 1.0])
+    for i, leg in enumerate(model.legs):
+        c0, c1 = _affine(i, leg.DTs)
+        tu = _compose(leg.Tu.coeffs, _P.polysub(p, [2 * leg.a + leg.Tu.base]))
+        p = _P.polyadd([leg.DTs.base], _P.polysub(tu, [c0]) / c1)
+    return _P.polysub(p, [0.0, 1.0])
+
+
+def _propagate(model: SyntheticModel, x1: float) -> np.ndarray:
+    """(x_1, ..., x_k) from x_1 through the affine DTs inverses."""
+    xs = [x1]
+    for leg in model.legs[:-1]:
+        c0, c1 = leg.DTs.coeffs[:2]
+        xs.append(leg.DTs.base + (leg.Tu(xs[-1] - 2 * leg.a) - c0) / c1)
+    return np.array(xs)
+
+
+def find_cycles(model: SyntheticModel) -> list[CycleReport]:
+    """Every real solution of the crossing system, classified and sorted.
+
+    Each real root of ``_return_polynomial`` is propagated around the legs
+    and polished once by Newton.  A root whose polish fails (Newton stalls
+    on a double root, whose Jacobian is singular) is kept as the
+    polynomial gives it.
+    """
     sols: list[np.ndarray] = []
-    for g in guesses if guesses is not None else _lattice(model):
+    for x1 in real_roots(_return_polynomial(model)):
+        xs = _propagate(model, x1)
         try:
-            xs = newton_solve(model, g, require_window=False)
+            xs = newton_solve(model, xs, require_window=False)
         except (NoConvergence, SingularJacobian, EscapedAnnulus):
-            continue
-        if any(np.max(np.abs(xs - s)) < DEDUP_TOL for s in sols):
-            continue
-        sols.append(xs)
+            pass
+        if all(np.max(np.abs(xs - s)) >= DEDUP_TOL for s in sols):
+            sols.append(xs)
     reports = [classify_solution(model, xs) for xs in sols]
     reports.sort(key=lambda r: r.point)
     return reports

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigmapoly import bifurcation
 from sigmapoly.bifurcation import (
     classify_parameter_point,
     cusp_curves,
@@ -12,7 +13,7 @@ from sigmapoly.bifurcation import (
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda, WrongSign
+from sigmapoly.errors import ConfigError, NegativeLambda, NoHit, WrongSign
 
 
 # -- regular cusp ---------------------------------------------------------------
@@ -231,3 +232,29 @@ def test_foldfold_region_inventory_grid():
         for b in betas:
             items.add(classify_parameter_point(fam, (a, b)).item)
     assert {1, 2, 3, 4, 5, 6} <= items
+
+
+# -- sweeps ---------------------------------------------------------------------
+
+
+def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
+    fam = foldfold_family()
+    classify = bifurcation.classify_parameter_point
+
+    def no_hit_at_origin(f, params):
+        if params == (0.0, 0.0):
+            raise NoHit("no section hit")
+        return classify(f, params)
+
+    monkeypatch.setattr(bifurcation, "classify_parameter_point", no_hit_at_origin)
+    grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
+    labels = {c.params: c.label for c in grid.cells}
+    assert labels[(0.0, 0.0)] == "error:NoHit: no section hit"
+    assert sum(l.startswith("error:") for l in labels.values()) == 1
+
+    def broken(f, params):
+        raise TypeError("a bug, not a data point")
+
+    monkeypatch.setattr(bifurcation, "classify_parameter_point", broken)
+    with pytest.raises(TypeError):
+        bifurcation.sweep_diagram(fam, 3, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,23 @@ def test_diagram_deterministic(tmp_path, capsys):
         b1 = (tmp_path / "d1" / name).read_bytes()
         b2 = (tmp_path / "d2" / name).read_bytes()
         assert b1 == b2 and len(b1) > 0
+
+
+def test_diagram_twofold_artifacts_pinned(tmp_path):
+    # the 11x11 two-fold artifacts, pinned byte for byte
+    rc = run([
+        "diagram", "--scenario", "twofold-synthetic", "--grid", "11x11",
+        "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "d" / name).read_bytes()).hexdigest()
+        for name in ("diagram.csv", "curves.csv")
+    }
+    assert digests == {
+        "diagram.csv": "1696101c5cddbcc77fb19e9bf7d9dc79d9582fad0f468581c7bcef1d7546f534",
+        "curves.csv": "22cc34abf1907269f97a569d67c55b66733c763307ef28d2788cd65416c82d92",
+    }
 
 
 def test_diagram_ranges_override(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmapoly.core import FoldFold, PolyField, Tangency, classify_sigma_point
+from sigmapoly.core import FoldFold, PolyField, SwitchingFunction, Tangency, classify_sigma_point
 from sigmapoly.errors import InExclusionSet, NoReturn
 from sigmapoly.flow import Section
 from sigmapoly.maps import (
@@ -13,12 +13,13 @@ from sigmapoly.maps import (
     fit_germ,
     mirror_map,
     place_section,
+    sigma_contacts,
     sigma_domain,
     transfer_pair,
     transition_germ,
     transition_map,
 )
-from sigmapoly.poly2 import poly_const, poly_x
+from sigmapoly.poly2 import poly_const, poly_x, poly_y
 
 from conftest import make_system
 
@@ -138,8 +139,27 @@ def test_exclusion_set_fold(fold_field, h_y):
 
 
 def test_exclusion_set_cusp(cusp_field, h_y):
-    e = exclusion_set(cusp_field, h_y, (-1.0, 1.0), side=-1)
-    assert np.allclose(e, [0.0], atol=1e-9)
+    # the cusp is a double root of Fh = x^2: Fh does not change sign there
+    for L in (1.0, 1.5, 1.775, 2.0):
+        e = exclusion_set(cusp_field, h_y, (-L, L), side=-1)
+        assert len(e) == 1
+        assert e[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sigma_contacts_touching_root(h_y):
+    # Fh = (x - 0.3)^2 touches zero at 0.3: the cusp moved off the origin,
+    # found on Sigma = {y = 0} and, with fy raised by 0.1, on the tilted
+    # Sigma = {y = 0.1 x}
+    s = poly_x() + poly_const(-0.3)
+    F = PolyField(poly_const(1.0), s * s + poly_const(0.1))
+    tilted = SwitchingFunction(poly_y() + poly_x().scale(-0.1))
+    F_flat = PolyField(poly_const(1.0), s * s)
+    for field, h in ((F_flat, h_y), (F, tilted)):
+        contacts = sigma_contacts(field, h, (-1.0, 1.0))
+        assert len(contacts) == 1
+        x, order, _ = contacts[0]
+        assert x == pytest.approx(0.3, abs=1e-9)
+        assert order == 3
 
 
 def test_exclusion_set_pitchfork(pitchfork_field, h_y):

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmapoly.errors import NoConvergence, EscapedAnnulus, OutsideWindow
+from sigmapoly import io
+from sigmapoly.bifurcation import _twofold_model, twofold_family
+from sigmapoly.cli import run
+from sigmapoly.errors import ConfigError, NoConvergence, EscapedAnnulus, OutsideWindow
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import (
     SyntheticLeg,
@@ -138,3 +141,47 @@ def test_find_cycles_exhaustive_root_isolation(dtilde, lam0):
     delta = xs**2 + lam0 - dtilde * xs
     changes = int(np.sum(np.sign(delta[:-1]) * np.sign(delta[1:]) < 0))
     assert changes == len(got)
+
+
+_TWOFOLD = twofold_family()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b1=st.floats(-0.3, 0.3), b2=st.floats(-0.3, 0.3))
+def test_find_cycles_twofold_matches_quartic_roots(b1, b2):
+    # x2 = (b1 + k1 x1^2)/d1 and b2 + k2 x2^2 = d2 x1: a quartic in x1
+    c = _TWOFOLD.coeffs
+    k1, k2, d1, d2 = c["kappa1"], c["kappa2"], c["dtilde1"], c["dtilde2"]
+    quartic = [k2 * k1**2 / d1**2, 0.0, 2 * k2 * k1 * b1 / d1**2, -d2, b2 + k2 * b1**2 / d1**2]
+    roots = np.roots(quartic)
+    real = np.sort(roots[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))].real)
+    double = np.diff(real) <= 1e-8
+    # a double root (on a saddle-node curve, e.g. (-0.25, 0.25)) is one
+    # cycle, fixed only to about the square root of machine epsilon
+    expected = real[np.r_[True, ~double]] if len(real) else real
+    tol = 1e-7 if double.any() else 1e-10
+    reports = find_cycles(_twofold_model(_TWOFOLD, b1, b2))
+    got = np.array([r.point for r in reports]).reshape(-1, 2)
+    assert got[:, 0] == pytest.approx(expected, abs=tol)
+    assert got[:, 1] == pytest.approx((b1 + k1 * expected**2) / d1, abs=tol)
+
+
+def test_find_cycles_double_root_is_one_semistable_cycle():
+    # Delta = x^2 + 0.2 x + 0.01 = (x + 0.1)^2
+    reports = find_cycles(quad_model(0.01, -0.2))
+    assert len(reports) == 1
+    assert reports[0].point[0] == pytest.approx(-0.1, abs=1e-8)
+    assert reports[0].stability == "semistable"
+    assert reports[0].saddle_node
+
+
+@pytest.mark.parametrize("dts", [(0.0, 1.0, 0.5), (0.3, 0.0)])
+def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
+    Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
+    leg = SyntheticLeg(Tu=Tu, DTs=Germ(base=0.0, coeffs=dts, window=0.3), sigma=(-0.3, 0.0))
+    model = SyntheticModel(k=2, legs=(leg, leg))
+    with pytest.raises(ConfigError):
+        find_cycles(model)
+    mp = tmp_path / "model.json"
+    mp.write_text(io.dumps(io.model_to_dict(model)))
+    assert run(["polycycle-solve", "--model", str(mp)]) == 2
