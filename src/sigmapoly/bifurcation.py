@@ -28,13 +28,13 @@ from .polycycle import (
     CycleReport,
     SyntheticLeg,
     SyntheticModel,
-    classify_solution,
     find_cycles,
     normal_form_model,
 )
 
 CURVE_TOL = 1e-9
 DEFAULT_EPS = 0.3
+NO_CIRCLE_CURVES = "the circle ODE scenario has no closed-form bifurcation curves yet"
 
 
 # -- reports ------------------------------------------------------------------
@@ -192,16 +192,11 @@ def cusp_fold_points(lam1: float, kappa: float) -> tuple[float, float, float]:
     """(V, I, A): visible fold, invisible fold, mirror landing of V.
 
     Folds are the double roots of the tangency cubic x^3 + (lam1/kappa) x;
-    A is the third point on V's level: x^3 - |lam1/kappa| x = V^3 - |..| V.
+    A is the third point on V's level: with mu = -lam1/kappa = 3 V^2,
+    x^3 - mu x - (V^3 - mu V) = (x - V)^2 (x + 2V).
     """
     V = float(np.sqrt(-lam1 / (3.0 * kappa)))
-    I = -V
-    mu = -lam1 / kappa  # cubic x^3 - mu x, fold at V = sqrt(mu/3)
-    level = V**3 - mu * V
-    roots = np.roots([1.0, 0.0, -mu, -level])
-    real = sorted(float(np.real(r)) for r in roots if abs(np.imag(r)) < 1e-12)
-    A = min(real, key=lambda r: -abs(r - V))  # the root farthest from V
-    return V, I, A
+    return V, -V, -2.0 * V
 
 
 def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
@@ -221,9 +216,7 @@ def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
 
 def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionReport:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
-    eps = fam.eps
     tol = CURVE_TOL
-    flags: list[str] = []
 
     if abs(lam1) <= tol and abs(beta) <= tol:
         return RegionReport(
@@ -235,39 +228,30 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
             flags=("codim2", "C-attracting"),
         )
 
-    # displacement roots: kappa x^3 + (lam1 - dtilde) x + beta = 0
-    roots = np.roots([k, 0.0, lam1 - d, beta])
-    real = [float(np.real(r)) for r in roots if abs(np.imag(r)) < 1e-10]
-    in_window = [x for x in real if -eps < x < eps]
-
-    model = normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-eps, eps))
+    # displacement kappa x^3 + (lam1 - dtilde) x + beta
+    model = normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
+    roots = [r for r in find_cycles(model) if r.kind == "crossing-cycle"]
 
     if lam1 <= tol:
-        cycles = tuple(
-            classify_solution(model, np.array([x])) for x in sorted(set(in_window))
-        )
-        item = 1 if lam1 < -tol else 2
         return RegionReport(
             params=(lam1, beta),
-            item=item,
-            crossing_cycles=cycles,
+            item=1 if lam1 < -tol else 2,
+            crossing_cycles=tuple(roots),
             polycycles=0,
             sliding_cycles=(),
-            flags=tuple(flags),
         )
 
     V, I, A = cusp_fold_points(lam1, k)
     cur = cusp_curves(fam, lam1)
-    for name in ("Vbar", "Ibar", "Abar"):
-        if abs(beta - cur[name]) <= tol:
-            flags.append(f"on-curve:{name}")
+    flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
 
     cycles: list[CycleReport] = []
     polycycles = 0
     sliding: list[SlidingCycle] = []
     hetero = False
     lo_fold, hi_fold = min(A, V), max(A, V)
-    for x in sorted(set(in_window)):
+    for r in roots:
+        x = r.point[0]
         if min(abs(x - A), abs(x - V)) <= tol:
             polycycles += 1
         elif lo_fold < x < hi_fold:
@@ -284,7 +268,7 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
                 structure = "land-in-(A,I)"
             sliding.append(SlidingCycle(folds=("V",), segments=1, structure=structure))
         else:
-            cycles.append(classify_solution(model, np.array([x])))
+            cycles.append(r)
 
     item = _cusp_item(beta, cur, tol)
     return RegionReport(
@@ -525,9 +509,6 @@ def foldfold_curve_value(fam: ScenarioFamily, alpha: float, name: str) -> float:
 def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> RegionReport:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     tol = CURVE_TOL
-    eps = fam.eps
-    zeta = min(0.0, 2.0 * alpha)
-    model = _foldfold_model(fam, alpha, beta)
     flags: list[str] = []
 
     cur = foldfold_curves(fam, alpha)
@@ -545,36 +526,23 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
             flags=("codim2", "tangent-polycycle"),
         )
 
-    # displacement roots: (k-d) x^2 - 4 k a x + beta + 4 k a^2 = 0
-    a2, a1, a0 = (k - d), -4.0 * k * alpha, beta + 4.0 * k * alpha**2
-    disc = a1 * a1 - 4.0 * a2 * a0
-    roots: list[float] = []
-    if disc >= 0:
-        roots = sorted(np.roots([a2, a1, a0]).real.tolist())
-    interior = [x for x in roots if -eps < x < zeta - tol]
-    boundary = [x for x in roots if abs(x - zeta) <= tol]
-    double_root = disc >= 0 and abs(disc) <= 1e2 * tol * max(abs(a1) ** 2, 1e-12)
-    if double_root and interior:
-        interior = interior[:1]
+    # displacement (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2 on (-eps, zeta)
+    reports = find_cycles(_foldfold_model(fam, alpha, beta))
+    cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
+    polycycles = sum(1 for r in reports if r.kind == "polycycle")
 
-    cycles = tuple(classify_solution(model, np.array([x])) for x in sorted(set(interior)))
-    polycycles = len(set(boundary))
-
+    # a sliding cycle through both folds; the sign of s places the orbit
+    # joining p0 and pY (s = 0: the connection itself)
     sliding: list[SlidingCycle] = []
+    s = None
     if alpha > tol and -4.0 * k * alpha**2 + tol < beta < -tol:
-        s_plus = beta + k * alpha**2
-        if s_plus < -tol:
+        s = beta + k * alpha**2
+    elif alpha < -tol and tol < beta < 4.0 * d * alpha**2 - tol:
+        s = beta - d * alpha**2
+    if s is not None:
+        if s < -tol:
             structure = "crosses-once-from-Mminus"
-        elif s_plus > tol:
-            structure = "direct-from-Mplus"
-        else:
-            structure = "connection-p0-pY"
-        sliding.append(SlidingCycle(folds=("p0", "pY"), segments=1, structure=structure))
-    if alpha < -tol and tol < beta < 4.0 * d * alpha**2 - tol:
-        s_minus = beta - d * alpha**2
-        if s_minus < -tol:
-            structure = "crosses-once-from-Mminus"
-        elif s_minus > tol:
+        elif s > tol:
             structure = "direct-from-Mplus"
         else:
             structure = "connection-p0-pY"
@@ -585,13 +553,13 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
     elif abs(beta) <= tol:
         flags.append("tangent-X-cycle")
 
-    if double_root and interior:
+    if any(c.saddle_node for c in cycles):
         item = 2
-    elif len(interior) == 2:
+    elif len(cycles) == 2:
         item = 3
-    elif len(interior) == 1 and polycycles:
+    elif len(cycles) == 1 and polycycles:
         item = 4
-    elif len(interior) == 1:
+    elif len(cycles) == 1:
         item = 5
     elif polycycles:
         item = 6
@@ -639,27 +607,24 @@ def circle_visible_fold(Z: FilippovSystem, span: float = 0.45) -> float:
     return min((c[0] for c in vis), key=abs)
 
 
-def _circle_tau_s(Z: FilippovSystem, x_fold: float, beta_p: float) -> Section:
+def _circle_setup(alpha_p: float, beta_p: float):
+    """(x_fold, zeta, tud, ts): visible X-fold, crossing-window end, transfer maps.
+
+    tud and ts give values in the tau_s chart, with forward-stable flows: the
+    circle contracts radially like exp(-4 pi) per lap, so the connection D is
+    composed onto Tu (TuD = D o T+ o rho_Y, a full forward lap) and Ts stays
+    the short local backward transfer.
+    """
+    Z = circle_system(alpha_p, beta_p)
+    x_fold = circle_visible_fold(Z)
     # section on the stable-side separatrix, a short backward hop from the fold,
     # with the chart oriented away from the circle centre so both germs come
     # out with positive quadratic coefficients
-    sec = place_section(Z.X, (x_fold, 0.0), distance=0.3, direction="backward")
-    center = np.array([0.0, 1.0 + beta_p])
-    outward = np.asarray(sec.anchor) - center
-    if float(np.dot(outward, sec.direction)) < 0.0:
-        d = sec.direction
-        sec = Section(anchor=sec.anchor, direction=(-d[0], -d[1]), halfwidth=sec.halfwidth)
-    return sec
-
-
-def _circle_maps(Z: FilippovSystem, alpha_p: float, x_fold: float, tau_s: Section):
-    """Transfer values in the tau_s chart, computed with forward-stable flows.
-
-    The circle contracts radially like exp(-4 pi) per lap, so the global
-    connection is only integrable forward; we therefore compose it onto Tu
-    (TuD = D o T+ o rho_Y, a full forward lap) and keep Ts as the short
-    local backward transfer.
-    """
+    tau_s = place_section(Z.X, (x_fold, 0.0), distance=0.3, direction="backward")
+    outward = np.asarray(tau_s.anchor) - np.array([0.0, 1.0 + beta_p])
+    if float(np.dot(outward, tau_s.direction)) < 0.0:
+        d = tau_s.direction
+        tau_s = Section(anchor=tau_s.anchor, direction=(-d[0], -d[1]), halfwidth=tau_s.halfwidth)
 
     def tud(x: float) -> float:
         r = 2.0 * alpha_p - x
@@ -670,23 +635,20 @@ def _circle_maps(Z: FilippovSystem, alpha_p: float, x_fold: float, tau_s: Sectio
         q, _ = hit_section(Z.X, np.array([x, 0.0]), tau_s, "backward")
         return tau_s.coord(q)
 
-    return tud, ts
+    return x_fold, min(x_fold, 2 * alpha_p - x_fold), tud, ts
 
 
-def circle_displacement_samples(
-    alpha_p: float,
-    beta_p: float,
-    xs,
-    Z: FilippovSystem | None = None,
-) -> list[tuple[float, float]]:
-    """Flow displacement Delta(x) = D(Tu(x)) - Ts(x) in the tau_s chart.
+def _circle_narrow_fits(setup, narrow: float, n: int) -> tuple[Germ, Germ]:
+    """Ts, and D = TuD - Ts about Ts's vertex, fitted on n points just below zeta.
 
-    Roots are the crossing cycles (chart-independent)."""
-    Z = Z or circle_system(alpha_p, beta_p)
-    x_fold = circle_visible_fold(Z)
-    tau_s = _circle_tau_s(Z, x_fold, beta_p)
-    tud, ts = _circle_maps(Z, alpha_p, x_fold, tau_s)
-    return [(float(x), tud(x) - ts(x)) for x in xs]
+    The narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
+    error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha.
+    """
+    x_fold, zeta, tud, ts = setup
+    ts_n = [(float(x), ts(x)) for x in zeta - np.linspace(1e-4, narrow, n)]
+    Ts = fit_germ(ts_n, x_fold, 3)
+    x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
+    return Ts, fit_germ([(x, tud(x) - t) for (x, t) in ts_n], x_v, 3)
 
 
 def circle_unfolding_fit(
@@ -700,27 +662,12 @@ def circle_unfolding_fit(
     the size of beta itself (beta scales like the lap contraction, ~3.5e-6,
     in the tau_s chart).
     """
-    Z = circle_system(alpha_p, beta_p)
-    x_fold = circle_visible_fold(Z)
-    tau_s = _circle_tau_s(Z, x_fold, beta_p)
-    tud, ts = _circle_maps(Z, alpha_p, x_fold, tau_s)
-    zeta = min(x_fold, 2 * alpha_p - x_fold)
-
+    setup = _circle_setup(alpha_p, beta_p)
+    x_fold, zeta, tud, _ = setup
     xs_w = zeta - np.linspace(0.012, window, 12)
-    Tu = fit_germ([(x, tud(x)) for x in xs_w], x_fold, 4)
-    kappa = Tu.coeffs[2]
-
-    # the narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
-    # error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha
-    xs_n = zeta - np.linspace(1e-4, narrow, 12)
-    ts_n = [(float(x), ts(x)) for x in xs_n]
-    Ts = fit_germ(ts_n, x_fold, 3)
+    kappa = fit_germ([(x, tud(x)) for x in xs_w], x_fold, 4).coeffs[2]
+    Ts, D = _circle_narrow_fits(setup, narrow, 12)
     dtilde = Ts.coeffs[2]
-    # Sigma-chart shift putting the Ts vertex at the origin
-    x_v = x_fold - Ts.coeffs[1] / (2.0 * dtilde)
-
-    delta = [(x, tud(x) - t) for (x, t) in ts_n]
-    D = fit_germ(delta, x_v, 3)
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     alpha = -C1 / (4.0 * kappa)
     beta = C0 + C1 * alpha
@@ -738,12 +685,9 @@ def circle_crossing_count(
     alpha_p: float, beta_p: float, window: float = 0.25, n: int = 30
 ) -> int:
     """Number of crossing cycles: isolated roots of the flow displacement."""
-    Z = circle_system(alpha_p, beta_p)
-    x_fold = circle_visible_fold(Z)
-    zeta = min(x_fold, 2 * alpha_p - x_fold)
+    _, zeta, tud, ts = _circle_setup(alpha_p, beta_p)
     xs = np.linspace(zeta - window, zeta - 0.004, n)
-    samples = circle_displacement_samples(alpha_p, beta_p, xs, Z=Z)
-    vals = np.array([v for _, v in samples])
+    vals = np.array([tud(x) - ts(x) for x in xs])
     count = 0
     for i in range(len(xs) - 1):
         if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != 0.0:
@@ -753,16 +697,7 @@ def circle_crossing_count(
 
 def _circle_disc(alpha_p: float, beta_p: float, narrow: float = 2e-3) -> float:
     """Discriminant of the narrow-window displacement quadratic (fast path)."""
-    Z = circle_system(alpha_p, beta_p)
-    x_fold = circle_visible_fold(Z)
-    tau_s = _circle_tau_s(Z, x_fold, beta_p)
-    tud, ts = _circle_maps(Z, alpha_p, x_fold, tau_s)
-    zeta = min(x_fold, 2 * alpha_p - x_fold)
-    xs_n = zeta - np.linspace(1e-4, narrow, 10)
-    ts_n = [(float(x), ts(x)) for x in xs_n]
-    Ts = fit_germ(ts_n, x_fold, 3)
-    x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
-    D = fit_germ([(x, tud(x) - t) for (x, t) in ts_n], x_v, 3)
+    _, D = _circle_narrow_fits(_circle_setup(alpha_p, beta_p), narrow, 10)
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     return C1 * C1 - 4.0 * C0 * C2
 
@@ -819,6 +754,8 @@ def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
 
 
 def scenario_curves(fam: ScenarioFamily, p: float) -> CurveValues:
+    if fam.backend != "synthetic":
+        raise ConfigError(NO_CIRCLE_CURVES)
     if fam.name == "Cusp":
         return cusp_curves(fam, p)
     if fam.name == "TwoFold":
@@ -856,11 +793,9 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
             add("gamma1", b, twofold_curves(fam, b)["gamma1"], b)
         for b in np.linspace(lo1, 0.0, nsamples):
             add("gamma2", b, b, twofold_curves(fam, b)["gamma2"])
-    elif fam.name == "VIFoldFold":
-        coeffs = fam.coeffs or {"kappa": 1.0, "dtilde": 2.0}
-        syn = fam if fam.backend == "synthetic" else foldfold_family(**coeffs)
+    elif fam.name == "VIFoldFold" and fam.backend == "synthetic":
         for a in np.linspace(lo1, hi1, nsamples):
-            cur = foldfold_curves(syn, a)
+            cur = foldfold_curves(fam, a)
             for nm, val in sorted(cur.values.items()):
                 add(nm, a, a, val)
     return curves

@@ -193,6 +193,8 @@ def _scenario(name: str) -> bifurcation.ScenarioFamily:
 
 def _cmd_scenario_curves(args) -> int:
     fam = _scenario(args.scenario)
+    if fam.backend != "synthetic":
+        raise ConfigError(bifurcation.NO_CIRCLE_CURVES)
     if args.param is not None:
         cur = bifurcation.scenario_curves(fam, args.param)
         d = dict(sorted(cur.values.items()))

@@ -118,6 +118,10 @@ class EscapedAnnulus(NumericError):
     pass
 
 
+class PeriodAnnulus(NumericError):
+    """The displacement vanishes identically: the cycles fill the window."""
+
+
 # -- bifurcation ---------------------------------------------------------------
 
 class NegativeLambda(NumericError):

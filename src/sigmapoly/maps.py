@@ -9,6 +9,8 @@ transfer pairs (cases O, E-I, E-II) feeding the crossing systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import cmath
+import math
 from functools import cached_property
 
 import numpy as np
@@ -42,10 +44,12 @@ SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
 # distance below which two Sigma points count as the same excluded point
 _EXCLUSION_TOL = 1e-9
-# a polynomial root with |Im| below this, relative to max(1, |root|), is
-# real: the companion eigenvalues split a double root into a pair about
-# sqrt(machine epsilon) apart
+# polynomial roots closer than this, relative to max(1, |root|), are one
+# multiple root: the companion eigenvalues split a double root into a pair
+# about sqrt(machine epsilon) apart
 REAL_ROOT_TOL = 1e-7
+_POLISH_ITERS = 20
+_EPS = float(np.finfo(float).eps)
 
 
 # -- germs --------------------------------------------------------------------
@@ -115,11 +119,62 @@ def _horner(coeffs, u: float) -> float:
     return float(acc)
 
 
-def real_roots(coeffs) -> list[float]:
-    """Sorted distinct real roots of c0 + c1 x + ... + cn x^n."""
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    tol = REAL_ROOT_TOL * np.maximum(1.0, np.abs(roots))
-    return sorted({float(r) for r in roots.real[np.abs(roots.imag) <= tol]})
+def root_clusters(coeffs) -> list[tuple[float, int]]:
+    """Sorted real roots of c0 + c1 x + ... + cn x^n, each with its multiplicity.
+
+    Degree 2 is solved in closed form, other degrees by the companion
+    eigenvalues.  Roots within REAL_ROOT_TOL * max(1, |r|) of each other
+    form one cluster of multiplicity m, kept when its centre is real (a
+    lone root is real when it would cluster with its own conjugate).  The
+    centre is polished by Newton on the (m-1)-th derivative, where an
+    m-fold root is simple (Zeng, Math. Comp. 2005).
+    """
+    c = [float(v) for v in coeffs]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    if len(c) == 3:
+        roots = _quadratic_roots(*c)
+    else:
+        roots = np.polynomial.polynomial.polyroots(c).tolist()
+    clusters: list[list] = []
+    for r in roots:
+        tol = REAL_ROOT_TOL * max(1.0, abs(r))
+        for cl in clusters:
+            if any(abs(r - s) <= tol for s in cl):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    out = []
+    for cl in clusters:
+        centre = sum(cl) / len(cl)
+        if 2.0 * abs(centre.imag) <= REAL_ROOT_TOL * max(1.0, abs(centre)):
+            out.append((_polish(c, centre.real, len(cl)), len(cl)))
+    return sorted(out)
+
+
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:
+    s = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    q = -0.5 * (c1 + (s if c1 >= 0.0 else -s))  # no cancellation between c1 and s
+    return [q / c2, c0 / q] if q != 0.0 else [0.0, 0.0]
+
+
+def _polish(c: list[float], x: float, m: int) -> float:
+    """Newton on the (m-1)-th derivative of c from x, until the step stops shrinking."""
+    for _ in range(m - 1):
+        c = [j * v for j, v in enumerate(c)][1:]
+    dc = [j * v for j, v in enumerate(c)][1:]
+    step = math.inf
+    for _ in range(_POLISH_ITERS):
+        d = _horner(dc, x)
+        new = _horner(c, x) / d if d != 0.0 else math.inf
+        if not abs(new) < abs(step):
+            break
+        step = new
+        x -= step
+        if abs(step) <= _EPS * abs(x):
+            break
+    return float(x)
 
 
 def cheb_nodes(base: float, halfwidth: float, m: int) -> np.ndarray:
@@ -356,7 +411,7 @@ def sigma_contacts(
 
     if set(h.h.coeffs) == {(0, 1)}:
         dpoly = np.polynomial.polynomial.polyder(fh.restrict_y(0.0))
-        crit = [r for r in real_roots(dpoly) if lo < r < hi]
+        crit = [r for r, _ in root_clusters(dpoly) if lo < r < hi]
     else:
         fhx, fhy, hx, hy = fh.dx(), fh.dy(), h.h.dx(), h.h.dy()
 

@@ -20,18 +20,15 @@ from .errors import (
     EscapedAnnulus,
     NoConvergence,
     OutsideWindow,
+    PeriodAnnulus,
     SingularJacobian,
 )
-from .maps import Germ, real_roots
+from .maps import REAL_ROOT_TOL, Germ, root_clusters
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 50
 NEWTON_MAX_HALVINGS = 8
 BOUNDARY_TOL = 1e-9
-DEDUP_TOL = 1e-8
-SADDLE_NODE_TOL = 1e-7
-
-_P = np.polynomial.polynomial
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,7 @@ class SyntheticModel:
         if self.k != len(self.legs):
             raise ValueError(f"k = {self.k} but {len(self.legs)} legs given")
 
-    def displacement(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+    def displacement(self, xs) -> np.ndarray:
         return np.array(
             [leg.delta(xs[i], xs[(i + 1) % self.k]) for i, leg in enumerate(self.legs)]
         )
@@ -104,8 +100,8 @@ class CycleReport:
     flags: tuple[str, ...] = ()
 
 
-def newton_solve(model: SyntheticModel, x0, require_window: bool = True) -> np.ndarray:
-    """Damped Newton on the cyclic displacement system."""
+def newton_solve(model: SyntheticModel, x0) -> np.ndarray:
+    """Damped Newton on the cyclic displacement system; OutsideWindow if it lands outside."""
     xs = np.array(x0, dtype=float)
     if xs.shape != (model.k,):
         raise ValueError(f"initial guess has shape {xs.shape}, expected ({model.k},)")
@@ -131,19 +127,10 @@ def newton_solve(model: SyntheticModel, x0, require_window: bool = True) -> np.n
             float(np.max(np.abs(model.displacement(xs)))) < NEWTON_TOL
             and float(np.max(np.abs(lam * step))) < NEWTON_TOL
         ):
-            if require_window:
-                _check_window(model, xs)
+            if _locus(model, xs) == "outside":
+                raise OutsideWindow(f"solution {xs.tolist()} outside the windows")
             return xs
     raise NoConvergence(f"no convergence from {x0} after {NEWTON_MAX_ITERS} iterations")
-
-
-def _check_window(model: SyntheticModel, xs: np.ndarray) -> None:
-    for i, leg in enumerate(model.legs):
-        lo, hi = leg.sigma
-        if not (lo - BOUNDARY_TOL <= xs[i] <= hi + BOUNDARY_TOL):
-            raise OutsideWindow(
-                f"coordinate {i}: {xs[i]} outside [{lo}, {hi}]"
-            )
 
 
 def _locus(model: SyntheticModel, xs: np.ndarray) -> str:
@@ -157,45 +144,61 @@ def _locus(model: SyntheticModel, xs: np.ndarray) -> str:
     return "boundary" if on_boundary else "interior"
 
 
-def classify_solution(model: SyntheticModel, xs) -> CycleReport:
-    xs = np.asarray(xs, dtype=float)
-    residual = float(np.max(np.abs(model.displacement(xs))))
+def classify_solution(model: SyntheticModel, xs, multiplicity: int | None = None) -> CycleReport:
+    """Locus, kind and stability of one solution of the crossing system.
+
+    A root of multiplicity >= 2 of the return polynomial is a saddle-node,
+    semistable when interior.  Without ``multiplicity`` it is read from the
+    root clusters of the return polynomial.
+    """
+    xs = [float(v) for v in xs]
+    if multiplicity is None:
+        clusters = root_clusters(_return_polynomial(model))
+        near = [m for x, m in clusters if abs(x - xs[0]) <= REAL_ROOT_TOL * max(1.0, abs(x))]
+        multiplicity = max(near, default=1)
+    residual = max(map(abs, model.displacement(xs).tolist()))
     locus = _locus(model, xs)
     dP = model.return_derivative(xs)
-    # det J = +-prod DTs_i' (P' - 1): testing P' itself keeps the decision
-    # independent of the DTs slopes
-    saddle_node = abs(dP - 1.0) < SADDLE_NODE_TOL
-    flags = tuple()
+    saddle_node = multiplicity >= 2
     if locus == "outside":
         kind, stability = "outside", "unknown"
     elif locus == "boundary":
         kind, stability = "polycycle", "unknown"
     else:
         kind = "crossing-cycle"
-        if abs(abs(dP) - 1.0) < SADDLE_NODE_TOL:
+        if saddle_node:
             stability = "semistable"
         elif abs(dP) < 1.0:
             stability = "attracting"
         else:
             stability = "repelling"
     return CycleReport(
-        point=tuple(float(v) for v in xs),
+        point=tuple(xs),
         residual=residual,
         locus=locus,
         kind=kind,
         stability=stability,
         dP=float(dP),
         saddle_node=saddle_node,
-        flags=flags,
     )
 
 
-def _compose(coeffs, arg) -> np.ndarray:
-    """Coefficients of c0 + c1 arg + ... + cn arg^n for a coefficient array arg."""
-    out = np.array([coeffs[-1]], dtype=float)
+def _compose(coeffs, arg: list[float]) -> list[float]:
+    """Coefficients of c0 + c1 arg + ... + cn arg^n for a coefficient list arg."""
+    out = [float(coeffs[-1])]
     for c in coeffs[-2::-1]:
-        out = _P.polyadd(_P.polymul(out, arg), [c])
+        prod = [0.0] * (len(out) + len(arg) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(arg):
+                prod[i + j] += u * v
+        prod[0] += c
+        out = prod
     return out
+
+
+def _sub(p: list[float], q: list[float]) -> list[float]:
+    n = max(len(p), len(q))
+    return [a - b for a, b in zip(p + [0.0] * (n - len(p)), q + [0.0] * (n - len(q)))]
 
 
 def _affine(i: int, germ: Germ) -> tuple[float, float]:
@@ -208,7 +211,7 @@ def _affine(i: int, germ: Germ) -> tuple[float, float]:
     return c[0], c[1]
 
 
-def _return_polynomial(model: SyntheticModel) -> np.ndarray:
+def _return_polynomial(model: SyntheticModel) -> list[float]:
     """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
 
     One leg: Delta(x) = Tu(x - 2a) - DTs(x), for any DTs.  Several legs:
@@ -219,68 +222,60 @@ def _return_polynomial(model: SyntheticModel) -> np.ndarray:
     if model.k == 1:
         leg = model.legs[0]
         tu = _compose(leg.Tu.coeffs, [-2 * leg.a - leg.Tu.base, 1.0])
-        return _P.polysub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
-    p = np.array([0.0, 1.0])
+        return _sub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
+    p = [0.0, 1.0]
     for i, leg in enumerate(model.legs):
         c0, c1 = _affine(i, leg.DTs)
-        tu = _compose(leg.Tu.coeffs, _P.polysub(p, [2 * leg.a + leg.Tu.base]))
-        p = _P.polyadd([leg.DTs.base], _P.polysub(tu, [c0]) / c1)
-    return _P.polysub(p, [0.0, 1.0])
+        tu = _compose(leg.Tu.coeffs, _sub(p, [2 * leg.a + leg.Tu.base]))
+        tu[0] -= c0
+        p = [v / c1 for v in tu]
+        p[0] += leg.DTs.base
+    return _sub(p, [0.0, 1.0])
 
 
-def _propagate(model: SyntheticModel, x1: float) -> np.ndarray:
+def _propagate(model: SyntheticModel, x1: float) -> list[float]:
     """(x_1, ..., x_k) from x_1 through the affine DTs inverses."""
     xs = [x1]
     for leg in model.legs[:-1]:
         c0, c1 = leg.DTs.coeffs[:2]
         xs.append(leg.DTs.base + (leg.Tu(xs[-1] - 2 * leg.a) - c0) / c1)
-    return np.array(xs)
+    return xs
 
 
 def find_cycles(model: SyntheticModel) -> list[CycleReport]:
-    """Every real solution of the crossing system, classified and sorted.
+    """Every real solution of the crossing system, classified, sorted by x_1.
 
-    Each real root of ``_return_polynomial`` is propagated around the legs
-    and polished once by Newton.  A root whose polish fails (Newton stalls
-    on a double root, whose Jacobian is singular) is kept as the
-    polynomial gives it.
+    Each root cluster of ``_return_polynomial`` (``maps.root_clusters``) is
+    one solution, propagated around the legs; a cluster of multiplicity
+    m >= 2 is a saddle-node.  A return polynomial that vanishes identically
+    raises PeriodAnnulus.
     """
-    sols: list[np.ndarray] = []
-    for x1 in real_roots(_return_polynomial(model)):
-        xs = _propagate(model, x1)
-        try:
-            xs = newton_solve(model, xs, require_window=False)
-        except (NoConvergence, SingularJacobian, EscapedAnnulus):
-            pass
-        if all(np.max(np.abs(xs - s)) >= DEDUP_TOL for s in sols):
-            sols.append(xs)
-    reports = [classify_solution(model, xs) for xs in sols]
-    reports.sort(key=lambda r: r.point)
-    return reports
+    coeffs = _return_polynomial(model)
+    if not any(coeffs):
+        raise PeriodAnnulus(
+            "the return polynomial vanishes identically: every point of the "
+            "window is a crossing cycle (a period annulus)"
+        )
+    return [
+        classify_solution(model, _propagate(model, x1), m)
+        for x1, m in root_clusters(coeffs)
+    ]
 
 
 # -- first-return maps --------------------------------------------------------
 
 
-def first_return(model: SyntheticModel, x: float, max_newton: int = 60) -> float:
-    """P(x) = DTs^{-1}(Tu(x)) for a one-leg model."""
+def first_return(model: SyntheticModel, x: float) -> float:
+    """P(x) = DTs^{-1}(Tu(x - 2a)) for a one-leg model: the preimage nearest x."""
     if model.k != 1:
         raise ValueError("first_return is defined for k = 1 models")
     leg = model.legs[0]
-    target = leg.Tu(x - 2 * leg.a)
-    # invert DTs by Newton seeded at x
-    y = x
-    for _ in range(max_newton):
-        r = leg.DTs(y) - target
-        d = leg.DTs.deriv(y)
-        if d == 0.0:
-            raise SingularJacobian("DTs' vanished while inverting")
-        y -= r / d
-        if abs(r) < 1e-14:
-            break
-    else:
-        raise NoConvergence(f"could not invert DTs at x = {x}")
-    return y
+    c = _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0])
+    c[0] -= leg.Tu(x - 2 * leg.a)
+    preimages = [y for y, _ in root_clusters(c)]
+    if not preimages:
+        raise NoConvergence(f"could not invert DTs at x = {x}: no real preimage")
+    return min(preimages, key=lambda y: abs(y - x))
 
 
 def normal_form_model(

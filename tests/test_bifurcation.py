@@ -14,6 +14,8 @@ from sigmapoly.bifurcation import (
     twofold_family,
 )
 from sigmapoly.errors import ConfigError, NegativeLambda, NoHit, WrongSign
+from sigmapoly.maps import Germ
+from sigmapoly.polycycle import SyntheticLeg, SyntheticModel
 
 
 # -- regular cusp ---------------------------------------------------------------
@@ -199,6 +201,19 @@ def test_foldfold_saddle_node_on_beta1():
     assert r.crossing_cycles[0].saddle_node
 
 
+def test_foldfold_saddle_node_at_rounding_level_discriminant():
+    # a 51x51 grid cell on beta1 = -8 alpha^2, whose displacement
+    # -x^2 - 0.24 x - 0.0144 = -(x + 0.12)^2 has a discriminant of rounding size
+    fam = foldfold_family()
+    r = classify_parameter_point(fam, (0.06, -0.028800000000000006))
+    assert r.item == 2
+    assert len(r.crossing_cycles) == 1
+    c = r.crossing_cycles[0]
+    assert c.stability == "semistable" and c.saddle_node
+    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
+    assert c.point[0] == pytest.approx(2 * k * 0.06 / (k - d), abs=1e-12)
+
+
 def test_foldfold_polycycle_on_beta2():
     fam = foldfold_family()
     r = classify_parameter_point(fam, (0.1, -0.04))
@@ -235,6 +250,20 @@ def test_foldfold_region_inventory_grid():
 
 
 # -- sweeps ---------------------------------------------------------------------
+
+
+def test_circle_has_no_traced_curves():
+    # the circle's curves are not known in closed form; none are invented
+    assert bifurcation._trace_curves(bifurcation.circle_family(validate=False)) == {}
+
+
+def test_sweep_records_period_annulus(monkeypatch):
+    fam = foldfold_family()
+    g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
+    annulus = SyntheticModel(k=1, legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
+    monkeypatch.setattr(bifurcation, "_foldfold_model", lambda *args: annulus)
+    grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
+    assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")
 
 
 def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):

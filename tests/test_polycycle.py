@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 from sigmapoly import io
 from sigmapoly.bifurcation import _twofold_model, twofold_family
 from sigmapoly.cli import run
-from sigmapoly.errors import ConfigError, NoConvergence, EscapedAnnulus, OutsideWindow
+from sigmapoly.errors import (
+    ConfigError,
+    EscapedAnnulus,
+    NoConvergence,
+    OutsideWindow,
+    PeriodAnnulus,
+)
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import (
     SyntheticLeg,
@@ -170,7 +178,7 @@ def test_find_cycles_double_root_is_one_semistable_cycle():
     # Delta = x^2 + 0.2 x + 0.01 = (x + 0.1)^2
     reports = find_cycles(quad_model(0.01, -0.2))
     assert len(reports) == 1
-    assert reports[0].point[0] == pytest.approx(-0.1, abs=1e-8)
+    assert reports[0].point[0] == pytest.approx(-0.1, abs=1e-12)
     assert reports[0].stability == "semistable"
     assert reports[0].saddle_node
 
@@ -185,3 +193,29 @@ def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
     mp = tmp_path / "model.json"
     mp.write_text(io.dumps(io.model_to_dict(model)))
     assert run(["polycycle-solve", "--model", str(mp)]) == 2
+
+
+def test_find_cycles_twofold_double_root_to_machine_precision():
+    # on the saddle-node point (-0.25, 0.25) the quartic in x1 is
+    # (x1 - 1/2)^2 (x1^2 + x1 + 5/4): one double root, x2 = -1/2
+    reports = find_cycles(_twofold_model(_TWOFOLD, -0.25, 0.25))
+    assert len(reports) == 1
+    assert reports[0].point == pytest.approx((0.5, -0.5), abs=1e-12)
+    assert reports[0].saddle_node
+
+
+def _annulus_model() -> SyntheticModel:
+    # Tu = DTs: every point of the window returns to itself
+    g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
+    return SyntheticModel(k=1, legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
+
+
+def test_find_cycles_flags_period_annulus(tmp_path, capsys):
+    with pytest.raises(PeriodAnnulus):
+        find_cycles(_annulus_model())
+    mp = tmp_path / "model.json"
+    mp.write_text(io.dumps(io.model_to_dict(_annulus_model())))
+    assert run(["polycycle-solve", "--model", str(mp)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PeriodAnnulus"
+    assert "period annulus" in err["message"]
