@@ -14,7 +14,14 @@ from .core import (
     lie_derivative,
     sliding_field,
 )
-from .flow import Section, filippov_trajectory, flow_smooth, hit_section, next_sigma_hit
+from .flow import (
+    Section,
+    filippov_trajectory,
+    flow_smooth,
+    hit_section,
+    hit_sections,
+    next_sigma_hit,
+)
 from .maps import (
     Germ,
     TransferPair,

@@ -21,9 +21,9 @@ from scipy.optimize import brentq
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
-from .flow import Section, hit_section
-from .maps import Germ, cheb_nodes, fit_germ, place_section, sigma_contacts, transition_map
-from .poly2 import Poly2, poly_const, poly_x, poly_y
+from .flow import Section, hit_section, hit_sections
+from .maps import Germ, fit_germ, place_section, sigma_contacts
+from .poly2 import poly_const, poly_x, poly_y
 from .polycycle import (
     CycleReport,
     SyntheticLeg,
@@ -610,10 +610,11 @@ def circle_visible_fold(Z: FilippovSystem, span: float = 0.45) -> float:
 def _circle_setup(alpha_p: float, beta_p: float):
     """(x_fold, zeta, tud, ts): visible X-fold, crossing-window end, transfer maps.
 
-    tud and ts give values in the tau_s chart, with forward-stable flows: the
-    circle contracts radially like exp(-4 pi) per lap, so the connection D is
-    composed onto Tu (TuD = D o T+ o rho_Y, a full forward lap) and Ts stays
-    the short local backward transfer.
+    tud and ts map abscissae to values in the tau_s chart, each call flying
+    its orbits as one system (flow.hit_sections).  The flows are
+    forward-stable: the circle contracts radially like exp(-4 pi) per lap, so
+    the connection D is composed onto Tu (TuD = D o T+ o rho_Y, a full
+    forward lap) and Ts stays the short local backward transfer.
     """
     Z = circle_system(alpha_p, beta_p)
     x_fold = circle_visible_fold(Z)
@@ -626,14 +627,13 @@ def _circle_setup(alpha_p: float, beta_p: float):
         d = tau_s.direction
         tau_s = Section(anchor=tau_s.anchor, direction=(-d[0], -d[1]), halfwidth=tau_s.halfwidth)
 
-    def tud(x: float) -> float:
-        r = 2.0 * alpha_p - x
-        q, _ = hit_section(Z.X, np.array([r, 0.0]), tau_s, "forward")
-        return tau_s.coord(q)
+    def tud(xs) -> np.ndarray:
+        hits = hit_sections(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], tau_s, "forward")
+        return np.array([tau_s.coord(q) for q, _ in hits])
 
-    def ts(x: float) -> float:
-        q, _ = hit_section(Z.X, np.array([x, 0.0]), tau_s, "backward")
-        return tau_s.coord(q)
+    def ts(xs) -> np.ndarray:
+        hits = hit_sections(Z.X, [(x, 0.0) for x in xs], tau_s, "backward")
+        return np.array([tau_s.coord(q) for q, _ in hits])
 
     return x_fold, min(x_fold, 2 * alpha_p - x_fold), tud, ts
 
@@ -645,10 +645,11 @@ def _circle_narrow_fits(setup, narrow: float, n: int) -> tuple[Germ, Germ]:
     error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha.
     """
     x_fold, zeta, tud, ts = setup
-    ts_n = [(float(x), ts(x)) for x in zeta - np.linspace(1e-4, narrow, n)]
-    Ts = fit_germ(ts_n, x_fold, 3)
+    xs = zeta - np.linspace(1e-4, narrow, n)
+    ts_n = ts(xs)
+    Ts = fit_germ(list(zip(xs, ts_n)), x_fold, 3)
     x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
-    return Ts, fit_germ([(x, tud(x) - t) for (x, t) in ts_n], x_v, 3)
+    return Ts, fit_germ(list(zip(xs, tud(xs) - ts_n)), x_v, 3)
 
 
 def circle_unfolding_fit(
@@ -665,7 +666,7 @@ def circle_unfolding_fit(
     setup = _circle_setup(alpha_p, beta_p)
     x_fold, zeta, tud, _ = setup
     xs_w = zeta - np.linspace(0.012, window, 12)
-    kappa = fit_germ([(x, tud(x)) for x in xs_w], x_fold, 4).coeffs[2]
+    kappa = fit_germ(list(zip(xs_w, tud(xs_w))), x_fold, 4).coeffs[2]
     Ts, D = _circle_narrow_fits(setup, narrow, 12)
     dtilde = Ts.coeffs[2]
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
@@ -687,7 +688,7 @@ def circle_crossing_count(
     """Number of crossing cycles: isolated roots of the flow displacement."""
     _, zeta, tud, ts = _circle_setup(alpha_p, beta_p)
     xs = np.linspace(zeta - window, zeta - 0.004, n)
-    vals = np.array([tud(x) - ts(x) for x in xs])
+    vals = tud(xs) - ts(xs)
     count = 0
     for i in range(len(xs) - 1):
         if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != 0.0:

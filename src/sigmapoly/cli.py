@@ -10,7 +10,6 @@ reruns (shortest round-trip float formatting, deterministic ordering).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 

@@ -9,7 +9,7 @@ tangency/fold-fold taxonomy, and the Filippov sliding vector field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,12 +1,23 @@
 """Event-driven integration of the smooth pieces and the Filippov dynamics.
 
-Everything here rides on DOP853 with dense output.  A flight is integrated
-once, in chunks that each continue from the last state of the one before.
-On each chunk the event functions (section offset, h, Fh, the
-sliding-boundary Lie derivatives) are evaluated vectorised on a fixed
-sample grid of the dense solution; Sigma hits, section hits and grazing
-touches are bracketed on that grid and polished by brentq to ~1e-12 in
-time.
+A flight drives one DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs
+I) with dense output from t = 0 towards its time limit, never integrating
+an arc twice.  The event functions (section offset, h, Fh, the
+sliding-boundary Lie derivatives) are evaluated vectorised, on the dense
+output, at the fixed time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1),
+one step (or run of steps) at a time; Sigma hits, section hits and grazing
+touches are bracketed on that lattice and polished by brentq to ~1e-12 in
+time, and the flight stops in the piece that holds the event.  A step is
+never longer than _CHUNK, so the dense output stays accurate between
+lattice points.
+
+hit_sections flies the n starting points of a germ fit as one 2n-dimensional
+system with tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS
+error norm bounds each orbit as tightly as a flight of its own; every orbit
+keeps its own first hit, and an orbit that has hit rides along unread.  If a
+step fails, the orbits that have not hit yet are flown again one by one, so
+a blow-up in one orbit never decides another's result.  hit_section is the
+n = 1 call.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
 from .core import (
@@ -78,9 +89,22 @@ def vertical_section(x0: float, y_anchor: float = 0.0, halfwidth=None) -> Sectio
     return Section(anchor=(x0, y_anchor), direction=(0.0, 1.0), halfwidth=halfwidth)
 
 
-def _rhs(F: PolyField):
-    def f(t, s):
-        return (F.fx(s[0], s[1]), F.fy(s[0], s[1]))
+def _rhs(F: PolyField, n: int = 1):
+    """Right-hand side of n orbits of F, on the state (x_1..x_n, y_1..y_n)."""
+    if n == 1:
+        # numpy scalars: Poly2 evaluates them about ten times faster than
+        # length-1 arrays
+
+        def f(t, s):
+            return (F.fx(s[0], s[1]), F.fy(s[0], s[1]))
+
+    else:
+
+        def f(t, s):
+            out = np.empty(2 * n)
+            out[:n] = F.fx(s[:n], s[n:])
+            out[n:] = F.fy(s[:n], s[n:])
+            return out
 
     return f
 
@@ -100,50 +124,73 @@ def _solve(rhs, p, t0: float, t1: float):
     return sol
 
 
-def _flight(rhs, p, t_end: float, events, chunk: float = _CHUNK, samples: int = _SAMPLES_PER_CHUNK):
-    """Integrate rhs from p over [0, t_end] (backward if t_end < 0), chunk by chunk.
+def _flight(
+    rhs,
+    p,
+    t_end: float,
+    events,
+    chunk: float = _CHUNK,
+    samples: int = _SAMPLES_PER_CHUNK,
+    tol: float = INTEGRATOR_TOL,
+):
+    """Integrate rhs from p over [0, t_end] (backward if t_end < 0) with one stepper.
 
-    Each chunk continues from the last state of the one before, so nothing
-    is integrated twice.  Yields (sol, ts, vals) per chunk: the dense
-    solution on [t0, t1], the sample times linspace(t0, t1, samples) and
-    vals[i] = events[i](x, y), evaluated on all samples at once.  A failed
-    integration halves the chunk and retries, because the orbit may blow up
-    later in the chunk while the event happens earlier; below a chunk of
-    1e-3 the failure is raised as NoHit.
+    The state holds n orbits as (x_1..x_n, y_1..y_n); steps are at most
+    chunk long.  Yields one piece per step, or run of steps, that passes a
+    point of the lattice t_k = k * chunk / (samples - 1), which t_end
+    closes: (sol, ts, vals) with sol the dense output of the piece's steps,
+    ts the lattice points from the last one before the piece to the last
+    one in it, and vals[i] = events[i](x, y) on all of them at once, of
+    shape (n, len(ts)).  A caller stops the flight by leaving the loop.  A
+    failed step ends the flight with NoHit, after a last piece that reaches
+    the last good step.
     """
     sgn = 1.0 if t_end > 0 else -1.0
-    t0, q = 0.0, np.asarray(p, dtype=float)
-    while abs(t0) < abs(t_end):
-        t1 = t0 + sgn * min(chunk, abs(t_end) - abs(t0))
-        try:
-            sol = _solve(rhs, q, t0, t1)
-        except NoHit:
-            if chunk <= 1e-3:
-                raise
-            chunk /= 2.0
-            continue
-        ts = np.linspace(t0, t1, samples)
-        x, y = sol.sol(ts)
-        # a constant event (the zero polynomial) evaluates to a scalar
-        yield sol, ts, [np.broadcast_to(f(x, y), ts.shape) for f in events]
-        t0, q = t1, sol.y[:, -1]
+    dt = chunk / (samples - 1)
+    # a lattice point within half a spacing of t_end gives way to t_end
+    last = abs(t_end) - 0.5 * dt
+    solver = DOP853(rhs, 0.0, np.asarray(p, dtype=float), t_end, max_step=chunk, rtol=tol, atol=tol)
+    bounds, dense = [0.0], []
+    k = 0  # the lattice point the next piece starts from
+    while True:
+        message = solver.step()
+        if solver.status != "failed":
+            bounds.append(solver.t)
+            dense.append(solver.dense_output())
+        reach = abs(solver.t)
+        j = k
+        while (j + 1) * dt <= reach and (j + 1) * dt < last:
+            j += 1
+        ts = np.arange(k, j + 1) * (sgn * dt)
+        if solver.status != "running" and reach > j * dt:
+            ts = np.append(ts, solver.t)  # t_end, or the last good step
+        if ts.size > 1:
+            sol = OdeSolution(bounds, dense)
+            x, y = np.split(sol(ts), 2)
+            yield sol, ts, [np.broadcast_to(f(x, y), x.shape) for f in events]
+            # the next piece starts inside the last step
+            k, bounds, dense = j, bounds[-2:], dense[-1:]
+        if solver.status == "failed":
+            raise NoHit(f"integration failed: {message}")
+        if solver.status == "finished":
+            return
 
 
-def _along(sol, f):
-    """t -> f(x(t), y(t)) on a dense solution, for brentq polishing."""
-    return lambda t: f(*sol.sol(t))
+def _along(sol, f, i: int = 0, n: int = 1):
+    """t -> f(x_i(t), y_i(t)) on a dense solution of n orbits, for brentq polishing."""
+    return lambda t: f(*sol(t)[i::n])
 
 
 def _arc_points(arc, ts) -> np.ndarray:
-    """Points, shape (2, len(ts)), at the times ts of a flight's chunks in time order."""
+    """Points, shape (2, len(ts)), at the times ts of a flight's pieces in time order."""
     ts = np.asarray(ts, dtype=float)
-    sgn = 1.0 if arc[-1].t[-1] >= arc[0].t[0] else -1.0
-    ends = np.array([sgn * sol.t[-1] for sol in arc])
+    sgn = 1.0 if arc[-1].ts[-1] >= arc[0].ts[0] else -1.0
+    ends = np.array([sgn * sol.ts[-1] for sol in arc])
     idx = np.minimum(np.searchsorted(ends, sgn * ts), len(arc) - 1)
     out = np.empty((2, ts.size))
     for k in np.unique(idx):
         at = idx == k
-        out[:, at] = arc[k].sol(ts[at])
+        out[:, at] = arc[k](ts[at])
     return out
 
 
@@ -158,12 +205,12 @@ def flow_smooth(F: PolyField, p, t: float, domain=None) -> np.ndarray:
     def margin(x, y):
         return np.minimum(np.minimum(x - xmin, xmax - x), np.minimum(y - ymin, ymax - y))
 
-    for sol, ts, (m,) in _flight(_rhs(F), p, t, [margin], chunk=abs(t), samples=200):
+    for sol, ts, ((m,),) in _flight(_rhs(F), p, t, [margin], chunk=abs(t), samples=200):
         out = np.flatnonzero(m < 0)
         if out.size:
             k = out[0]
-            raise DomainExit("trajectory left domain", point=sol.sol(ts[k]), time=ts[k])
-    return sol.y[:, -1]
+            raise DomainExit("trajectory left domain", point=sol(ts[k]), time=ts[k])
+    return sol(t)
 
 
 def _brentq(g, a, b):
@@ -182,6 +229,81 @@ def _sign_changes(g, ts, vals):
         yield ts[k + 1] if s[k + 1] == 0 else _brentq(g, ts[k], ts[k + 1])
 
 
+def _section_hits(F: PolyField, ps, section: Section, direction: str, tmax: float, arc=None) -> list:
+    """Per start in ps: its first hit (q, tq) of the section, or the error of its flight.
+
+    The starts are flown as one system (see the module docstring); arc, if
+    given, receives the flight's dense pieces in time order.
+    """
+    sgn = 1.0 if direction == "forward" else -1.0
+    ps = np.asarray(ps, dtype=float).reshape(-1, 2)
+    n = len(ps)
+    anchor, nrm = np.asarray(section.anchor), section.normal
+
+    def offset(x, y):
+        return (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
+
+    def first_hit(sol, ts, gv, i):
+        # skip a root at t = 0 when starting exactly on the section
+        if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
+            keep = ts * sgn > 1e-9
+            ts, gv = ts[keep], gv[keep]
+        for troot in _sign_changes(_along(sol, offset, i, n), ts, gv):
+            q = sol(troot)[i::n]
+            trans = float(np.dot(F(q), nrm))
+            if abs(trans) < CLASSIFY_TOL:
+                return TangentialHit(f"grazes section at t = {troot:.6g}")
+            # a crossing of the section line outside the segment is skipped
+            if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
+                return q, troot
+        return None
+
+    out: list = [None] * n
+    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, [offset], tol=INTEGRATOR_TOL / np.sqrt(n))
+    try:
+        for sol, ts, (gv,) in flight:
+            if arc is not None:
+                arc.append(sol)
+            s = np.sign(gv)
+            moved = ((s[:, :-1] * s[:, 1:] < 0) | (s[:, 1:] == 0)).any(axis=1)
+            for i in np.flatnonzero(moved):
+                if out[i] is None:
+                    out[i] = first_hit(sol, ts, gv[i], i)
+            if all(o is not None for o in out):
+                return out
+    except NoHit as e:
+        if n == 1:
+            return [e]
+        # a failed step ends the flight for every orbit; fly the open ones alone
+        return [
+            o if o is not None else _section_hits(F, p, section, direction, tmax)[0]
+            for o, p in zip(out, ps)
+        ]
+    return [NoHit(f"no section hit within tmax = {tmax}") if o is None else o for o in out]
+
+
+def _raise_first_error(out: list) -> list:
+    for o in out:
+        if isinstance(o, Exception):
+            raise o
+    return out
+
+
+def hit_sections(
+    F: PolyField,
+    ps,
+    section: Section,
+    direction: str = "forward",
+    tmax: float = MAX_FLIGHT_TIME,
+) -> list:
+    """First hits (q, tq) of the section from each start in ps, in one flight.
+
+    Raises the error of the lowest-index start whose flight fails, the one
+    that flying the starts one after another would raise.
+    """
+    return _raise_first_error(_section_hits(F, ps, section, direction, tmax))
+
+
 def hit_section(
     F: PolyField,
     p,
@@ -193,32 +315,10 @@ def hit_section(
 ):
     """First hit (q, tq) of the section in the given time direction.
 
-    _arc, if given, receives the flight's dense chunk solutions in time
-    order, so that a caller can reuse the arc instead of integrating it
-    again.
+    _arc, if given, receives the flight's dense pieces in time order, so
+    that a caller can reuse the arc instead of integrating it again.
     """
-    sgn = 1.0 if direction == "forward" else -1.0
-    anchor, nrm = np.asarray(section.anchor), section.normal
-
-    def offset(x, y):
-        return (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
-
-    for sol, ts, (gv,) in _flight(_rhs(F), p, sgn * tmax, [offset]):
-        if _arc is not None:
-            _arc.append(sol)
-        # skip a root at t = 0 when starting exactly on the section
-        if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
-            keep = ts * sgn > 1e-9
-            ts, gv = ts[keep], gv[keep]
-        for troot in _sign_changes(_along(sol, offset), ts, gv):
-            q = sol.sol(troot)
-            trans = float(np.dot(F(q), nrm))
-            if abs(trans) < CLASSIFY_TOL:
-                raise TangentialHit(f"grazes section at t = {troot:.6g}")
-            # a crossing of the section line outside the segment is skipped
-            if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
-                return q, troot
-    raise NoHit(f"no section hit within tmax = {tmax}")
+    return _raise_first_error(_section_hits(F, [p], section, direction, tmax, _arc))[0]
 
 
 @dataclass(frozen=True)
@@ -254,7 +354,7 @@ def next_sigma_hit(
             # that happens before the first sample
             escaped = True
             ref_sign = np.sign(sgn * fh0)
-    for sol, ts, (hv, fhv) in _flight(_rhs(F), p, sgn * tmax, [hpoly, fhpoly]):
+    for sol, ts, ((hv,), (fhv,)) in _flight(_rhs(F), p, sgn * tmax, [hpoly, fhpoly]):
         k0 = 0
         if not escaped:
             big = np.flatnonzero(np.abs(hv) > EVENT_TOL)
@@ -276,20 +376,20 @@ def next_sigma_hit(
         for k in np.flatnonzero(cross[k0:] | turn[k0:]) + k0:
             if cross[k]:
                 troot = _brentq(hfun, ts[k], ts[k + 1])
-                return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
+                return SigmaHit(point=sol(troot), time=troot, kind="cross")
             tm = _brentq(fhfun, ts[k], ts[k + 1])
             hm = hfun(tm)
             if np.sign(hm) != 0 and np.sign(hm) != ref_sign:
                 lo = ts[k] if hs[k] == ref_sign else ts[max(k0, k - 1)]
                 troot = _brentq(hfun, lo, tm)
-                return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
+                return SigmaHit(point=sol(troot), time=troot, kind="cross")
             if np.sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != np.sign(hm):
                 # dip entirely on the departure side ending in a crossing
                 # (start-on-Sigma orbits that return before the first sample)
                 troot = _brentq(hfun, tm, ts[k + 1])
-                return SigmaHit(point=sol.sol(troot), time=troot, kind="cross")
+                return SigmaHit(point=sol(troot), time=troot, kind="cross")
             if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
-                return SigmaHit(point=sol.sol(tm), time=tm, kind="touch")
+                return SigmaHit(point=sol(tm), time=tm, kind="touch")
     raise NoHit(f"no Sigma hit within tmax = {tmax}")
 
 
@@ -351,7 +451,7 @@ def _starting_regime(Z: FilippovSystem, p) -> str:
 def _slide(Z: FilippovSystem, p, t_budget):
     """Integrate the sliding field until a boundary tangency or time out.
 
-    Returns the arc (dense chunk solutions in time order), the exit time and
+    Returns the arc (the flight's dense pieces in time order), the exit time and
     the field ("X" or "Y") whose contact ends the slide, or None at time out.
     """
     Xh = lie_poly(Z.X, Z.h.h, 1)
@@ -372,21 +472,22 @@ def _slide(Z: FilippovSystem, p, t_budget):
         return (yh * X - xh * Y) / (yh - xh)
 
     arc = []
-    # one chunk for the whole budget: the boundary scan keeps its grid of
-    # _SAMPLES_PER_CHUNK points over the budget
+    # one chunk for the whole budget: steps are bounded by the budget alone
+    # and the boundary scan keeps its lattice of _SAMPLES_PER_CHUNK points
+    # over it
     for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh], chunk=t_budget):
         arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
         # exit immediately (exact-zero starts are skipped by _sign_changes)
         exits = []
-        for name, f, v in zip("XY", (Xh, Yh), vals):
+        for name, f, (v,) in zip("XY", (Xh, Yh), vals):
             r = next(_sign_changes(_along(sol, f), ts, v), None)
             if r is not None:
                 exits.append((r, name))
         if exits:
             troot, which = min(exits)
             return arc, troot, which
-    return arc, arc[-1].t[-1], None
+    return arc, t_budget, None
 
 
 def filippov_trajectory(
@@ -411,19 +512,19 @@ def filippov_trajectory(
         budget = tmax - t
         if regime in ("Mplus", "Mminus"):
             F = Z.X if regime == "Mplus" else Z.Y
-            # each arc is integrated again up to its end: sampling the chunked
-            # flight instead would change the CSV in the last digits
+            # each arc is integrated again up to its end: sampling the flight's
+            # pieces instead would change the CSV in the last digits
             try:
                 hit = next_sigma_hit(
                     F, point, Z.h, "forward", tmax=budget, include_touch=True
                 )
             except NoHit:
-                ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, budget)], budget, dt_out)
+                ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, budget).sol], budget, dt_out)
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + budget, entry, "time-out")
                 )
                 return traj
-            ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, hit.time)], hit.time, dt_out)
+            ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, hit.time).sol], hit.time, dt_out)
             if hit.kind == "touch":
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + hit.time, entry, "tangency-touch")

@@ -18,7 +18,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .core import (
     CLASSIFY_TOL,
-    CONTACT_ORDER_CAP,
     FilippovSystem,
     FoldFold,
     PolyField,
@@ -37,17 +36,19 @@ from .errors import (
     UnsupportedSingularity,
     WindowTooSmall,
 )
-from .flow import MAX_FLIGHT_TIME, Section, _arc_points, hit_section, next_sigma_hit
+from .flow import MAX_FLIGHT_TIME, Section, _arc_points, hit_section, hit_sections, next_sigma_hit
 
 GERM_COND_CAP = 1e10
 SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
 # distance below which two Sigma points count as the same excluded point
 _EXCLUSION_TOL = 1e-9
-# polynomial roots closer than this, relative to max(1, |root|), are one
-# multiple root: the companion eigenvalues split a double root into a pair
-# about sqrt(machine epsilon) apart
+# a solution within this, relative to max(1, |root|), of a root cluster's
+# centre belongs to that cluster
 REAL_ROOT_TOL = 1e-7
+# rounding of a polynomial's value at x, in units of eps * sum |c_j| |x|^j:
+# Horner's bound is about 2n for degree n, and coefficients carry their own
+_ROOT_ROUNDING = 10.0
 _POLISH_ITERS = 20
 _EPS = float(np.finfo(float).eps)
 
@@ -123,11 +124,15 @@ def root_clusters(coeffs) -> list[tuple[float, int]]:
     """Sorted real roots of c0 + c1 x + ... + cn x^n, each with its multiplicity.
 
     Degree 2 is solved in closed form, other degrees by the companion
-    eigenvalues.  Roots within REAL_ROOT_TOL * max(1, |r|) of each other
-    form one cluster of multiplicity m, kept when its centre is real (a
-    lone root is real when it would cluster with its own conjugate).  The
-    centre is polished by Newton on the (m-1)-th derivative, where an
-    m-fold root is simple (Zeng, Math. Comp. 2005).
+    eigenvalues.  Rounding splits an m-fold root into m roots about
+    (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j: nearest
+    clusters are merged while every member stays within that spread of the
+    merged centre, so a root near the real axis joins its conjugate.  A
+    cluster is kept when its centre is real.  The centre is polished
+    by Newton on the (m-1)-th derivative, where an m-fold root is simple
+    (Zeng, Math. Comp. 2005); that derivative and the lower ones must
+    vanish there to rounding, or the member farthest from the centre
+    leaves the cluster.
     """
     c = [float(v) for v in coeffs]
     while len(c) > 1 and c[-1] == 0.0:
@@ -135,35 +140,96 @@ def root_clusters(coeffs) -> list[tuple[float, int]]:
     if len(c) == 3:
         roots = _quadratic_roots(*c)
     else:
-        roots = np.polynomial.polynomial.polyroots(c).tolist()
-    clusters: list[list] = []
-    for r in roots:
-        tol = REAL_ROOT_TOL * max(1.0, abs(r))
-        for cl in clusters:
-            if any(abs(r - s) <= tol for s in cl):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
+        roots = _companion_roots(c)
+    ders = _derivatives(c, len(c) - 1)
+    clusters = [[r] for r in roots]
+    while len(clusters) > 1 and _merge_nearest(clusters, ders):
+        pass
     out = []
-    for cl in clusters:
+    while clusters:
+        cl = clusters.pop()
         centre = sum(cl) / len(cl)
-        if 2.0 * abs(centre.imag) <= REAL_ROOT_TOL * max(1.0, abs(centre)):
-            out.append((_polish(c, centre.real, len(cl)), len(cl)))
+        # a cluster of conjugate pairs: its centre is real up to the rounding
+        # of the imaginary parts' sum; a lopsided one falls apart
+        if centre.imag and abs(centre.imag) > _EPS * sum(abs(r.imag) for r in cl):
+            if len(cl) > 1:
+                clusters += [[r] for r in cl]
+            continue
+        x = _polish(ders, centre.real, len(cl))
+        if len(cl) == 1 or all(abs(_horner(d, x)) <= _rounding(d, x) for d in ders[: len(cl)]):
+            out.append((x, len(cl)))
+        else:
+            far = max(cl, key=lambda r: abs(r - centre))
+            cl.remove(far)
+            clusters += [cl, [far]]
     return sorted(out)
+
+
+def _companion_roots(c: list[float]) -> list[complex]:
+    """The companion eigenvalues that numpy's polyroots gives, without its argument
+    checks, which cost more than a 3x3 eigenproblem."""
+    n = len(c) - 1
+    if n < 1:
+        return []
+    m = np.zeros((n, n))
+    m.reshape(-1)[n :: n + 1] = 1.0
+    m[:, -1] -= np.array(c[:-1]) / c[-1]
+    r = np.linalg.eigvals(m)
+    r.sort()
+    return r.tolist()
+
+
+def _merge_nearest(clusters: list[list], ders: list[list[float]]) -> bool:
+    """Merge the nearest two clusters whose union fits the spread of one root."""
+    centres = [sum(cl) / len(cl) for cl in clusters]
+    k = len(centres)
+    for _, i, j in sorted([(abs(centres[i] - centres[j]), i, j) for i in range(k) for j in range(i)]):
+        cand = clusters[i] + clusters[j]
+        z = sum(cand) / len(cand)
+        if max([abs(r - z) for r in cand]) <= _spread(ders, z, len(cand)):
+            clusters[j] = cand
+            del clusters[i]
+            return True
+    return False
+
+
+def _derivatives(c: list[float], m: int) -> list[list[float]]:
+    """Coefficients of c and of its first m derivatives."""
+    out = [c]
+    for _ in range(m):
+        out.append([j * v for j, v in enumerate(out[-1])][1:] or [0.0])
+    return out
+
+
+def _rounding(c: list[float], z) -> float:
+    """Bound on the rounding of c at z: _ROOT_ROUNDING * eps * sum |c_j| |z|^j."""
+    return _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in c], abs(z))
+
+
+def _spread(ders: list[list[float]], z: complex, m: int) -> float:
+    """How far rounding scatters the computed roots of an m-fold root at z.
+
+    ders holds a polynomial and its derivatives, at least up to the m-th.
+    """
+    lead = 0.0
+    for v in reversed(ders[m]):  # Horner at a complex z
+        lead = v + lead * z
+    if lead == 0.0:  # p^(m) = 0 at the centre: no m-fold root here, only exact copies merge
+        return 0.0
+    return (_rounding(ders[0], z) * math.factorial(m) / abs(lead)) ** (1.0 / m)
 
 
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:
     s = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -0.5 * (c1 + (s if c1 >= 0.0 else -s))  # no cancellation between c1 and s
+    if s.imag:  # an exact conjugate pair, as the companion eigenvalues give
+        return [q / c2, (q / c2).conjugate()]
     return [q / c2, c0 / q] if q != 0.0 else [0.0, 0.0]
 
 
-def _polish(c: list[float], x: float, m: int) -> float:
-    """Newton on the (m-1)-th derivative of c from x, until the step stops shrinking."""
-    for _ in range(m - 1):
-        c = [j * v for j, v in enumerate(c)][1:]
-    dc = [j * v for j, v in enumerate(c)][1:]
+def _polish(ders: list[list[float]], x: float, m: int) -> float:
+    """Newton on the (m-1)-th of the derivatives ders from x, until the step stops shrinking."""
+    c, dc = ders[m - 1], ders[m]
     step = math.inf
     for _ in range(_POLISH_ITERS):
         d = _horner(dc, x)
@@ -241,9 +307,13 @@ def transition_map(
     tmax: float = MAX_FLIGHT_TIME,
 ) -> float:
     """Chart value on tau of the orbit through the Sigma point over x."""
-    p = sigma_point(h, x)
-    q, _ = hit_section(F, p, tau, direction=direction, tmax=tmax)
-    return tau.coord(q)
+    return _transition_values(F, h, tau, [x], direction, tmax)[0]
+
+
+def _transition_values(F, h, tau, xs, direction: str, tmax: float = MAX_FLIGHT_TIME) -> list[float]:
+    """transition_map at every x in xs, the orbits flown as one system."""
+    hits = hit_sections(F, [sigma_point(h, x) for x in xs], tau, direction, tmax)
+    return [tau.coord(q) for q, _ in hits]
 
 
 def transition_germ(
@@ -263,7 +333,7 @@ def transition_germ(
         lo, hi = domain
         xs = xs[(xs >= lo) & (xs <= hi)]
         xs = np.concatenate([xs, np.linspace(lo, hi, m)])
-    samples = [(x, transition_map(F, h, tau, x, direction)) for x in xs]
+    samples = list(zip(xs, _transition_values(F, h, tau, xs, direction)))
     chart = {
         "anchor": list(tau.anchor),
         "direction": list(tau.direction),
@@ -586,15 +656,11 @@ def _transfer_ei(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     sgn = 1.0 if cls.side == "plus" else -1.0
     sigma_sec = Section(anchor=(float(p[0]), float(p[1])), direction=(0.0, sgn), halfwidth=cfg.window)
     xs = cheb_nodes(cfg.window / 2, cfg.window / 2 * 0.9, 14)
-    tu, ts = [], []
-    for s in xs:
-        q0 = sigma_sec.point_at(s)
-        qu, _ = hit_section(F, q0, tau_u, "forward")
-        qs, _ = hit_section(F, q0, tau_s, "backward")
-        tu.append((s, tau_u.coord(qu)))
-        ts.append((s, tau_s.coord(qs)))
-    Tu = fit_germ(tu, 0.0, 1)
-    Ts = fit_germ(ts, 0.0, 1)
+    q0s = [sigma_sec.point_at(s) for s in xs]
+    tu = hit_sections(F, q0s, tau_u, "forward")
+    ts = hit_sections(F, q0s, tau_s, "backward")
+    Tu = fit_germ([(s, tau_u.coord(q)) for s, (q, _) in zip(xs, tu)], 0.0, 1)
+    Ts = fit_germ([(s, tau_s.coord(q)) for s, (q, _) in zip(xs, ts)], 0.0, 1)
     return TransferPair(
         Tu=Tu, Ts=Ts, sigma=((0.0, cfg.window),), case_tag="EI"
     )
@@ -627,16 +693,14 @@ def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
         exclusion_set(Z.Y, Z.h, (x0 - 4 * cfg.window, x0 + 4 * cfg.window), side=-1)
     )
 
-    def tu_value(x: float) -> float:
-        r = mirror_map(Z.Y, Z.h, x, side=-1)
-        return transition_map(Z.X, Z.h, tau_u, r, "forward")
-
     zeta = min(0.0, 2 * alpha - x0) + x0  # crossing boundary: min(x0, 2*alpha - x0)
     lo, hi = x0 - cfg.window, zeta
     if hi <= lo:
         raise WindowTooSmall("empty crossing window left of the fold")
     xs = np.linspace(lo, hi - 1e-6 * (hi - lo), 14)
-    Tu = fit_germ([(x, tu_value(x)) for x in xs], x0, 2)
+    # Tu = T+^X o rho_Y: the mirrors first, then their transitions in one flight
+    rs = [mirror_map(Z.Y, Z.h, x, side=-1) for x in xs]
+    Tu = fit_germ(list(zip(xs, _transition_values(Z.X, Z.h, tau_u, rs, "forward"))), x0, 2)
     Ts = transition_germ(
         Z.X, Z.h, tau_s, x0, 2, cfg.window, "backward", domain=(lo, hi)
     )

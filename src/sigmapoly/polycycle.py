@@ -97,7 +97,6 @@ class CycleReport:
     stability: str  # "attracting" | "repelling" | "semistable" | "unknown"
     dP: float
     saddle_node: bool = False
-    flags: tuple[str, ...] = ()
 
 
 def newton_solve(model: SyntheticModel, x0) -> np.ndarray:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from sigmapoly.core import PolyField
 from sigmapoly.errors import NoHit
 from sigmapoly.flow import (
+    MAX_FLIGHT_TIME,
     Section,
+    _section_hits,
     filippov_trajectory,
     flow_smooth,
     hit_section,
+    hit_sections,
     next_sigma_hit,
     vertical_section,
 )
@@ -40,8 +44,9 @@ def test_hit_section_respects_halfwidth(fold_field):
         hit_section(fold_field, np.array([0.2, 0.0]), narrow, "forward", tmax=5.0)
 
 
-# Flights are integrated in chunks of 4 time units, each continuing from the
-# last state of the one before; the hits below all lie past the first chunk.
+# A flight is one integration whose steps are at most 4 time units long and
+# whose events are scanned on a lattice of 600 points per 4 units; the hits
+# below all lie past the first 4 units.
 
 
 def test_hit_section_in_a_later_chunk(fold_field):
@@ -71,6 +76,61 @@ def test_next_sigma_hit_parabolic_return(fold_field, h_y):
     hit = next_sigma_hit(fold_field, np.array([-0.3, 0.0]), h_y, "forward")
     assert hit.kind == "cross"
     assert hit.point[0] == pytest.approx(0.3, abs=1e-9)
+
+
+def test_hit_sections_circle_laps_match_closed_form_and_lone_flights():
+    # theta' = 1, r' = r - r^3: from (r0, 0) the orbit is back on the positive
+    # x-axis at t = 2 pi with r = (1 + (r0^-2 - 1) e^(-2t))^(-1/2)
+    x, y = poly_x(), poly_y()
+    r2 = x * x + y * y
+    F = PolyField(y.scale(-1.0) + x - x * r2, x + y - y * r2)
+    lap = Section(anchor=(1.0, 0.0), direction=(1.0, 0.0), halfwidth=0.9)
+    r0 = np.linspace(0.3, 1.8, 12)
+    hits = hit_sections(F, [(r, 0.0) for r in r0], lap, "forward")
+    exact = (1.0 + (r0**-2 - 1.0) * np.exp(-4.0 * np.pi)) ** -0.5
+    assert len(hits) == 12
+    for (q, t), r, want in zip(hits, r0, exact):
+        assert t == pytest.approx(2.0 * np.pi, abs=1e-10)
+        np.testing.assert_allclose(q, [want, 0.0], atol=1e-10)
+        q1, t1 = hit_section(F, (r, 0.0), lap, "forward")
+        np.testing.assert_allclose(q, q1, rtol=0, atol=1e-12)
+        assert t == pytest.approx(t1, abs=1e-12)
+
+
+def test_hit_sections_blow_up_leaves_other_orbits_alone():
+    # y' = y^2 blows up at t = 1/2 from (0, 2), before reaching x = 1; from
+    # (0, 0) the orbit stays on y = 0 and reaches x = 1 at t = 1
+    F = PolyField(poly_const(1.0), poly_y() * poly_y())
+    sec = vertical_section(1.0)
+    blow, hit = (0.0, 2.0), (0.0, 0.0)
+    with pytest.raises(NoHit) as lone_err:
+        hit_section(F, blow, sec, "forward")
+    q1, t1 = hit_section(F, hit, sec, "forward")
+    assert t1 == pytest.approx(1.0, abs=1e-12)
+    for starts in ([blow, hit], [hit, blow]):
+        out = _section_hits(F, starts, sec, "forward", MAX_FLIGHT_TIME)
+        err, res = out if starts[0] is blow else out[::-1]
+        assert isinstance(err, NoHit) and str(err) == str(lone_err.value)
+        assert np.array_equal(res[0], q1) and res[1] == t1
+        # the batched call raises the blow-up, wherever it stands
+        with pytest.raises(NoHit, match="integration failed"):
+            hit_sections(F, starts, sec, "forward")
+
+
+def test_hit_sections_raises_for_the_lowest_failing_start():
+    # X = (1, y^2) onto the segment |y| <= 0.05 of x = 1: from (0, 0) the
+    # orbit hits it at t = 1; from (0, 0.5) it passes x = 1 at y = 1 and blows
+    # up at t = 2; from (0, -0.5) it passes at y = -1/3 and never returns
+    F = PolyField(poly_const(1.0), poly_y() * poly_y())
+    seg = Section(anchor=(1.0, 0.0), direction=(0.0, 1.0), halfwidth=0.05)
+    ok, up, down = (0.0, 0.0), (0.0, 0.5), (0.0, -0.5)
+    (q, t), = hit_sections(F, [ok], seg, "forward", tmax=5.0)
+    np.testing.assert_allclose(q, [1.0, 0.0], atol=1e-12)
+    assert t == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NoHit, match="integration failed"):
+        hit_sections(F, [ok, up, down], seg, "forward", tmax=5.0)
+    with pytest.raises(NoHit, match="no section hit within tmax = 5.0"):
+        hit_sections(F, [ok, down, up], seg, "forward", tmax=5.0)
 
 
 @pytest.mark.parametrize("x0", [-5e-8, -1e-6, -1e-4])

@@ -183,6 +183,16 @@ def test_find_cycles_double_root_is_one_semistable_cycle():
     assert reports[0].saddle_node
 
 
+def test_find_cycles_triple_root_is_one_saddle_node():
+    # Delta = x^3 + 0.3 x^2 + 0.03 x + 0.001 = (x + 0.1)^3: the companion
+    # eigenvalues split it by about 1e-6, far more than a double root's split
+    reports = find_cycles(normal_form_model(1.0, -0.03, 3, lam=(0.001, 0.0, 0.3)))
+    assert len(reports) == 1
+    assert reports[0].point[0] == pytest.approx(-0.1, abs=1e-10)
+    assert reports[0].saddle_node
+    assert reports[0].stability == "semistable"
+
+
 @pytest.mark.parametrize("dts", [(0.0, 1.0, 0.5), (0.3, 0.0)])
 def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
     Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
