@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
-from .flow import Section, hit_section, hit_sections
+from .flow import Section, hit_sections
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
 from .polycycle import (
@@ -721,12 +721,8 @@ def circle_cycle_multiplier() -> float:
     """Return-map derivative of the unperturbed circle cycle (finite difference)."""
     Z = circle_system(0.0, 0.0)
     sec = Section(anchor=(0.0, 2.0), direction=(0.0, 1.0), halfwidth=0.3)
-    out = []
-    for s in (0.05, 0.1):
-        p = sec.point_at(s)
-        q, _ = hit_section(Z.X, p, sec, "forward")
-        out.append(sec.coord(q))
-    return (out[1] - out[0]) / 0.05
+    (q1, _), (q2, _) = hit_sections(Z.X, [sec.point_at(0.05), sec.point_at(0.1)], sec, "forward")
+    return (sec.coord(q2) - sec.coord(q1)) / 0.05
 
 
 def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> RegionReport:

@@ -25,7 +25,7 @@ from .core import (
     UnstableSliding,
     classify_sigma_point,
 )
-from .errors import ConfigError, IOFailure, NumericError, SigmapolyError
+from .errors import ConfigError, IOFailure, SigmapolyError
 from .flow import Section, filippov_trajectory
 from .maps import exclusion_set, mirror_map, transition_germ, transition_map
 from .polycycle import find_cycles
@@ -321,18 +321,9 @@ def run(argv=None) -> int:
         return e.code
     try:
         return args.fn(args)
-    except ConfigError as e:
-        sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 2
-    except NumericError as e:
-        sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 3
-    except IOFailure as e:
-        sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 4
     except SigmapolyError as e:
         sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 3
+        return 2 if isinstance(e, ConfigError) else 4 if isinstance(e, IOFailure) else 3
 
 
 def main() -> None:

@@ -18,6 +18,13 @@ keeps its own first hit, and an orbit that has hit rides along unread.  If a
 step fails, the orbits that have not hit yet are flown again one by one, so
 a blow-up in one orbit never decides another's result.  hit_section is the
 n = 1 call.
+
+next_sigma_hit with a section tracks the section offset in the same flight
+as h and Fh and returns whichever event comes first, so "does this orbit
+reach the section before it meets Sigma again?" takes one integration.  The
+section rules (skip the start on the section, ignore crossings outside the
+segment, a graze is a TangentialHit) live in _section_hit, which both
+paths use.
 """
 
 from __future__ import annotations
@@ -229,46 +236,50 @@ def _sign_changes(g, ts, vals):
         yield ts[k + 1] if s[k + 1] == 0 else _brentq(g, ts[k], ts[k + 1])
 
 
-def _section_hits(F: PolyField, ps, section: Section, direction: str, tmax: float, arc=None) -> list:
+def _offset(section: Section):
+    """(x, y) -> the signed distance from the section's line, vectorised."""
+    anchor, nrm = np.asarray(section.anchor), section.normal
+    return lambda x, y: (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
+
+
+def _section_hit(F: PolyField, section: Section, sol, ts, gv, sgn: float, i: int = 0, n: int = 1):
+    """(t, q): the first meeting of orbit i of n with the section segment in a piece, or None.
+
+    gv holds the orbit's section offsets at the piece's times ts.  A root at
+    t = 0 is skipped when the flight starts on the section, and a crossing
+    of the section line outside the segment is skipped; q is a
+    TangentialHit when the orbit grazes the line.
+    """
+    if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
+        keep = ts * sgn > 1e-9
+        ts, gv = ts[keep], gv[keep]
+    for troot in _sign_changes(_along(sol, _offset(section), i, n), ts, gv):
+        q = sol(troot)[i::n]
+        if abs(float(np.dot(F(q), section.normal))) < CLASSIFY_TOL:
+            return troot, TangentialHit(f"grazes section at t = {troot:.6g}")
+        if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
+            return troot, q
+    return None
+
+
+def _section_hits(F: PolyField, ps, section: Section, direction: str, tmax: float) -> list:
     """Per start in ps: its first hit (q, tq) of the section, or the error of its flight.
 
-    The starts are flown as one system (see the module docstring); arc, if
-    given, receives the flight's dense pieces in time order.
+    The starts are flown as one system (see the module docstring).
     """
     sgn = 1.0 if direction == "forward" else -1.0
     ps = np.asarray(ps, dtype=float).reshape(-1, 2)
     n = len(ps)
-    anchor, nrm = np.asarray(section.anchor), section.normal
-
-    def offset(x, y):
-        return (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
-
-    def first_hit(sol, ts, gv, i):
-        # skip a root at t = 0 when starting exactly on the section
-        if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
-            keep = ts * sgn > 1e-9
-            ts, gv = ts[keep], gv[keep]
-        for troot in _sign_changes(_along(sol, offset, i, n), ts, gv):
-            q = sol(troot)[i::n]
-            trans = float(np.dot(F(q), nrm))
-            if abs(trans) < CLASSIFY_TOL:
-                return TangentialHit(f"grazes section at t = {troot:.6g}")
-            # a crossing of the section line outside the segment is skipped
-            if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
-                return q, troot
-        return None
-
     out: list = [None] * n
-    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, [offset], tol=INTEGRATOR_TOL / np.sqrt(n))
+    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, [_offset(section)], tol=INTEGRATOR_TOL / np.sqrt(n))
     try:
         for sol, ts, (gv,) in flight:
-            if arc is not None:
-                arc.append(sol)
             s = np.sign(gv)
             moved = ((s[:, :-1] * s[:, 1:] < 0) | (s[:, 1:] == 0)).any(axis=1)
             for i in np.flatnonzero(moved):
-                if out[i] is None:
-                    out[i] = first_hit(sol, ts, gv[i], i)
+                if out[i] is None and (hit := _section_hit(F, section, sol, ts, gv[i], sgn, i, n)):
+                    t, q = hit
+                    out[i] = q if isinstance(q, TangentialHit) else (q, t)
             if all(o is not None for o in out):
                 return out
     except NoHit as e:
@@ -310,22 +321,16 @@ def hit_section(
     section: Section,
     direction: str = "forward",
     tmax: float = MAX_FLIGHT_TIME,
-    *,
-    _arc: list | None = None,
 ):
-    """First hit (q, tq) of the section in the given time direction.
-
-    _arc, if given, receives the flight's dense pieces in time order, so
-    that a caller can reuse the arc instead of integrating it again.
-    """
-    return _raise_first_error(_section_hits(F, [p], section, direction, tmax, _arc))[0]
+    """First hit (q, tq) of the section in the given time direction."""
+    return _raise_first_error(_section_hits(F, [p], section, direction, tmax))[0]
 
 
 @dataclass(frozen=True)
 class SigmaHit:
     point: np.ndarray
     time: float
-    kind: str  # "cross" | "touch"
+    kind: str  # "cross" | "touch" | "section"
 
 
 def next_sigma_hit(
@@ -335,11 +340,16 @@ def next_sigma_hit(
     direction: str = "forward",
     tmax: float = MAX_FLIGHT_TIME,
     include_touch: bool = False,
+    section: Section | None = None,
 ) -> SigmaHit:
     """Next intersection (or grazing touch) of the orbit with Sigma.
 
     Works when starting exactly on Sigma: the initial root is skipped by
-    waiting for |h| to grow past the event tolerance.
+    waiting for |h| to grow past the event tolerance.  With a section, the
+    same flight races Sigma against the section segment, under the rules of
+    hit_section: the first of the two comes back, a section hit as kind
+    "section", and a graze of the section that comes first raises
+    TangentialHit.
     """
     sgn = 1.0 if direction == "forward" else -1.0
     hpoly = h.h
@@ -354,16 +364,8 @@ def next_sigma_hit(
             # that happens before the first sample
             escaped = True
             ref_sign = np.sign(sgn * fh0)
-    for sol, ts, ((hv,), (fhv,)) in _flight(_rhs(F), p, sgn * tmax, [hpoly, fhpoly]):
-        k0 = 0
-        if not escaped:
-            big = np.flatnonzero(np.abs(hv) > EVENT_TOL)
-            if big.size == 0:
-                continue
-            k0 = int(big[0])
-            ref_sign = np.sign(hv[k0])
-            escaped = True
 
+    def sigma_event(sol, ts, hv, fhv, k0):
         hfun, fhfun = _along(sol, hpoly), _along(sol, fhpoly)
         # A crossing (or a grazing dip entirely between two samples) forces
         # hdot = Fh to cross zero somewhere near it, and Fh varies on the
@@ -390,6 +392,27 @@ def next_sigma_hit(
                 return SigmaHit(point=sol(troot), time=troot, kind="cross")
             if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
                 return SigmaHit(point=sol(tm), time=tm, kind="touch")
+        return None
+
+    events = [hpoly, fhpoly] if section is None else [hpoly, fhpoly, _offset(section)]
+    for sol, ts, ((hv,), (fhv,), *gv) in _flight(_rhs(F), p, sgn * tmax, events):
+        hit, k0 = None, 0
+        if not escaped:
+            big = np.flatnonzero(np.abs(hv) > EVENT_TOL)
+            if big.size:
+                k0 = int(big[0])
+                ref_sign = np.sign(hv[k0])
+                escaped = True
+        if escaped:
+            hit = sigma_event(sol, ts, hv, fhv, k0)
+        if gv and (on := _section_hit(F, section, sol, ts, gv[0][0], sgn)):
+            t, q = on
+            if hit is None or abs(t) <= abs(hit.time):
+                if isinstance(q, TangentialHit):
+                    raise q
+                return SigmaHit(point=q, time=t, kind="section")
+        if hit is not None:
+            return hit
     raise NoHit(f"no Sigma hit within tmax = {tmax}")
 
 

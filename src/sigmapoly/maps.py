@@ -14,15 +14,18 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .core import (
     CLASSIFY_TOL,
+    Crossing,
     FilippovSystem,
     FoldFold,
     PolyField,
+    StableSliding,
     SwitchingFunction,
     Tangency,
+    UnstableSliding,
     classify_sigma_point,
     contact_order,
     lie_poly,
@@ -36,7 +39,7 @@ from .errors import (
     UnsupportedSingularity,
     WindowTooSmall,
 )
-from .flow import MAX_FLIGHT_TIME, Section, _arc_points, hit_section, hit_sections, next_sigma_hit
+from .flow import MAX_FLIGHT_TIME, Section, _rhs, _solve, flow_smooth, hit_sections, next_sigma_hit
 
 GERM_COND_CAP = 1e10
 SEPARATRIX_DISTANCE = 0.1
@@ -348,31 +351,26 @@ def place_section(
     distance: float = SEPARATRIX_DISTANCE,
     direction: str = "forward",
     halfwidth: float = SECTION_HALFWIDTH,
-    orientation: str = "left",
 ) -> Section:
-    """Transversal section a flow-distance along the separatrix from p0.
+    """Transversal section at arclength distance along the separatrix from p0.
 
-    Oriented by the left (or right) normal of the field, so polycycle
-    charts keep the enclosed region on a fixed side.
+    One flight of the unit-speed field F / max(|F|, 1e-9) for time
+    +-distance puts the anchor at that arclength.  The chart runs along the
+    left normal of the field, so polycycle charts keep the enclosed region
+    on a fixed side.
     """
-    from .flow import flow_smooth
+    f = _rhs(F)
+
+    def unit(t, s):
+        vx, vy = f(t, s)
+        k = 1.0 / max(math.hypot(vx, vy), 1e-9)
+        return (vx * k, vy * k)
 
     sgn = 1.0 if direction == "forward" else -1.0
-    # crude arclength parametrization: step until path length reaches distance
-    t, step = 0.0, distance / 50.0
-    q = np.asarray(p0, dtype=float)
-    length = 0.0
-    while length < distance:
-        speed = float(np.hypot(*F(q)))
-        dt = step / max(speed, 1e-9)
-        q2 = flow_smooth(F, q, sgn * dt)
-        length += float(np.hypot(*(q2 - q)))
-        q = q2
-        t += dt
+    q = _solve(unit, p0, 0.0, sgn * distance).y[:, -1]
     v = F(q)
     v = v / np.hypot(*v)
-    nrm = np.array([-v[1], v[0]]) if orientation == "left" else np.array([v[1], -v[0]])
-    return Section(anchor=(q[0], q[1]), direction=(nrm[0], nrm[1]), halfwidth=halfwidth)
+    return Section(anchor=(q[0], q[1]), direction=(-v[1], v[0]), halfwidth=halfwidth)
 
 
 # -- sigma domains ----------------------------------------------------------
@@ -381,30 +379,14 @@ def place_section(
 def _arc_stays_in_half_plane(
     F: PolyField, h: SwitchingFunction, tau: Section, x: float, side: int
 ) -> bool:
-    """Does the arc from the Sigma point over x to tau stay in {side*h >= 0}?"""
+    """Does the arc from the Sigma point over x leave into {side*h > 0} and meet tau before Sigma?"""
     p = sigma_point(h, x)
-    fh = lie_poly(F, h.h, 1)(p[0], p[1])
-    if side * fh < -CLASSIFY_TOL:
+    if contact_order(F, h, p)[1] != side:
         return False  # the arc leaves Sigma into the wrong half-plane
-    arc = []
     try:
-        q, tq = hit_section(F, p, tau, direction="forward", _arc=arc)
+        return next_sigma_hit(F, p, h, "forward", section=tau).kind == "section"
     except NoHit:
         return False
-    ts = np.linspace(0.0, tq, 400)
-    hv = side * h.h(*_arc_points(arc, ts))
-    depth = float(np.min(hv))
-    # shallow dips near an interior tangency can be narrower than the sample
-    # spacing; polish every interior local minimum before judging it
-    for k in np.flatnonzero((hv[1:-1] <= hv[:-2]) & (hv[1:-1] <= hv[2:])) + 1:
-        res = minimize_scalar(
-            lambda t: side * h.h(*_arc_points(arc, [t])[:, 0]),
-            bounds=(ts[k - 1], ts[k + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        depth = min(depth, float(res.fun))
-    return bool(depth >= -1e-9)
 
 
 def sigma_domain(
@@ -608,7 +590,6 @@ class SectionConfig:
     halfwidth: float = SECTION_HALFWIDTH
     window: float = 0.05
     degree: int | None = None
-    orientation: str = "left"
     same_side: bool = False  # force the R1 / E-I construction
 
 
@@ -637,8 +618,8 @@ def transfer_pair(
 def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     F = Z.X if cls.side == "plus" else Z.Y
     G = Z.Y if cls.side == "plus" else Z.X
-    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth, cfg.orientation)
-    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth, cfg.orientation)
+    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth)
     n = cls.order
     deg = cfg.degree or n
     Tu = transition_germ(F, Z.h, tau_u, float(p[0]), deg, cfg.window, "forward")
@@ -650,8 +631,8 @@ def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
 
 def _transfer_ei(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     F = Z.X if cls.side == "plus" else Z.Y
-    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth, cfg.orientation)
-    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth, cfg.orientation)
+    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth)
     # sigma is a transversal segment over p: chart by height above Sigma
     sgn = 1.0 if cls.side == "plus" else -1.0
     sigma_sec = Section(anchor=(float(p[0]), float(p[1])), direction=(0.0, sgn), halfwidth=cfg.window)
@@ -682,8 +663,8 @@ def _flip_if_concave(g: Germ) -> Germ:
 
 def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
     # X has the visible fold at p, Y the invisible one nearby.
-    tau_u = cfg.tau_u or place_section(Z.X, p, cfg.distance, "forward", cfg.halfwidth, cfg.orientation)
-    tau_s = cfg.tau_s or place_section(Z.X, p, cfg.distance, "backward", cfg.halfwidth, cfg.orientation)
+    tau_u = cfg.tau_u or place_section(Z.X, p, cfg.distance, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(Z.X, p, cfg.distance, "backward", cfg.halfwidth)
     x0 = float(p[0])
     contacts = sigma_contacts(Z.Y, Z.h, (x0 - 4 * cfg.window, x0 + 4 * cfg.window))
     if not contacts:
@@ -733,35 +714,22 @@ def connection_diffeo(
     The orbit may cross Sigma (in the crossing region only); hitting a
     sliding point is an error.
     """
-    from .core import Crossing, StableSliding, UnstableSliding
-
     point = tau_from.point_at(y)
     t_used = 0.0
     for _ in range(64):
-        hv = Z.h.h(point[0], point[1])
-        F = Z.X if hv >= 0 else Z.Y
+        F, G = (Z.X, Z.Y) if Z.h.h(point[0], point[1]) >= 0 else (Z.Y, Z.X)
         try:
-            q, tq = hit_section(F, point, tau_to, "forward", tmax=tmax - t_used)
-        except NoHit:
-            tq = None
-        try:
-            hit = next_sigma_hit(F, point, Z.h, "forward", tmax=tmax - t_used)
-        except NoHit:
-            hit = None
-        if tq is not None and (hit is None or tq <= hit.time):
-            return tau_to.coord(q)
-        if hit is None:
-            raise NoHit("orbit reaches neither the target section nor Sigma")
+            hit = next_sigma_hit(F, point, Z.h, "forward", tmax=tmax - t_used, section=tau_to)
+        except NoHit as e:
+            raise NoHit("orbit reaches neither the target section nor Sigma") from e
+        if hit.kind == "section":
+            return tau_to.coord(hit.point)
         cls = classify_sigma_point(Z, hit.point)
         if isinstance(cls, (StableSliding, UnstableSliding)):
             raise OrbitHitsSliding(f"connection hits sliding at {tuple(hit.point)}")
         if not isinstance(cls, Crossing):
             raise OrbitHitsSliding(f"connection hits {type(cls).__name__}")
-        point = hit.point
         t_used += hit.time
         # nudge into the other region
-        G = Z.Y if hv >= 0 else Z.X
-        from .flow import flow_smooth
-
-        point = flow_smooth(G, point, 1e-9)
+        point = flow_smooth(G, hit.point, 1e-9)
     raise NoHit("too many Sigma crossings between sections")

@@ -197,3 +197,10 @@ def test_diagram_negative_ranges_need_equals(tmp_path, capsys):
         "--ranges", "-0.17:0.19,-0.2:0.2", "--out", str(tmp_path / "d"),
     ])
     assert rc == 2
+
+
+def test_numeric_error_exit_code_and_stderr(system_path, capsys):
+    # the visible fold of X = (1, x) at 0 has no arc below Sigma
+    assert run(["mirror", "--system", system_path, "--x", "0.0"]) == 3
+    msg = "x = 0.0 is a contact of order 2 with no arc on side -1"
+    assert capsys.readouterr().err == io.dumps({"error": "InExclusionSet", "message": msg}) + "\n"

@@ -160,3 +160,21 @@ def test_trajectory_time_monotone():
     traj = filippov_trajectory(Z, (-1.0, 0.5), tmax=3.0, dt_out=0.1)
     ts = np.concatenate([np.asarray(a.ts) for a in traj.arcs])
     assert np.all(np.diff(ts) > -1e-12)
+
+
+def test_next_sigma_hit_races_a_section(fold_field, h_y):
+    # X = (1, x) from (-0.3, 0) dips below Sigma and returns at x = 0.3, t = 0.6
+    p = np.array([-0.3, 0.0])
+    hit = next_sigma_hit(fold_field, p, h_y, "forward", section=vertical_section(0.1))
+    assert hit.kind == "section"
+    assert hit.time == pytest.approx(0.4, abs=1e-12)
+    assert hit.point == pytest.approx([0.1, -0.04], abs=1e-12)
+    hit = next_sigma_hit(fold_field, p, h_y, "forward", section=vertical_section(0.5))
+    assert hit.kind == "cross"
+    assert hit.time == pytest.approx(0.6, abs=1e-12)
+    # a crossing of the section line outside its segment does not count
+    seg = vertical_section(0.1, y_anchor=1.0, halfwidth=0.5)
+    assert next_sigma_hit(fold_field, p, h_y, "forward", section=seg).kind == "cross"
+    # without a section the Sigma hit is the same, to the bit
+    plain = next_sigma_hit(fold_field, p, h_y, "forward")
+    assert plain.time == hit.time and (plain.point == hit.point).all()

@@ -246,3 +246,47 @@ def test_connection_diffeo_across_crossing():
     for y in (-0.5, -0.1, 0.0, 0.2, 0.5):
         got = connection_diffeo(Z, tau_from, tau_to, y)
         assert got == pytest.approx(y + 2.0, abs=1e-8)
+
+
+# -- section placement and Sigma domains ------------------------------------
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("distance", [0.1, 0.3, 1.0])
+def test_place_section_exact_arclength(fold_field, direction, distance):
+    # X = (1, x) from the origin runs along y = s^2/2, whose arclength from
+    # 0 to s is L(s) = (s sqrt(1 + s^2) + asinh s)/2
+    tau = place_section(fold_field, (0.0, 0.0), distance=distance, direction=direction)
+    s = tau.anchor[0]
+    assert np.sign(s) == (1.0 if direction == "forward" else -1.0)
+    assert tau.anchor[1] == pytest.approx(s * s / 2, abs=1e-12)
+    length = (abs(s) * np.sqrt(1 + s * s) + np.arcsinh(abs(s))) / 2
+    assert length == pytest.approx(distance, abs=1e-10)
+    # the chart runs along the left normal of the field
+    v = np.array([1.0, s]) / np.hypot(1.0, s)
+    assert tau.direction == pytest.approx((-v[1], v[0]), abs=1e-12)
+
+
+def test_sigma_domain_edge_at_an_interior_tangency(h_y):
+    # X = (1, g(x)), g = x^4 - 0.5 x^2 + 0.02 x: orbits are y = G(s) - G(x)
+    # with G' = g.  G has a local maximum at c = 0.0401292..., where the
+    # orbits touch Sigma from below; an arc from x < 0 stays below Sigma
+    # up to the section iff G(x) >= G(c), so the domain ends at the root
+    # of G(x) = G(c) near -0.02.  Right of c the arcs leave downward.
+    x = poly_x()
+    F = PolyField(poly_const(1.0), x * x * x * x - poly_const(0.5) * x * x + poly_const(0.02) * x)
+    tau = Section(anchor=(0.6, 0.05), direction=(0.0, 1.0), halfwidth=1.0)
+    dom = sigma_domain(F, h_y, (0.0, 0.0), tau, 0.5, side=-1)
+    assert len(dom) == 2
+    (lo1, hi1), (lo2, hi2) = dom
+    assert lo1 == -0.5 and hi2 == 0.5
+    assert hi1 == pytest.approx(-0.0200354436140659, abs=1e-9)
+    # this edge is where g changes sign, resolved to CLASSIFY_TOL / |g'(c)|
+    assert lo2 == pytest.approx(0.0401292447630533, abs=1e-7)
+
+
+def test_sigma_domain_fold_arcs_leave_upward(fold_field, h_y):
+    # X = (1, x): an arc from x < 0 dips below Sigma and returns at -x
+    # before the section; from x >= 0 it leaves into {y > 0}
+    tau = Section(anchor=(0.6, 0.05), direction=(0.0, 1.0), halfwidth=1.0)
+    assert sigma_domain(fold_field, h_y, (0.0, 0.0), tau, 0.5, side=-1) == []
