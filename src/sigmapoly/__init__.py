@@ -41,7 +41,6 @@ from .polycycle import (
     classify_solution,
     find_cycles,
     first_return,
-    newton_solve,
     normal_form_model,
 )
 from .bifurcation import (

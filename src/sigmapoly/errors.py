@@ -59,13 +59,6 @@ class UnsupportedSingularity(NumericError):
 
 # -- flow ------------------------------------------------------------------
 
-class DomainExit(NumericError):
-    def __init__(self, msg, point=None, time=None):
-        super().__init__(msg)
-        self.point = point
-        self.time = time
-
-
 class NoHit(NumericError):
     pass
 
@@ -102,19 +95,7 @@ class OrbitHitsSliding(NumericError):
 
 # -- polycycle ----------------------------------------------------------------
 
-class OutsideWindow(NumericError):
-    pass
-
-
 class NoConvergence(NumericError):
-    pass
-
-
-class SingularJacobian(NumericError):
-    pass
-
-
-class EscapedAnnulus(NumericError):
     pass
 
 

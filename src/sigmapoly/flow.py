@@ -25,6 +25,10 @@ reach the section before it meets Sigma again?" takes one integration.  The
 section rules (skip the start on the section, ignore crossings outside the
 segment, a graze is a TangentialHit) live in _section_hit, which both
 paths use.
+
+filippov_trajectory samples each arc from the dense pieces of the flight
+that found its event (the Sigma flight of a smooth arc, the sliding flight
+of a sliding arc), so no arc is integrated twice.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .core import (
     classify_sigma_point,
     lie_poly,
 )
-from .errors import DomainExit, NoHit, NonDeterministicExit, TangentialHit
+from .errors import NoHit, NonDeterministicExit, TangentialHit
 
 INTEGRATOR_TOL = 1e-12
 EVENT_TOL = 1e-10
@@ -131,32 +135,24 @@ def _solve(rhs, p, t0: float, t1: float):
     return sol
 
 
-def _flight(
-    rhs,
-    p,
-    t_end: float,
-    events,
-    chunk: float = _CHUNK,
-    samples: int = _SAMPLES_PER_CHUNK,
-    tol: float = INTEGRATOR_TOL,
-):
+def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
     """Integrate rhs from p over [0, t_end] (backward if t_end < 0) with one stepper.
 
     The state holds n orbits as (x_1..x_n, y_1..y_n); steps are at most
-    chunk long.  Yields one piece per step, or run of steps, that passes a
-    point of the lattice t_k = k * chunk / (samples - 1), which t_end
-    closes: (sol, ts, vals) with sol the dense output of the piece's steps,
-    ts the lattice points from the last one before the piece to the last
-    one in it, and vals[i] = events[i](x, y) on all of them at once, of
+    _CHUNK long.  Yields one piece per step, or run of steps, that passes a
+    point of the lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), which
+    t_end closes: (sol, ts, vals) with sol the dense output of the piece's
+    steps, ts the lattice points from the last one before the piece to the
+    last one in it, and vals[i] = events[i](x, y) on all of them at once, of
     shape (n, len(ts)).  A caller stops the flight by leaving the loop.  A
     failed step ends the flight with NoHit, after a last piece that reaches
     the last good step.
     """
     sgn = 1.0 if t_end > 0 else -1.0
-    dt = chunk / (samples - 1)
+    dt = _CHUNK / (_SAMPLES_PER_CHUNK - 1)
     # a lattice point within half a spacing of t_end gives way to t_end
     last = abs(t_end) - 0.5 * dt
-    solver = DOP853(rhs, 0.0, np.asarray(p, dtype=float), t_end, max_step=chunk, rtol=tol, atol=tol)
+    solver = DOP853(rhs, 0.0, np.asarray(p, dtype=float), t_end, max_step=_CHUNK, rtol=tol, atol=tol)
     bounds, dense = [0.0], []
     k = 0  # the lattice point the next piece starts from
     while True:
@@ -201,23 +197,11 @@ def _arc_points(arc, ts) -> np.ndarray:
     return out
 
 
-def flow_smooth(F: PolyField, p, t: float, domain=None) -> np.ndarray:
+def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
     """phi_F(t; p) with local tolerance 1e-12."""
     if t == 0:
         return np.asarray(p, dtype=float)
-    if domain is None:
-        return _solve(_rhs(F), p, 0.0, t).y[:, -1]
-    xmin, xmax, ymin, ymax = domain
-
-    def margin(x, y):
-        return np.minimum(np.minimum(x - xmin, xmax - x), np.minimum(y - ymin, ymax - y))
-
-    for sol, ts, ((m,),) in _flight(_rhs(F), p, t, [margin], chunk=abs(t), samples=200):
-        out = np.flatnonzero(m < 0)
-        if out.size:
-            k = out[0]
-            raise DomainExit("trajectory left domain", point=sol(ts[k]), time=ts[k])
-    return sol(t)
+    return _solve(_rhs(F), p, 0.0, t).y[:, -1]
 
 
 def _brentq(g, a, b):
@@ -351,6 +335,18 @@ def next_sigma_hit(
     "section", and a graze of the section that comes first raises
     TangentialHit.
     """
+    for _, hit in _sigma_flight(F, p, h, direction, tmax, include_touch, section):
+        if hit is not None:
+            return hit
+    raise NoHit(f"no Sigma hit within tmax = {tmax}")
+
+
+def _sigma_flight(F, p, h, direction, tmax, include_touch, section):
+    """The flight of next_sigma_hit: yields (sol, hit) per piece of it, hit a SigmaHit or None.
+
+    The flight ends after the piece that holds its hit, or without a hit at
+    tmax; a failed step raises NoHit.
+    """
     sgn = 1.0 if direction == "forward" else -1.0
     hpoly = h.h
     fhpoly = lie_poly(F, hpoly, 1)
@@ -410,10 +406,10 @@ def next_sigma_hit(
             if hit is None or abs(t) <= abs(hit.time):
                 if isinstance(q, TangentialHit):
                     raise q
-                return SigmaHit(point=q, time=t, kind="section")
+                hit = SigmaHit(point=q, time=t, kind="section")
+        yield sol, hit
         if hit is not None:
-            return hit
-    raise NoHit(f"no Sigma hit within tmax = {tmax}")
+            return
 
 
 # -- full Filippov trajectories ------------------------------------------------
@@ -495,10 +491,7 @@ def _slide(Z: FilippovSystem, p, t_budget):
         return (yh * X - xh * Y) / (yh - xh)
 
     arc = []
-    # one chunk for the whole budget: steps are bounded by the budget alone
-    # and the boundary scan keeps its lattice of _SAMPLES_PER_CHUNK points
-    # over it
-    for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh], chunk=t_budget):
+    for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh]):
         arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
         # exit immediately (exact-zero starts are skipped by _sign_changes)
@@ -535,19 +528,16 @@ def filippov_trajectory(
         budget = tmax - t
         if regime in ("Mplus", "Mminus"):
             F = Z.X if regime == "Mplus" else Z.Y
-            # each arc is integrated again up to its end: sampling the flight's
-            # pieces instead would change the CSV in the last digits
-            try:
-                hit = next_sigma_hit(
-                    F, point, Z.h, "forward", tmax=budget, include_touch=True
-                )
-            except NoHit:
-                ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, budget).sol], budget, dt_out)
+            arc, hit = [], None
+            for sol, hit in _sigma_flight(F, point, Z.h, "forward", budget, include_touch=True, section=None):
+                arc.append(sol)
+            if hit is None:
+                ts, pts = _sample_arc(arc, budget, dt_out)
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + budget, entry, "time-out")
                 )
                 return traj
-            ts, pts = _sample_arc([_solve(_rhs(F), point, 0.0, hit.time).sol], hit.time, dt_out)
+            ts, pts = _sample_arc(arc, hit.time, dt_out)
             if hit.kind == "touch":
                 traj.arcs.append(
                     Arc(regime, ts + t, pts, t, t + hit.time, entry, "tangency-touch")

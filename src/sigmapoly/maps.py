@@ -46,9 +46,6 @@ SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
 # distance below which two Sigma points count as the same excluded point
 _EXCLUSION_TOL = 1e-9
-# a solution within this, relative to max(1, |root|), of a root cluster's
-# centre belongs to that cluster
-REAL_ROOT_TOL = 1e-7
 # rounding of a polynomial's value at x, in units of eps * sum |c_j| |x|^j:
 # Horner's bound is about 2n for degree n, and coefficients carry their own
 _ROOT_ROUNDING = 10.0
@@ -381,7 +378,10 @@ def _arc_stays_in_half_plane(
 ) -> bool:
     """Does the arc from the Sigma point over x leave into {side*h > 0} and meet tau before Sigma?"""
     p = sigma_point(h, x)
-    if contact_order(F, h, p)[1] != side:
+    # the side hdot = Fh points to; only where Fh is exactly 0 does a higher
+    # Lie derivative decide, so an edge at a root of Fh lands on the root
+    fh = lie_poly(F, h.h, 1)(p[0], p[1])
+    if (np.sign(fh) if fh != 0.0 else contact_order(F, h, p)[1]) != side:
         return False  # the arc leaves Sigma into the wrong half-plane
     try:
         return next_sigma_hit(F, p, h, "forward", section=tau).kind == "section"

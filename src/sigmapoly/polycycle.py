@@ -15,19 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EscapedAnnulus,
-    NoConvergence,
-    OutsideWindow,
-    PeriodAnnulus,
-    SingularJacobian,
-)
-from .maps import REAL_ROOT_TOL, Germ, root_clusters
+from .errors import ConfigError, NoConvergence, PeriodAnnulus
+from .maps import Germ, root_clusters
 
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITERS = 50
-NEWTON_MAX_HALVINGS = 8
 BOUNDARY_TOL = 1e-9
 
 
@@ -43,12 +33,6 @@ class SyntheticLeg:
     def delta(self, x: float, x_next: float) -> float:
         u = x - 2 * self.a
         return self.Tu(u) - self.DTs(x_next)
-
-    def d_dx(self, x: float) -> float:
-        return self.Tu.deriv(x - 2 * self.a)
-
-    def d_dnext(self, x_next: float) -> float:
-        return -self.DTs.deriv(x_next)
 
 
 @dataclass(frozen=True)
@@ -70,8 +54,8 @@ class SyntheticModel:
     def jacobian(self, xs: np.ndarray) -> np.ndarray:
         J = np.zeros((self.k, self.k))
         for i, leg in enumerate(self.legs):
-            J[i, i] += leg.d_dx(xs[i])
-            J[i, (i + 1) % self.k] += leg.d_dnext(xs[(i + 1) % self.k])
+            J[i, i] += leg.Tu.deriv(xs[i] - 2 * leg.a)
+            J[i, (i + 1) % self.k] -= leg.DTs.deriv(xs[(i + 1) % self.k])
         return J
 
     def return_derivative(self, xs: np.ndarray) -> float:
@@ -99,39 +83,6 @@ class CycleReport:
     saddle_node: bool = False
 
 
-def newton_solve(model: SyntheticModel, x0) -> np.ndarray:
-    """Damped Newton on the cyclic displacement system; OutsideWindow if it lands outside."""
-    xs = np.array(x0, dtype=float)
-    if xs.shape != (model.k,):
-        raise ValueError(f"initial guess has shape {xs.shape}, expected ({model.k},)")
-    span = max(hi - lo for lo, hi in (leg.sigma for leg in model.legs))
-    for _ in range(NEWTON_MAX_ITERS):
-        r = model.displacement(xs)
-        J = model.jacobian(xs)
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as e:
-            raise SingularJacobian(str(e)) from e
-        lam = 1.0
-        base = float(np.max(np.abs(r)))
-        for _ in range(NEWTON_MAX_HALVINGS):
-            trial = xs + lam * step
-            if float(np.max(np.abs(model.displacement(trial)))) < base:
-                break
-            lam *= 0.5
-        xs = xs + lam * step
-        if float(np.max(np.abs(xs))) > 100 * max(span, 1.0):
-            raise EscapedAnnulus(f"iterate escaped to {xs}")
-        if (
-            float(np.max(np.abs(model.displacement(xs)))) < NEWTON_TOL
-            and float(np.max(np.abs(lam * step))) < NEWTON_TOL
-        ):
-            if _locus(model, xs) == "outside":
-                raise OutsideWindow(f"solution {xs.tolist()} outside the windows")
-            return xs
-    raise NoConvergence(f"no convergence from {x0} after {NEWTON_MAX_ITERS} iterations")
-
-
 def _locus(model: SyntheticModel, xs: np.ndarray) -> str:
     on_boundary = False
     for i, leg in enumerate(model.legs):
@@ -143,18 +94,13 @@ def _locus(model: SyntheticModel, xs: np.ndarray) -> str:
     return "boundary" if on_boundary else "interior"
 
 
-def classify_solution(model: SyntheticModel, xs, multiplicity: int | None = None) -> CycleReport:
+def classify_solution(model: SyntheticModel, xs, multiplicity: int) -> CycleReport:
     """Locus, kind and stability of one solution of the crossing system.
 
-    A root of multiplicity >= 2 of the return polynomial is a saddle-node,
-    semistable when interior.  Without ``multiplicity`` it is read from the
-    root clusters of the return polynomial.
+    multiplicity is that of the solution's root of the return polynomial; a
+    root of multiplicity >= 2 is a saddle-node, semistable when interior.
     """
     xs = [float(v) for v in xs]
-    if multiplicity is None:
-        clusters = root_clusters(_return_polynomial(model))
-        near = [m for x, m in clusters if abs(x - xs[0]) <= REAL_ROOT_TOL * max(1.0, abs(x))]
-        multiplicity = max(near, default=1)
     residual = max(map(abs, model.displacement(xs).tolist()))
     locus = _locus(model, xs)
     dP = model.return_derivative(xs)

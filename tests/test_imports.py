@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name or UPPER_CASE constant is read somewhere in
+the package.
 
 The modules are read with ast only, never imported.  The package's
-__init__ is left out (its imports are the public re-exports), and so are
-__future__ imports.
+__init__ is left out of the import check (its imports are the public
+re-exports), and so are __future__ imports.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sigmapoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -56,3 +59,35 @@ def test_every_module_is_scanned():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+def _module_level(tree: ast.Module):
+    """Names a module binds at its top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names a module loads, bare or as an attribute (module.NAME)."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def _private_or_constant(name: str) -> bool:
+    return (name.startswith("_") and not name.startswith("__")) or name.isupper()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names_or_constants(path):
+    read = set().union(*map(_read, TREES.values()))
+    names = [n for n in _module_level(TREES[path.name]) if _private_or_constant(n)]
+    assert sorted(n for n in names if n not in read) == []

@@ -181,7 +181,7 @@ def test_sigma_domain_visible_fold(fold_field, h_y):
     dom = sigma_domain(fold_field, h_y, (0.0, 0.0), tau, 0.2, side=1)
     assert len(dom) == 1
     lo, hi = dom[0]
-    assert lo == pytest.approx(0.0, abs=1e-6)
+    assert lo == 0.0  # the fold itself: Fh = x changes sign there
     assert hi > 0.16
 
 
@@ -281,8 +281,7 @@ def test_sigma_domain_edge_at_an_interior_tangency(h_y):
     (lo1, hi1), (lo2, hi2) = dom
     assert lo1 == -0.5 and hi2 == 0.5
     assert hi1 == pytest.approx(-0.0200354436140659, abs=1e-9)
-    # this edge is where g changes sign, resolved to CLASSIFY_TOL / |g'(c)|
-    assert lo2 == pytest.approx(0.0401292447630533, abs=1e-7)
+    assert lo2 == pytest.approx(0.0401292447630533, abs=1e-10)
 
 
 def test_sigma_domain_fold_arcs_leave_upward(fold_field, h_y):

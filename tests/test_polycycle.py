@@ -8,21 +8,13 @@ from hypothesis import strategies as st
 from sigmapoly import io
 from sigmapoly.bifurcation import _twofold_model, twofold_family
 from sigmapoly.cli import run
-from sigmapoly.errors import (
-    ConfigError,
-    EscapedAnnulus,
-    NoConvergence,
-    OutsideWindow,
-    PeriodAnnulus,
-)
+from sigmapoly.errors import ConfigError, PeriodAnnulus
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import (
     SyntheticLeg,
     SyntheticModel,
-    classify_solution,
     find_cycles,
     first_return,
-    newton_solve,
     normal_form_model,
 )
 
@@ -56,26 +48,26 @@ def in_window_roots(lam0: float, dtilde: float, sigma=(-0.3, 0.0)):
     return r[(r >= sigma[0]) & (r <= sigma[1])]
 
 
-def test_newton_solve_matches_roots():
+def test_find_cycles_matches_roots():
     model = quad_model(-0.01, 1.0)
-    xs = newton_solve(model, [-0.05])
+    reports = [r for r in find_cycles(model) if r.locus == "interior"]
     expected = in_window_roots(-0.01, 1.0)
-    assert len(expected) == 1
-    assert xs[0] == pytest.approx(expected[0], abs=1e-12)
-    assert abs(model.displacement(xs)[0]) < 1e-12
+    assert len(expected) == 1 and len(reports) == 1
+    assert reports[0].point[0] == pytest.approx(expected[0], abs=1e-12)
+    assert abs(model.displacement(reports[0].point)[0]) < 1e-12
 
 
-def test_newton_solve_rejects_out_of_window():
-    # the only real roots of x^2 + 1 - 3x lie right of the window
-    model = quad_model(1.0, 3.0)
-    with pytest.raises(OutsideWindow):
-        newton_solve(model, [-0.29])
+def test_find_cycles_reports_out_of_window_roots():
+    # the only real roots of x^2 + 1 - 3x, (3 -+ sqrt 5)/2, lie right of the window
+    reports = find_cycles(quad_model(1.0, 3.0))
+    assert [r.point[0] for r in reports] == pytest.approx(
+        [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2], abs=1e-12
+    )
+    assert all(r.locus == "outside" and r.kind == "outside" for r in reports)
 
 
-def test_newton_solve_no_roots():
-    model = quad_model(1.0, 1.0)  # discriminant < 0
-    with pytest.raises((NoConvergence, EscapedAnnulus)):
-        newton_solve(model, [-0.1])
+def test_find_cycles_no_real_roots():
+    assert find_cycles(quad_model(1.0, 1.0)) == []  # discriminant < 0
 
 
 def test_find_cycles_two_roots_and_stability():
@@ -94,18 +86,23 @@ def test_find_cycles_two_roots_and_stability():
 
 def test_boundary_root_is_polycycle():
     model = quad_model(0.0, 1.0)  # Delta = x^2 - x, root at the window edge 0
-    xs = newton_solve(model, [-1e-4])
-    rep = classify_solution(model, xs)
-    assert rep.locus == "boundary"
-    assert rep.kind == "polycycle"
+    reports = [r for r in find_cycles(model) if r.locus != "outside"]
+    assert len(reports) == 1
+    assert reports[0].point[0] == 0.0
+    assert reports[0].locus == "boundary"
+    assert reports[0].kind == "polycycle"
 
 
 def test_saddle_node_detection():
-    # Delta = x^2 + 0.01 + 0.2 x has the double root x = -0.1
-    model = quad_model(0.01, -0.2)
-    rep = classify_solution(model, np.array([-0.1]))
+    # Delta = x^2 + x/4 + 1/64 = (x + 1/8)^2, exact in binary: a double
+    # root, where P'(x) = 2x / dtilde = 1
+    reports = find_cycles(quad_model(1 / 64, -0.25))
+    assert len(reports) == 1
+    rep = reports[0]
+    assert rep.point[0] == pytest.approx(-0.125, abs=1e-12)
     assert rep.saddle_node
     assert rep.stability == "semistable"
+    assert rep.dP == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_return_closed_form():
@@ -129,10 +126,11 @@ def test_two_leg_symmetric_cycle():
     DTs = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(-0.3, 0.0))
     model = SyntheticModel(k=2, legs=(leg, leg))
-    xs = newton_solve(model, [-0.05, -0.05])
+    reports = [r for r in find_cycles(model) if r.locus == "interior"]
+    assert len(reports) == 1
     root = in_window_roots(-0.01, 1.0)[0]
-    assert np.allclose(xs, [root, root], atol=1e-12)
-    assert model.return_derivative(xs) == pytest.approx(4 * root**2, rel=1e-10)
+    assert np.allclose(reports[0].point, [root, root], atol=1e-12)
+    assert reports[0].dP == pytest.approx(4 * root**2, rel=1e-10)
 
 
 def test_return_derivative_is_jacobian_free_product():
