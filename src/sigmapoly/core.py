@@ -42,10 +42,45 @@ class PolyField:
     def __post_init__(self) -> None:
         if max(self.fx.degree(), self.fy.degree()) > DEGREE_CAP:
             raise ValueError(f"field degree exceeds cap {DEGREE_CAP}")
+        # term tables (c, i, j) in coefficient-dict order, the order
+        # Poly2.__call__ sums in
+        terms = tuple(tuple((c, i, j) for (i, j), c in p.coeffs.items()) for p in (self.fx, self.fy))
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_xdeg", max((i for t in terms for _, i, _ in t), default=0))
+        object.__setattr__(self, "_ydeg", max((j for t in terms for _, _, j in t), default=0))
 
     def __call__(self, p) -> np.ndarray:
         x, y = p
-        return np.array([self.fx(x, y), self.fy(x, y)])
+        return np.array(self.components(x, y))
+
+    def components(self, x, y) -> tuple:
+        """(fx(x, y), fy(x, y)) with the bits of the two Poly2.__call__, from shared powers.
+
+        Each power x**k, y**k is taken once, with Poly2's own **, and both
+        components sum their terms from them in Poly2's order, starting at
+        0.0.  A factor of exponent 0 is left out (a product with 1.0 is
+        exact) and x**1 is x.  x and y are floats or arrays of one shape; a
+        constant or zero component comes back as a float.
+        """
+        xp, yp = [1.0, x], [1.0, y]
+        for k in range(2, self._xdeg + 1):
+            xp.append(x**k)
+        for k in range(2, self._ydeg + 1):
+            yp.append(y**k)
+        tx, ty = self._terms
+        return _sum_terms(tx, xp, yp), _sum_terms(ty, xp, yp)
+
+
+def _sum_terms(terms, xp, yp):
+    """sum of c * xp[i] * yp[j] over the table, in its order, as Poly2.__call__ sums."""
+    acc = 0.0
+    for c, i, j in terms:
+        if i:
+            c = c * xp[i]
+        if j:
+            c = c * yp[j]
+        acc += c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -80,10 +115,6 @@ class SwitchingFunction:
         xmin, xmax, ymin, ymax = self.domain
         x, y = p
         return xmin <= x <= xmax and ymin <= y <= ymax
-
-    def grad(self, p) -> np.ndarray:
-        x, y = p
-        return np.array([self.h.dx()(x, y), self.h.dy()(x, y)])
 
 
 @dataclass(frozen=True)

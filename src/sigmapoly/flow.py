@@ -29,6 +29,10 @@ paths use.
 filippov_trajectory samples each arc from the dense pieces of the flight
 that found its event (the Sigma flight of a smooth arc, the sliding flight
 of a sliding arc), so no arc is integrated twice.
+
+Every right-hand side evaluates its field through PolyField.components,
+which takes each power of x and y once and sums both components from those
+shared powers, bit for bit what the two Poly2 components give on their own.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class Section:
     def point_at(self, s: float) -> np.ndarray:
         return np.asarray(self.anchor) + s * np.asarray(self.direction)
 
-    def offset(self, q) -> float:
-        return float(np.dot(np.asarray(q) - np.asarray(self.anchor), self.normal))
-
 
 def vertical_section(x0: float, y_anchor: float = 0.0, halfwidth=None) -> Section:
     """The line {x = x0} charted by y - y_anchor."""
@@ -103,18 +104,21 @@ def vertical_section(x0: float, y_anchor: float = 0.0, halfwidth=None) -> Sectio
 def _rhs(F: PolyField, n: int = 1):
     """Right-hand side of n orbits of F, on the state (x_1..x_n, y_1..y_n)."""
     if n == 1:
-        # numpy scalars: Poly2 evaluates them about ten times faster than
-        # length-1 arrays
+        # Python floats: the same IEEE operations as on numpy scalars, in
+        # about 40% less time; but a float ** that overflows raises, where
+        # numpy's gives the inf that makes the stepper reject its step
 
         def f(t, s):
-            return (F.fx(s[0], s[1]), F.fy(s[0], s[1]))
+            try:
+                return F.components(*s.tolist())
+            except OverflowError:
+                return F.components(s[0], s[1])
 
     else:
 
         def f(t, s):
             out = np.empty(2 * n)
-            out[:n] = F.fx(s[:n], s[n:])
-            out[n:] = F.fy(s[:n], s[n:])
+            out[:n], out[n:] = F.components(s[:n], s[n:])
             return out
 
     return f
@@ -429,14 +433,6 @@ class Arc:
 @dataclass
 class Trajectory:
     arcs: list[Arc] = field(default_factory=list)
-
-    @property
-    def end_point(self) -> np.ndarray:
-        return self.arcs[-1].points[-1]
-
-    @property
-    def end_time(self) -> float:
-        return self.arcs[-1].t1
 
 
 def _sample_arc(arc, t1, dt_out):

@@ -71,10 +71,6 @@ class Germ:
         return len(self.coeffs) - 1
 
     @property
-    def lam0(self) -> float:
-        return self.coeffs[0]
-
-    @property
     def kappa(self) -> float:
         return self.coeffs[-1]
 

@@ -6,6 +6,7 @@ from sigmapoly.errors import NoHit
 from sigmapoly.flow import (
     MAX_FLIGHT_TIME,
     Section,
+    _rhs,
     _section_hits,
     filippov_trajectory,
     flow_smooth,
@@ -14,7 +15,7 @@ from sigmapoly.flow import (
     next_sigma_hit,
     vertical_section,
 )
-from sigmapoly.poly2 import poly_const, poly_x, poly_y
+from sigmapoly.poly2 import DEGREE_CAP, Poly2, poly_const, poly_x, poly_y
 
 from conftest import make_system
 
@@ -178,3 +179,74 @@ def test_next_sigma_hit_races_a_section(fold_field, h_y):
     # without a section the Sigma hit is the same, to the bit
     plain = next_sigma_hit(fold_field, p, h_y, "forward")
     assert plain.time == hit.time and (plain.point == hit.point).all()
+
+
+def _random_poly(rng, kind: str) -> Poly2:
+    """A zero, constant-only or general Poly2 of degree <= DEGREE_CAP, |c| in [1e-3, 3]."""
+    if kind == "zero":
+        return Poly2({})
+    signs = rng.choice([-1.0, 1.0], size=12)
+    cs = signs * 10.0 ** rng.uniform(-3.0, np.log10(3.0), size=12)
+    if kind == "const":
+        return Poly2({(0, 0): cs[0]})
+    deg = int(rng.integers(1, DEGREE_CAP + 1))
+    mons = [(i, d - i) for d in range(deg + 1) for i in range(d + 1)]
+    # dict order is summation order: shuffle it, and make the top degree appear
+    picks = rng.permutation(len(mons))[: int(rng.integers(1, min(11, len(mons)) + 1))]
+    keys = [mons[k] for k in picks] + [(deg, 0)]
+    return Poly2({k: c for k, c in zip(dict.fromkeys(keys), cs)})
+
+
+def _random_fields(seed: int = 20240611, count: int = 60):
+    rng = np.random.default_rng(seed)
+    kinds = ["zero", "const"] + ["general"] * 6
+    for k in range(count):
+        # the first fields pair every kind of component with every other
+        a, b = (kinds[k % 3], kinds[k // 3 % 3]) if k < 9 else rng.choice(kinds, size=2)
+        yield PolyField(_random_poly(rng, a), _random_poly(rng, b))
+
+
+def _random_states(rng, n: int, count: int = 40):
+    for _ in range(count):
+        s = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-2.0, 0.3, size=2 * n)
+        s[rng.random(2 * n) < 0.15] = 0.0  # exact zeros
+        yield s
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def test_field_kernel_is_bitwise_poly2():
+    """_rhs and PolyField.__call__ give the bits of Poly2.__call__ on each component.
+
+    The n = 1 right-hand side is pinned against Poly2 on the numpy scalars of
+    the state, the n > 1 one against Poly2 on the state's length-n halves.
+    """
+    rng = np.random.default_rng(7)
+    for F in _random_fields():
+        f1 = _rhs(F, 1)
+        for s in _random_states(rng, 1):
+            x, y = s[0], s[1]
+            want = np.array([F.fx(x, y), F.fy(x, y)])
+            assert _bits(f1(0.0, s)) == _bits(want)
+            got = F(s)
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+            got = F((float(x), float(y)))
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+        for n in (2, 12):
+            fn = _rhs(F, n)
+            for s in _random_states(rng, n):
+                ref = np.empty(2 * n)
+                ref[:n] = F.fx(s[:n], s[n:])
+                ref[n:] = F.fy(s[:n], s[n:])
+                assert _bits(fn(0.0, s)) == _bits(ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rhs_overflow_is_a_failed_step_not_an_error():
+    # y' = y^8 from y = 2 blows up; a power past the float range is inf, as on
+    # numpy scalars, so the stepper fails and the flight raises NoHit
+    F = PolyField(poly_const(1.0), Poly2({(0, 8): 1.0}))
+    with pytest.raises(NoHit, match="integration failed"):
+        hit_section(F, (0.0, 2.0), vertical_section(100.0), "forward", tmax=200.0)

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every module-level private name or UPPER_CASE constant is read somewhere in
-the package.
+the package, and every method or property of a package class is read
+somewhere in src/, tests/, scripts/ or bench/.
 
 The modules are read with ast only, never imported.  The package's
 __init__ is left out of the import check (its imports are the public
@@ -91,3 +92,31 @@ def test_no_unread_private_names_or_constants(path):
     read = set().union(*map(_read, TREES.values()))
     names = [n for n in _module_level(TREES[path.name]) if _private_or_constant(n)]
     assert sorted(n for n in names if n not in read) == []
+
+
+ROOT = SRC.parents[1]
+READERS = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _members(tree: ast.Module):
+    """(class, name) of every non-dunder method and property a module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("__"):
+                    yield node.name, f.name
+
+
+def _attrs_and_strings(tree: ast.Module) -> set[str]:
+    """Names a module reads as an attribute (obj.name), or spells as a whole string ("name")."""
+    return {
+        n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    }
+
+
+def test_no_unread_members():
+    read = set().union(*(_attrs_and_strings(ast.parse(p.read_text(), filename=str(p))) for p in READERS))
+    unread = [f"{p.name}:{c}.{m}" for p in MODULES for c, m in _members(TREES[p.name]) if m not in read]
+    assert sorted(unread) == []
