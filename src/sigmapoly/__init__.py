@@ -21,6 +21,7 @@ from .flow import (
     hit_section,
     hit_sections,
     next_sigma_hit,
+    next_sigma_hits,
 )
 from .maps import (
     Germ,

@@ -2,41 +2,35 @@
 
 A flight drives one DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs
 I) with dense output from t = 0 towards its time limit, never integrating
-an arc twice.  The event functions (section offset, h, Fh, the
-sliding-boundary Lie derivatives) are evaluated vectorised, on the dense
-output, at the fixed time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1),
-one step (or run of steps) at a time; Sigma hits, section hits and grazing
-touches are bracketed on that lattice and polished by brentq to ~1e-12 in
-time, and the flight stops in the piece that holds the event.  A step is
-never longer than _CHUNK, so the dense output stays accurate between
-lattice points.
+an arc twice.  Its steps are at most _CHUNK long, and the event functions
+are evaluated vectorised on the dense output at the fixed time lattice
+t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one step (or run of steps) at
+a time.
 
-hit_sections flies the n starting points of a germ fit as one 2n-dimensional
-system with tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS
-error norm bounds each orbit as tightly as a flight of its own; every orbit
-keeps its own first hit, and an orbit that has hit rides along unread.  If a
-step fails, the orbits that have not hit yet are flown again one by one, so
-a blow-up in one orbit never decides another's result.  hit_section is the
-n = 1 call.
+One scanner, _scan, flies n starts as one 2n-dimensional system with
+tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS error norm
+bounds each orbit as tightly as a flight of its own.  Per orbit it applies
+the Sigma rules (h and Fh bracketed on the lattice, so that a dip through
+Sigma shorter than the lattice spacing is found; a start on Sigma leaves
+into the side Fh points to), the section rules of _section_hit and the
+race between the two.  Each orbit keeps its first event and then rides
+along unread.  If a step fails, the orbits without an event fly again
+alone, so a blow-up in one orbit never decides another's result.
+hit_sections, next_sigma_hits, their n = 1 calls hit_section and
+next_sigma_hit, and filippov_trajectory's smooth arcs are calls to it; a
+section-only scan never evaluates h or Fh.
 
-next_sigma_hit with a section tracks the section offset in the same flight
-as h and Fh and returns whichever event comes first, so "does this orbit
-reach the section before it meets Sigma again?" takes one integration.  The
-section rules (skip the start on the section, ignore crossings outside the
-segment, a graze is a TangentialHit) live in _section_hit, which both
-paths use.
-
-filippov_trajectory samples each arc from the dense pieces of the flight
-that found its event (the Sigma flight of a smooth arc, the sliding flight
-of a sliding arc), so no arc is integrated twice.
-
-Every right-hand side evaluates its field through PolyField.components,
-which takes each power of x and y once and sums both components from those
-shared powers, bit for bit what the two Poly2 components give on their own.
+Each event root is polished by brentq to ~1e-12 in time on the step
+interpolant that holds it, evaluated for its orbit alone in Python floats
+(_orbit): bit for bit what OdeSolution gives, at a fraction of the cost.
+A trajectory samples each arc from the pieces of the flight that found its
+event.  Every right-hand side evaluates its field through
+PolyField.components, bit for bit the two Poly2 components.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,9 +177,33 @@ def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
             return
 
 
-def _along(sol, f, i: int = 0, n: int = 1):
-    """t -> f(x_i(t), y_i(t)) on a dense solution of n orbits, for brentq polishing."""
-    return lambda t: f(*sol(t)[i::n])
+def _orbit(sol, i: int = 0, n: int = 1):
+    """t -> (x_i(t), y_i(t)) on the dense output sol of a piece of n orbits, in Python floats.
+
+    Bit for bit sol(t)[i::n]: the step is the one OdeSolution picks for t
+    (at a step boundary, the lower segment index, forward or backward), and
+    orbit i's two components of its Dop853DenseOutput are summed in the
+    Horner order of _call_impl.
+    """
+    bounds = sol.ts_sorted.tolist()
+    find = bisect_left if sol.side == "left" else bisect_right
+    steps = [(float(d.t_old), float(d.h), d.F[::-1, i::n].tolist(), d.y_old[i::n].tolist())
+             for d in sol.interpolants]
+    if not sol.ascending:
+        steps.reverse()  # in the order of bounds
+
+    def at(t):
+        t_old, h, rows, (x0, y0) = steps[min(max(find(bounds, t) - 1, 0), len(steps) - 1)]
+        u = (t - t_old) / h
+        v = 1 - u
+        x = y = 0.0
+        for m, (fx, fy) in enumerate(rows):
+            w = v if m % 2 else u
+            x = (x + fx) * w
+            y = (y + fy) * w
+        return x + x0, y + y0
+
+    return at
 
 
 def _arc_points(arc, ts) -> np.ndarray:
@@ -226,12 +244,12 @@ def _sign_changes(g, ts, vals):
 
 def _offset(section: Section):
     """(x, y) -> the signed distance from the section's line, vectorised."""
-    anchor, nrm = np.asarray(section.anchor), section.normal
-    return lambda x, y: (x - anchor[0]) * nrm[0] + (y - anchor[1]) * nrm[1]
+    (ax, ay), (nx, ny) = section.anchor, section.normal.tolist()
+    return lambda x, y: (x - ax) * nx + (y - ay) * ny
 
 
-def _section_hit(F: PolyField, section: Section, sol, ts, gv, sgn: float, i: int = 0, n: int = 1):
-    """(t, q): the first meeting of orbit i of n with the section segment in a piece, or None.
+def _section_hit(F: PolyField, section: Section, at, ts, gv, sgn: float):
+    """(t, q): the first meeting of the orbit at with the section segment in a piece, or None.
 
     gv holds the orbit's section offsets at the piece's times ts.  A root at
     t = 0 is skipped when the flight starts on the section, and a crossing
@@ -241,8 +259,9 @@ def _section_hit(F: PolyField, section: Section, sol, ts, gv, sgn: float, i: int
     if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
         keep = ts * sgn > 1e-9
         ts, gv = ts[keep], gv[keep]
-    for troot in _sign_changes(_along(sol, _offset(section), i, n), ts, gv):
-        q = sol(troot)[i::n]
+    offset = _offset(section)
+    for troot in _sign_changes(lambda t: offset(*at(t)), ts, gv):
+        q = np.array(at(troot))
         if abs(float(np.dot(F(q), section.normal))) < CLASSIFY_TOL:
             return troot, TangentialHit(f"grazes section at t = {troot:.6g}")
         if section.halfwidth is None or abs(section.coord(q)) <= section.halfwidth:
@@ -250,68 +269,44 @@ def _section_hit(F: PolyField, section: Section, sol, ts, gv, sgn: float, i: int
     return None
 
 
-def _section_hits(F: PolyField, ps, section: Section, direction: str, tmax: float) -> list:
-    """Per start in ps: its first hit (q, tq) of the section, or the error of its flight.
+def _departure(hpoly, fhpoly, p, sgn: float):
+    """The side of Sigma (+-1) that the orbit from p is on, or 0.0 while it is still on Sigma.
 
-    The starts are flown as one system (see the module docstring).
+    A transversal start on Sigma is on the side hdot = Fh points to in the
+    time direction sgn: waiting for |h| to grow would miss an early return.
     """
-    sgn = 1.0 if direction == "forward" else -1.0
-    ps = np.asarray(ps, dtype=float).reshape(-1, 2)
-    n = len(ps)
-    out: list = [None] * n
-    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, [_offset(section)], tol=INTEGRATOR_TOL / np.sqrt(n))
-    try:
-        for sol, ts, (gv,) in flight:
-            s = np.sign(gv)
-            moved = ((s[:, :-1] * s[:, 1:] < 0) | (s[:, 1:] == 0)).any(axis=1)
-            for i in np.flatnonzero(moved):
-                if out[i] is None and (hit := _section_hit(F, section, sol, ts, gv[i], sgn, i, n)):
-                    t, q = hit
-                    out[i] = q if isinstance(q, TangentialHit) else (q, t)
-            if all(o is not None for o in out):
-                return out
-    except NoHit as e:
-        if n == 1:
-            return [e]
-        # a failed step ends the flight for every orbit; fly the open ones alone
-        return [
-            o if o is not None else _section_hits(F, p, section, direction, tmax)[0]
-            for o, p in zip(out, ps)
-        ]
-    return [NoHit(f"no section hit within tmax = {tmax}") if o is None else o for o in out]
+    hv = hpoly(p[0], p[1])
+    if abs(hv) > EVENT_TOL:
+        return np.sign(hv)
+    fh0 = fhpoly(p[0], p[1])
+    return np.sign(sgn * fh0) if abs(fh0) > CLASSIFY_TOL else 0.0
 
 
-def _raise_first_error(out: list) -> list:
-    for o in out:
-        if isinstance(o, Exception):
-            raise o
-    return out
+def _sigma_event(hpoly, fhpoly, at, ts, hs, cross, turn, side, k0: int, include_touch: bool):
+    """(t, kind): the first Sigma event of the orbit at in a piece, from lattice point k0 on, or None.
 
-
-def hit_sections(
-    F: PolyField,
-    ps,
-    section: Section,
-    direction: str = "forward",
-    tmax: float = MAX_FLIGHT_TIME,
-) -> list:
-    """First hits (q, tq) of the section from each start in ps, in one flight.
-
-    Raises the error of the lowest-index start whose flight fails, the one
-    that flying the starts one after another would raise.
+    A crossing (or a grazing dip entirely between two samples) forces hdot =
+    Fh to cross zero somewhere near it, and Fh varies on the flow timescale,
+    so bracketing h AND Fh on the lattice finds every Sigma interaction even
+    when the dip is much shorter than the lattice spacing.  hs holds the
+    signs of h on the lattice, cross and turn its sign changes and Fh's.
     """
-    return _raise_first_error(_section_hits(F, ps, section, direction, tmax))
-
-
-def hit_section(
-    F: PolyField,
-    p,
-    section: Section,
-    direction: str = "forward",
-    tmax: float = MAX_FLIGHT_TIME,
-):
-    """First hit (q, tq) of the section in the given time direction."""
-    return _raise_first_error(_section_hits(F, [p], section, direction, tmax))[0]
+    hfun = lambda t: hpoly(*at(t))
+    for k in np.flatnonzero(cross[k0:] | turn[k0:]) + k0:
+        if cross[k]:
+            return _brentq(hfun, ts[k], ts[k + 1]), "cross"
+        tm = _brentq(lambda t: fhpoly(*at(t)), ts[k], ts[k + 1])
+        hm = hfun(tm)
+        if np.sign(hm) != 0 and np.sign(hm) != side:
+            lo = ts[k] if hs[k] == side else ts[max(k0, k - 1)]
+            return _brentq(hfun, lo, tm), "cross"
+        if np.sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != np.sign(hm):
+            # dip entirely on the departure side ending in a crossing
+            # (start-on-Sigma orbits that return before the first sample)
+            return _brentq(hfun, tm, ts[k + 1]), "cross"
+        if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
+            return tm, "touch"
+    return None
 
 
 @dataclass(frozen=True)
@@ -321,14 +316,115 @@ class SigmaHit:
     kind: str  # "cross" | "touch" | "section"
 
 
+def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, include_touch=False, arc=None):
+    """Per start in ps: its first event as a SigmaHit, None if it meets none by tmax, or its flight's error.
+
+    The starts fly as one system (see the module docstring).  With h, an
+    event is a Sigma crossing (a grazing touch too, with include_touch); with
+    a section, a hit of the segment, kind "section", which wins a tie; a
+    graze of the section that comes first is the orbit's TangentialHit.
+    arc, for a lone start, collects the dense pieces of its flight.
+    """
+    sgn = 1.0 if direction == "forward" else -1.0
+    ps = np.asarray(ps, dtype=float).reshape(-1, 2)
+    n = len(ps)
+    out: list = [None] * n
+    if not n:
+        return out
+    todo = np.ones(n, dtype=bool)
+    near = moved = np.zeros(n, dtype=bool)
+    events = []
+    if h is not None:
+        hpoly, fhpoly = h.h, lie_poly(F, h.h, 1)
+        events += [hpoly, fhpoly]
+        side = np.array([_departure(hpoly, fhpoly, p, sgn) for p in ps])
+    if section is not None:
+        events.append(_offset(section))
+    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, events, tol=INTEGRATOR_TOL / np.sqrt(n))
+    try:
+        for sol, ts, vals in flight:
+            if arc is not None:
+                arc.append(sol)
+            if h is not None:
+                hs, fs = np.sign(vals[0]), np.sign(vals[1])
+                cross = hs[:, :-1] * hs[:, 1:] < 0
+                turn = (fs[:, :-1] != 0) & (fs[:, :-1] != fs[:, 1:])
+                k0 = np.zeros(n, dtype=int)
+                for i in np.flatnonzero(side == 0):  # still on Sigma: wait for |h| to grow
+                    big = np.flatnonzero(np.abs(vals[0][i]) > EVENT_TOL)
+                    if big.size:
+                        k0[i], side[i] = big[0], hs[i, big[0]]
+                near = (side != 0) & (cross | turn).any(axis=1)
+            if section is not None:
+                s = np.sign(vals[-1])
+                moved = ((s[:, :-1] * s[:, 1:] < 0) | (s[:, 1:] == 0)).any(axis=1)
+            for i in np.flatnonzero((near | moved) & todo):
+                at = _orbit(sol, i, n)
+                ev = near[i] and _sigma_event(
+                    hpoly, fhpoly, at, ts, hs[i], cross[i], turn[i], side[i], k0[i], include_touch
+                )
+                on = moved[i] and _section_hit(F, section, at, ts, vals[-1][i], sgn)
+                if on and (not ev or abs(on[0]) <= abs(ev[0])):
+                    t, q = on
+                    out[i] = q if isinstance(q, TangentialHit) else SigmaHit(point=q, time=t, kind="section")
+                elif ev:
+                    out[i] = SigmaHit(point=np.array(at(ev[0])), time=ev[0], kind=ev[1])
+                todo[i] = out[i] is None
+            if not todo.any():
+                return out
+    except NoHit as e:
+        if n == 1:
+            return [e]
+        # a failed step ends the flight for every orbit; fly the open ones alone
+        for i in np.flatnonzero(todo):
+            out[i] = _scan(F, ps[i], direction, tmax, h, section, include_touch)[0]
+    return out
+
+
+def _with_misses(out: list, what: str, tmax: float) -> list:
+    return [NoHit(f"no {what} hit within tmax = {tmax}") if o is None else o for o in out]
+
+
+def _raise_first_error(out: list) -> list:
+    for o in out:
+        if isinstance(o, Exception):
+            raise o
+    return out
+
+
+def _section_hits(F: PolyField, ps, section: Section, direction: str, tmax: float) -> list:
+    """Per start in ps: its first hit (q, tq) of the section, or the error of its flight."""
+    out = _with_misses(_scan(F, ps, direction, tmax, section=section), "section", tmax)
+    return [o if isinstance(o, Exception) else (o.point, o.time) for o in out]
+
+
+def hit_sections(
+    F: PolyField, ps, section: Section, direction: str = "forward", tmax: float = MAX_FLIGHT_TIME
+) -> list:
+    """First hits (q, tq) of the section from each start in ps, in one flight.
+
+    Raises the error of the lowest-index start whose flight fails, the one
+    that flying the starts one after another would raise.
+    """
+    return _raise_first_error(_section_hits(F, ps, section, direction, tmax))
+
+
+def hit_section(F: PolyField, p, section: Section, direction: str = "forward", tmax: float = MAX_FLIGHT_TIME):
+    """First hit (q, tq) of the section in the given time direction."""
+    return _raise_first_error(_section_hits(F, [p], section, direction, tmax))[0]
+
+
+def next_sigma_hits(
+    F: PolyField, ps, h: SwitchingFunction, direction: str = "forward", tmax: float = MAX_FLIGHT_TIME,
+    include_touch: bool = False, section: Section | None = None,
+) -> list:
+    """next_sigma_hit from each start in ps, in one flight: per start its SigmaHit, or the error it raises."""
+    return _with_misses(_scan(F, ps, direction, tmax, h, section, include_touch), "Sigma", tmax)
+
+
 def next_sigma_hit(
-    F: PolyField,
-    p,
-    h: SwitchingFunction,
-    direction: str = "forward",
-    tmax: float = MAX_FLIGHT_TIME,
-    include_touch: bool = False,
-    section: Section | None = None,
+    F: PolyField, p, h: SwitchingFunction, direction: str = "forward", tmax: float = MAX_FLIGHT_TIME,
+    include_touch: bool = False, section: Section | None = None,
 ) -> SigmaHit:
     """Next intersection (or grazing touch) of the orbit with Sigma.
 
@@ -339,81 +435,8 @@ def next_sigma_hit(
     "section", and a graze of the section that comes first raises
     TangentialHit.
     """
-    for _, hit in _sigma_flight(F, p, h, direction, tmax, include_touch, section):
-        if hit is not None:
-            return hit
-    raise NoHit(f"no Sigma hit within tmax = {tmax}")
-
-
-def _sigma_flight(F, p, h, direction, tmax, include_touch, section):
-    """The flight of next_sigma_hit: yields (sol, hit) per piece of it, hit a SigmaHit or None.
-
-    The flight ends after the piece that holds its hit, or without a hit at
-    tmax; a failed step raises NoHit.
-    """
-    sgn = 1.0 if direction == "forward" else -1.0
-    hpoly = h.h
-    fhpoly = lie_poly(F, hpoly, 1)
-    escaped = abs(hpoly(p[0], p[1])) > EVENT_TOL
-    ref_sign = np.sign(hpoly(p[0], p[1])) if escaped else 0.0
-    if not escaped:
-        fh0 = fhpoly(p[0], p[1])
-        if abs(fh0) > CLASSIFY_TOL:
-            # starting on Sigma transversally: the orbit leaves into the side
-            # hdot points to; waiting for |h| to grow would miss a return
-            # that happens before the first sample
-            escaped = True
-            ref_sign = np.sign(sgn * fh0)
-
-    def sigma_event(sol, ts, hv, fhv, k0):
-        hfun, fhfun = _along(sol, hpoly), _along(sol, fhpoly)
-        # A crossing (or a grazing dip entirely between two samples) forces
-        # hdot = Fh to cross zero somewhere near it, and Fh varies on the
-        # flow timescale, so bracketing h AND Fh on the sample grid finds
-        # every Sigma interaction even when the dip is much shorter than
-        # the sample spacing.
-        hs, fs = np.sign(hv), np.sign(fhv)
-        cross = hs[:-1] * hs[1:] < 0
-        turn = (fs[:-1] != 0) & (fs[:-1] != fs[1:])
-        for k in np.flatnonzero(cross[k0:] | turn[k0:]) + k0:
-            if cross[k]:
-                troot = _brentq(hfun, ts[k], ts[k + 1])
-                return SigmaHit(point=sol(troot), time=troot, kind="cross")
-            tm = _brentq(fhfun, ts[k], ts[k + 1])
-            hm = hfun(tm)
-            if np.sign(hm) != 0 and np.sign(hm) != ref_sign:
-                lo = ts[k] if hs[k] == ref_sign else ts[max(k0, k - 1)]
-                troot = _brentq(hfun, lo, tm)
-                return SigmaHit(point=sol(troot), time=troot, kind="cross")
-            if np.sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != np.sign(hm):
-                # dip entirely on the departure side ending in a crossing
-                # (start-on-Sigma orbits that return before the first sample)
-                troot = _brentq(hfun, tm, ts[k + 1])
-                return SigmaHit(point=sol(troot), time=troot, kind="cross")
-            if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
-                return SigmaHit(point=sol(tm), time=tm, kind="touch")
-        return None
-
-    events = [hpoly, fhpoly] if section is None else [hpoly, fhpoly, _offset(section)]
-    for sol, ts, ((hv,), (fhv,), *gv) in _flight(_rhs(F), p, sgn * tmax, events):
-        hit, k0 = None, 0
-        if not escaped:
-            big = np.flatnonzero(np.abs(hv) > EVENT_TOL)
-            if big.size:
-                k0 = int(big[0])
-                ref_sign = np.sign(hv[k0])
-                escaped = True
-        if escaped:
-            hit = sigma_event(sol, ts, hv, fhv, k0)
-        if gv and (on := _section_hit(F, section, sol, ts, gv[0][0], sgn)):
-            t, q = on
-            if hit is None or abs(t) <= abs(hit.time):
-                if isinstance(q, TangentialHit):
-                    raise q
-                hit = SigmaHit(point=q, time=t, kind="section")
-        yield sol, hit
-        if hit is not None:
-            return
+    out = _scan(F, [p], direction, tmax, h, section, include_touch)
+    return _raise_first_error(_with_misses(out, "Sigma", tmax))[0]
 
 
 # -- full Filippov trajectories ------------------------------------------------
@@ -474,26 +497,19 @@ def _slide(Z: FilippovSystem, p, t_budget):
     hx, hy = Z.h.h.dx(), Z.h.h.dy()
 
     def rhs(t, s):
-        v = sliding_raw(s)
-        # mild projection keeps the arc pinned to Sigma
-        hval = Z.h.h(s[0], s[1])
-        g = np.array([hx(s[0], s[1]), hy(s[0], s[1])])
-        return v - 10.0 * hval * g
-
-    def sliding_raw(s):
         xh, yh = Xh(s[0], s[1]), Yh(s[0], s[1])
-        X = Z.X(s)
-        Y = Z.Y(s)
-        return (yh * X - xh * Y) / (yh - xh)
+        v = (yh * Z.X(s) - xh * Z.Y(s)) / (yh - xh)
+        # mild projection keeps the arc pinned to Sigma
+        return v - 10.0 * Z.h.h(s[0], s[1]) * np.array([hx(s[0], s[1]), hy(s[0], s[1])])
 
     arc = []
     for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh]):
         arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
         # exit immediately (exact-zero starts are skipped by _sign_changes)
-        exits = []
+        exits, at = [], _orbit(sol)
         for name, f, (v,) in zip("XY", (Xh, Yh), vals):
-            r = next(_sign_changes(_along(sol, f), ts, v), None)
+            r = next(_sign_changes(lambda t: f(*at(t)), ts, v), None)
             if r is not None:
                 exits.append((r, name))
         if exits:
@@ -502,12 +518,7 @@ def _slide(Z: FilippovSystem, p, t_budget):
     return arc, t_budget, None
 
 
-def filippov_trajectory(
-    Z: FilippovSystem,
-    p,
-    tmax: float,
-    dt_out: float = 0.01,
-) -> Trajectory:
+def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01) -> Trajectory:
     """Forward Filippov orbit: smooth arcs alternating with sliding arcs.
 
     Crossing points switch fields, stable sliding follows the sliding
@@ -524,30 +535,22 @@ def filippov_trajectory(
         budget = tmax - t
         if regime in ("Mplus", "Mminus"):
             F = Z.X if regime == "Mplus" else Z.Y
-            arc, hit = [], None
-            for sol, hit in _sigma_flight(F, point, Z.h, "forward", budget, include_touch=True, section=None):
-                arc.append(sol)
+            arc = []
+            (hit,) = _raise_first_error(_scan(F, [point], "forward", budget, Z.h, include_touch=True, arc=arc))
+            t1 = budget if hit is None else hit.time
+            ts, pts = _sample_arc(arc, t1, dt_out)
+            end = "time-out" if hit is None else "tangency-touch" if hit.kind == "touch" else "cross"
+            traj.arcs.append(Arc(regime, ts + t, pts, t, t + t1, entry, end))
             if hit is None:
-                ts, pts = _sample_arc(arc, budget, dt_out)
-                traj.arcs.append(
-                    Arc(regime, ts + t, pts, t, t + budget, entry, "time-out")
-                )
                 return traj
-            ts, pts = _sample_arc(arc, hit.time, dt_out)
+            t += hit.time
+            point = hit.point
             if hit.kind == "touch":
-                traj.arcs.append(
-                    Arc(regime, ts + t, pts, t, t + hit.time, entry, "tangency-touch")
-                )
-                t += hit.time
-                point = hit.point
                 entry = "tangency-touch"
                 # nudge along the flow so the touch is not re-found
                 point = flow_smooth(F, point, 1e-8)
                 t += 1e-8
                 continue
-            traj.arcs.append(Arc(regime, ts + t, pts, t, t + hit.time, entry, "cross"))
-            t += hit.time
-            point = hit.point
             cls = classify_sigma_point(Z, point)
             if isinstance(cls, Crossing):
                 regime = "Mminus" if regime == "Mplus" else "Mplus"
@@ -559,16 +562,12 @@ def filippov_trajectory(
                 regime = "Mminus" if cls.side == "minus" else "Mplus"
                 entry = "tangency"
             else:
-                raise NonDeterministicExit(
-                    f"orbit reached {type(cls).__name__} at {tuple(point)}"
-                )
+                raise NonDeterministicExit(f"orbit reached {type(cls).__name__} at {tuple(point)}")
         else:  # Sliding
             arc, tslide, which = _slide(Z, point, budget)
             ts, pts = _sample_arc(arc, tslide, dt_out)
             exit_event = "time-out" if which is None else f"fold-exit-{which}"
-            traj.arcs.append(
-                Arc("Sliding", ts + t, pts, t, t + tslide, entry, exit_event)
-            )
+            traj.arcs.append(Arc("Sliding", ts + t, pts, t, t + tslide, entry, exit_event))
             t += tslide
             point = _arc_points(arc, [tslide])[:, 0]
             if which is None:
@@ -576,21 +575,13 @@ def filippov_trajectory(
             cls = classify_sigma_point(Z, point)
             if isinstance(cls, Tangency) and cls.visibility == "visible":
                 regime = "Mplus" if cls.side == "plus" else "Mminus"
-                entry = exit_event
-                F = Z.X if regime == "Mplus" else Z.Y
-                point = flow_smooth(F, point, 1e-8)
-                t += 1e-8
-            elif isinstance(cls, FoldFold) and cls.kind == "VV":
-                raise NonDeterministicExit(
-                    f"sliding reached a VV fold-fold at {tuple(point)}"
-                )
             elif isinstance(cls, FoldFold) and cls.kind == "VI":
                 regime = "Mplus"
-                entry = exit_event
-                point = flow_smooth(Z.X, point, 1e-8)
-                t += 1e-8
+            elif isinstance(cls, FoldFold) and cls.kind == "VV":
+                raise NonDeterministicExit(f"sliding reached a VV fold-fold at {tuple(point)}")
             else:
-                raise NonDeterministicExit(
-                    f"sliding exit at {tuple(point)} is not a visible fold ({cls})"
-                )
+                raise NonDeterministicExit(f"sliding exit at {tuple(point)} is not a visible fold ({cls})")
+            entry = exit_event
+            point = flow_smooth(Z.X if regime == "Mplus" else Z.Y, point, 1e-8)
+            t += 1e-8
     return traj

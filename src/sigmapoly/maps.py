@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import cmath
 import math
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,15 +32,20 @@ from .core import (
     lie_poly,
 )
 from .errors import (
+    DegenerateContact,
+    EquilibriumOnSigmaError,
     IllConditioned,
     InExclusionSet,
     NoHit,
     NoReturn,
     OrbitHitsSliding,
+    TangentialHit,
     UnsupportedSingularity,
     WindowTooSmall,
 )
-from .flow import MAX_FLIGHT_TIME, Section, _rhs, _solve, flow_smooth, hit_sections, next_sigma_hit
+from .flow import (
+    MAX_FLIGHT_TIME, Section, SigmaHit, _rhs, _solve, flow_smooth, hit_sections, next_sigma_hit, next_sigma_hits,
+)
 
 GERM_COND_CAP = 1e10
 SEPARATRIX_DISTANCE = 0.1
@@ -369,63 +375,57 @@ def place_section(
 # -- sigma domains ----------------------------------------------------------
 
 
-def _arc_stays_in_half_plane(
-    F: PolyField, h: SwitchingFunction, tau: Section, x: float, side: int
-) -> bool:
-    """Does the arc from the Sigma point over x leave into {side*h > 0} and meet tau before Sigma?"""
-    p = sigma_point(h, x)
-    # the side hdot = Fh points to; only where Fh is exactly 0 does a higher
-    # Lie derivative decide, so an edge at a root of Fh lands on the root
-    fh = lie_poly(F, h.h, 1)(p[0], p[1])
-    if (np.sign(fh) if fh != 0.0 else contact_order(F, h, p)[1]) != side:
-        return False  # the arc leaves Sigma into the wrong half-plane
-    try:
-        return next_sigma_hit(F, p, h, "forward", section=tau).kind == "section"
-    except NoHit:
-        return False
+def _arcs_stay_in_half_plane(F: PolyField, h: SwitchingFunction, tau: Section, xs, side: int) -> list[bool]:
+    """Per x in xs: does the arc from the Sigma point over x leave into {side*h > 0} and meet tau before Sigma?
+
+    The arcs that leave into that side fly as one system.  No arc leaves an
+    equilibrium on Sigma, or a point where Sigma is invariant.
+    """
+    fh = lie_poly(F, h.h, 1)
+    ps, leave = [sigma_point(h, x) for x in xs], []
+    for k, p in enumerate(ps):
+        # the side hdot = Fh points to; only where Fh is exactly 0 does a higher
+        # Lie derivative decide, so an edge at a root of Fh lands on the root
+        v = fh(p[0], p[1])
+        try:
+            if (np.sign(v) if v != 0.0 else contact_order(F, h, p)[1]) == side:
+                leave.append(k)
+        except (EquilibriumOnSigmaError, DegenerateContact):
+            pass
+    ok = [False] * len(ps)
+    for k, hit in zip(leave, next_sigma_hits(F, [ps[k] for k in leave], h, "forward", section=tau)):
+        if isinstance(hit, TangentialHit):
+            raise hit
+        ok[k] = isinstance(hit, SigmaHit) and hit.kind == "section"
+    return ok
 
 
 def sigma_domain(
-    F: PolyField,
-    h: SwitchingFunction,
-    p0,
-    tau: Section,
-    window: float,
-    side: int = 1,
-    nsamples: int = 41,
+    F: PolyField, h: SwitchingFunction, p0, tau: Section, window: float, side: int = 1, nsamples: int = 41
 ) -> list[tuple[float, float]]:
     """Subset of (x0-window, x0+window) whose arcs to tau stay in the half-plane.
 
     Returns a list of closed-ish intervals; boundaries refined by bisection.
+    The scan's arcs fly as one system, each bisection step's arc alone.
     """
     x0 = float(p0[0])
     xs = np.linspace(x0 - window, x0 + window, nsamples)
-    ok = np.array(
-        [_arc_stays_in_half_plane(F, h, tau, x, side) for x in xs], dtype=bool
-    )
+    ok = _arcs_stay_in_half_plane(F, h, tau, xs, side)
     intervals = []
-    k = 0
-    while k < len(xs):
-        if not ok[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < len(xs) and ok[j + 1]:
-            j += 1
-        lo, hi = xs[k], xs[j]
-        if k > 0 and not ok[k - 1]:
-            lo = _bisect_edge(F, h, tau, xs[k - 1], xs[k], side)
-        if j + 1 < len(xs) and not ok[j + 1]:
-            hi = _bisect_edge(F, h, tau, xs[j + 1], xs[j], side)
-        intervals.append((float(lo), float(hi)))
-        k = j + 1
+    for inside, run in groupby(range(len(xs)), key=ok.__getitem__):
+        if inside:
+            run = list(run)
+            k, j = run[0], run[-1]
+            lo = _bisect_edge(F, h, tau, xs[k - 1], xs[k], side) if k > 0 else xs[k]
+            hi = _bisect_edge(F, h, tau, xs[j + 1], xs[j], side) if j + 1 < len(xs) else xs[j]
+            intervals.append((float(lo), float(hi)))
     return intervals
 
 
 def _bisect_edge(F, h, tau, bad, good, side, iters=40):
     for _ in range(iters):
         mid = 0.5 * (bad + good)
-        if _arc_stays_in_half_plane(F, h, tau, mid, side):
+        if _arcs_stay_in_half_plane(F, h, tau, [mid], side)[0]:
             good = mid
         else:
             bad = mid
@@ -529,11 +529,7 @@ def exclusion_set(
 
 
 def mirror_map(
-    F: PolyField,
-    h: SwitchingFunction,
-    x: float,
-    side: int = -1,
-    exclusions: list[float] | None = None,
+    F: PolyField, h: SwitchingFunction, x: float, side: int = -1, exclusions: list[float] | None = None,
     tmax: float = MAX_FLIGHT_TIME,
 ) -> float:
     """Other Sigma-intersection of the orbit arc through x on the given side.
@@ -542,27 +538,39 @@ def mirror_map(
     Fixed points are the invisible even contacts.  Points at (or orbitally
     connected to) visible even contacts or odd contacts are refused.
     """
-    if exclusions:
-        for e in exclusions:
+    return _mirror_values(F, h, [x], side, exclusions, tmax)[0]
+
+
+def _mirror_values(F, h, xs, side: int, exclusions=None, tmax: float = MAX_FLIGHT_TIME) -> list[float]:
+    """mirror_map at every x in xs, the orbits of each time direction flown as one system.
+
+    A refused x raises before any flight; then the first orbit that does
+    not return, forward flights before backward ones, raises NoReturn.
+    """
+    fh = lie_poly(F, h.h, 1)
+    out: list = []
+    starts: dict[str, list[int]] = {"forward": [], "backward": []}
+    for x in xs:
+        for e in exclusions or ():
             if abs(x - e) < _EXCLUSION_TOL:
                 raise InExclusionSet(f"x = {x} is excluded (contact at {e})")
-    p = sigma_point(h, x)
-    fh = lie_poly(F, h.h, 1)(p[0], p[1])
-    if abs(fh) <= CLASSIFY_TOL:
+        p = sigma_point(h, x)
+        v = fh(p[0], p[1])
+        if abs(v) > CLASSIFY_TOL:
+            # pick the time direction whose orbit enters {side*h > 0}: hdot = Fh
+            starts["forward" if side * v > 0 else "backward"].append(len(out))
+            out.append(p)
+            continue
         n, s = contact_order(F, h, p)
-        arc_side = 1 if s > 0 else -1
-        if n % 2 == 0 and arc_side == side:
-            return x  # invisible even contact: fixed point of the involution
-        raise InExclusionSet(
-            f"x = {x} is a contact of order {n} with no arc on side {side}"
-        )
-    # pick the time direction whose orbit enters {side*h > 0}: hdot = Fh
-    direction = "forward" if side * fh > 0 else "backward"
-    try:
-        hit = next_sigma_hit(F, p, h, direction, tmax=tmax, include_touch=True)
-    except NoHit as e:
-        raise NoReturn(str(e)) from e
-    return float(hit.point[0])
+        if n % 2 == 1 or (1 if s > 0 else -1) != side:
+            raise InExclusionSet(f"x = {x} is a contact of order {n} with no arc on side {side}")
+        out.append(x)  # invisible even contact: fixed point of the involution
+    for direction, ks in starts.items():
+        for k, hit in zip(ks, next_sigma_hits(F, [out[k] for k in ks], h, direction, tmax, include_touch=True)):
+            if isinstance(hit, NoHit):
+                raise NoReturn(str(hit)) from hit
+            out[k] = float(hit.point[0])
+    return out
 
 
 # -- transfer pairs ---------------------------------------------------------
@@ -675,8 +683,8 @@ def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
     if hi <= lo:
         raise WindowTooSmall("empty crossing window left of the fold")
     xs = np.linspace(lo, hi - 1e-6 * (hi - lo), 14)
-    # Tu = T+^X o rho_Y: the mirrors first, then their transitions in one flight
-    rs = [mirror_map(Z.Y, Z.h, x, side=-1) for x in xs]
+    # Tu = T+^X o rho_Y: the mirrors in one flight, then their transitions in one flight
+    rs = _mirror_values(Z.Y, Z.h, xs, side=-1)
     Tu = fit_germ(list(zip(xs, _transition_values(Z.X, Z.h, tau_u, rs, "forward"))), x0, 2)
     Ts = transition_germ(
         Z.X, Z.h, tau_s, x0, 2, cfg.window, "backward", domain=(lo, hi)

@@ -1,11 +1,16 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from sigmapoly.core import PolyField
 from sigmapoly.errors import NoHit
 from sigmapoly.flow import (
     MAX_FLIGHT_TIME,
     Section,
+    _flight,
+    _orbit,
     _rhs,
     _section_hits,
     filippov_trajectory,
@@ -13,6 +18,7 @@ from sigmapoly.flow import (
     hit_section,
     hit_sections,
     next_sigma_hit,
+    next_sigma_hits,
     vertical_section,
 )
 from sigmapoly.poly2 import DEGREE_CAP, Poly2, poly_const, poly_x, poly_y
@@ -139,6 +145,87 @@ def test_next_sigma_hit_subsample_dip(fold_field, h_y, x0):
     # dips much shorter than the sample spacing must still be caught
     hit = next_sigma_hit(fold_field, np.array([x0, 0.0]), h_y, "forward")
     assert hit.point[0] == pytest.approx(-x0, rel=1e-6)
+
+
+def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
+    # X = (1, x): orbits are y = y0 + (x^2 - x0^2)/2, and x = x0 + t.  One
+    # scan flies all five starts; each orbit's first event must be the one
+    # its lone flight finds.
+    sec = vertical_section(0.7)
+    x0 = -74.5 * 4 / 599
+    starts = [
+        # dips to y = -1e-6 for |x| < 1.4e-3: under Sigma for 2.8e-3 time
+        # units, midway between two points of the lattice t_k = 4k/599; only
+        # the Fh rule sees it
+        (x0, x0 * x0 / 2 - 1e-6),
+        (-0.3, 0.0),  # on Sigma, leaves downward, back at x = 0.3, t = 0.6
+        (0.2, 0.1),  # stays above Sigma, meets the section at t = 0.5
+        (-1.0, 0.2),  # crosses Sigma at x = -sqrt(0.6)
+        (0.3, 0.0),  # on Sigma, leaves upward, meets the section at t = 0.4
+    ]
+    hits = next_sigma_hits(fold_field, starts, h_y, "forward", include_touch=True, section=sec)
+    assert [hit.kind for hit in hits] == ["cross", "cross", "section", "cross", "section"]
+    exact = [-np.sqrt(2e-6), 0.3, 0.7, -np.sqrt(0.6), 0.7]
+    for hit, p, x in zip(hits, starts, exact):
+        lone = next_sigma_hit(fold_field, p, h_y, "forward", include_touch=True, section=sec)
+        assert hit.kind == lone.kind
+        assert hit.time == pytest.approx(lone.time, abs=1e-10)
+        np.testing.assert_allclose(hit.point, lone.point, rtol=0, atol=1e-10)
+        assert hit.point[0] == pytest.approx(x, abs=1e-9)
+    # a flight that fails is the error of that start alone
+    F = PolyField(poly_const(1.0), poly_y() * poly_y())
+    err, ok = next_sigma_hits(F, [(0.0, 2.0), (0.0, -0.5)], h_y, "forward", section=vertical_section(1.0))
+    assert isinstance(err, NoHit) and "integration failed" in str(err)
+    assert ok.kind == "section" and ok.time == pytest.approx(1.0, abs=1e-12)
+
+
+def _pieces(F, starts, t_end):
+    """The dense output of each piece of one flight of the starts."""
+    state = np.asarray(starts, dtype=float).T.ravel()
+    return [sol for sol, _, _ in _flight(_rhs(F, len(starts)), state, t_end, [])]
+
+
+def _split_at_boundaries(sol):
+    """sol with each step's start value moved by its own amount.
+
+    Two DOP853 steps give the same bits at the boundary they share (the end
+    value is (y1 - y0) + y0 on the first, y1 on the second), so only steps
+    that disagree there show which of them is evaluated.
+    """
+    steps = [copy.copy(d) for d in sol.interpolants]
+    for k, d in enumerate(steps):
+        d.y_old = d.y_old + 1e-9 * (k + 1)
+    return OdeSolution(sol.ts, steps)
+
+
+def test_step_local_evaluator_is_bitwise_ode_solution():
+    # theta' = 1, r' = r - r^3 forward and backward, one orbit and orbit i of
+    # three: at random times and at every step boundary, the evaluator gives
+    # the bits of OdeSolution's own evaluation
+    x, y = poly_x(), poly_y()
+    r2 = x * x + y * y
+    F = PolyField(y.scale(-1.0) + x - x * r2, x + y - y * r2)
+    rng = np.random.default_rng(3)
+    flights = [
+        ([(0.5, 0.0)], 9.0),
+        ([(0.5, 0.0)], -0.6),
+        ([(0.5, 0.0), (1.4, 0.2), (-0.3, 0.9)], 9.0),
+        ([(0.5, 0.0), (1.05, 0.1), (-0.3, 0.9)], -0.6),
+    ]
+    for starts, t_end in flights:
+        n = len(starts)
+        pieces = _pieces(F, starts, t_end)
+        assert len(pieces) > 2 and all(len(sol.interpolants) == 2 for sol in pieces[1:])
+        for sol in pieces + [_split_at_boundaries(sol) for sol in pieces]:
+            lo, hi = sorted((sol.ts[0], sol.ts[-1]))
+            for t in np.concatenate([sol.ts, rng.uniform(lo, hi, 20)]).tolist():
+                want = sol(t)
+                for i in range(n):
+                    assert np.asarray(_orbit(sol, i, n)(t)).tobytes() == want[i::n].tobytes()
+        # the other step at a boundary gives other bits, so a wrong choice fails
+        split = _split_at_boundaries(pieces[1])
+        t = split.ts[1]
+        assert OdeSolution(split.ts, split.interpolants, alt_segment=True)(t).tobytes() != split(t).tobytes()
 
 
 def test_filippov_trajectory_reaches_sliding():

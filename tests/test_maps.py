@@ -289,3 +289,25 @@ def test_sigma_domain_fold_arcs_leave_upward(fold_field, h_y):
     # before the section; from x >= 0 it leaves into {y > 0}
     tau = Section(anchor=(0.6, 0.05), direction=(0.0, 1.0), halfwidth=1.0)
     assert sigma_domain(fold_field, h_y, (0.0, 0.0), tau, 0.5, side=-1) == []
+
+
+@pytest.mark.parametrize(
+    "fx, fy, want",
+    [
+        (poly_x(), poly_x(), "fold"),  # an equilibrium on Sigma at the origin
+        (poly_const(1.0), poly_const(0.0), []),  # Sigma invariant: Fh = 0 everywhere on it
+        (poly_const(1.0), poly_y(), []),  # Sigma invariant, Fh = y
+    ],
+)
+def test_sigma_domain_leaves_out_starts_with_no_arc(h_y, fx, fy, want):
+    # a start from which no arc leaves Sigma is not in the domain.  X = (x, x)
+    # has orbits y = x - x0, leaving upward for x0 > 0 and reaching y = 0.5 at
+    # x0 + 0.5, inside the segment; the domain runs from the equilibrium on.
+    tau = Section(anchor=(0, 0.5), direction=(1, 0), halfwidth=1)
+    dom = sigma_domain(PolyField(fx, fy), h_y, (0.0, 0.0), tau, 0.2, side=1)
+    if want == "fold":
+        assert len(dom) == 1
+        lo, hi = dom[0]
+        assert 0.0 < lo <= 1e-10 and hi == 0.2
+    else:
+        assert dom == want
