@@ -13,7 +13,7 @@ The artifacts are:
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
-half a minute.
+ten seconds on two cores.
 
 Usage: python3 scripts/artifact_digests.py
 """

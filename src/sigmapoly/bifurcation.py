@@ -8,12 +8,13 @@ offers bifurcation-curve computation, geometric region classification
 lookup), and a parameter-plane sweep.
 
 An ODE backend realizes the fold-fold scenario on a concrete circle
-field so the germ-level predictions can be cross-checked by flow.
+field: its cells count crossing cycles from the flow's Sigma-to-Sigma
+return, and the germ-level unfolding fitted by flow only reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.optimize import brentq
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
-from .flow import Section, hit_sections
+from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
 from .polycycle import (
@@ -517,14 +518,7 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
             flags.append(f"on-curve:{name}")
 
     if abs(alpha) <= tol and abs(beta) <= tol:
-        return RegionReport(
-            params=(alpha, beta),
-            item=None,
-            crossing_cycles=(),
-            polycycles=1,
-            sliding_cycles=(),
-            flags=("codim2", "tangent-polycycle"),
-        )
+        return _tangent_polycycle((alpha, beta))
 
     # displacement (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2 on (-eps, zeta)
     reports = find_cycles(_foldfold_model(fam, alpha, beta))
@@ -553,26 +547,32 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
     elif abs(beta) <= tol:
         flags.append("tangent-X-cycle")
 
-    if any(c.saddle_node for c in cycles):
-        item = 2
-    elif len(cycles) == 2:
-        item = 3
-    elif len(cycles) == 1 and polycycles:
-        item = 4
-    elif len(cycles) == 1:
-        item = 5
-    elif polycycles:
-        item = 6
-    else:
-        item = 1
     return RegionReport(
         params=(alpha, beta),
-        item=item,
+        item=_foldfold_item(cycles, polycycles),
         crossing_cycles=cycles,
         polycycles=polycycles,
         sliding_cycles=tuple(sliding),
         flags=tuple(flags),
     )
+
+
+def _tangent_polycycle(params: tuple[float, float]) -> RegionReport:
+    """The codim-2 origin of the VI fold-fold unfolding: the tangent polycycle."""
+    return RegionReport(
+        params=params, item=None, crossing_cycles=(), polycycles=1, sliding_cycles=(),
+        flags=("codim2", "tangent-polycycle"),
+    )
+
+
+def _foldfold_item(cycles: tuple[CycleReport, ...], polycycles: int) -> int:
+    if any(c.saddle_node for c in cycles):
+        return 2
+    if len(cycles) == 2:
+        return 3
+    if len(cycles) == 1:
+        return 4 if polycycles else 5
+    return 6 if polycycles else 1
 
 
 # -- VI fold-fold (ODE circle backend) ----------------------------------------
@@ -598,13 +598,41 @@ def circle_system(alpha_p: float = 0.0, beta_p: float = 0.0) -> FilippovSystem:
     return FilippovSystem(X=X, Y=Y, h=h)
 
 
-def circle_visible_fold(Z: FilippovSystem, span: float = 0.45) -> float:
+def circle_visible_fold(Z: FilippovSystem) -> float:
     """Abscissa of the visible X-fold of the circle field near the origin."""
-    contacts = sigma_contacts(Z.X, Z.h, (-span, span))
+    contacts = sigma_contacts(Z.X, Z.h, (-0.45, 0.45))
     vis = [c for c in contacts if c[1] == 2 and c[2] > 0]
     if not vis:
         raise NoHit("no visible X-fold found near the origin")
     return min((c[0] for c in vis), key=abs)
+
+
+def _circle_return(alpha_p: float, beta_p: float) -> tuple[CycleReport, ...]:
+    """Crossing cycles of the circle field: the sign changes of P(x) - x on (zeta - 0.5, zeta).
+
+    P is the Poincare map on Sigma, Y's exact mirror x -> 2 alpha_p - x and
+    then the X flight back to Sigma.  The 16 starts crowd toward zeta, where
+    a cycle near the tangency sits, and fly as one system for 20 time units
+    (about three laps); a start that does not come back has no cycle through
+    it.  A cycle, placed by the secant on its bracket, is attracting when
+    P(x) - x > 0 on its left.
+    """
+    Z = circle_system(alpha_p, beta_p)
+    fold = circle_visible_fold(Z)
+    zeta = min(fold, 2.0 * alpha_p - fold)
+    xs = zeta - 0.5 * 10.0 ** (-6.0 * np.arange(16) / 15.0)
+    hits = next_sigma_hits(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], Z.h, tmax=20.0)
+    g = [q.point[0] - x if isinstance(q, SigmaHit) else np.nan for q, x in zip(hits, xs)]
+    cycles = []
+    for k in range(len(xs) - 1):
+        if g[k] * g[k + 1] < 0:  # False when either start did not return
+            slope = (g[k + 1] - g[k]) / (xs[k + 1] - xs[k])
+            cycles.append(CycleReport(
+                point=(float(xs[k] - g[k] / slope),), residual=float("nan"), locus="interior",
+                kind="crossing-cycle", stability="attracting" if g[k] > 0 else "repelling",
+                dP=float(1.0 + slope),
+            ))
+    return tuple(cycles)
 
 
 def _circle_setup(alpha_p: float, beta_p: float):
@@ -638,36 +666,34 @@ def _circle_setup(alpha_p: float, beta_p: float):
     return x_fold, min(x_fold, 2 * alpha_p - x_fold), tud, ts
 
 
-def _circle_narrow_fits(setup, narrow: float, n: int) -> tuple[Germ, Germ]:
-    """Ts, and D = TuD - Ts about Ts's vertex, fitted on n points just below zeta.
+def _circle_narrow_fits(setup, n: int) -> tuple[Germ, Germ]:
+    """Ts, and D = TuD - Ts about Ts's vertex, fitted on n points within 2e-3 below zeta.
 
     The narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
     error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha.
     """
     x_fold, zeta, tud, ts = setup
-    xs = zeta - np.linspace(1e-4, narrow, n)
+    xs = zeta - np.linspace(1e-4, 2e-3, n)
     ts_n = ts(xs)
     Ts = fit_germ(list(zip(xs, ts_n)), x_fold, 3)
     x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
     return Ts, fit_germ(list(zip(xs, tud(xs) - ts_n)), x_v, 3)
 
 
-def circle_unfolding_fit(
-    alpha_p: float, beta_p: float, window: float = 0.12, narrow: float = 2e-3
-) -> dict:
+def circle_unfolding_fit(alpha_p: float, beta_p: float) -> dict:
     """Fit the germ-level unfolding (alpha, beta, kappa, dtilde) by flow.
 
     kappa and dtilde come from degree-4 fits over a wide window; beta and
     alpha from the displacement quadratic over a narrow window near the fold,
     where the saddle-node lives and the 2-jet truncation error stays below
     the size of beta itself (beta scales like the lap contraction, ~3.5e-6,
-    in the tau_s chart).
+    in the tau_s chart).  The fit reports; cells count from _circle_return.
     """
     setup = _circle_setup(alpha_p, beta_p)
     x_fold, zeta, tud, _ = setup
-    xs_w = zeta - np.linspace(0.012, window, 12)
+    xs_w = zeta - np.linspace(0.012, 0.12, 12)
     kappa = fit_germ(list(zip(xs_w, tud(xs_w))), x_fold, 4).coeffs[2]
-    Ts, D = _circle_narrow_fits(setup, narrow, 12)
+    Ts, D = _circle_narrow_fits(setup, 12)
     dtilde = Ts.coeffs[2]
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     alpha = -C1 / (4.0 * kappa)
@@ -682,36 +708,24 @@ def circle_unfolding_fit(
     }
 
 
-def circle_crossing_count(
-    alpha_p: float, beta_p: float, window: float = 0.25, n: int = 30
-) -> int:
-    """Number of crossing cycles: isolated roots of the flow displacement."""
-    _, zeta, tud, ts = _circle_setup(alpha_p, beta_p)
-    xs = np.linspace(zeta - window, zeta - 0.004, n)
-    vals = tud(xs) - ts(xs)
-    count = 0
-    for i in range(len(xs) - 1):
-        if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != 0.0:
-            count += 1
-    return count
+def circle_crossing_count(alpha_p: float, beta_p: float) -> int:
+    """Number of crossing cycles of the circle field, from its Sigma-to-Sigma return."""
+    return len(_circle_return(alpha_p, beta_p))
 
 
-def _circle_disc(alpha_p: float, beta_p: float, narrow: float = 2e-3) -> float:
+def _circle_disc(alpha_p: float, beta_p: float) -> float:
     """Discriminant of the narrow-window displacement quadratic (fast path)."""
-    _, D = _circle_narrow_fits(_circle_setup(alpha_p, beta_p), narrow, 10)
+    _, D = _circle_narrow_fits(_circle_setup(alpha_p, beta_p), 10)
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     return C1 * C1 - 4.0 * C0 * C2
 
 
-def circle_saddle_node(
-    alpha_p: float, bracket: tuple[float, float] = (-1e-6, 1e-6)
-) -> dict:
-    """Locate the saddle-node in beta_p and report the germ-chart unfolding.
+def circle_saddle_node(alpha_p: float) -> dict:
+    """Locate the saddle-node in beta_p on (-1e-6, 1e-6) and report the germ-chart unfolding.
 
     The saddle-node sits within O(exp(-8 pi)) of the boundary curve beta_2 in
     germ units, i.e. at beta_p of a few 1e-8 for alpha_p ~ 0.05."""
-    lo, hi = bracket
-    beta_p_star = brentq(lambda b: _circle_disc(alpha_p, b), lo, hi, xtol=1e-13)
+    beta_p_star = brentq(lambda b: _circle_disc(alpha_p, b), -1e-6, 1e-6, xtol=1e-13)
     fit = circle_unfolding_fit(alpha_p, beta_p_star)
     fit["beta_p"] = float(beta_p_star)
     return fit
@@ -725,11 +739,17 @@ def circle_cycle_multiplier() -> float:
     return (sec.coord(q2) - sec.coord(q1)) / 0.05
 
 
-def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> RegionReport:
-    fit = circle_unfolding_fit(alpha_p, beta_p)
-    syn = foldfold_family(kappa=fit["kappa"], dtilde=fit["dtilde"])
-    report = _classify_foldfold(syn, fit["alpha"], fit["beta"])
-    return replace(report, params=(alpha_p, beta_p))
+def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
+    """A circle cell: its crossing cycles from the flow, its flags from the exact geometry."""
+    if alpha_p == 0.0 and beta_p == 0.0:
+        return _tangent_polycycle((alpha_p, beta_p))
+    cycles = _circle_return(alpha_p, beta_p)
+    # beta_p > 0 lifts the X-cycle off Sigma into M+; beta_p = 0 makes it tangent
+    flags = ("X-cycle-in-Mplus",) if beta_p > 0 else ("tangent-X-cycle",) if beta_p == 0 else ()
+    return RegionReport(
+        params=(alpha_p, beta_p), item=_foldfold_item(cycles, 0), crossing_cycles=cycles, polycycles=0,
+        sliding_cycles=(), flags=flags,
+    )
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -740,7 +760,7 @@ def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
     if fam.backend == "ode":
         if fam.name != "VIFoldFold":
             raise ConfigError(f"no ODE backend for scenario {fam.name}")
-        return _classify_circle(fam, p1, p2)
+        return _classify_circle(p1, p2)
     if fam.name == "Cusp":
         return _classify_cusp(fam, p1, p2)
     if fam.name == "TwoFold":
@@ -798,13 +818,7 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
     return curves
 
 
-def sweep_diagram(
-    fam: ScenarioFamily,
-    n1: int,
-    n2: int,
-    ranges=None,
-    curve_samples: int = 201,
-) -> DiagramGrid:
+def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> DiagramGrid:
     (lo1, hi1), (lo2, hi2) = ranges or fam.ranges
     p1s = np.linspace(lo1, hi1, n1) if n1 > 1 else np.array([lo1])
     p2s = np.linspace(lo2, hi2, n2) if n2 > 1 else np.array([lo2])
@@ -824,7 +838,7 @@ def sweep_diagram(
                         error=f"{type(e).__name__}: {e}",
                     )
                 )
-    curves = _trace_curves(fam, curve_samples, ranges)
+    curves = _trace_curves(fam, ranges=ranges)
     axes = (
         (fam.param_names[0], float(p1s[0]), float(p1s[-1]), len(p1s)),
         (fam.param_names[1], float(p2s[0]), float(p2s[-1]), len(p2s)),

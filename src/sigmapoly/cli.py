@@ -50,7 +50,10 @@ def _parse_section(s: str) -> Section:
     except ValueError as e:
         raise ConfigError(f"bad section {s!r}: {e}") from e
     hw = vals[4] if len(vals) == 5 else 0.05
-    return Section(anchor=(vals[0], vals[1]), direction=(vals[2], vals[3]), halfwidth=hw)
+    try:
+        return Section(anchor=(vals[0], vals[1]), direction=(vals[2], vals[3]), halfwidth=hw)
+    except ValueError as e:
+        raise ConfigError(f"bad section {s!r}: {e}") from e
 
 
 def _parse_grid(s: str) -> tuple[int, int]:
@@ -104,6 +107,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    if args.dt_out <= 0:
+        raise ConfigError("--dt-out must be positive")
     Z = io.read_system(args.system)
     p = _parse_point(args.point)
     traj = filippov_trajectory(Z, np.array(p), tmax=args.tmax, dt_out=args.dt_out)
@@ -138,6 +143,8 @@ def _cmd_mirror(args) -> int:
     side = -1 if args.side == "minus" else 1
     exclusions = None
     if args.window is not None:
+        if args.window <= 0:
+            raise ConfigError("--window must be positive")
         exclusions = exclusion_set(F, Z.h, (-args.window, args.window), side=side)
     val = mirror_map(F, Z.h, args.x, side=side, exclusions=exclusions)
     _emit({"rho": val})
@@ -150,6 +157,8 @@ def _cmd_germ(args) -> int:
     tau = _parse_section(args.section)
     if args.window <= 0:
         raise ConfigError("--window must be positive")
+    if args.degree < 0:
+        raise ConfigError("--degree must be non-negative")
     g = transition_germ(
         F, Z.h, tau, args.base, args.degree, args.window, direction=args.direction
     )
@@ -201,6 +210,8 @@ def _cmd_scenario_curves(args) -> int:
             d["degenerate"] = True
         _emit(d)
         return 0
+    if args.samples < 1:
+        raise ConfigError("--samples must be positive")
     curves = bifurcation._trace_curves(fam, args.samples)
     text = io.curves_csv(curves)
     if args.out:

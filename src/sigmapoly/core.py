@@ -97,14 +97,14 @@ class SwitchingFunction:
             raise ValueError("degenerate domain rectangle")
         self._check_regular_value()
 
-    def _check_regular_value(self, n: int = 25) -> None:
-        # 0 must be a regular value of h on the sampled part of Sigma.
+    def _check_regular_value(self) -> None:
+        # 0 must be a regular value of h on Sigma, sampled on a 25 x 25 grid.
         xmin, xmax, ymin, ymax = self.domain
         hx, hy = self.h.dx(), self.h.dy()
         scale = max(abs(self.h(x, y)) for x in (xmin, xmax) for y in (ymin, ymax))
         scale = max(scale, 1.0)
-        for x in np.linspace(xmin, xmax, n):
-            for y in np.linspace(ymin, ymax, n):
+        for x in np.linspace(xmin, xmax, 25):
+            for y in np.linspace(ymin, ymax, 25):
                 if abs(self.h(x, y)) < 1e-6 * scale:
                     if np.hypot(hx(x, y), hy(x, y)) < CLASSIFY_TOL:
                         raise ValueError(

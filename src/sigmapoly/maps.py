@@ -50,6 +50,8 @@ from .flow import (
 GERM_COND_CAP = 1e10
 SEPARATRIX_DISTANCE = 0.1
 SECTION_HALFWIDTH = 0.05
+# half-width of the Sigma window a transfer pair's germs are fitted on
+GERM_WINDOW = 0.05
 # distance below which two Sigma points count as the same excluded point
 _EXCLUSION_TOL = 1e-9
 # rounding of a polynomial's value at x, in units of eps * sum |c_j| |x|^j:
@@ -282,10 +284,10 @@ def fit_germ(samples, base: float, degree: int, chart: dict | None = None) -> Ge
 # -- Sigma parametrization --------------------------------------------------
 
 
-def sigma_point(h: SwitchingFunction, x: float, y_guess: float = 0.0) -> np.ndarray:
-    """Point of Sigma over abscissa x (Newton on y; exact when h = y)."""
+def sigma_point(h: SwitchingFunction, x: float) -> np.ndarray:
+    """Point of Sigma over abscissa x (Newton on y from y = 0; exact when h = y)."""
     hy = h.h.dy()
-    y = y_guess
+    y = 0.0
     for _ in range(50):
         val = h.h(x, y)
         if abs(val) < 1e-14:
@@ -301,20 +303,15 @@ def sigma_point(h: SwitchingFunction, x: float, y_guess: float = 0.0) -> np.ndar
 
 
 def transition_map(
-    F: PolyField,
-    h: SwitchingFunction,
-    tau: Section,
-    x: float,
-    direction: str = "forward",
-    tmax: float = MAX_FLIGHT_TIME,
+    F: PolyField, h: SwitchingFunction, tau: Section, x: float, direction: str = "forward"
 ) -> float:
     """Chart value on tau of the orbit through the Sigma point over x."""
-    return _transition_values(F, h, tau, [x], direction, tmax)[0]
+    return _transition_values(F, h, tau, [x], direction)[0]
 
 
-def _transition_values(F, h, tau, xs, direction: str, tmax: float = MAX_FLIGHT_TIME) -> list[float]:
+def _transition_values(F, h, tau, xs, direction: str) -> list[float]:
     """transition_map at every x in xs, the orbits flown as one system."""
-    hits = hit_sections(F, [sigma_point(h, x) for x in xs], tau, direction, tmax)
+    hits = hit_sections(F, [sigma_point(h, x) for x in xs], tau, direction)
     return [tau.coord(q) for q, _ in hits]
 
 
@@ -326,10 +323,9 @@ def transition_germ(
     degree: int,
     window: float,
     direction: str = "forward",
-    nsamples: int | None = None,
     domain=None,
 ) -> Germ:
-    m = nsamples or max(2 * (degree + 1), 12)
+    m = max(2 * (degree + 1), 12)
     xs = cheb_nodes(base, window, m)
     if domain is not None:
         lo, hi = domain
@@ -401,15 +397,15 @@ def _arcs_stay_in_half_plane(F: PolyField, h: SwitchingFunction, tau: Section, x
 
 
 def sigma_domain(
-    F: PolyField, h: SwitchingFunction, p0, tau: Section, window: float, side: int = 1, nsamples: int = 41
+    F: PolyField, h: SwitchingFunction, p0, tau: Section, window: float, side: int = 1
 ) -> list[tuple[float, float]]:
     """Subset of (x0-window, x0+window) whose arcs to tau stay in the half-plane.
 
     Returns a list of closed-ish intervals; boundaries refined by bisection.
-    The scan's arcs fly as one system, each bisection step's arc alone.
+    The 41-point scan's arcs fly as one system, each bisection step's arc alone.
     """
     x0 = float(p0[0])
-    xs = np.linspace(x0 - window, x0 + window, nsamples)
+    xs = np.linspace(x0 - window, x0 + window, 41)
     ok = _arcs_stay_in_half_plane(F, h, tau, xs, side)
     intervals = []
     for inside, run in groupby(range(len(xs)), key=ok.__getitem__):
@@ -422,8 +418,8 @@ def sigma_domain(
     return intervals
 
 
-def _bisect_edge(F, h, tau, bad, good, side, iters=40):
-    for _ in range(iters):
+def _bisect_edge(F, h, tau, bad, good, side):
+    for _ in range(40):
         mid = 0.5 * (bad + good)
         if _arcs_stay_in_half_plane(F, h, tau, [mid], side)[0]:
             good = mid
@@ -438,7 +434,7 @@ def _bisect_edge(F, h, tau, bad, good, side, iters=40):
 
 
 def sigma_contacts(
-    F: PolyField, h: SwitchingFunction, window: tuple[float, float], nscan: int = 400
+    F: PolyField, h: SwitchingFunction, window: tuple[float, float]
 ) -> list[tuple[float, int, int]]:
     """Contacts of F with Sigma on the window: (x, order, lead sign).
 
@@ -448,7 +444,7 @@ def sigma_contacts(
     touching root (an even-multiplicity root, which no sign change shows).
     When h = c*y the critical points are the real roots of the exact
     polynomial restriction's derivative; otherwise they are the sign
-    changes of dg/dx along Sigma on an nscan-point scan, polished by brentq.
+    changes of dg/dx along Sigma on a 400-point scan, polished by brentq.
     """
     fh = lie_poly(F, h.h, 1)
     lo, hi = window
@@ -467,7 +463,7 @@ def sigma_contacts(
             px, py = sigma_point(h, x)
             return fhx(px, py) - fhy(px, py) * hx(px, py) / hy(px, py)
 
-        xs = np.linspace(lo, hi, nscan)
+        xs = np.linspace(lo, hi, 400)
         dv = np.array([dg(x) for x in xs])
         crit = [float(x) for x in xs[1:-1][dv[1:-1] == 0.0]]
         for k in np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0):
@@ -590,10 +586,7 @@ class TransferPair:
 class SectionConfig:
     tau_u: Section | None = None
     tau_s: Section | None = None
-    distance: float = SEPARATRIX_DISTANCE
     halfwidth: float = SECTION_HALFWIDTH
-    window: float = 0.05
-    degree: int | None = None
     same_side: bool = False  # force the R1 / E-I construction
 
 
@@ -622,32 +615,30 @@ def transfer_pair(
 def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     F = Z.X if cls.side == "plus" else Z.Y
     G = Z.Y if cls.side == "plus" else Z.X
-    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth)
-    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth)
-    n = cls.order
-    deg = cfg.degree or n
-    Tu = transition_germ(F, Z.h, tau_u, float(p[0]), deg, cfg.window, "forward")
-    Ts = transition_germ(G, Z.h, tau_s, float(p[0]), 1, cfg.window, "backward")
+    tau_u = cfg.tau_u or place_section(F, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(F, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
+    Tu = transition_germ(F, Z.h, tau_u, float(p[0]), cls.order, GERM_WINDOW, "forward")
+    Ts = transition_germ(G, Z.h, tau_s, float(p[0]), 1, GERM_WINDOW, "backward")
     side = 1 if cls.side == "plus" else -1
-    sig = sigma_domain(F, Z.h, p, tau_u, cfg.window, side=side)
+    sig = sigma_domain(F, Z.h, p, tau_u, GERM_WINDOW, side=side)
     return TransferPair(Tu=Tu, Ts=Ts, sigma=tuple(sig), case_tag="O")
 
 
 def _transfer_ei(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     F = Z.X if cls.side == "plus" else Z.Y
-    tau_u = cfg.tau_u or place_section(F, p, cfg.distance, "forward", cfg.halfwidth)
-    tau_s = cfg.tau_s or place_section(F, p, cfg.distance, "backward", cfg.halfwidth)
+    tau_u = cfg.tau_u or place_section(F, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(F, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
     # sigma is a transversal segment over p: chart by height above Sigma
     sgn = 1.0 if cls.side == "plus" else -1.0
-    sigma_sec = Section(anchor=(float(p[0]), float(p[1])), direction=(0.0, sgn), halfwidth=cfg.window)
-    xs = cheb_nodes(cfg.window / 2, cfg.window / 2 * 0.9, 14)
+    sigma_sec = Section(anchor=(float(p[0]), float(p[1])), direction=(0.0, sgn), halfwidth=GERM_WINDOW)
+    xs = cheb_nodes(GERM_WINDOW / 2, GERM_WINDOW / 2 * 0.9, 14)
     q0s = [sigma_sec.point_at(s) for s in xs]
     tu = hit_sections(F, q0s, tau_u, "forward")
     ts = hit_sections(F, q0s, tau_s, "backward")
     Tu = fit_germ([(s, tau_u.coord(q)) for s, (q, _) in zip(xs, tu)], 0.0, 1)
     Ts = fit_germ([(s, tau_s.coord(q)) for s, (q, _) in zip(xs, ts)], 0.0, 1)
     return TransferPair(
-        Tu=Tu, Ts=Ts, sigma=((0.0, cfg.window),), case_tag="EI"
+        Tu=Tu, Ts=Ts, sigma=((0.0, GERM_WINDOW),), case_tag="EI"
     )
 
 
@@ -667,19 +658,19 @@ def _flip_if_concave(g: Germ) -> Germ:
 
 def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
     # X has the visible fold at p, Y the invisible one nearby.
-    tau_u = cfg.tau_u or place_section(Z.X, p, cfg.distance, "forward", cfg.halfwidth)
-    tau_s = cfg.tau_s or place_section(Z.X, p, cfg.distance, "backward", cfg.halfwidth)
+    tau_u = cfg.tau_u or place_section(Z.X, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
+    tau_s = cfg.tau_s or place_section(Z.X, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
     x0 = float(p[0])
-    contacts = sigma_contacts(Z.Y, Z.h, (x0 - 4 * cfg.window, x0 + 4 * cfg.window))
+    contacts = sigma_contacts(Z.Y, Z.h, (x0 - 4 * GERM_WINDOW, x0 + 4 * GERM_WINDOW))
     if not contacts:
         raise UnsupportedSingularity("no Y-fold near the X-fold")
     alpha = min((c[0] for c in contacts), key=lambda c: abs(c - x0))
     excluded = tuple(
-        exclusion_set(Z.Y, Z.h, (x0 - 4 * cfg.window, x0 + 4 * cfg.window), side=-1)
+        exclusion_set(Z.Y, Z.h, (x0 - 4 * GERM_WINDOW, x0 + 4 * GERM_WINDOW), side=-1)
     )
 
     zeta = min(0.0, 2 * alpha - x0) + x0  # crossing boundary: min(x0, 2*alpha - x0)
-    lo, hi = x0 - cfg.window, zeta
+    lo, hi = x0 - GERM_WINDOW, zeta
     if hi <= lo:
         raise WindowTooSmall("empty crossing window left of the fold")
     xs = np.linspace(lo, hi - 1e-6 * (hi - lo), 14)
@@ -687,7 +678,7 @@ def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
     rs = _mirror_values(Z.Y, Z.h, xs, side=-1)
     Tu = fit_germ(list(zip(xs, _transition_values(Z.X, Z.h, tau_u, rs, "forward"))), x0, 2)
     Ts = transition_germ(
-        Z.X, Z.h, tau_s, x0, 2, cfg.window, "backward", domain=(lo, hi)
+        Z.X, Z.h, tau_s, x0, 2, GERM_WINDOW, "backward", domain=(lo, hi)
     )
     # VI convention: charts oriented so both quadratic coefficients are
     # positive (flipping a section chart negates its germ values)
@@ -706,13 +697,7 @@ def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
 # -- connection diffeomorphisms ------------------------------------------------
 
 
-def connection_diffeo(
-    Z: FilippovSystem,
-    tau_from: Section,
-    tau_to: Section,
-    y: float,
-    tmax: float = MAX_FLIGHT_TIME,
-) -> float:
+def connection_diffeo(Z: FilippovSystem, tau_from: Section, tau_to: Section, y: float) -> float:
     """Chart value on tau_to of the regular Z-orbit from tau_from at chart y.
 
     The orbit may cross Sigma (in the crossing region only); hitting a
@@ -723,7 +708,7 @@ def connection_diffeo(
     for _ in range(64):
         F, G = (Z.X, Z.Y) if Z.h.h(point[0], point[1]) >= 0 else (Z.Y, Z.X)
         try:
-            hit = next_sigma_hit(F, point, Z.h, "forward", tmax=tmax - t_used, section=tau_to)
+            hit = next_sigma_hit(F, point, Z.h, "forward", tmax=MAX_FLIGHT_TIME - t_used, section=tau_to)
         except NoHit as e:
             raise NoHit("orbit reaches neither the target section nor Sigma") from e
         if hit.kind == "section":

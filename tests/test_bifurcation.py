@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sigmapoly import bifurcation
 from sigmapoly.bifurcation import (
@@ -247,6 +250,84 @@ def test_foldfold_region_inventory_grid():
         for b in betas:
             items.add(classify_parameter_point(fam, (a, b)).item)
     assert {1, 2, 3, 4, 5, 6} <= items
+
+
+# -- VI fold-fold circle (ODE backend) -----------------------------------------
+
+
+def _circle_closed_form_return(alpha_p, beta_p, x):
+    """P(x) on {y = 0}: Y's mirror x -> 2 alpha_p - x, then the exact X orbit down to Sigma.
+
+    About (0, c), c = 1 + beta_p, X is theta' = 1, r' = r - r^3, so
+    r(t) = (1 + (r0^-2 - 1) e^(-2t))^(-1/2).  On each lap y = c + r sin(theta)
+    falls from theta = pi to one minimum before theta = 2 pi; the orbit comes
+    down through Sigma on the first lap whose minimum is below 0.  None when
+    it stays above Sigma for 15 laps.
+    """
+    c = 1.0 + beta_p
+    s = 2.0 * alpha_p - x
+    r0, th0 = math.hypot(s, c), math.atan2(-c, s)
+
+    def r(t):
+        return 1.0 / math.sqrt(1.0 + (1.0 / (r0 * r0) - 1.0) * math.exp(-2.0 * t))
+
+    def y(t):
+        return c + r(t) * math.sin(th0 + t)
+
+    def dy(t):
+        rt = r(t)
+        return (rt - rt**3) * math.sin(th0 + t) + rt * math.cos(th0 + t)
+
+    for lap in range(15):
+        t_pi = (2 * lap + 1) * math.pi - th0
+        t_min = brentq(dy, t_pi, t_pi + math.pi, xtol=1e-15)
+        if y(t_min) < 0.0:
+            t = brentq(y, t_pi, t_min, xtol=1e-15)
+            return r(t) * math.cos(th0 + t)
+    return None
+
+
+def _circle_closed_form_cycles(alpha_p, beta_p):
+    """Stability letters of the sign changes of P(x) - x on (zeta - 0.5, zeta), dense toward zeta."""
+    c = 1.0 + beta_p
+    fold = (-1.0 + math.sqrt(1.0 - 4.0 * c * c * (c * c - 1.0))) / (2.0 * c)
+    zeta = min(fold, 2.0 * alpha_p - fold)
+    gaps = np.concatenate([np.linspace(0.5, 0.01, 50, endpoint=False), np.geomspace(0.01, 1e-7, 50)])
+    xs = zeta - gaps
+    g = []
+    for x in xs:
+        p = _circle_closed_form_return(alpha_p, beta_p, x)
+        g.append(np.nan if p is None else p - x)
+    return ["a" if g[k] > 0 else "r" for k in range(len(g) - 1) if g[k] * g[k + 1] < 0]
+
+
+@pytest.mark.parametrize(
+    "alpha_p, beta_p, flag",
+    [
+        (0.05, -0.05, ""),
+        (-0.1, 0.05, "X-cycle-in-Mplus"),
+        (-0.05, 0.0, "tangent-X-cycle"),
+        (0.05, 0.0, "tangent-X-cycle"),
+        (-0.1, -0.025, ""),
+        (0.1, -0.025, ""),
+    ],
+)
+def test_circle_cells_match_closed_form(alpha_p, beta_p, flag):
+    # cells of the default 5x5 circle grid against the exact flow: the count
+    # and stabilities come from the Sigma-to-Sigma return, the flags from beta_p
+    stab = _circle_closed_form_cycles(alpha_p, beta_p)
+    cell = classify_parameter_point(bifurcation.circle_family(validate=False), (alpha_p, beta_p))
+    assert [c.stability[0] for c in cell.crossing_cycles] == stab
+    assert cell.flags == ((flag,) if flag else ())
+    assert cell.polycycles == 0 and cell.sliding_cycles == ()
+    assert cell.item == {0: 1, 1: 5, 2: 3}[len(stab)]
+
+
+def test_circle_origin_is_the_tangent_polycycle():
+    # (0, 0) is the codim-2 point itself, not a crossing cycle; the exact flow has none
+    assert _circle_closed_form_cycles(0.0, 0.0) == []
+    cell = classify_parameter_point(bifurcation.circle_family(validate=False), (0.0, 0.0))
+    assert cell.label == "item0|x0|p1|s0|codim2|tangent-polycycle"
 
 
 # -- sweeps ---------------------------------------------------------------------

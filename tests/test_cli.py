@@ -84,10 +84,32 @@ def test_scenario_curves_values(capsys):
     assert d["Abar"] == pytest.approx(0.198, abs=1e-12)
 
 
-def test_exit_code_config_error(tmp_path, capsys):
+def test_exit_code_config_error(tmp_path, system_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert run(["classify", "--system", str(bad), "--point", "0,0"]) == 2
+    capsys.readouterr()
+    systems = {
+        "x9": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[9, 0, 1.0]]}),  # past the degree cap
+        "domain": dict(SYSTEM, domain=[1, 0, -1, 1]),  # degenerate rectangle
+        "y2": dict(SYSTEM, h=[[0, 2, 1.0]]),  # grad h vanishes on Sigma
+    }
+    for name, d in systems.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    cases = [
+        *(["classify", "--system", str(tmp_path / f"{name}.json"), "--point", "0,0"] for name in systems),
+        ["transition", "--system", system_path, "--section", "1,0,0,0", "--x", "0.3"],
+        ["flow", "--system", system_path, "--point=-1,0.5", "--dt-out", "0"],
+        ["flow", "--system", system_path, "--point=-1,0.5", "--dt-out=-0.1"],
+        ["germ", "--system", system_path, "--section", "1,0,0,1,2", "--degree=-1"],
+        ["scenario-curves", "--scenario", "cusp-synthetic", "--samples=-3"],
+        ["mirror", "--system", system_path, "--x", "0.4", "--window=-1"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert json.loads(out.err)["error"] == "ConfigError", argv
 
 
 def test_exit_code_numeric_error(system_path, capsys):
