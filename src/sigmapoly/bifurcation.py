@@ -7,9 +7,10 @@ offers bifurcation-curve computation, geometric region classification
 (root placement versus the admissible windows, never inequality-table
 lookup), and a parameter-plane sweep.
 
-An ODE backend realizes the fold-fold scenario on a concrete circle
-field: its cells count crossing cycles from the flow's Sigma-to-Sigma
-return, and the germ-level unfolding fitted by flow only reports.
+A fourth family, "Circle", realizes the fold-fold scenario on a concrete
+circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
+return, and it has no closed-form curves.  A family is a plain record, and
+every job dispatches on its name.
 """
 
 from __future__ import annotations
@@ -93,32 +94,21 @@ class CurveValues:
 
 @dataclass(frozen=True)
 class ScenarioFamily:
-    name: str  # "Cusp" | "TwoFold" | "VIFoldFold"
-    backend: str  # "synthetic" | "ode"
-    param_names: tuple[str, str]
+    name: str  # "Cusp" | "TwoFold" | "VIFoldFold" | "Circle"
+    ranges: tuple[tuple[float, float], tuple[float, float]]
     coeffs: dict = field(default_factory=dict)
-    ranges: tuple[tuple[float, float], tuple[float, float]] = (
-        (-0.15, 0.15),
-        (-0.25, 0.25),
-    )
     eps: float = DEFAULT_EPS
 
 
 def cusp_family(kappa: float = -1.0, dtilde: float = -1.0) -> ScenarioFamily:
     if kappa >= 0:
         raise ConfigError("regular-cusp scenario requires kappa < 0")
-    fam = ScenarioFamily(
+    return ScenarioFamily(
         name="Cusp",
-        backend="synthetic",
-        param_names=("lambda1", "beta"),
         coeffs={"kappa": kappa, "dtilde": dtilde},
         ranges=((-0.05, 0.05), (-0.25, 0.25)),
         eps=0.6,
     )
-    base = classify_parameter_point(fam, (0.0, 0.0))
-    if base.polycycles < 1:
-        raise ConfigError("family does not exhibit the cusp polycycle at (0,0)")
-    return fam
 
 
 def twofold_family(
@@ -132,18 +122,13 @@ def twofold_family(
         raise ConfigError(
             "double regular-fold (attracting case) requires kappa1<0<kappa2, dtilde_i>0"
         )
-    fam = ScenarioFamily(
+    # at the origin the return polynomial is c x^4 - x: x = 0 is always a polycycle
+    return ScenarioFamily(
         name="TwoFold",
-        backend="synthetic",
-        param_names=("beta1", "beta2"),
         coeffs={"kappa1": kappa1, "kappa2": kappa2, "dtilde1": dtilde1, "dtilde2": dtilde2},
         ranges=((-0.2, 0.2), (-0.2, 0.2)),
         eps=0.6,
     )
-    base = classify_parameter_point(fam, (0.0, 0.0))
-    if base.polycycles < 1:
-        raise ConfigError("family does not exhibit the two-fold polycycle at (0,0)")
-    return fam
 
 
 def foldfold_family(kappa: float = 1.0, dtilde: float = 2.0) -> ScenarioFamily:
@@ -151,34 +136,16 @@ def foldfold_family(kappa: float = 1.0, dtilde: float = 2.0) -> ScenarioFamily:
         raise ConfigError("VI fold-fold scenario requires kappa > 0 and dtilde > 0")
     if kappa - dtilde >= 0:
         raise ConfigError("attracting VI fold-fold requires kappa - dtilde < 0")
-    fam = ScenarioFamily(
+    return ScenarioFamily(
         name="VIFoldFold",
-        backend="synthetic",
-        param_names=("alpha", "beta"),
         coeffs={"kappa": kappa, "dtilde": dtilde},
         ranges=((-0.15, 0.15), (-0.12, 0.12)),
         eps=1.0,
     )
-    base = classify_parameter_point(fam, (0.0, 0.0))
-    if base.polycycles < 1:
-        raise ConfigError("family does not exhibit the fold-fold polycycle at (0,0)")
-    return fam
 
 
-def circle_family(validate: bool = True) -> ScenarioFamily:
-    fam = ScenarioFamily(
-        name="VIFoldFold",
-        backend="ode",
-        param_names=("alpha", "beta"),
-        coeffs={},
-        ranges=((-0.1, 0.1), (-0.05, 0.05)),
-    )
-    if validate:
-        # Gamma0 must be a hyperbolic limit cycle of X0
-        dpx = circle_cycle_multiplier()
-        if abs(dpx - 1.0) < 0.05:
-            raise ConfigError(f"circle cycle is not hyperbolic: dP_X = {dpx}")
-    return fam
+def circle_family() -> ScenarioFamily:
+    return ScenarioFamily(name="Circle", ranges=((-0.1, 0.1), (-0.05, 0.05)))
 
 
 # -- cusp ---------------------------------------------------------------------
@@ -312,7 +279,7 @@ def _twofold_model(fam: ScenarioFamily, b1: float, b2: float) -> SyntheticModel:
     DTs2 = Germ(base=0.0, coeffs=(0.0, c["dtilde2"]), window=eps)
     leg1 = SyntheticLeg(Tu=Tu1, DTs=DTs1, sigma=(0.0, eps))
     leg2 = SyntheticLeg(Tu=Tu2, DTs=DTs2, sigma=(-eps, 0.0))
-    return SyntheticModel(k=2, legs=(leg1, leg2), unfolding={"beta1": b1, "beta2": b2})
+    return SyntheticModel(k=2, legs=(leg1, leg2))
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -340,7 +307,6 @@ def _twofold_sliding_trace(
     that fold.  A repeated fold exit closes a sliding cycle; an interior
     orbit converging under the crossing dynamics yields none.
     """
-    c = fam.coeffs
     model = _twofold_model(fam, b1, b2)
 
     def step(corner: int, x: float) -> float:
@@ -467,9 +433,7 @@ def _foldfold_model(fam: ScenarioFamily, alpha: float, beta: float) -> Synthetic
     Tu = Germ(base=0.0, coeffs=(beta, 0.0, c["kappa"]), window=fam.eps)
     DTs = Germ(base=0.0, coeffs=(0.0, 0.0, c["dtilde"]), window=fam.eps)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(lo, zeta), a=alpha)
-    return SyntheticModel(
-        k=1, legs=(leg,), unfolding={"alpha": alpha, "beta": beta}, eII=True
-    )
+    return SyntheticModel(k=1, legs=(leg,))
 
 
 def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
@@ -612,8 +576,8 @@ def _circle_return(alpha_p: float, beta_p: float) -> tuple[CycleReport, ...]:
 
     P is the Poincare map on Sigma, Y's exact mirror x -> 2 alpha_p - x and
     then the X flight back to Sigma.  The 16 starts crowd toward zeta, where
-    a cycle near the tangency sits, and fly as one system for 20 time units
-    (about three laps); a start that does not come back has no cycle through
+    a cycle near the tangency sits, and fly as one system for one lap and a
+    half-unit margin; a start that does not come back has no cycle through
     it.  A cycle, placed by the secant on its bracket, is attracting when
     P(x) - x > 0 on its left.
     """
@@ -621,7 +585,10 @@ def _circle_return(alpha_p: float, beta_p: float) -> tuple[CycleReport, ...]:
     fold = circle_visible_fold(Z)
     zeta = min(fold, 2.0 * alpha_p - fold)
     xs = zeta - 0.5 * 10.0 ** (-6.0 * np.arange(16) / 15.0)
-    hits = next_sigma_hits(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], Z.h, tmax=20.0)
+    # about (0, 1 + beta_p) X is theta' = 1, r' = r - r^3: a start x' > fold (|fold| < 0.2)
+    # passes the bottom of its first lap before t = 2 pi + 0.2, and r only falls, so a
+    # start still above Sigma there never comes back
+    hits = next_sigma_hits(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], Z.h, tmax=2.0 * np.pi + 0.5)
     g = [q.point[0] - x if isinstance(q, SigmaHit) else np.nan for q, x in zip(hits, xs)]
     cycles = []
     for k in range(len(xs) - 1):
@@ -739,7 +706,7 @@ def circle_cycle_multiplier() -> float:
     return (sec.coord(q2) - sec.coord(q1)) / 0.05
 
 
-def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
+def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> RegionReport:
     """A circle cell: its crossing cycles from the flow, its flags from the exact geometry."""
     if alpha_p == 0.0 and beta_p == 0.0:
         return _tangent_polycycle((alpha_p, beta_p))
@@ -755,31 +722,28 @@ def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
 # -- dispatch -----------------------------------------------------------------
 
 
+_CLASSIFIERS = {
+    "Cusp": _classify_cusp,
+    "TwoFold": _classify_twofold,
+    "VIFoldFold": _classify_foldfold,
+    "Circle": _classify_circle,
+}
+_CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfold_curves}
+
+
 def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
-    p1, p2 = float(params[0]), float(params[1])
-    if fam.backend == "ode":
-        if fam.name != "VIFoldFold":
-            raise ConfigError(f"no ODE backend for scenario {fam.name}")
-        return _classify_circle(p1, p2)
-    if fam.name == "Cusp":
-        return _classify_cusp(fam, p1, p2)
-    if fam.name == "TwoFold":
-        return _classify_twofold(fam, p1, p2)
-    if fam.name == "VIFoldFold":
-        return _classify_foldfold(fam, p1, p2)
-    raise ConfigError(f"unknown scenario {fam.name}")
+    return _CLASSIFIERS[fam.name](fam, float(params[0]), float(params[1]))
+
+
+def _curves_of(fam: ScenarioFamily) -> Callable[[ScenarioFamily, float], CurveValues]:
+    """The scenario's closed-form curve function; the circle has none."""
+    if fam.name not in _CURVES:
+        raise ConfigError(NO_CIRCLE_CURVES)
+    return _CURVES[fam.name]
 
 
 def scenario_curves(fam: ScenarioFamily, p: float) -> CurveValues:
-    if fam.backend != "synthetic":
-        raise ConfigError(NO_CIRCLE_CURVES)
-    if fam.name == "Cusp":
-        return cusp_curves(fam, p)
-    if fam.name == "TwoFold":
-        return twofold_curves(fam, p)
-    if fam.name == "VIFoldFold":
-        return foldfold_curves(fam, p)
-    raise ConfigError(f"unknown scenario {fam.name}")
+    return _curves_of(fam)(fam, p)
 
 
 # -- diagrams ------------------------------------------------------------------
@@ -787,34 +751,42 @@ def scenario_curves(fam: ScenarioFamily, p: float) -> CurveValues:
 
 @dataclass(frozen=True)
 class DiagramGrid:
-    axes: tuple[tuple[str, float, float, int], tuple[str, float, float, int]]
     cells: tuple[RegionReport, ...]  # row-major over (p1, p2)
     curves: dict  # name -> list of (param, p1, p2)
+
+
+def _trace_cusp(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
+    for lam in np.linspace(1e-6, hi1, n):
+        cur = cusp_curves(fam, lam)
+        for nm in ("Vbar", "Ibar", "Abar"):
+            yield nm, lam, lam, cur[nm]
+
+
+def _trace_twofold(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
+    for b in np.linspace(0.0, hi1, n):
+        yield "gamma1", b, twofold_curves(fam, b)["gamma1"], b
+    for b in np.linspace(lo1, 0.0, n):
+        yield "gamma2", b, b, twofold_curves(fam, b)["gamma2"]
+
+
+def _trace_foldfold(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
+    for a in np.linspace(lo1, hi1, n):
+        for nm, val in sorted(foldfold_curves(fam, a).values.items()):
+            yield nm, a, a, val
+
+
+_TRACERS = {
+    "Cusp": _trace_cusp, "TwoFold": _trace_twofold, "VIFoldFold": _trace_foldfold,
+    "Circle": lambda fam, n, lo1, hi1: (),  # no closed-form curves
+}
 
 
 def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict:
     """Sample every bifurcation curve of the scenario on its parameter range."""
     curves: dict = {}
     (lo1, hi1), _ = ranges or fam.ranges
-
-    def add(name, param, p1, p2):
+    for name, param, p1, p2 in _TRACERS[fam.name](fam, nsamples, lo1, hi1):
         curves.setdefault(name, []).append((float(param), float(p1), float(p2)))
-
-    if fam.name == "Cusp":
-        for lam in np.linspace(1e-6, hi1, nsamples):
-            cur = cusp_curves(fam, lam)
-            for nm in ("Vbar", "Ibar", "Abar"):
-                add(nm, lam, lam, cur[nm])
-    elif fam.name == "TwoFold":
-        for b in np.linspace(0.0, hi1, nsamples):
-            add("gamma1", b, twofold_curves(fam, b)["gamma1"], b)
-        for b in np.linspace(lo1, 0.0, nsamples):
-            add("gamma2", b, b, twofold_curves(fam, b)["gamma2"])
-    elif fam.name == "VIFoldFold" and fam.backend == "synthetic":
-        for a in np.linspace(lo1, hi1, nsamples):
-            cur = foldfold_curves(fam, a)
-            for nm, val in sorted(cur.values.items()):
-                add(nm, a, a, val)
     return curves
 
 
@@ -828,22 +800,11 @@ def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> Diagram
             try:
                 cells.append(classify_parameter_point(fam, (p1, p2)))
             except SigmapolyError as e:  # recorded; a programming error propagates
-                cells.append(
-                    RegionReport(
-                        params=(float(p1), float(p2)),
-                        item=None,
-                        crossing_cycles=(),
-                        polycycles=0,
-                        sliding_cycles=(),
-                        error=f"{type(e).__name__}: {e}",
-                    )
-                )
-    curves = _trace_curves(fam, ranges=ranges)
-    axes = (
-        (fam.param_names[0], float(p1s[0]), float(p1s[-1]), len(p1s)),
-        (fam.param_names[1], float(p2s[0]), float(p2s[-1]), len(p2s)),
-    )
-    return DiagramGrid(axes=axes, cells=tuple(cells), curves=curves)
+                cells.append(RegionReport(
+                    params=(float(p1), float(p2)), item=None, crossing_cycles=(), polycycles=0,
+                    sliding_cycles=(), error=f"{type(e).__name__}: {e}",
+                ))
+    return DiagramGrid(cells=tuple(cells), curves=_trace_curves(fam, ranges=ranges))
 
 
 SCENARIOS: dict[str, Callable[[], ScenarioFamily]] = {

@@ -31,12 +31,19 @@ from .maps import exclusion_set, mirror_map, transition_germ, transition_map
 from .polycycle import find_cycles
 
 
+def _finite(vals, what: str):
+    """vals (a number or nested tuples of numbers) unchanged; a ConfigError unless all are finite."""
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{what} must be finite")
+    return vals
+
+
 def _parse_point(s: str) -> tuple[float, float]:
     parts = s.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected 'x,y', got {s!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return _finite((float(parts[0]), float(parts[1])), f"point {s!r}")
     except ValueError as e:
         raise ConfigError(f"bad point {s!r}: {e}") from e
 
@@ -46,7 +53,7 @@ def _parse_section(s: str) -> Section:
     if len(parts) not in (4, 5):
         raise ConfigError(f"expected 'ax,ay,dx,dy[,halfwidth]', got {s!r}")
     try:
-        vals = [float(v) for v in parts]
+        vals = _finite(tuple(float(v) for v in parts), f"section {s!r}")
     except ValueError as e:
         raise ConfigError(f"bad section {s!r}: {e}") from e
     hw = vals[4] if len(vals) == 5 else 0.05
@@ -109,6 +116,8 @@ def _cmd_classify(args) -> int:
 def _cmd_flow(args) -> int:
     if args.dt_out <= 0:
         raise ConfigError("--dt-out must be positive")
+    if args.tmax <= 0:
+        raise ConfigError("--tmax must be positive")
     Z = io.read_system(args.system)
     p = _parse_point(args.point)
     traj = filippov_trajectory(Z, np.array(p), tmax=args.tmax, dt_out=args.dt_out)
@@ -201,8 +210,6 @@ def _scenario(name: str) -> bifurcation.ScenarioFamily:
 
 def _cmd_scenario_curves(args) -> int:
     fam = _scenario(args.scenario)
-    if fam.backend != "synthetic":
-        raise ConfigError(bifurcation.NO_CIRCLE_CURVES)
     if args.param is not None:
         cur = bifurcation.scenario_curves(fam, args.param)
         d = dict(sorted(cur.values.items()))
@@ -210,6 +217,7 @@ def _cmd_scenario_curves(args) -> int:
             d["degenerate"] = True
         _emit(d)
         return 0
+    bifurcation._curves_of(fam)  # refuses the circle, whose curves are not known in closed form
     if args.samples < 1:
         raise ConfigError("--samples must be positive")
     curves = bifurcation._trace_curves(fam, args.samples)
@@ -230,7 +238,7 @@ def _cmd_diagram(args) -> int:
             r1, r2 = args.ranges.split(",")
             lo1, hi1 = (float(v) for v in r1.split(":"))
             lo2, hi2 = (float(v) for v in r2.split(":"))
-            ranges = ((lo1, hi1), (lo2, hi2))
+            ranges = _finite(((lo1, hi1), (lo2, hi2)), f"--ranges {args.ranges!r}")
         except ValueError as e:
             raise ConfigError(
                 f"bad --ranges {args.ranges!r}, expected 'lo:hi,lo:hi'"
@@ -331,6 +339,9 @@ def run(argv=None) -> int:
     except SystemExit as e:  # argparse has written its message to stderr
         return e.code
     try:
+        for name, v in vars(args).items():  # every numeric flag
+            if isinstance(v, float):
+                _finite(v, "--" + name.replace("_", "-"))
         return args.fn(args)
     except SigmapolyError as e:
         sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")

@@ -147,17 +147,13 @@ class UnstableSliding:
 class Tangency:
     side: str  # "plus" (X tangent) or "minus" (Y tangent)
     order: int
-    lead_sign: int
     visibility: str  # "visible" | "invisible" | "odd"
-    other_side_sign: int
     flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class FoldFold:
     kind: str  # "VV" | "VI" | "IV" | "II"
-    x_sign: int
-    y_sign: int
     flags: tuple[str, ...] = ()
 
 
@@ -283,20 +279,12 @@ def classify_sigma_point(Z: FilippovSystem, p, strict: bool = False) -> SigmaCla
         kind = _FOLD_FOLD_KIND[
             (_visibility("plus", nx, sx), _visibility("minus", ny, sy))
         ]
-        return FoldFold(kind=kind, x_sign=sx, y_sign=sy, flags=tuple(flags))
+        return FoldFold(kind=kind, flags=tuple(flags))
 
     side = "plus" if x_tangent else "minus"
     F = Z.X if x_tangent else Z.Y
     n, s = contact_order(F, Z.h, p, flags)
-    other = Yh if x_tangent else Xh
-    return Tangency(
-        side=side,
-        order=n,
-        lead_sign=s,
-        visibility=_visibility(side, n, s),
-        other_side_sign=_sign(other),
-        flags=tuple(flags),
-    )
+    return Tangency(side=side, order=n, visibility=_visibility(side, n, s), flags=tuple(flags))
 
 
 def sliding_field(Z: FilippovSystem, p) -> np.ndarray:

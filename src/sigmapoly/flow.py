@@ -447,9 +447,6 @@ class Arc:
     regime: str  # "Mplus" | "Mminus" | "Sliding"
     ts: np.ndarray
     points: np.ndarray  # shape (N, 2)
-    t0: float
-    t1: float
-    entry_event: str
     exit_event: str
 
 
@@ -529,7 +526,6 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
     t = 0.0
     point = np.asarray(p, dtype=float)
     regime = _starting_regime(Z, point)
-    entry = "start"
 
     while t < tmax - 1e-12:
         budget = tmax - t
@@ -540,13 +536,12 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
             t1 = budget if hit is None else hit.time
             ts, pts = _sample_arc(arc, t1, dt_out)
             end = "time-out" if hit is None else "tangency-touch" if hit.kind == "touch" else "cross"
-            traj.arcs.append(Arc(regime, ts + t, pts, t, t + t1, entry, end))
+            traj.arcs.append(Arc(regime, ts + t, pts, end))
             if hit is None:
                 return traj
             t += hit.time
             point = hit.point
             if hit.kind == "touch":
-                entry = "tangency-touch"
                 # nudge along the flow so the touch is not re-found
                 point = flow_smooth(F, point, 1e-8)
                 t += 1e-8
@@ -554,20 +549,17 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
             cls = classify_sigma_point(Z, point)
             if isinstance(cls, Crossing):
                 regime = "Mminus" if regime == "Mplus" else "Mplus"
-                entry = "cross"
             elif isinstance(cls, StableSliding):
                 regime = "Sliding"
-                entry = "sliding-entry"
             elif isinstance(cls, Tangency):
                 regime = "Mminus" if cls.side == "minus" else "Mplus"
-                entry = "tangency"
             else:
                 raise NonDeterministicExit(f"orbit reached {type(cls).__name__} at {tuple(point)}")
         else:  # Sliding
             arc, tslide, which = _slide(Z, point, budget)
             ts, pts = _sample_arc(arc, tslide, dt_out)
             exit_event = "time-out" if which is None else f"fold-exit-{which}"
-            traj.arcs.append(Arc("Sliding", ts + t, pts, t, t + tslide, entry, exit_event))
+            traj.arcs.append(Arc("Sliding", ts + t, pts, exit_event))
             t += tslide
             point = _arc_points(arc, [tslide])[:, 0]
             if which is None:
@@ -581,7 +573,6 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
                 raise NonDeterministicExit(f"sliding reached a VV fold-fold at {tuple(point)}")
             else:
                 raise NonDeterministicExit(f"sliding exit at {tuple(point)} is not a visible fold ({cls})")
-            entry = exit_event
             point = flow_smooth(Z.X if regime == "Mplus" else Z.Y, point, 1e-8)
             t += 1e-8
     return traj

@@ -112,8 +112,6 @@ def model_to_dict(m: SyntheticModel) -> dict:
             }
             for leg in m.legs
         ],
-        "unfolding": dict(m.unfolding),
-        "eII": m.eII,
     }
 
 
@@ -132,12 +130,7 @@ def model_from_dict(d: dict) -> SyntheticModel:
                     a=float(leg.get("a", 0.0)),
                 )
             )
-        return SyntheticModel(
-            k=int(d["k"]),
-            legs=tuple(legs),
-            unfolding=dict(d.get("unfolding", {})),
-            eII=bool(d.get("eII", False)),
-        )
+        return SyntheticModel(k=int(d["k"]), legs=tuple(legs))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad model JSON: {e}") from e
 

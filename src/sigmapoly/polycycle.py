@@ -11,7 +11,7 @@ equation P(x_1) = x_1 of the composed first-return map for several.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class SyntheticLeg:
 class SyntheticModel:
     k: int
     legs: tuple[SyntheticLeg, ...]
-    unfolding: dict = field(default_factory=dict)
-    eII: bool = False
 
     def __post_init__(self):
         if self.k != len(self.legs):
@@ -230,7 +228,6 @@ def normal_form_model(
     lam: tuple[float, ...] = (),
     sigma: tuple[float, float] = (-0.3, 0.0),
     a: float = 0.0,
-    eII: bool = False,
 ) -> SyntheticModel:
     """One-leg model Tu(x) = lam_0 + ... + kappa x^n, DTs(x) = dtilde x."""
     coeffs = list(lam) + [0.0] * (n + 1 - len(lam))
@@ -238,4 +235,4 @@ def normal_form_model(
     Tu = Germ(base=0.0, coeffs=tuple(coeffs), window=max(abs(sigma[0]), abs(sigma[1])))
     DTs = Germ(base=0.0, coeffs=(0.0, dtilde), window=Tu.window)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=sigma, a=a)
-    return SyntheticModel(k=1, legs=(leg,), unfolding={}, eII=eII)
+    return SyntheticModel(k=1, legs=(leg,))

@@ -316,7 +316,7 @@ def test_circle_cells_match_closed_form(alpha_p, beta_p, flag):
     # cells of the default 5x5 circle grid against the exact flow: the count
     # and stabilities come from the Sigma-to-Sigma return, the flags from beta_p
     stab = _circle_closed_form_cycles(alpha_p, beta_p)
-    cell = classify_parameter_point(bifurcation.circle_family(validate=False), (alpha_p, beta_p))
+    cell = classify_parameter_point(bifurcation.circle_family(), (alpha_p, beta_p))
     assert [c.stability[0] for c in cell.crossing_cycles] == stab
     assert cell.flags == ((flag,) if flag else ())
     assert cell.polycycles == 0 and cell.sliding_cycles == ()
@@ -326,8 +326,18 @@ def test_circle_cells_match_closed_form(alpha_p, beta_p, flag):
 def test_circle_origin_is_the_tangent_polycycle():
     # (0, 0) is the codim-2 point itself, not a crossing cycle; the exact flow has none
     assert _circle_closed_form_cycles(0.0, 0.0) == []
-    cell = classify_parameter_point(bifurcation.circle_family(validate=False), (0.0, 0.0))
+    cell = classify_parameter_point(bifurcation.circle_family(), (0.0, 0.0))
     assert cell.label == "item0|x0|p1|s0|codim2|tangent-polycycle"
+
+
+def test_circle_cycle_is_hyperbolic():
+    # one lap from the top section: r(2 pi; r0) with r0 = 1.05 and 1.1 about (0, 1)
+    def r(t, r0):
+        return (1.0 + (r0**-2 - 1.0) * math.exp(-2.0 * t)) ** -0.5
+
+    dp = bifurcation.circle_cycle_multiplier()
+    assert dp == pytest.approx((r(2 * math.pi, 1.1) - r(2 * math.pi, 1.05)) / 0.05, abs=1e-10)
+    assert abs(dp - 1.0) > 0.05
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -335,7 +345,7 @@ def test_circle_origin_is_the_tangent_polycycle():
 
 def test_circle_has_no_traced_curves():
     # the circle's curves are not known in closed form; none are invented
-    assert bifurcation._trace_curves(bifurcation.circle_family(validate=False)) == {}
+    assert bifurcation._trace_curves(bifurcation.circle_family()) == {}
 
 
 def test_sweep_records_period_annulus(monkeypatch):

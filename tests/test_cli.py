@@ -104,6 +104,15 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         ["germ", "--system", system_path, "--section", "1,0,0,1,2", "--degree=-1"],
         ["scenario-curves", "--scenario", "cusp-synthetic", "--samples=-3"],
         ["mirror", "--system", system_path, "--x", "0.4", "--window=-1"],
+        # a non-positive or non-finite number, in a flag or in a parsed list
+        *(["flow", "--system", system_path, "--point=-1,0.5", f"--tmax={t}"]
+          for t in ("-1", "0", "nan", "inf")),
+        ["flow", "--system", system_path, "--point=-1,0.5", "--dt-out", "nan"],
+        *(["germ", "--system", system_path, "--section", "1,0,0,1,2", "--window", w] for w in ("nan", "inf")),
+        ["transition", "--system", system_path, "--section", "1,0,0,1,2", "--x", "nan"],
+        ["diagram", "--scenario", "cusp-synthetic", "--grid", "3x3", "--ranges=nan:0.1,0:0.1",
+         "--out", str(tmp_path / "d")],
+        ["classify", "--system", system_path, "--point=nan,0"],
     ]
     for argv in cases:
         assert run(argv) == 2, argv

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name or UPPER_CASE constant is read somewhere in
-the package, and every method or property of a package class is read
-somewhere in src/, tests/, scripts/ or bench/.
+the package, and every method, property or annotated field of a package
+class is read somewhere in src/, tests/, scripts/ or bench/.
 
 The modules are read with ast only, never imported.  The package's
 __init__ is left out of the import check (its imports are the public
@@ -99,12 +99,14 @@ READERS = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (ROOT 
 
 
 def _members(tree: ast.Module):
-    """(class, name) of every non-dunder method and property a module defines."""
+    """(class, name) of every non-dunder method, property and annotated field a module defines."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for f in node.body:
                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("__"):
                     yield node.name, f.name
+                elif isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
+                    yield node.name, f.target.id
 
 
 def _attrs_and_strings(tree: ast.Module) -> set[str]:

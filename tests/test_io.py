@@ -58,7 +58,7 @@ def test_germ_file_roundtrip(tmp_path):
 
 
 def test_model_roundtrip():
-    m = normal_form_model(1.0, 2.0, 2, lam=(-0.01,), a=0.05, eII=True)
+    m = normal_form_model(1.0, 2.0, 2, lam=(-0.01,), a=0.05)
     m2 = io.model_from_dict(model := io.model_to_dict(m))
     assert m2 == m
     # serialization is stable: dump -> load -> dump is the identity

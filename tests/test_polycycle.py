@@ -116,7 +116,7 @@ def test_first_return_closed_form():
 
 
 def test_first_return_eII_shift():
-    model = normal_form_model(1.0, 2.0, 2, a=-0.05, eII=True)
+    model = normal_form_model(1.0, 2.0, 2, a=-0.05)
     x = -0.2
     assert first_return(model, x) == pytest.approx((x + 0.1) ** 2 / 2.0, rel=1e-10)
 
