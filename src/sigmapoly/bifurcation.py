@@ -3,9 +3,12 @@
 Three packaged scenarios: the regular-cusp polycycle (parameters
 (lambda1, beta)), the double regular-fold polycycle (beta1, beta2), and
 the visible-invisible fold-fold polycycle (alpha, beta).  Each scenario
-offers bifurcation-curve computation, geometric region classification
-(root placement versus the admissible windows, never inequality-table
-lookup), and a parameter-plane sweep.
+offers bifurcation-curve computation, region classification and a
+parameter-plane sweep.  A cell's crossing cycles and polycycles come from
+root placement versus the admissible windows; its item number comes from
+where the cell lies relative to the closed-form curves (the fold-fold item,
+from the cycles it has).  The two-fold sliding cycles are the loops of the
+fold-exit map (`_fold_exit`).
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
@@ -212,40 +215,33 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
     V, I, A = cusp_fold_points(lam1, k)
     cur = cusp_curves(fam, lam1)
     flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
+    # a sliding cycle is structured by where the fold orbit from V lands relative to the
+    # invisible fold I (V - I = 2V > 0)
+    x_land = model.legs[0].land(V)
+    if abs(x_land - I) <= tol:
+        structure = "V-I-connection"
+    else:
+        structure = "land-in-(I,V)" if x_land > I else "land-in-(A,I)"
 
     cycles: list[CycleReport] = []
     polycycles = 0
     sliding: list[SlidingCycle] = []
-    hetero = False
-    lo_fold, hi_fold = min(A, V), max(A, V)
     for r in roots:
         x = r.point[0]
         if min(abs(x - A), abs(x - V)) <= tol:
             polycycles += 1
-        elif lo_fold < x < hi_fold:
-            # the fixed point of the return map falls on the sliding
-            # segment: a sliding cycle, structured by where the fold orbit
-            # lands relative to the invisible fold I
-            x_land = (beta + lam1 * V + k * V**3) / d
-            if abs(x_land - I) <= tol:
-                structure = "V-I-connection"
-                hetero = True
-            elif (x_land - I) * (V - I) > 0:
-                structure = "land-in-(I,V)"
-            else:
-                structure = "land-in-(A,I)"
+        elif A < x < V:  # the return map's fixed point falls on the sliding segment
             sliding.append(SlidingCycle(folds=("V",), segments=1, structure=structure))
         else:
             cycles.append(r)
 
-    item = _cusp_item(beta, cur, tol)
     return RegionReport(
         params=(lam1, beta),
-        item=item,
+        item=_cusp_item(beta, cur, tol),
         crossing_cycles=tuple(cycles),
         polycycles=polycycles,
         sliding_cycles=tuple(sliding),
-        heteroclinic=hetero,
+        heteroclinic=bool(sliding) and structure == "V-I-connection",
         flags=tuple(flags),
     )
 
@@ -297,76 +293,47 @@ def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
     return CurveValues({"gamma1": gamma1, "gamma2": gamma2})
 
 
-def _twofold_sliding_trace(
-    fam: ScenarioFamily, b1: float, b2: float, tol: float = CURVE_TOL
-) -> tuple[list[SlidingCycle], bool]:
-    """Follow fold-exit orbits through the germ maps.
+def _fold_exit(model: SyntheticModel, fold: int, eps: float, tol: float) -> tuple[int, str] | None:
+    """Where the orbit leaving fold p_fold next reaches a fold: (corner, "slide" | "connect").
 
-    Exiting fold p_i, the orbit lands at the next corner via the leg's
-    transfer pair; an out-of-window landing enters sliding and re-exits at
-    that fold.  A repeated fold exit closes a sliding cycle; an interior
-    orbit converging under the crossing dynamics yields none.
+    The orbit lands corner by corner through the legs' maps.  A landing on a
+    corner's sliding side (x < 0 at corner 1, x > 0 at corner 2) slides into
+    that corner's fold; a landing on the fold connects to it.  None when the
+    orbit escapes past 10 eps or the crossing iteration contracts onto a
+    crossing cycle (a repeat at the same corner).
     """
-    model = _twofold_model(fam, b1, b2)
-
-    def step(corner: int, x: float) -> float:
-        leg = model.legs[corner - 1]
-        return leg.Tu(x) / (leg.DTs.coeffs[1])
-
-    found: dict = {}
-    hetero = False
-    for start in (1, 2):
-        exits: list[tuple[int, str]] = []  # (fold, "slide" | "connect")
-        fold = start
-        closed = None
-        for _ in range(50):
-            x = step(fold, 0.0)  # landing at the other corner
-            corner = 2 if fold == 1 else 1
-            # corner 1 window [0, eps): sliding side x < 0
-            # corner 2 window (-eps, 0]: sliding side x > 0
-            last = {1: None, 2: None}
-            kind = "escape"
-            for _ in range(200):
-                if (corner == 1 and x < -tol) or (corner == 2 and x > tol):
-                    kind = "slide"
-                    break
-                if abs(x) <= tol:
-                    kind = "connect"
-                    if corner != fold:
-                        hetero = True
-                    break
-                if abs(x) > fam.eps * 10:
-                    kind = "escape"
-                    break
-                # the crossing iteration contracts onto a crossing cycle
-                if last[corner] is not None and abs(x - last[corner]) < 1e-12:
-                    kind = "converged"
-                    break
-                last[corner] = x
-                x = step(corner, x)
-                corner = 2 if corner == 1 else 1
-            if kind in ("escape", "converged"):
-                break
-            next_fold = corner
-            exits.append((fold, kind))
-            # the loop closes when the next exit repeats an earlier one
-            again = [i for i, (f, _) in enumerate(exits) if f == next_fold]
-            if again:
-                closed = exits[again[-1] :]
-                break
-            fold = next_fold
-        if closed:
-            segs = sum(1 for _, k in closed if k == "slide")
-            folds = tuple(sorted({f"p{f}" for f, _ in closed}))
-            key = (folds, segs)
-            if segs > 0 and key not in found:
-                found[key] = SlidingCycle(folds=folds, segments=segs)
-    return list(found.values()), hetero
+    corner, x = 3 - fold, model.legs[fold - 1].land(0.0)
+    last: dict[int, float] = {}
+    for _ in range(200):
+        if (x < -tol) if corner == 1 else (x > tol):
+            return corner, "slide"
+        if abs(x) <= tol:
+            return corner, "connect"
+        if abs(x) > eps * 10 or (corner in last and abs(x - last[corner]) < 1e-12):
+            return None
+        last[corner] = x
+        corner, x = 3 - corner, model.legs[corner - 1].land(x)
+    return None
 
 
-def _twofold_item(b1: float, b2: float, fam: ScenarioFamily, tol: float) -> int:
-    g1 = twofold_curves(fam, b2)["gamma1"]
-    g2 = twofold_curves(fam, b1)["gamma2"]
+def _twofold_sliding_trace(model: SyntheticModel, eps: float, tol: float) -> tuple[list[SlidingCycle], bool]:
+    """Sliding cycles as the loops of the fold-exit map, and whether a fold connects to the other.
+
+    The loop is (1, 2) when each fold's exit reaches the other, otherwise each
+    fold that returns to itself; a loop's segments are the slides on it.
+    """
+    exits = {f: _fold_exit(model, f, eps, tol) for f in (1, 2)}
+    to = {f: e[0] if e else None for f, e in exits.items()}
+    loops = [(1, 2)] if to == {1: 2, 2: 1} else [(f,) for f in (1, 2) if to[f] == f]
+    sliding = []
+    for loop in loops:
+        segments = sum(exits[f][1] == "slide" for f in loop)
+        if segments:
+            sliding.append(SlidingCycle(folds=tuple(f"p{f}" for f in loop), segments=segments))
+    return sliding, any(e == (3 - f, "connect") for f, e in exits.items())
+
+
+def _twofold_item(b1: float, b2: float, g1: float, g2: float, tol: float) -> int:
     if b2 > tol:
         if b1 > g1 + tol:
             return 1
@@ -401,7 +368,7 @@ def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float) -> RegionReport
     reports = find_cycles(model)
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
-    sliding, hetero = _twofold_sliding_trace(fam, b1, b2, tol)
+    sliding, hetero = _twofold_sliding_trace(model, fam.eps, tol)
     flags: list[str] = []
     g1 = twofold_curves(fam, b2)["gamma1"]
     g2 = twofold_curves(fam, b1)["gamma2"]
@@ -411,10 +378,9 @@ def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float) -> RegionReport
         flags.append("on-curve:gamma2")
     if abs(b1) <= tol and abs(b2) <= tol:
         flags.append("codim2")
-    item = _twofold_item(b1, b2, fam, tol)
     return RegionReport(
         params=(b1, b2),
-        item=item,
+        item=_twofold_item(b1, b2, g1, g2, tol),
         crossing_cycles=cycles,
         polycycles=polycycles,
         sliding_cycles=tuple(sliding),
@@ -755,37 +721,41 @@ class DiagramGrid:
     curves: dict  # name -> list of (param, p1, p2)
 
 
-def _trace_cusp(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
-    for lam in np.linspace(1e-6, hi1, n):
+def _span(lo: float, hi: float, n: int) -> np.ndarray:
+    """n samples of [lo, hi]; none when the interval is empty."""
+    return np.linspace(lo, hi, n) if lo <= hi else np.array([])
+
+
+def _trace_cusp(fam: ScenarioFamily, n: int, r1, r2):
+    for lam in _span(max(r1[0], 1e-6), r1[1], n):
         cur = cusp_curves(fam, lam)
         for nm in ("Vbar", "Ibar", "Abar"):
             yield nm, lam, lam, cur[nm]
 
 
-def _trace_twofold(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
-    for b in np.linspace(0.0, hi1, n):
+def _trace_twofold(fam: ScenarioFamily, n: int, r1, r2):
+    for b in _span(max(r2[0], 0.0), r2[1], n):  # gamma1 is a curve in beta2
         yield "gamma1", b, twofold_curves(fam, b)["gamma1"], b
-    for b in np.linspace(lo1, 0.0, n):
+    for b in _span(r1[0], min(r1[1], 0.0), n):
         yield "gamma2", b, b, twofold_curves(fam, b)["gamma2"]
 
 
-def _trace_foldfold(fam: ScenarioFamily, n: int, lo1: float, hi1: float):
-    for a in np.linspace(lo1, hi1, n):
+def _trace_foldfold(fam: ScenarioFamily, n: int, r1, r2):
+    for a in np.linspace(r1[0], r1[1], n):
         for nm, val in sorted(foldfold_curves(fam, a).values.items()):
             yield nm, a, a, val
 
 
 _TRACERS = {
     "Cusp": _trace_cusp, "TwoFold": _trace_twofold, "VIFoldFold": _trace_foldfold,
-    "Circle": lambda fam, n, lo1, hi1: (),  # no closed-form curves
+    "Circle": lambda fam, n, r1, r2: (),  # no closed-form curves
 }
 
 
 def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict:
-    """Sample every bifurcation curve of the scenario on its parameter range."""
+    """Sample every bifurcation curve of the scenario over its own parameter's range."""
     curves: dict = {}
-    (lo1, hi1), _ = ranges or fam.ranges
-    for name, param, p1, p2 in _TRACERS[fam.name](fam, nsamples, lo1, hi1):
+    for name, param, p1, p2 in _TRACERS[fam.name](fam, nsamples, *(ranges or fam.ranges)):
         curves.setdefault(name, []).append((float(param), float(p1), float(p2)))
     return curves
 

@@ -31,19 +31,12 @@ from .maps import exclusion_set, mirror_map, transition_germ, transition_map
 from .polycycle import find_cycles
 
 
-def _finite(vals, what: str):
-    """vals (a number or nested tuples of numbers) unchanged; a ConfigError unless all are finite."""
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{what} must be finite")
-    return vals
-
-
 def _parse_point(s: str) -> tuple[float, float]:
     parts = s.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected 'x,y', got {s!r}")
     try:
-        return _finite((float(parts[0]), float(parts[1])), f"point {s!r}")
+        return io.finite((float(parts[0]), float(parts[1])), f"point {s!r}")
     except ValueError as e:
         raise ConfigError(f"bad point {s!r}: {e}") from e
 
@@ -53,7 +46,7 @@ def _parse_section(s: str) -> Section:
     if len(parts) not in (4, 5):
         raise ConfigError(f"expected 'ax,ay,dx,dy[,halfwidth]', got {s!r}")
     try:
-        vals = _finite(tuple(float(v) for v in parts), f"section {s!r}")
+        vals = io.finite(tuple(float(v) for v in parts), f"section {s!r}")
     except ValueError as e:
         raise ConfigError(f"bad section {s!r}: {e}") from e
     hw = vals[4] if len(vals) == 5 else 0.05
@@ -188,7 +181,7 @@ def _cmd_polycycle_solve(args) -> int:
             "locus": r.locus,
             "kind": r.kind,
             "stability": r.stability,
-            "dP": r.dP,
+            "dP": r.dP if np.isfinite(r.dP) else None,  # dP = inf where DTs' = 0: no JSON number
             "saddle_node": r.saddle_node,
         }
         for r in reports
@@ -238,7 +231,7 @@ def _cmd_diagram(args) -> int:
             r1, r2 = args.ranges.split(",")
             lo1, hi1 = (float(v) for v in r1.split(":"))
             lo2, hi2 = (float(v) for v in r2.split(":"))
-            ranges = _finite(((lo1, hi1), (lo2, hi2)), f"--ranges {args.ranges!r}")
+            ranges = io.finite(((lo1, hi1), (lo2, hi2)), f"--ranges {args.ranges!r}")
         except ValueError as e:
             raise ConfigError(
                 f"bad --ranges {args.ranges!r}, expected 'lo:hi,lo:hi'"
@@ -341,7 +334,7 @@ def run(argv=None) -> int:
     try:
         for name, v in vars(args).items():  # every numeric flag
             if isinstance(v, float):
-                _finite(v, "--" + name.replace("_", "-"))
+                io.finite(v, "--" + name.replace("_", "-"))
         return args.fn(args)
     except SigmapolyError as e:
         sys.stderr.write(io.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")

@@ -75,6 +75,8 @@ class Section:
         n = float(np.hypot(*d))
         if n == 0:
             raise ValueError("zero section direction")
+        if self.halfwidth is not None and not self.halfwidth > 0:
+            raise ValueError(f"section halfwidth must be positive, got {self.halfwidth}")
         object.__setattr__(self, "direction", (d[0] / n, d[1] / n))
 
     @property

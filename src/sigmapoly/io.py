@@ -8,11 +8,20 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, IOFailure
 from .maps import Germ
 from .poly2 import Poly2
 from .polycycle import SyntheticLeg, SyntheticModel
+
+
+def finite(vals, what: str):
+    """vals (a number or nested tuples of numbers) unchanged; a ConfigError unless all are finite."""
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{what} must be finite")
+    return vals
 
 
 def _fmt(v) -> str:
@@ -77,10 +86,19 @@ def read_system(path: str) -> FilippovSystem:
 # -- germ / model JSON --------------------------------------------------------
 
 
+def germ_from_dict(d: dict) -> Germ:
+    """Germ.from_dict, refusing a germ without coefficients or with a non-finite number."""
+    g = Germ.from_dict(d)
+    if not g.coeffs:
+        raise ConfigError("a germ needs at least one coefficient")
+    finite((g.base, *g.coeffs, g.residual, g.window), "every germ number")
+    return g
+
+
 def read_germ(path: str) -> Germ:
     try:
         with open(path) as f:
-            return Germ.from_dict(json.load(f))
+            return germ_from_dict(json.load(f))
     except OSError as e:
         raise IOFailure(f"cannot read germ file {path}: {e}") from e
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
@@ -97,7 +115,8 @@ def write_json(path: str, obj) -> None:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    # strict JSON: a NaN or an infinity is a ValueError, never a bare NaN/Infinity token
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
 
 
 def model_to_dict(m: SyntheticModel) -> dict:
@@ -122,15 +141,21 @@ def model_from_dict(d: dict) -> SyntheticModel:
             sigma = leg["sigma"]
             if len(sigma) != 1:
                 raise ConfigError("exactly one sigma interval per leg is supported")
+            lo, hi = finite((float(sigma[0][0]), float(sigma[0][1])), "sigma")
+            if not lo < hi:
+                raise ConfigError(f"sigma window [{lo}, {hi}] needs lo < hi")
             legs.append(
                 SyntheticLeg(
-                    Tu=Germ.from_dict(leg["Tu"]),
-                    DTs=Germ.from_dict(leg["DTs"]),
-                    sigma=(float(sigma[0][0]), float(sigma[0][1])),
-                    a=float(leg.get("a", 0.0)),
+                    Tu=germ_from_dict(leg["Tu"]),
+                    DTs=germ_from_dict(leg["DTs"]),
+                    sigma=(lo, hi),
+                    a=finite(float(leg.get("a", 0.0)), "a"),
                 )
             )
-        return SyntheticModel(k=int(d["k"]), legs=tuple(legs))
+        k = int(finite(float(d["k"]), "k"))
+        if k < 1:
+            raise ConfigError(f"a model needs k >= 1 legs, got k = {k}")
+        return SyntheticModel(k=k, legs=tuple(legs))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad model JSON: {e}") from e
 

@@ -34,6 +34,11 @@ class SyntheticLeg:
         u = x - 2 * self.a
         return self.Tu(u) - self.DTs(x_next)
 
+    def land(self, x: float) -> float:
+        """DTs^{-1}(Tu(x - 2a)): where the orbit from x reaches the next corner, for an affine DTs."""
+        c0, c1 = self.DTs.coeffs[:2]
+        return self.DTs.base + (self.Tu(x - 2 * self.a) - c0) / c1
+
 
 @dataclass(frozen=True)
 class SyntheticModel:
@@ -180,8 +185,7 @@ def _propagate(model: SyntheticModel, x1: float) -> list[float]:
     """(x_1, ..., x_k) from x_1 through the affine DTs inverses."""
     xs = [x1]
     for leg in model.legs[:-1]:
-        c0, c1 = leg.DTs.coeffs[:2]
-        xs.append(leg.DTs.base + (leg.Tu(xs[-1] - 2 * leg.a) - c0) / c1)
+        xs.append(leg.land(xs[-1]))
     return xs
 
 

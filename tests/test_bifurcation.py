@@ -151,6 +151,21 @@ def test_twofold_sliding_structures():
     assert r10.sliding_cycles[0].segments == 1
 
 
+@pytest.mark.parametrize(
+    "b1,b2,exits",
+    [
+        (0.05, -0.05, [(2, "slide"), (1, "slide")]),  # region 12: the loop p1 -> p2 -> p1
+        (-0.05, -0.05, [(1, "slide"), (1, "slide")]),  # region 10: the self-loop p1 -> p1
+        (-0.05, 0.1, [None, None]),  # region 5: both exits contract onto the crossing cycle
+        (0.0, 0.0, [(2, "connect"), (1, "connect")]),  # region 7: each fold connects to the other
+    ],
+)
+def test_twofold_fold_exit_map(b1, b2, exits):
+    fam = twofold_family()
+    model = bifurcation._twofold_model(fam, b1, b2)
+    assert [bifurcation._fold_exit(model, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
+
+
 # -- VI fold-fold (synthetic) -------------------------------------------------
 
 

@@ -96,6 +96,20 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
     }
     for name, d in systems.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    leg = {
+        "Tu": {"base": 0.0, "coeffs": [0.01, 0.0, 1.0]},
+        "DTs": {"base": 0.0, "coeffs": [0.0, -0.25]},
+        "sigma": [[-0.3, 0.0]],
+    }
+    models = {  # json.dumps writes a non-finite float as NaN, Infinity or -Infinity
+        **{f"tu-{v}": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": [v, 0.0, 1.0]})]}
+           for v in (float("nan"), float("inf"), float("-inf"))},
+        "no-coeffs": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": []})]},
+        "no-legs": {"k": 0, "legs": []},
+        "lo-above-hi": {"k": 1, "legs": [dict(leg, sigma=[[0.0, -0.3]])]},
+    }
+    for name, d in models.items():
+        (tmp_path / f"model-{name}.json").write_text(json.dumps(d))
     cases = [
         *(["classify", "--system", str(tmp_path / f"{name}.json"), "--point", "0,0"] for name in systems),
         ["transition", "--system", system_path, "--section", "1,0,0,0", "--x", "0.3"],
@@ -113,12 +127,32 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         ["diagram", "--scenario", "cusp-synthetic", "--grid", "3x3", "--ranges=nan:0.1,0:0.1",
          "--out", str(tmp_path / "d")],
         ["classify", "--system", system_path, "--point=nan,0"],
+        *(["polycycle-solve", "--model", str(tmp_path / f"model-{name}.json")] for name in models),
+        # a section of halfwidth <= 0
+        *(["transition", "--system", system_path, "--section", sec, "--x", "0.3"]
+          for sec in ("1,0,0,1,-1", "1,0,0,1,0")),
     ]
     for argv in cases:
         assert run(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
         assert json.loads(out.err)["error"] == "ConfigError", argv
+
+
+def test_polycycle_solve_writes_strict_json(tmp_path, capsys):
+    # Tu = x^2, DTs = 2 x^2: the boundary polycycle at the fold has DTs' = 0, so dP is infinite
+    germ = {"base": 0.0, "coeffs": [0.0, 0.0, 1.0]}
+    model = {"k": 1, "legs": [{"Tu": germ, "DTs": dict(germ, coeffs=[0.0, 0.0, 2.0]), "sigma": [[-0.3, 0.0]]}]}
+    mp = tmp_path / "model.json"
+    mp.write_text(json.dumps(model))
+    assert run(["polycycle-solve", "--model", str(mp)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    (report,) = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["kind"] == "polycycle"
+    assert report["dP"] is None
 
 
 def test_exit_code_numeric_error(system_path, capsys):
@@ -207,6 +241,34 @@ def test_diagram_ranges_override(tmp_path):
     assert len(lines) == 10
     p1s = sorted({float(l.split(",")[0]) for l in lines[1:]})
     assert p1s == pytest.approx([0.0, 0.02, 0.04])
+
+
+def test_diagram_cusp_negative_lambda_traces_no_curve(tmp_path):
+    # the cusp curves exist only for lambda1 > 0; the cells left of it still classify
+    out = tmp_path / "d"
+    rc = run([
+        "diagram", "--scenario", "cusp-synthetic", "--grid", "3x3",
+        "--ranges=-0.05:-0.01,-0.1:0.1", "--out", str(out),
+    ])
+    assert rc == 0
+    assert (out / "curves.csv").read_text() == "curve,param,p1,p2\n"
+    assert len((out / "diagram.csv").read_text().splitlines()) == 10
+
+
+def test_diagram_twofold_curves_stay_in_their_ranges(tmp_path):
+    # gamma1 is a curve in beta2 and gamma2 one in beta1: each samples its own parameter's range
+    out = tmp_path / "d"
+    rc = run([
+        "diagram", "--scenario", "twofold-synthetic", "--grid", "3x3",
+        "--ranges=-0.2:0.2,0:0.1", "--out", str(out),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    gamma1 = [float(p2) for name, _, _, p2 in rows if name == "gamma1"]
+    gamma2 = [float(p1) for name, _, p1, _ in rows if name == "gamma2"]
+    assert gamma1 and gamma2
+    assert all(0.0 <= b2 <= 0.1 for b2 in gamma1)
+    assert all(b1 <= 0.0 for b1 in gamma2)
 
 
 def test_diagram_bad_ranges(tmp_path, capsys):

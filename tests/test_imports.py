@@ -109,16 +109,46 @@ def _members(tree: ast.Module):
                     yield node.name, f.target.id
 
 
-def _attrs_and_strings(tree: ast.Module) -> set[str]:
-    """Names a module reads as an attribute (obj.name), or spells as a whole string ("name")."""
-    return {
+def _self_attr(n: ast.AST) -> bool:
+    return isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+
+
+def _own_uses(tree: ast.Module):
+    """(class, name, node) of every self.name, read or written, inside a class whose methods assign self.name."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            own = {n.attr for n in ast.walk(cls) if _self_attr(n) and isinstance(n.ctx, ast.Store)}
+            for n in ast.walk(cls):
+                if _self_attr(n) and n.attr in own:
+                    yield cls.name, n.attr, n
+
+
+def _reads(tree: ast.Module) -> tuple[set[str], set[tuple[str, str]]]:
+    """Names a module reads as an attribute (obj.name) or spells as a whole string ("name"), and
+    the (class, name) pairs read as self.name inside a class that assigns self.name itself.
+
+    Such a self.name counts for that class alone, so one class's helper state does not hide a
+    write-only member of the same name in another class.
+    """
+    own = list(_own_uses(tree))
+    own_nodes = {id(n) for _, _, n in own}
+    names = {
         n.attr if isinstance(n, ast.Attribute) else n.value
         for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+        if (isinstance(n, ast.Attribute) and id(n) not in own_nodes)
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str))
     }
+    return names, {(c, m) for c, m, n in own if isinstance(n.ctx, ast.Load)}
 
 
 def test_no_unread_members():
-    read = set().union(*(_attrs_and_strings(ast.parse(p.read_text(), filename=str(p))) for p in READERS))
-    unread = [f"{p.name}:{c}.{m}" for p in MODULES for c, m in _members(TREES[p.name]) if m not in read]
+    read, own = set(), set()
+    for p in READERS:
+        names, pairs = _reads(ast.parse(p.read_text(), filename=str(p)))
+        read |= names
+        own |= pairs
+    unread = [
+        f"{p.name}:{c}.{m}" for p in MODULES for c, m in _members(TREES[p.name])
+        if m not in read and (c, m) not in own
+    ]
     assert sorted(unread) == []

@@ -76,6 +76,22 @@ def test_dumps_is_key_order_independent():
     assert io.dumps({"b": 1, "a": 2}) == io.dumps({"a": 2, "b": 1})
 
 
+def test_dumps_refuses_non_finite_numbers():
+    # strict JSON has no NaN or Infinity token
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            io.dumps({"x": v})
+
+
+def test_read_germ_refuses_empty_and_non_finite(tmp_path):
+    path = tmp_path / "germ.json"
+    for d in ({"base": 0.0, "coeffs": []}, {"base": float("nan"), "coeffs": [1.0]},
+              {"base": 0.0, "coeffs": [1.0], "window": float("inf")}):
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError):
+            io.read_germ(str(path))
+
+
 def test_trajectory_csv_format():
     Z = make_system(poly_x(), poly_const(1.0))
     traj = filippov_trajectory(Z, (-2.0, 0.5), tmax=1.0, dt_out=0.1)

@@ -121,6 +121,16 @@ def test_first_return_eII_shift():
     assert first_return(model, x) == pytest.approx((x + 0.1) ** 2 / 2.0, rel=1e-10)
 
 
+def test_leg_land_inverts_affine_dts():
+    # Tu(u) = u^2 - 0.01 at u = x - 2a, DTs(y) = 3 + 2 (y - 0.1): the landing solves DTs(y) = Tu(x - 2a)
+    Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0))
+    DTs = Germ(base=0.1, coeffs=(3.0, 2.0))
+    leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(-0.3, 0.0), a=0.05)
+    for x in (-0.2, 0.0, 0.15):
+        assert leg.land(x) == pytest.approx(0.1 + ((x - 0.1) ** 2 - 0.01 - 3.0) / 2.0, rel=1e-14)
+        assert DTs(leg.land(x)) == pytest.approx(Tu(x - 0.1), rel=1e-14)
+
+
 def test_two_leg_symmetric_cycle():
     Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
     DTs = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
