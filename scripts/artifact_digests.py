@@ -7,7 +7,9 @@ The artifacts are:
   fold-fold scenarios at 51x51;
 - diagram.csv and curves.csv of `diagram --scenario vi-foldfold-circle --grid 5x5`;
 - the `sigmapoly flow --point=-1,0.5 --tmax 6 --dt-out 0.01` CSVs of the two
-  systems of tests/test_cli.py (X = (1, x), h = y, Y = (1, -1) or (1, 1));
+  systems of tests/test_cli.py (X = (1, x), h = y, Y = (1, -1) or (1, 1))
+  and of the crossing of two straight lines (X = (1, -1), Y = (1, -0.9),
+  h = y);
 - the stdout of scripts/circle_experiment.py;
 - repr(circle_saddle_node(0.05)).
 
@@ -40,10 +42,20 @@ DIAGRAMS = [
     ("vi-foldfold-synthetic", "51x51"),
     ("vi-foldfold-circle", "5x5"),
 ]
-FLOW_SYSTEM = {
-    "X": {"fx": [[0, 0, 1.0]], "fy": [[1, 0, 1.0]]},
-    "h": [[0, 1, 1.0]],
-}
+FOLD_X = {"fx": [[0, 0, 1.0]], "fy": [[1, 0, 1.0]]}
+
+
+def _line(c: float) -> dict:
+    """The constant field (1, c)."""
+    return {"fx": [[0, 0, 1.0]], "fy": [[0, 0, c]]}
+
+
+# (name, X, Y) of the `sigmapoly flow` systems, all with h = y
+FLOWS = [
+    ("Y=(1,-1)", FOLD_X, _line(-1.0)),
+    ("Y=(1,1)", FOLD_X, _line(1.0)),
+    ("X=(1,-1) Y=(1,-0.9)", _line(-1.0), _line(-0.9)),
+]
 
 
 def _sha(data: bytes) -> str:
@@ -63,15 +75,15 @@ def main() -> int:
                 raise SystemExit(f"diagram {scenario} {grid} failed")
             for name in ("diagram.csv", "curves.csv"):
                 print(f"{_file_sha(os.path.join(out, name))}  diagram {scenario} {grid} {name}")
-        for gy in (-1.0, 1.0):
-            system = os.path.join(tmp, f"sys{gy}.json")
+        for k, (name, X, Y) in enumerate(FLOWS):
+            system = os.path.join(tmp, f"sys{k}.json")
             with open(system, "w") as f:
-                json.dump(dict(FLOW_SYSTEM, Y={"fx": [[0, 0, 1.0]], "fy": [[0, 0, gy]]}), f)
-            out = os.path.join(tmp, f"traj{gy}.csv")
+                json.dump({"X": X, "Y": Y, "h": [[0, 1, 1.0]]}, f)
+            out = os.path.join(tmp, f"traj{k}.csv")
             argv = ["flow", "--system", system, "--point=-1,0.5", "--tmax", "6", "--dt-out", "0.01", "--out", out]
             if run(argv) != 0:
-                raise SystemExit(f"flow with Y = (1, {gy}) failed")
-            print(f"{_file_sha(out)}  flow Y=(1,{gy:g}) trajectory.csv")
+                raise SystemExit(f"flow with {name} failed")
+            print(f"{_file_sha(out)}  flow {name} trajectory.csv")
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "circle_experiment.py")],
         capture_output=True, check=True,

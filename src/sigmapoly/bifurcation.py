@@ -216,9 +216,9 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
     cur = cusp_curves(fam, lam1)
     flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
     # a sliding cycle is structured by where the fold orbit from V lands relative to the
-    # invisible fold I (V - I = 2V > 0)
+    # invisible fold I (V - I = 2V > 0); it lands on I on the curve Ibar, in that flag's band
     x_land = model.legs[0].land(V)
-    if abs(x_land - I) <= tol:
+    if abs(beta - cur["Ibar"]) <= tol:
         structure = "V-I-connection"
     else:
         structure = "land-in-(I,V)" if x_land > I else "land-in-(A,I)"

@@ -11,11 +11,12 @@ One scanner, _scan, flies n starts as one 2n-dimensional system with
 tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS error norm
 bounds each orbit as tightly as a flight of its own.  Per orbit it applies
 the Sigma rules (h and Fh bracketed on the lattice, so that a dip through
-Sigma shorter than the lattice spacing is found; a start on Sigma leaves
-into the side Fh points to), the section rules of _section_hit and the
-race between the two.  Each orbit keeps its first event and then rides
-along unread.  If a step fails, the orbits without an event fly again
-alone, so a blow-up in one orbit never decides another's result.
+Sigma shorter than the lattice spacing is found; a start within EVENT_TOL
+of Sigma is on it, h = 0 at t = 0, and leaves into the side Fh points to),
+the section rules of _section_hit and the race between the two.  Each
+orbit keeps its first event and then rides along unread.  If a step fails,
+the orbits without an event fly again alone, so a blow-up in one orbit
+never decides another's result.
 hit_sections, next_sigma_hits, their n = 1 calls hit_section and
 next_sigma_hit, and filippov_trajectory's smooth arcs are calls to it; a
 section-only scan never evaluates h or Fh.
@@ -24,7 +25,9 @@ Each event root is polished by brentq to ~1e-12 in time on the step
 interpolant that holds it, evaluated for its orbit alone in Python floats
 (_orbit): bit for bit what OdeSolution gives, at a fraction of the cost.
 A trajectory samples each arc from the pieces of the flight that found its
-event.  Every right-hand side evaluates its field through
+event, and starts the next arc at that event: _regime_at is the one rule
+that picks the field from a point on Sigma, and no flight is nudged off
+it.  Every right-hand side evaluates its field through
 PolyField.components, bit for bit the two Poly2 components.
 """
 
@@ -37,18 +40,7 @@ import numpy as np
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
-from .core import (
-    CLASSIFY_TOL,
-    Crossing,
-    FilippovSystem,
-    FoldFold,
-    PolyField,
-    StableSliding,
-    SwitchingFunction,
-    Tangency,
-    classify_sigma_point,
-    lie_poly,
-)
+from .core import CLASSIFY_TOL, FilippovSystem, PolyField, SwitchingFunction, contact_order, lie_poly
 from .errors import NoHit, NonDeterministicExit, TangentialHit
 
 INTEGRATOR_TOL = 1e-12
@@ -315,7 +307,7 @@ def _sigma_event(hpoly, fhpoly, at, ts, hs, cross, turn, side, k0: int, include_
 class SigmaHit:
     point: np.ndarray
     time: float
-    kind: str  # "cross" | "touch" | "section"
+    kind: str  # "cross" | "touch" | "section" | "fold-exit-X" | "fold-exit-Y"
 
 
 def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, include_touch=False, arc=None):
@@ -349,6 +341,9 @@ def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, i
                 arc.append(sol)
             if h is not None:
                 hs, fs = np.sign(vals[0]), np.sign(vals[1])
+                if ts[0] == 0.0:
+                    # a start on Sigma is at h = 0: the rounding of its h is no crossing
+                    hs[np.abs(vals[0][:, 0]) <= EVENT_TOL, 0] = 0
                 cross = hs[:, :-1] * hs[:, 1:] < 0
                 turn = (fs[:, :-1] != 0) & (fs[:, :-1] != fs[:, 1:])
                 k0 = np.zeros(n, dtype=int)
@@ -430,8 +425,9 @@ def next_sigma_hit(
 ) -> SigmaHit:
     """Next intersection (or grazing touch) of the orbit with Sigma.
 
-    Works when starting exactly on Sigma: the initial root is skipped by
-    waiting for |h| to grow past the event tolerance.  With a section, the
+    Works when starting on Sigma (|h| <= EVENT_TOL): the start is no event,
+    whatever the sign of its rounding, and an orbit that leaves tangentially
+    waits for |h| to grow past EVENT_TOL.  With a section, the
     same flight races Sigma against the section segment, under the rules of
     hit_section: the first of the two comes back, a section hit as kind
     "section", and a graze of the section that comes first raises
@@ -463,33 +459,32 @@ def _sample_arc(arc, t1, dt_out):
     return ts, _arc_points(arc, ts).T
 
 
-def _starting_regime(Z: FilippovSystem, p) -> str:
+def _regime_at(Z: FilippovSystem, p) -> str:
+    """The regime ("Mplus" | "Mminus" | "Sliding") of the forward Filippov orbit from p.
+
+    Off Sigma it is the side of p.  On Sigma (Filippov's convention), X
+    leaves into M+ when the lead Lie derivative X^n h of its contact is
+    positive, and Y leaves into M- when Y^n h is negative: the orbit follows
+    the one field that leaves, and slides when neither leaves and both are
+    transversal.  Any other point has no unique forward orbit.
+    """
     hv = Z.h.h(p[0], p[1])
-    if hv > CLASSIFY_TOL:
-        return "Mplus"
-    if hv < -CLASSIFY_TOL:
-        return "Mminus"
-    cls = classify_sigma_point(Z, p)
-    if isinstance(cls, Crossing):
-        return "Mplus" if cls.direction > 0 else "Mminus"
-    if isinstance(cls, StableSliding):
+    if abs(hv) > CLASSIFY_TOL:
+        return "Mplus" if hv > 0 else "Mminus"
+    (nx, sx), (ny, sy) = contact_order(Z.X, Z.h, p), contact_order(Z.Y, Z.h, p)
+    if (sx > 0) != (sy < 0):
+        return "Mplus" if sx > 0 else "Mminus"
+    if sx < 0 and nx == ny == 1:  # neither field leaves
         return "Sliding"
-    if isinstance(cls, Tangency):
-        if cls.visibility == "visible" or cls.visibility == "odd":
-            return "Mplus" if cls.side == "plus" else "Mminus"
-        return "Mplus" if cls.side == "minus" else "Mminus"
-    if isinstance(cls, FoldFold):
-        if cls.kind in ("VI", "VV"):
-            return "Mplus"
-        return "Mminus"
-    raise NonDeterministicExit(f"cannot start a forward orbit at {tuple(p)}: {cls}")
+    raise NonDeterministicExit(f"no unique forward orbit at {tuple(p)}: X^{nx}h sign {sx}, Y^{ny}h sign {sy}")
 
 
-def _slide(Z: FilippovSystem, p, t_budget):
-    """Integrate the sliding field until a boundary tangency or time out.
+def _slide(Z: FilippovSystem, p, t_budget, arc):
+    """The first fold exit of the sliding orbit from p, or None at time out.
 
-    Returns the arc (the flight's dense pieces in time order), the exit time and
-    the field ("X" or "Y") whose contact ends the slide, or None at time out.
+    The exit is a SigmaHit of kind "fold-exit-X" or "fold-exit-Y", after the
+    field whose contact ends the slide; arc collects the flight's dense
+    pieces in time order.
     """
     Xh = lie_poly(Z.X, Z.h.h, 1)
     Yh = lie_poly(Z.Y, Z.h.h, 1)
@@ -501,7 +496,6 @@ def _slide(Z: FilippovSystem, p, t_budget):
         # mild projection keeps the arc pinned to Sigma
         return v - 10.0 * Z.h.h(s[0], s[1]) * np.array([hx(s[0], s[1]), hy(s[0], s[1])])
 
-    arc = []
     for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh]):
         arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
@@ -513,68 +507,42 @@ def _slide(Z: FilippovSystem, p, t_budget):
                 exits.append((r, name))
         if exits:
             troot, which = min(exits)
-            return arc, troot, which
-    return arc, t_budget, None
+            return SigmaHit(point=_arc_points(arc, [troot])[:, 0], time=troot, kind=f"fold-exit-{which}")
+    return None
 
 
 def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01) -> Trajectory:
     """Forward Filippov orbit: smooth arcs alternating with sliding arcs.
 
-    Crossing points switch fields, stable sliding follows the sliding
-    field until a visible fold lets the orbit escape, grazing touches are
-    recorded as events with integration continuing in the same region.
+    Each arc is one flight from the event point that ended the one before:
+    a smooth arc flies its field (_scan) to the next Sigma crossing or
+    grazing touch, a sliding arc the sliding field (_slide) to a fold exit.
+    A touch keeps the regime; after a crossing or a fold exit _regime_at
+    picks it at the event point itself, so no flight is nudged off Sigma.
+    A fold exit that slides on, or a point with no unique forward orbit,
+    raises NonDeterministicExit.
     """
     traj = Trajectory()
     t = 0.0
     point = np.asarray(p, dtype=float)
-    regime = _starting_regime(Z, point)
-
+    regime = _regime_at(Z, point)
     while t < tmax - 1e-12:
-        budget = tmax - t
-        if regime in ("Mplus", "Mminus"):
+        arc = []
+        if regime == "Sliding":
+            hit = _slide(Z, point, tmax - t, arc)
+        else:
             F = Z.X if regime == "Mplus" else Z.Y
-            arc = []
-            (hit,) = _raise_first_error(_scan(F, [point], "forward", budget, Z.h, include_touch=True, arc=arc))
-            t1 = budget if hit is None else hit.time
-            ts, pts = _sample_arc(arc, t1, dt_out)
-            end = "time-out" if hit is None else "tangency-touch" if hit.kind == "touch" else "cross"
-            traj.arcs.append(Arc(regime, ts + t, pts, end))
-            if hit is None:
-                return traj
-            t += hit.time
-            point = hit.point
-            if hit.kind == "touch":
-                # nudge along the flow so the touch is not re-found
-                point = flow_smooth(F, point, 1e-8)
-                t += 1e-8
-                continue
-            cls = classify_sigma_point(Z, point)
-            if isinstance(cls, Crossing):
-                regime = "Mminus" if regime == "Mplus" else "Mplus"
-            elif isinstance(cls, StableSliding):
-                regime = "Sliding"
-            elif isinstance(cls, Tangency):
-                regime = "Mminus" if cls.side == "minus" else "Mplus"
-            else:
-                raise NonDeterministicExit(f"orbit reached {type(cls).__name__} at {tuple(point)}")
-        else:  # Sliding
-            arc, tslide, which = _slide(Z, point, budget)
-            ts, pts = _sample_arc(arc, tslide, dt_out)
-            exit_event = "time-out" if which is None else f"fold-exit-{which}"
-            traj.arcs.append(Arc("Sliding", ts + t, pts, exit_event))
-            t += tslide
-            point = _arc_points(arc, [tslide])[:, 0]
-            if which is None:
-                return traj
-            cls = classify_sigma_point(Z, point)
-            if isinstance(cls, Tangency) and cls.visibility == "visible":
-                regime = "Mplus" if cls.side == "plus" else "Mminus"
-            elif isinstance(cls, FoldFold) and cls.kind == "VI":
-                regime = "Mplus"
-            elif isinstance(cls, FoldFold) and cls.kind == "VV":
-                raise NonDeterministicExit(f"sliding reached a VV fold-fold at {tuple(point)}")
-            else:
-                raise NonDeterministicExit(f"sliding exit at {tuple(point)} is not a visible fold ({cls})")
-            point = flow_smooth(Z.X if regime == "Mplus" else Z.Y, point, 1e-8)
-            t += 1e-8
+            out = _scan(F, [point], "forward", tmax - t, Z.h, include_touch=True, arc=arc)
+            (hit,) = _raise_first_error(out)
+        ts, pts = _sample_arc(arc, tmax - t if hit is None else hit.time, dt_out)
+        end = "time-out" if hit is None else "tangency-touch" if hit.kind == "touch" else hit.kind
+        traj.arcs.append(Arc(regime, ts + t, pts, end))
+        if hit is None:
+            return traj
+        t += hit.time
+        point = hit.point
+        if hit.kind != "touch":
+            regime = _regime_at(Z, point)
+            if regime == "Sliding" and hit.kind.startswith("fold-exit"):
+                raise NonDeterministicExit(f"sliding exit at {tuple(point)} slides on")
     return traj

@@ -23,10 +23,8 @@ from .core import (
     FilippovSystem,
     FoldFold,
     PolyField,
-    StableSliding,
     SwitchingFunction,
     Tangency,
-    UnstableSliding,
     classify_sigma_point,
     contact_order,
     lie_poly,
@@ -44,7 +42,8 @@ from .errors import (
     WindowTooSmall,
 )
 from .flow import (
-    MAX_FLIGHT_TIME, Section, SigmaHit, _rhs, _solve, flow_smooth, hit_sections, next_sigma_hit, next_sigma_hits,
+    MAX_FLIGHT_TIME, Section, SigmaHit, _regime_at, _rhs, _solve, hit_sections, next_sigma_hit,
+    next_sigma_hits,
 )
 
 GERM_COND_CAP = 1e10
@@ -700,25 +699,28 @@ def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
 def connection_diffeo(Z: FilippovSystem, tau_from: Section, tau_to: Section, y: float) -> float:
     """Chart value on tau_to of the regular Z-orbit from tau_from at chart y.
 
-    The orbit may cross Sigma (in the crossing region only); hitting a
-    sliding point is an error.
+    Each leg flies the field that flow._regime_at picks at its start (the
+    section point, then each Sigma hit), so a start on Sigma leaves into the
+    side its Filippov orbit takes.  The orbit may cross Sigma in the
+    crossing region only: a leg that starts on sliding, or a Sigma hit that
+    is not a crossing, raises OrbitHitsSliding.
     """
     point = tau_from.point_at(y)
     t_used = 0.0
     for _ in range(64):
-        F, G = (Z.X, Z.Y) if Z.h.h(point[0], point[1]) >= 0 else (Z.Y, Z.X)
+        regime = _regime_at(Z, point)
+        if regime == "Sliding":
+            raise OrbitHitsSliding(f"connection starts on sliding at {tuple(point)}")
+        F = Z.X if regime == "Mplus" else Z.Y
         try:
             hit = next_sigma_hit(F, point, Z.h, "forward", tmax=MAX_FLIGHT_TIME - t_used, section=tau_to)
         except NoHit as e:
             raise NoHit("orbit reaches neither the target section nor Sigma") from e
         if hit.kind == "section":
             return tau_to.coord(hit.point)
-        cls = classify_sigma_point(Z, hit.point)
-        if isinstance(cls, (StableSliding, UnstableSliding)):
-            raise OrbitHitsSliding(f"connection hits sliding at {tuple(hit.point)}")
-        if not isinstance(cls, Crossing):
-            raise OrbitHitsSliding(f"connection hits {type(cls).__name__}")
         t_used += hit.time
-        # nudge into the other region
-        point = flow_smooth(G, hit.point, 1e-9)
+        point = hit.point
+        cls = classify_sigma_point(Z, point)
+        if not isinstance(cls, Crossing):
+            raise OrbitHitsSliding(f"connection hits {type(cls).__name__} at {tuple(point)}")
     raise NoHit("too many Sigma crossings between sections")

@@ -76,6 +76,16 @@ def test_cusp_region_inventory(lam1, beta, item, nc, np_, ns, het):
     assert r.heteroclinic == het
 
 
+def test_cusp_connection_uses_the_ibar_band():
+    # the V-I connection and the on-curve:Ibar flag share one band,
+    # |beta - Ibar| <= CURVE_TOL, also when |dtilde| != 1
+    fam = cusp_family(-1.0, 0.5)
+    ibar = cusp_curves(fam, 0.01)["Ibar"]
+    r = classify_parameter_point(fam, (0.01, ibar + 0.75 * bifurcation.CURVE_TOL))
+    assert "on-curve:Ibar" in r.flags and len(r.sliding_cycles) == 1
+    assert r.heteroclinic
+
+
 def test_cusp_cycle_count_matches_cubic_roots():
     # away from the sliding band the crossing cycles are exactly the
     # in-window real roots of kappa x^3 + (lam1 - dtilde) x + beta

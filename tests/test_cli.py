@@ -325,3 +325,21 @@ def test_flow_csv_matches_closed_form(gy, tmp_path):
         assert abs(x - (-1.0 + t)) <= 1e-12
         assert abs(y - closed[regime](x)) <= 1e-12
     assert {r[3] for r in rows} == ({"P", "M"} if gy < 0 else {"P", "S"})
+
+
+def test_flow_crossing_straight_lines(tmp_path):
+    # X = (1, -1), Y = (1, -0.9), h = y from (-1, 0.5): one crossing at
+    # x = -0.5, and Y's flight from the crossing point runs on to the time-out
+    sp = tmp_path / "sys.json"
+    sp.write_text(json.dumps({
+        "X": {"fx": [[0, 0, 1.0]], "fy": [[0, 0, -1.0]]},
+        "Y": {"fx": [[0, 0, 1.0]], "fy": [[0, 0, -0.9]]},
+        "h": [[0, 1, 1.0]],
+    }))
+    out = tmp_path / "traj.csv"
+    assert run(["flow", "--system", str(sp), "--point=-1,0.5", "--tmax", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    cross = [r for r in rows if r[4] == "cross"]
+    assert len(cross) == 1
+    assert float(cross[0][1]) == pytest.approx(-0.5, abs=1e-12)
+    assert rows[-1][3:] == ["M", "time-out"]

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import OdeSolution
 
-from sigmapoly.core import PolyField
-from sigmapoly.errors import NoHit
+from sigmapoly.core import FilippovSystem, PolyField
+from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit
 from sigmapoly.flow import (
     MAX_FLIGHT_TIME,
     Section,
     _flight,
     _orbit,
+    _regime_at,
     _rhs,
     _section_hits,
     filippov_trajectory,
@@ -147,6 +148,16 @@ def test_next_sigma_hit_subsample_dip(fold_field, h_y, x0):
     assert hit.point[0] == pytest.approx(-x0, rel=1e-6)
 
 
+@pytest.mark.parametrize("y0", [1e-17, 0.0, -1e-17])
+def test_next_sigma_hit_from_a_rounded_start_on_sigma(fold_field, h_y, y0):
+    # a start within EVENT_TOL of Sigma is on Sigma: the sign of its rounding
+    # is no crossing, and the orbit of X = (1, x) dips below and returns at x = 0.3
+    hit = next_sigma_hit(fold_field, np.array([-0.3, y0]), h_y, "forward")
+    assert hit.kind == "cross"
+    assert hit.time == pytest.approx(0.6, abs=1e-12)
+    assert hit.point[0] == pytest.approx(0.3, abs=1e-12)
+
+
 def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
     # X = (1, x): orbits are y = y0 + (x^2 - x0^2)/2, and x = x0 + t.  One
     # scan flies all five starts; each orbit's first event must be the one
@@ -241,6 +252,99 @@ def test_filippov_trajectory_reaches_sliding():
     assert ys.max() < 1e-9
     # after the fold the trajectory lifts off into M+
     assert any(a.regime == "Mplus" for a in traj.arcs[k + 1 :])
+
+
+_ONE, _X = poly_const(1.0), poly_x()
+_FIELDS = {
+    "1": _ONE, "-1": poly_const(-1.0), "x": _X, "-x": poly_const(-1.0) * _X,
+    "x^2": _X * _X, "-x^2": poly_const(-1.0) * _X * _X,
+}
+# the forward Filippov orbit from (0, 0) of X = (1, f(x)), Y = (1, g(x)),
+# h = y: X leaves into M+ when its lead Lie derivative is positive, Y into
+# M- when its lead Lie derivative is negative; None: no unique orbit
+START_TABLE = [
+    ("1", "1", "Mplus"),  # crossing up
+    ("-1", "-1", "Mminus"),  # crossing down
+    ("-1", "1", "Sliding"),  # stable sliding
+    ("1", "-1", None),  # unstable sliding
+    ("x", "1", "Mplus"),  # visible X-fold
+    ("-x", "-1", "Mminus"),  # invisible X-fold, Y leaves
+    ("x^2", "1", "Mplus"),  # cusp leaving upward
+    ("x", "x", "Mplus"),  # VI fold-fold
+    ("-x", "-x", "Mminus"),  # IV fold-fold
+    ("x", "-1", None),  # visible X-fold, Y leaves too
+    ("-x", "1", None),  # invisible X-fold, Y points up: neither leaves
+    ("x^2", "-1", None),  # cusp leaving upward, Y leaves too
+    ("-x^2", "-1", "Mminus"),  # cusp staying in M-, Y leaves
+    ("x", "-x", None),  # VV fold-fold
+    ("-x", "x", None),  # II fold-fold
+]
+
+
+@pytest.mark.parametrize("f,g,regime", START_TABLE)
+def test_start_on_sigma_follows_the_leaving_field(f, g, regime):
+    Z = make_system(_FIELDS[f], _FIELDS[g])
+    if regime is None:
+        with pytest.raises(NonDeterministicExit):
+            _regime_at(Z, (0.0, 0.0))
+        return
+    assert _regime_at(Z, (0.0, 0.0)) == regime
+    # every arc of the trajectory lies on its regime's side of Sigma
+    traj = filippov_trajectory(Z, (0.0, 0.0), tmax=0.5, dt_out=0.05)
+    assert traj.arcs[0].regime == regime
+    for arc in traj.arcs:
+        ys = np.asarray(arc.points)[:, 1]
+        if arc.regime == "Mplus":
+            assert ys.min() >= -1e-12
+        elif arc.regime == "Mminus":
+            assert ys.max() <= 1e-12
+        else:
+            assert np.abs(ys).max() <= 1e-9
+
+
+def test_regime_at_an_equilibrium_on_sigma(h_y):
+    Z = FilippovSystem(PolyField(poly_const(0.0), poly_const(0.0)), PolyField(_ONE, _ONE), h_y)
+    with pytest.raises(EquilibriumOnSigmaError):
+        _regime_at(Z, (0.0, 0.0))
+
+
+def test_crossing_onto_a_fold_with_two_exits_raises():
+    # X = (1, x) from (-0.125, 1/128) runs down the parabola y = x^2/2 onto
+    # the visible fold; it lands within CLASSIFY_TOL of the fold, where Y =
+    # (1, -1) leaves into M- as well, so the forward orbit is not unique
+    Z = make_system(poly_x(), poly_const(-1.0))
+    with pytest.raises(NonDeterministicExit):
+        filippov_trajectory(Z, (-0.125, 0.0078125), tmax=1.0)
+
+
+@pytest.mark.parametrize("x0,y0", [(-1.0, 0.5), (-0.6, 0.123), (-0.2, 0.61), (-0.8, 0.37)])
+def test_trajectory_crossing_straight_lines(x0, y0):
+    # X = (1, -1), Y = (1, -0.9): the orbit runs down y = y0 - t, crosses at
+    # t = y0 and runs on down y = -0.9 (t - y0); the crossing lands on Sigma,
+    # and Y's flight from there must not find that start again
+    Z = make_system(poly_const(-1.0), poly_const(-0.9))
+    traj = filippov_trajectory(Z, (x0, y0), tmax=3.0)
+    assert [(a.regime, a.exit_event) for a in traj.arcs] == [("Mplus", "cross"), ("Mminus", "time-out")]
+    for arc in traj.arcs:
+        t, pts = np.asarray(arc.ts), np.asarray(arc.points)
+        assert np.abs(pts[:, 0] - (x0 + t)).max() <= 1e-12
+        assert np.abs(pts[:, 1] - np.where(t <= y0, y0 - t, -0.9 * (t - y0))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("lift", [5e-10, 5e-11])
+def test_trajectory_touch_keeps_the_regime(lift):
+    # X = (1, x) from (-1, 1/2 + lift) runs along y = x^2/2 + lift, which
+    # grazes Sigma within CLASSIFY_TOL at x = 0; the orbit goes on in M+ from
+    # the touch point itself
+    Z = make_system(poly_x(), poly_const(-1.0))
+    traj = filippov_trajectory(Z, (-1.0, 0.5 + lift), tmax=2.0)
+    arcs = [(a.regime, a.exit_event) for a in traj.arcs]
+    assert arcs == [("Mplus", "tangency-touch"), ("Mplus", "time-out")]
+    assert traj.arcs[1].ts[0] == pytest.approx(1.0, abs=1e-9)
+    for arc in traj.arcs:
+        t, pts = np.asarray(arc.ts), np.asarray(arc.points)
+        assert np.abs(pts[:, 0] - (t - 1.0)).max() <= 1e-12
+        assert np.abs(pts[:, 1] - ((t - 1.0) ** 2 / 2 + lift)).max() <= 1e-12
 
 
 def test_trajectory_time_monotone():

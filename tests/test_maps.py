@@ -246,6 +246,12 @@ def test_connection_diffeo_across_crossing():
     for y in (-0.5, -0.1, 0.0, 0.2, 0.5):
         got = connection_diffeo(Z, tau_from, tau_to, y)
         assert got == pytest.approx(y + 2.0, abs=1e-8)
+    # X = (1, -0.5), Y = (1, -2): from y = 0 on Sigma only Y leaves (into M-)
+    # and runs down to -4; from 0.25 X crosses at x = -0.5 and Y runs on to -3
+    Z = make_system(poly_const(-0.5), poly_const(-2.0))
+    tau_to = Section(anchor=(1.0, 0.0), direction=(0.0, 1.0), halfwidth=5.0)
+    for y, want in ((0.0, -4.0), (0.25, -3.0)):
+        assert connection_diffeo(Z, tau_from, tau_to, y) == pytest.approx(want, abs=1e-8)
 
 
 # -- section placement and Sigma domains ------------------------------------
