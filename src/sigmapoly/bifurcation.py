@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
@@ -658,6 +657,8 @@ def circle_saddle_node(alpha_p: float) -> dict:
 
     The saddle-node sits within O(exp(-8 pi)) of the boundary curve beta_2 in
     germ units, i.e. at beta_p of a few 1e-8 for alpha_p ~ 0.05."""
+    from scipy.optimize import brentq
+
     beta_p_star = brentq(lambda b: _circle_disc(alpha_p, b), -1e-6, 1e-6, xtol=1e-13)
     fit = circle_unfolding_fit(alpha_p, beta_p_star)
     fit["beta_p"] = float(beta_p_star)

@@ -21,6 +21,7 @@ from .errors import (
     NotSliding,
     OutOfDomain,
     UnsupportedSingularity,
+    fmt_point,
 )
 from .poly2 import DEGREE_CAP, Poly2
 
@@ -183,7 +184,7 @@ def lie_derivative(F: PolyField, h: SwitchingFunction, p, k: int) -> float:
     if k > DEGREE_CAP:
         raise ValueError(f"Lie order {k} exceeds degree cap")
     if not h.contains(p):
-        raise OutOfDomain(f"point {tuple(p)} outside domain rectangle")
+        raise OutOfDomain(f"point {fmt_point(p)} outside domain rectangle")
     return lie_poly(F, h.h, k)(p[0], p[1])
 
 
@@ -197,10 +198,10 @@ def contact_order(F: PolyField, h: SwitchingFunction, p, flags: list[str] | None
     n = 1 means the field is transversal to Sigma at p.
     """
     if abs(h.h(p[0], p[1])) > CLASSIFY_TOL:
-        raise NotOnSigma(f"h(p) = {h.h(p[0], p[1]):.3e} at {tuple(p)}")
+        raise NotOnSigma(f"h(p) = {h.h(p[0], p[1]):.3e} at {fmt_point(p)}")
     v = F(p)
     if float(np.hypot(*v)) < CLASSIFY_TOL:
-        raise EquilibriumOnSigmaError(f"field vanishes at {tuple(p)}")
+        raise EquilibriumOnSigmaError(f"field vanishes at {fmt_point(p)}")
     g = h.h
     for k in range(1, CONTACT_ORDER_CAP + 1):
         g = F.fx * g.dx() + F.fy * g.dy()
@@ -210,7 +211,7 @@ def contact_order(F: PolyField, h: SwitchingFunction, p, flags: list[str] | None
         if abs(val) > NEAR_DEGENERATE_TOL and flags is not None:
             flags.append(f"near-degenerate F^{k}h = {val:.3e}")
     raise DegenerateContact(
-        f"all Lie derivatives up to order {CONTACT_ORDER_CAP} below tolerance at {tuple(p)}"
+        f"all Lie derivatives up to order {CONTACT_ORDER_CAP} below tolerance at {fmt_point(p)}"
     )
 
 
@@ -291,7 +292,7 @@ def sliding_field(Z: FilippovSystem, p) -> np.ndarray:
     """Filippov sliding vector field F_Z = (Yh X - Xh Y) / (Yh - Xh)."""
     cls = classify_sigma_point(Z, p)
     if not isinstance(cls, (StableSliding, UnstableSliding)):
-        raise NotSliding(f"point {tuple(p)} classified {type(cls).__name__}")
+        raise NotSliding(f"point {fmt_point(p)} classified {type(cls).__name__}")
     x, y = p
     Xh = lie_poly(Z.X, Z.h.h, 1)(x, y)
     Yh = lie_poly(Z.Y, Z.h.h, 1)(x, y)

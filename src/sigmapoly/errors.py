@@ -1,10 +1,15 @@
 """Error taxonomy shared across the package.
 
 ConfigError / NumericError / IOFailure map onto the CLI exit codes
-2 / 3 / 4 respectively.
+2 / 3 / 4 respectively; fmt_point writes the points their messages name.
 """
 
 from __future__ import annotations
+
+
+def fmt_point(p) -> str:
+    """A point as a message shows it: (x, y) in plain floats."""
+    return "(" + ", ".join(repr(float(v)) for v in p) + ")"
 
 
 class SigmapolyError(Exception):

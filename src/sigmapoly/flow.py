@@ -29,25 +29,54 @@ event, and starts the next arc at that event: _regime_at is the one rule
 that picks the field from a point on Sigma, and no flight is nudged off
 it.  Every right-hand side evaluates its field through
 PolyField.components, bit for bit the two Poly2 components.
+
+scipy's DOP853, OdeSolution, solve_ivp and brentq are bound by _scipy the
+first time a flight, a solve or an event polish needs them, so the
+closed-form paths never import scipy; flow.solve_ivp and flow.brentq stay
+module attributes, bound on first read through the module __getattr__ and
+read at call time, so that a tracer can wrap and rebind them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
-from scipy.optimize import brentq
 
 from .core import CLASSIFY_TOL, FilippovSystem, PolyField, SwitchingFunction, contact_order, lie_poly
-from .errors import NoHit, NonDeterministicExit, TangentialHit
+from .errors import NoHit, NonDeterministicExit, TangentialHit, fmt_point
 
 INTEGRATOR_TOL = 1e-12
 EVENT_TOL = 1e-10
 MAX_FLIGHT_TIME = 100.0
 _CHUNK = 4.0
 _SAMPLES_PER_CHUNK = 600
+
+# scipy's stepper, dense output, solver and root finder: bound by _scipy
+DOP853: type
+OdeSolution: type
+solve_ivp: Callable
+brentq: Callable
+_SCIPY_NAMES = ("DOP853", "OdeSolution", "solve_ivp", "brentq")
+
+
+def _scipy() -> None:
+    """Bind DOP853, OdeSolution, solve_ivp and brentq as module globals, on the first call."""
+    if "solve_ivp" not in globals():
+        from scipy.integrate import DOP853, OdeSolution, solve_ivp
+        from scipy.optimize import brentq
+
+        globals().update(DOP853=DOP853, OdeSolution=OdeSolution, solve_ivp=solve_ivp, brentq=brentq)
+
+
+def __getattr__(name: str):
+    # PEP 562: a read of flow.solve_ivp or flow.brentq before the first flight binds scipy
+    if name in _SCIPY_NAMES:
+        _scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +142,7 @@ def _rhs(F: PolyField, n: int = 1):
 
 
 def _solve(rhs, p, t0: float, t1: float):
+    _scipy()
     sol = solve_ivp(
         rhs,
         (t0, t1),
@@ -144,6 +174,7 @@ def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
     dt = _CHUNK / (_SAMPLES_PER_CHUNK - 1)
     # a lattice point within half a spacing of t_end gives way to t_end
     last = abs(t_end) - 0.5 * dt
+    _scipy()
     solver = DOP853(rhs, 0.0, np.asarray(p, dtype=float), t_end, max_step=_CHUNK, rtol=tol, atol=tol)
     bounds, dense = [0.0], []
     k = 0  # the lattice point the next piece starts from
@@ -222,6 +253,7 @@ def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
 
 def _brentq(g, a, b):
     lo, hi = (a, b) if a < b else (b, a)
+    _scipy()
     return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
@@ -476,7 +508,9 @@ def _regime_at(Z: FilippovSystem, p) -> str:
         return "Mplus" if sx > 0 else "Mminus"
     if sx < 0 and nx == ny == 1:  # neither field leaves
         return "Sliding"
-    raise NonDeterministicExit(f"no unique forward orbit at {tuple(p)}: X^{nx}h sign {sx}, Y^{ny}h sign {sy}")
+    raise NonDeterministicExit(
+        f"no unique forward orbit at {fmt_point(p)}: X^{nx}h sign {sx}, Y^{ny}h sign {sy}"
+    )
 
 
 def _slide(Z: FilippovSystem, p, t_budget, arc):
@@ -544,5 +578,5 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
         if hit.kind != "touch":
             regime = _regime_at(Z, point)
             if regime == "Sliding" and hit.kind.startswith("fold-exit"):
-                raise NonDeterministicExit(f"sliding exit at {tuple(point)} slides on")
+                raise NonDeterministicExit(f"sliding exit at {fmt_point(point)} slides on")
     return traj

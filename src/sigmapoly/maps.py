@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     CLASSIFY_TOL,
@@ -40,6 +39,7 @@ from .errors import (
     TangentialHit,
     UnsupportedSingularity,
     WindowTooSmall,
+    fmt_point,
 )
 from .flow import (
     MAX_FLIGHT_TIME, Section, SigmaHit, _regime_at, _rhs, _solve, hit_sections, next_sigma_hit,
@@ -445,6 +445,8 @@ def sigma_contacts(
     polynomial restriction's derivative; otherwise they are the sign
     changes of dg/dx along Sigma on a 400-point scan, polished by brentq.
     """
+    from scipy.optimize import brentq
+
     fh = lie_poly(F, h.h, 1)
     lo, hi = window
 
@@ -608,7 +610,7 @@ def transfer_pair(
         if cls.kind != "VI":
             raise UnsupportedSingularity(f"fold-fold of kind {cls.kind}")
         return _transfer_eii(Z, p, cfg)
-    raise UnsupportedSingularity(f"{type(cls).__name__} at {tuple(p)}")
+    raise UnsupportedSingularity(f"{type(cls).__name__} at {fmt_point(p)}")
 
 
 def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
@@ -710,7 +712,7 @@ def connection_diffeo(Z: FilippovSystem, tau_from: Section, tau_to: Section, y: 
     for _ in range(64):
         regime = _regime_at(Z, point)
         if regime == "Sliding":
-            raise OrbitHitsSliding(f"connection starts on sliding at {tuple(point)}")
+            raise OrbitHitsSliding(f"connection starts on sliding at {fmt_point(point)}")
         F = Z.X if regime == "Mplus" else Z.Y
         try:
             hit = next_sigma_hit(F, point, Z.h, "forward", tmax=MAX_FLIGHT_TIME - t_used, section=tau_to)
@@ -722,5 +724,5 @@ def connection_diffeo(Z: FilippovSystem, tau_from: Section, tau_to: Section, y: 
         point = hit.point
         cls = classify_sigma_point(Z, point)
         if not isinstance(cls, Crossing):
-            raise OrbitHitsSliding(f"connection hits {type(cls).__name__} at {tuple(point)}")
+            raise OrbitHitsSliding(f"connection hits {type(cls).__name__} at {fmt_point(point)}")
     raise NoHit("too many Sigma crossings between sections")

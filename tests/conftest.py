@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,3 +43,22 @@ def make_system(fy_x, gy_x, h=None):
         PolyField(one, gy_x),
         h or SwitchingFunction(poly_y()),
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Run a script in a new interpreter with src/ on its path, in tmp_path; the JSON of its last stdout line."""
+
+    def run(code: str):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        res = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    return run

@@ -343,3 +343,16 @@ def test_flow_crossing_straight_lines(tmp_path):
     assert len(cross) == 1
     assert float(cross[0][1]) == pytest.approx(-0.5, abs=1e-12)
     assert rows[-1][3:] == ["M", "time-out"]
+
+
+def test_error_message_prints_plain_floats(tmp_path, capsys):
+    # X vanishes at the start on Sigma: the message names the point in plain floats
+    sp = tmp_path / "sys.json"
+    sp.write_text(json.dumps({
+        "X": {"fx": [], "fy": []},
+        "Y": {"fx": [[0, 0, 1.0]], "fy": [[0, 0, -1.0]]},
+        "h": [[0, 1, 1.0]],
+    }))
+    assert run(["flow", "--system", str(sp), "--point=0,0"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "EquilibriumOnSigmaError", "message": "field vanishes at (0.0, 0.0)"}

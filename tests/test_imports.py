@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name or UPPER_CASE constant is read somewhere in
 the package, and every method, property or annotated field of a package
-class is read somewhere in src/, tests/, scripts/ or bench/.
+class is read somewhere in src/, tests/, scripts/ or bench/.  scipy is
+imported only inside function bodies, never when a module loads.
 
 The modules are read with ast only, never imported.  The package's
 __init__ is left out of the import check (its imports are the public
@@ -139,6 +140,22 @@ def _reads(tree: ast.Module) -> tuple[set[str], set[tuple[str, str]]]:
         or (isinstance(n, ast.Constant) and isinstance(n.value, str))
     }
     return names, {(c, m) for c, m, n in own if isinstance(n.ctx, ast.Load)}
+
+
+def _names_scipy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_scipy_is_imported_only_in_function_bodies(name):
+    # importing scipy.integrate is most of a fresh process's set-up; the
+    # closed-form paths never need it
+    tree = TREES[name]
+    bodies = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    in_bodies = {id(n) for f in bodies for n in ast.walk(f)}
+    assert [n.lineno for n in ast.walk(tree) if _names_scipy(n) and id(n) not in in_bodies] == []
 
 
 def test_no_unread_members():

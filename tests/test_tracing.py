@@ -50,3 +50,40 @@ def test_tracer_counts_what_it_binds_and_uninstalls(fold_field, h_y):
     assert flow.solve_ivp is solve_ivp and flow.brentq is brentq
     for (owner, name), fn in bound.items():
         assert getattr(owner, name) is fn
+
+
+LAZY_TRACE = f"""
+import importlib.util, json, sys
+
+from sigmapoly import flow
+from sigmapoly.core import PolyField, SwitchingFunction
+from sigmapoly.poly2 import poly_const, poly_x, poly_y
+
+before = "scipy" in sys.modules
+spec = importlib.util.spec_from_file_location("bench_tracing", {TRACING!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+hit = flow.next_sigma_hit(PolyField(poly_const(1.0), poly_x()), (-0.3, 0.0), SwitchingFunction(poly_y()))
+roots = tracer.metrics()["flow.event_roots"]
+tracer.uninstall()
+
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+print(json.dumps({{
+    "before": before, "t": hit.time, "roots": roots,
+    "restored": flow.brentq is brentq and flow.solve_ivp is solve_ivp,
+}}))
+"""
+
+
+def test_tracer_installed_before_the_first_flight(fresh_python):
+    # in a fresh process the tracer reads flow.brentq and flow.solve_ivp
+    # before anything has flown, and its wrappers must be the ones flown
+    out = fresh_python(LAZY_TRACE)
+    assert not out["before"]
+    assert out["t"] == pytest.approx(0.6, abs=1e-12)
+    assert out["roots"] > 0
+    assert out["restored"]
