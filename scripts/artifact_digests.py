@@ -11,7 +11,13 @@ The artifacts are:
   and of the crossing of two straight lines (X = (1, -1), Y = (1, -0.9),
   h = y);
 - the stdout of scripts/circle_experiment.py;
-- repr(circle_saddle_node(0.05)).
+- repr(circle_saddle_node(0.05));
+- repr of the sections place_section(X, (0, 0), 0.1) puts forward and
+  backward on the fold field X = (1, x);
+- repr of the O (halfwidth 0.3), E-I (same_side) and E-II (the two
+  sections above) transfer pairs at the origin of X = (1, x), h = y, with
+  Y = (1, 1) for O and E-I and Y = (1, x) for E-II, as the closed-form-germs
+  benchmark workload builds them.
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -32,6 +38,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sigmapoly.bifurcation import circle_saddle_node  # noqa: E402
 from sigmapoly.cli import run  # noqa: E402
+from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
+from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
+from sigmapoly.poly2 import poly_const, poly_x, poly_y  # noqa: E402
 
 DIAGRAMS = [
     ("twofold-synthetic", "11x11"),
@@ -67,6 +76,19 @@ def _file_sha(path: str) -> str:
         return _sha(f.read())
 
 
+def _germs():
+    """(name, object) of the fold field's sections and its O, E-I and E-II transfer pairs."""
+    x, one, h = poly_x(), poly_const(1.0), SwitchingFunction(poly_y())
+    fold = PolyField(one, x)
+    tau = {d: place_section(fold, (0.0, 0.0), 0.1, d) for d in ("forward", "backward")}
+    regular = FilippovSystem(fold, PolyField(one, one), h)
+    yield from ((f"place_section {d}", sec) for d, sec in tau.items())
+    yield "transfer_pair O", transfer_pair(regular, (0.0, 0.0), SectionConfig(halfwidth=0.3))
+    yield "transfer_pair E-I", transfer_pair(regular, (0.0, 0.0), SectionConfig(same_side=True))
+    cfg = SectionConfig(tau_u=tau["forward"], tau_s=tau["backward"])
+    yield "transfer_pair E-II", transfer_pair(FilippovSystem(fold, fold, h), (0.0, 0.0), cfg)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario, grid in DIAGRAMS:
@@ -90,6 +112,8 @@ def main() -> int:
     )
     print(f"{_sha(res.stdout)}  scripts/circle_experiment.py stdout")
     print(f"{_sha(repr(circle_saddle_node(0.05)).encode())}  repr(circle_saddle_node(0.05))")
+    for name, obj in _germs():
+        print(f"{_sha(repr(obj).encode())}  repr({name})")
     return 0
 
 

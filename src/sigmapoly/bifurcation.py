@@ -103,8 +103,9 @@ class ScenarioFamily:
 
 
 def cusp_family(kappa: float = -1.0, dtilde: float = -1.0) -> ScenarioFamily:
-    if kappa >= 0:
-        raise ConfigError("regular-cusp scenario requires kappa < 0")
+    # Vbar, Ibar, Abar = c + dtilde V, c - dtilde V, c - 2 dtilde V: _cusp_item's order needs dtilde < 0
+    if not (kappa < 0 and dtilde < 0):
+        raise ConfigError("regular-cusp scenario requires kappa < 0 and dtilde < 0 (Vbar < Ibar < Abar)")
     return ScenarioFamily(
         name="Cusp",
         coeffs={"kappa": kappa, "dtilde": dtilde},

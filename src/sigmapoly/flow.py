@@ -1,11 +1,13 @@
 """Event-driven integration of the smooth pieces and the Filippov dynamics.
 
-A flight drives one DOP853 stepper (Hairer, Norsett & Wanner, Solving ODEs
-I) with dense output from t = 0 towards its time limit, never integrating
-an arc twice.  Its steps are at most _CHUNK long, and the event functions
-are evaluated vectorised on the dense output at the fixed time lattice
-t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one step (or run of steps) at
-a time.
+Every orbit is a flight, _flight, the one DOP853 stepper the package builds
+(Hairer, Norsett & Wanner, Solving ODEs I), from t = 0 towards its time
+limit, never integrating an arc twice.  Its steps are at most _CHUNK long,
+and the event functions are evaluated vectorised on the dense output at
+the fixed time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one
+step (or run of steps) at a time.  An event-free flight (flow_smooth,
+maps.place_section) builds neither, yields nothing and returns the
+stepper's own state at t_end.
 
 One scanner, _scan, flies n starts as one 2n-dimensional system with
 tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS error norm
@@ -30,11 +32,11 @@ that picks the field from a point on Sigma, and no flight is nudged off
 it.  Every right-hand side evaluates its field through
 PolyField.components, bit for bit the two Poly2 components.
 
-scipy's DOP853, OdeSolution, solve_ivp and brentq are bound by _scipy the
-first time a flight, a solve or an event polish needs them, so the
-closed-form paths never import scipy; flow.solve_ivp and flow.brentq stay
-module attributes, bound on first read through the module __getattr__ and
-read at call time, so that a tracer can wrap and rebind them.
+scipy's DOP853, OdeSolution and brentq are bound by _scipy the first time
+a flight or an event polish needs them, so the closed-form paths never
+import scipy.  flow.brentq is read at call time and bound on first read
+through the module __getattr__, so that a tracer can wrap and rebind it;
+solve_ivp is bound the same way for the tracer alone, and nothing calls it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _SAMPLES_PER_CHUNK = 600
 # scipy's stepper, dense output, solver and root finder: bound by _scipy
 DOP853: type
 OdeSolution: type
-solve_ivp: Callable
+solve_ivp: Callable  # uncalled: bench/tracing.py wraps it, until its tracer counts _flight's steps
 brentq: Callable
 _SCIPY_NAMES = ("DOP853", "OdeSolution", "solve_ivp", "brentq")
 
@@ -141,22 +143,6 @@ def _rhs(F: PolyField, n: int = 1):
     return f
 
 
-def _solve(rhs, p, t0: float, t1: float):
-    _scipy()
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        np.asarray(p, dtype=float),
-        method="DOP853",
-        rtol=INTEGRATOR_TOL,
-        atol=INTEGRATOR_TOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NoHit(f"integration failed: {sol.message}")
-    return sol
-
-
 def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
     """Integrate rhs from p over [0, t_end] (backward if t_end < 0) with one stepper.
 
@@ -166,9 +152,11 @@ def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
     t_end closes: (sol, ts, vals) with sol the dense output of the piece's
     steps, ts the lattice points from the last one before the piece to the
     last one in it, and vals[i] = events[i](x, y) on all of them at once, of
-    shape (n, len(ts)).  A caller stops the flight by leaving the loop.  A
-    failed step ends the flight with NoHit, after a last piece that reaches
-    the last good step.
+    shape (n, len(ts)).  With no events there is neither dense output nor
+    lattice, and no piece.  A caller stops the flight by leaving the loop;
+    one that reaches t_end returns the stepper's own state there (not the
+    dense output's).  A failed step ends the flight with NoHit, after a
+    last piece that reaches the last good step.
     """
     sgn = 1.0 if t_end > 0 else -1.0
     dt = _CHUNK / (_SAMPLES_PER_CHUNK - 1)
@@ -180,26 +168,35 @@ def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
     k = 0  # the lattice point the next piece starts from
     while True:
         message = solver.step()
-        if solver.status != "failed":
-            bounds.append(solver.t)
-            dense.append(solver.dense_output())
-        reach = abs(solver.t)
-        j = k
-        while (j + 1) * dt <= reach and (j + 1) * dt < last:
-            j += 1
-        ts = np.arange(k, j + 1) * (sgn * dt)
-        if solver.status != "running" and reach > j * dt:
-            ts = np.append(ts, solver.t)  # t_end, or the last good step
-        if ts.size > 1:
-            sol = OdeSolution(bounds, dense)
-            x, y = np.split(sol(ts), 2)
-            yield sol, ts, [np.broadcast_to(f(x, y), x.shape) for f in events]
-            # the next piece starts inside the last step
-            k, bounds, dense = j, bounds[-2:], dense[-1:]
+        if events:  # dense output and the lattice serve only to locate events
+            if solver.status != "failed":
+                bounds.append(solver.t)
+                dense.append(solver.dense_output())
+            reach = abs(solver.t)
+            j = k
+            while (j + 1) * dt <= reach and (j + 1) * dt < last:
+                j += 1
+            ts = np.arange(k, j + 1) * (sgn * dt)
+            if solver.status != "running" and reach > j * dt:
+                ts = np.append(ts, solver.t)  # t_end, or the last good step
+            if ts.size > 1:
+                sol = OdeSolution(bounds, dense)
+                x, y = np.split(sol(ts), 2)
+                yield sol, ts, [np.broadcast_to(f(x, y), x.shape) for f in events]
+                # the next piece starts inside the last step
+                k, bounds, dense = j, bounds[-2:], dense[-1:]
         if solver.status == "failed":
             raise NoHit(f"integration failed: {message}")
         if solver.status == "finished":
-            return
+            return solver.y
+
+
+def _end_state(rhs, p, t_end: float) -> np.ndarray:
+    """The stepper's state at t_end of the event-free flight of rhs from p."""
+    try:
+        next(_flight(rhs, p, t_end, []))
+    except StopIteration as end:
+        return end.value
 
 
 def _orbit(sol, i: int = 0, n: int = 1):
@@ -246,9 +243,7 @@ def _arc_points(arc, ts) -> np.ndarray:
 
 def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
     """phi_F(t; p) with local tolerance 1e-12."""
-    if t == 0:
-        return np.asarray(p, dtype=float)
-    return _solve(_rhs(F), p, 0.0, t).y[:, -1]
+    return _end_state(_rhs(F), p, t)
 
 
 def _brentq(g, a, b):

@@ -42,7 +42,7 @@ from .errors import (
     fmt_point,
 )
 from .flow import (
-    MAX_FLIGHT_TIME, Section, SigmaHit, _regime_at, _rhs, _solve, hit_sections, next_sigma_hit,
+    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _regime_at, _rhs, hit_sections, next_sigma_hit,
     next_sigma_hits,
 )
 
@@ -361,7 +361,7 @@ def place_section(
         return (vx * k, vy * k)
 
     sgn = 1.0 if direction == "forward" else -1.0
-    q = _solve(unit, p0, 0.0, sgn * distance).y[:, -1]
+    q = _end_state(unit, p0, sgn * distance)
     v = F(q)
     v = v / np.hypot(*v)
     return Section(anchor=(q[0], q[1]), direction=(-v[1], v[0]), halfwidth=halfwidth)

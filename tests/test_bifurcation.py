@@ -50,6 +50,14 @@ def test_cusp_family_validation():
         cusp_family(kappa=0.5)
 
 
+@pytest.mark.parametrize("dtilde", [0.0, 0.5])
+def test_cusp_family_refuses_dtilde_at_least_zero(dtilde):
+    # the item table assumes Vbar < Ibar < Abar, which reverses for dtilde > 0;
+    # at dtilde = 0 the three curves coincide
+    with pytest.raises(ConfigError, match="dtilde < 0"):
+        cusp_family(-1.0, dtilde)
+
+
 CUSP_POINTS = [
     # (lam1, beta, item, n_cross, n_poly, n_slide, het)
     (-0.02, 0.0, 1, 1, 0, 0, False),
@@ -79,7 +87,7 @@ def test_cusp_region_inventory(lam1, beta, item, nc, np_, ns, het):
 def test_cusp_connection_uses_the_ibar_band():
     # the V-I connection and the on-curve:Ibar flag share one band,
     # |beta - Ibar| <= CURVE_TOL, also when |dtilde| != 1
-    fam = cusp_family(-1.0, 0.5)
+    fam = cusp_family(-1.0, -0.5)
     ibar = cusp_curves(fam, 0.01)["Ibar"]
     r = classify_parameter_point(fam, (0.01, ibar + 0.75 * bifurcation.CURVE_TOL))
     assert "on-curve:Ibar" in r.flags and len(r.sliding_cycles) == 1

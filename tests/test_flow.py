@@ -27,10 +27,20 @@ from sigmapoly.poly2 import DEGREE_CAP, Poly2, poly_const, poly_x, poly_y
 from conftest import make_system
 
 
-def test_flow_smooth_linear(fold_field):
-    # X = (1, x): x(t) = x0 + t, y(t) = y0 + x0 t + t^2/2
-    q = flow_smooth(fold_field, (0.2, 0.0), 1.0)
-    np.testing.assert_allclose(q, [1.2, 0.7], atol=1e-10)
+@pytest.mark.parametrize("t", [1.0, 6.0, -9.0])
+def test_flow_smooth_linear(fold_field, t):
+    # X = (1, x): x(t) = x0 + t, y(t) = y0 + x0 t + t^2/2; |t| > 4 takes
+    # more than one step of at most _CHUNK
+    x0, y0 = 0.2, 0.0
+    q = flow_smooth(fold_field, (x0, y0), t)
+    np.testing.assert_allclose(q, [x0 + t, y0 + x0 * t + t * t / 2], atol=1e-10)
+
+
+def test_flow_smooth_blow_up_is_no_hit():
+    # x' = x^2 from x = 1 blows up at t = 1: an event-free flight fails too
+    F = PolyField(poly_x() * poly_x(), poly_const(0.0))
+    with pytest.raises(NoHit, match="integration failed"):
+        flow_smooth(F, (1.0, 0.0), 2.0)
 
 
 def test_hit_section_parabola(fold_field):
@@ -193,7 +203,7 @@ def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
 def _pieces(F, starts, t_end):
     """The dense output of each piece of one flight of the starts."""
     state = np.asarray(starts, dtype=float).T.ravel()
-    return [sol for sol, _, _ in _flight(_rhs(F, len(starts)), state, t_end, [])]
+    return [sol for sol, _, _ in _flight(_rhs(F, len(starts)), state, t_end, [lambda x, y: x])]
 
 
 def _split_at_boundaries(sol):

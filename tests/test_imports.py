@@ -2,7 +2,8 @@
 every module-level private name or UPPER_CASE constant is read somewhere in
 the package, and every method, property or annotated field of a package
 class is read somewhere in src/, tests/, scripts/ or bench/.  scipy is
-imported only inside function bodies, never when a module loads.
+imported only inside function bodies, never when a module loads, and
+flow._flight is the one place that builds a stepper.
 
 The modules are read with ast only, never imported.  The package's
 __init__ is left out of the import check (its imports are the public
@@ -169,3 +170,22 @@ def test_no_unread_members():
         if m not in read and (c, m) not in own
     ]
     assert sorted(unread) == []
+
+
+def _callee(node: ast.Call) -> str | None:
+    f = node.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_one_stepper():
+    # every orbit flies through flow._flight: nothing calls solve_ivp, and
+    # the one DOP853 the package builds is _flight's
+    flight = next(f for f in TREES["flow.py"].body if isinstance(f, ast.FunctionDef) and f.name == "_flight")
+    ours = [
+        ("flow.py", n.lineno) for n in ast.walk(flight) if isinstance(n, ast.Call) and _callee(n) == "DOP853"
+    ]
+    steppers = [
+        (name, n.lineno) for name, tree in TREES.items() for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and _callee(n) in ("solve_ivp", "DOP853")
+    ]
+    assert len(ours) == 1 and steppers == ours

@@ -35,7 +35,9 @@ def test_tracer_counts_what_it_binds_and_uninstalls(fold_field, h_y):
     try:
         # a Sigma return (an event root, and the .time the tracer reads)
         hit = flow.next_sigma_hit(fold_field, (-0.3, 0.0), h_y, "forward")
-        flow.flow_smooth(fold_field, (0.2, 0.0), 1.0)  # one solve_ivp
+        flow.flow_smooth(fold_field, (0.2, 0.0), 1.0)  # useful time 1.0
+        # one solve_ivp: the only stepper call the tracer wraps, which the package no longer makes
+        flow.solve_ivp(flow._rhs(fold_field), (0.0, 1.0), np.array([0.2, 0.0]), method="DOP853")
         normal_form_model(1.0, -0.25, 2, lam=(0.01,)).jacobian(np.array([-0.05]))
         c = dict(tracer.counters)
         m = tracer.metrics()
