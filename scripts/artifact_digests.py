@@ -17,7 +17,10 @@ The artifacts are:
 - repr of the O (halfwidth 0.3), E-I (same_side) and E-II (the two
   sections above) transfer pairs at the origin of X = (1, x), h = y, with
   Y = (1, 1) for O and E-I and Y = (1, x) for E-II, as the closed-form-germs
-  benchmark workload builds them.
+  benchmark workload builds them;
+- the labels of the synthetic cells on each closed-form curve and at
+  +-CURVE_TOL/2 and +-2 CURVE_TOL from it, at five parameter values per
+  scenario (the grid diagrams never land on a curve's band edges).
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -36,7 +39,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from sigmapoly.bifurcation import circle_saddle_node  # noqa: E402
+from sigmapoly.bifurcation import (  # noqa: E402
+    CURVE_TOL,
+    SCENARIOS,
+    circle_saddle_node,
+    classify_parameter_point,
+    scenario_curves,
+)
 from sigmapoly.cli import run  # noqa: E402
 from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
 from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
@@ -74,6 +83,33 @@ def _sha(data: bytes) -> str:
 def _file_sha(path: str) -> str:
     with open(path, "rb") as f:
         return _sha(f.read())
+
+
+# (scenario, curve parameters); a cell moves off its curve along the curve's value:
+# cusp, lambda1 -> Vbar, Ibar, Abar in beta; two-fold, b -> gamma1 in beta1 at beta2 = b
+# and gamma2 in beta2 at beta1 = -b; fold-fold, alpha -> beta1..beta5 in beta
+BAND_PARAMS = [
+    ("cusp-synthetic", (2e-9, 1e-5, 0.01, 0.03, 0.05)),
+    ("twofold-synthetic", (2e-9, 1e-5, 0.01, 0.1, 0.2)),
+    ("vi-foldfold-synthetic", (-0.1, -1e-5, 0.0, 1e-5, 0.1)),
+]
+BAND_OFFSETS = (0.0, 0.5 * CURVE_TOL, -0.5 * CURVE_TOL, 2.0 * CURVE_TOL, -2.0 * CURVE_TOL)
+
+
+def _band_cells():
+    """(scenario, (p1, p2)) of every cell on and near each synthetic curve."""
+    for scenario, params in BAND_PARAMS:
+        fam = SCENARIOS[scenario]()
+        for p in params:
+            if scenario == "twofold-synthetic":
+                on = [(scenario_curves(fam, p)["gamma1"], p, 0), (-p, scenario_curves(fam, -p)["gamma2"], 1)]
+            else:
+                on = [(p, v, 1) for _, v in sorted(scenario_curves(fam, p).values.items())]
+            for *point, axis in on:
+                for off in BAND_OFFSETS:
+                    cell = list(point)
+                    cell[axis] += off
+                    yield scenario, tuple(cell)
 
 
 def _germs():
@@ -114,6 +150,9 @@ def main() -> int:
     print(f"{_sha(repr(circle_saddle_node(0.05)).encode())}  repr(circle_saddle_node(0.05))")
     for name, obj in _germs():
         print(f"{_sha(repr(obj).encode())}  repr({name})")
+    labels = [classify_parameter_point(SCENARIOS[sc](), cell).label for sc, cell in _band_cells()]
+    joined = "\n".join(labels).encode()
+    print(f"{_sha(joined)}  labels of {len(labels)} synthetic cells on and near the curves")
     return 0
 
 

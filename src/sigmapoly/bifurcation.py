@@ -5,10 +5,13 @@ Three packaged scenarios: the regular-cusp polycycle (parameters
 the visible-invisible fold-fold polycycle (alpha, beta).  Each scenario
 offers bifurcation-curve computation, region classification and a
 parameter-plane sweep.  A cell's crossing cycles and polycycles come from
-root placement versus the admissible windows; its item number comes from
-where the cell lies relative to the closed-form curves (the fold-fold item,
-from the cycles it has).  The two-fold sliding cycles are the loops of the
-fold-exit map (`_fold_exit`).
+root placement versus the admissible windows.  Where it lies relative to
+the closed-form curves is one rule, `_band`: its band among a few curve
+values, odd on a curve (within CURVE_TOL) and even between two.  The cusp
+and two-fold items, the fold-fold sliding window and the X-cycle flags are
+read off such bands (the fold-fold item, from the cycles the cell has).
+The two-fold sliding cycles are the loops of the fold-exit map
+(`_fold_exit`).
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
@@ -24,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
-from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError, WrongSign
+from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
@@ -91,6 +94,18 @@ class CurveValues:
         return self.values[k]
 
 
+def _band(v: float, edges, tol: float) -> int:
+    """The band of v among the curve values edges: 2j + 1 on an edge, 2j off every edge.
+
+    v is on an edge within tol of it, the first such in the order given;
+    j counts the edges strictly below that edge, or below v.
+    """
+    for e in edges:
+        if abs(v - e) <= tol:
+            return 2 * sum(f < e for f in edges) + 1
+    return 2 * sum(f < v for f in edges)
+
+
 # -- scenario families --------------------------------------------------------
 
 
@@ -103,7 +118,7 @@ class ScenarioFamily:
 
 
 def cusp_family(kappa: float = -1.0, dtilde: float = -1.0) -> ScenarioFamily:
-    # Vbar, Ibar, Abar = c + dtilde V, c - dtilde V, c - 2 dtilde V: _cusp_item's order needs dtilde < 0
+    # Vbar, Ibar, Abar = c + dtilde V, c - dtilde V, c - 2 dtilde V: the item bands need dtilde < 0
     if not (kappa < 0 and dtilde < 0):
         raise ConfigError("regular-cusp scenario requires kappa < 0 and dtilde < 0 (Vbar < Ibar < Abar)")
     return ScenarioFamily(
@@ -203,10 +218,11 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
     model = normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
     roots = [r for r in find_cycles(model) if r.kind == "crossing-cycle"]
 
-    if lam1 <= tol:
+    side = _band(lam1, (0.0,), tol)
+    if side < 2:
         return RegionReport(
             params=(lam1, beta),
-            item=1 if lam1 < -tol else 2,
+            item=1 + side,
             crossing_cycles=tuple(roots),
             polycycles=0,
             sliding_cycles=(),
@@ -215,13 +231,14 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
     V, I, A = cusp_fold_points(lam1, k)
     cur = cusp_curves(fam, lam1)
     flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
+    # items 4..10 are the bands of beta among Vbar < Ibar < Abar
+    item = 4 + _band(beta, (cur["Vbar"], cur["Ibar"], cur["Abar"]), tol)
     # a sliding cycle is structured by where the fold orbit from V lands relative to the
-    # invisible fold I (V - I = 2V > 0); it lands on I on the curve Ibar, in that flag's band
-    x_land = model.legs[0].land(V)
-    if abs(beta - cur["Ibar"]) <= tol:
+    # invisible fold I (V - I = 2V > 0); it lands on I on the curve Ibar, item 7
+    if item == 7:
         structure = "V-I-connection"
     else:
-        structure = "land-in-(I,V)" if x_land > I else "land-in-(A,I)"
+        structure = "land-in-(I,V)" if model.legs[0].land(V) > I else "land-in-(A,I)"
 
     cycles: list[CycleReport] = []
     polycycles = 0
@@ -237,30 +254,13 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
 
     return RegionReport(
         params=(lam1, beta),
-        item=_cusp_item(beta, cur, tol),
+        item=item,
         crossing_cycles=tuple(cycles),
         polycycles=polycycles,
         sliding_cycles=tuple(sliding),
         heteroclinic=bool(sliding) and structure == "V-I-connection",
         flags=tuple(flags),
     )
-
-
-def _cusp_item(beta: float, cur: CurveValues, tol: float) -> int:
-    vbar, ibar, abar = cur["Vbar"], cur["Ibar"], cur["Abar"]
-    if beta < vbar - tol:
-        return 4
-    if abs(beta - vbar) <= tol:
-        return 5
-    if beta < ibar - tol:
-        return 6
-    if abs(beta - ibar) <= tol:
-        return 7
-    if beta < abar - tol:
-        return 8
-    if abs(beta - abar) <= tol:
-        return 9
-    return 10
 
 
 # -- double regular fold --------------------------------------------------------
@@ -275,7 +275,7 @@ def _twofold_model(fam: ScenarioFamily, b1: float, b2: float) -> SyntheticModel:
     DTs2 = Germ(base=0.0, coeffs=(0.0, c["dtilde2"]), window=eps)
     leg1 = SyntheticLeg(Tu=Tu1, DTs=DTs1, sigma=(0.0, eps))
     leg2 = SyntheticLeg(Tu=Tu2, DTs=DTs2, sigma=(-eps, 0.0))
-    return SyntheticModel(k=2, legs=(leg1, leg2))
+    return SyntheticModel(legs=(leg1, leg2))
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -334,32 +334,13 @@ def _twofold_sliding_trace(model: SyntheticModel, eps: float, tol: float) -> tup
 
 
 def _twofold_item(b1: float, b2: float, g1: float, g2: float, tol: float) -> int:
-    if b2 > tol:
-        if b1 > g1 + tol:
-            return 1
-        if abs(b1 - g1) <= tol:
-            return 2
-        if b1 > tol:
-            return 3
-        if abs(b1) <= tol:
-            return 4
-        return 5
-    if abs(b2) <= tol:
-        if b1 < -tol:
-            return 6
-        if abs(b1) <= tol:
-            return 7
-        return 13
-    # b2 < 0
-    if abs(b1) <= tol:
-        return 11
-    if b1 > tol:
-        return 12
-    if b2 > g2 + tol:
-        return 8
-    if abs(b2 - g2) <= tol:
-        return 9
-    return 10
+    """The item of a cell: its bands about beta2 = 0 and beta1 = 0, then about gamma1 or gamma2."""
+    row, col = _band(b2, (0.0,), tol), _band(b1, (0.0,), tol)
+    if row == 2:  # beta2 > 0: gamma1 > 0 splits beta1 > 0
+        return 5 - _band(b1, (g1, 0.0), tol)
+    if row == 0 and col == 0:  # beta2 < 0 and beta1 < 0: gamma2 < 0 splits beta2 < 0
+        return 10 - _band(b2, (g2,), tol)
+    return ((None, 11, 12), (6, 7, 13))[row][col]
 
 
 def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float) -> RegionReport:
@@ -399,7 +380,7 @@ def _foldfold_model(fam: ScenarioFamily, alpha: float, beta: float) -> Synthetic
     Tu = Germ(base=0.0, coeffs=(beta, 0.0, c["kappa"]), window=fam.eps)
     DTs = Germ(base=0.0, coeffs=(0.0, 0.0, c["dtilde"]), window=fam.eps)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(lo, zeta), a=alpha)
-    return SyntheticModel(k=1, legs=(leg,))
+    return SyntheticModel(legs=(leg,))
 
 
 def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
@@ -430,15 +411,7 @@ def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
     return CurveValues(vals)
 
 
-def foldfold_curve_value(fam: ScenarioFamily, alpha: float, name: str) -> float:
-    cur = foldfold_curves(fam, alpha)
-    if name not in cur.values:
-        raise WrongSign(f"curve {name} undefined at alpha = {alpha}")
-    return cur[name]
-
-
 def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> RegionReport:
-    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     tol = CURVE_TOL
     flags: list[str] = []
 
@@ -455,27 +428,19 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
 
-    # a sliding cycle through both folds; the sign of s places the orbit
-    # joining p0 and pY (s = 0: the connection itself)
+    # a sliding cycle through both folds lives strictly between the boundary polycycle
+    # and beta = 0; its band about the sliding connection places the orbit joining p0 and pY
     sliding: list[SlidingCycle] = []
-    s = None
-    if alpha > tol and -4.0 * k * alpha**2 + tol < beta < -tol:
-        s = beta + k * alpha**2
-    elif alpha < -tol and tol < beta < 4.0 * d * alpha**2 - tol:
-        s = beta - d * alpha**2
-    if s is not None:
-        if s < -tol:
-            structure = "crosses-once-from-Mminus"
-        elif s > tol:
-            structure = "direct-from-Mplus"
-        else:
-            structure = "connection-p0-pY"
-        sliding.append(SlidingCycle(folds=("p0", "pY"), segments=1, structure=structure))
+    side = _band(alpha, (0.0,), tol)
+    if side != 1:
+        lo, hi, conn = (0.0, cur["beta3"], cur["beta5"]) if side == 0 else (cur["beta2"], 0.0, cur["beta4"])
+        if _band(beta, (lo, hi), tol) == 2:
+            structure = ("crosses-once-from-Mminus", "connection-p0-pY", "direct-from-Mplus")[
+                _band(beta, (conn,), tol)
+            ]
+            sliding.append(SlidingCycle(folds=("p0", "pY"), segments=1, structure=structure))
 
-    if beta < -tol:
-        flags.append("X-cycle-in-Mplus")
-    elif abs(beta) <= tol:
-        flags.append("tangent-X-cycle")
+    flags.extend((("X-cycle-in-Mplus",), ("tangent-X-cycle",), ())[_band(beta, (0.0,), tol)])
 
     return RegionReport(
         params=(alpha, beta),

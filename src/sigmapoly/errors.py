@@ -112,7 +112,3 @@ class PeriodAnnulus(NumericError):
 
 class NegativeLambda(NumericError):
     pass
-
-
-class WrongSign(NumericError):
-    pass

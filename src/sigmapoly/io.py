@@ -155,7 +155,9 @@ def model_from_dict(d: dict) -> SyntheticModel:
         k = int(finite(float(d["k"]), "k"))
         if k < 1:
             raise ConfigError(f"a model needs k >= 1 legs, got k = {k}")
-        return SyntheticModel(k=k, legs=tuple(legs))
+        if k != len(legs):
+            raise ConfigError(f"k = {k} but {len(legs)} legs given")
+        return SyntheticModel(legs=tuple(legs))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad model JSON: {e}") from e
 

@@ -603,21 +603,23 @@ def transfer_pair(
     cfg = cfg or SectionConfig()
     cls = classify_sigma_point(Z, p)
     if isinstance(cls, Tangency):
-        if cfg.same_side:
-            return _transfer_ei(Z, p, cls, cfg)
-        return _transfer_o(Z, p, cls, cfg)
-    if isinstance(cls, FoldFold):
+        F = Z.X if cls.side == "plus" else Z.Y
+        build = _transfer_ei if cfg.same_side else _transfer_o
+    elif isinstance(cls, FoldFold):
         if cls.kind != "VI":
             raise UnsupportedSingularity(f"fold-fold of kind {cls.kind}")
-        return _transfer_eii(Z, p, cfg)
-    raise UnsupportedSingularity(f"{type(cls).__name__} at {fmt_point(p)}")
-
-
-def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
-    F = Z.X if cls.side == "plus" else Z.Y
-    G = Z.Y if cls.side == "plus" else Z.X
+        F, build = Z.X, _transfer_eii
+    else:
+        raise UnsupportedSingularity(f"{type(cls).__name__} at {fmt_point(p)}")
+    # the sections sit on the separatrices of the tangent field (X at a VI fold-fold)
     tau_u = cfg.tau_u or place_section(F, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
     tau_s = cfg.tau_s or place_section(F, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
+    return build(Z, p, cls, tau_u, tau_s)
+
+
+def _transfer_o(Z, p, cls: Tangency, tau_u: Section, tau_s: Section) -> TransferPair:
+    F = Z.X if cls.side == "plus" else Z.Y
+    G = Z.Y if cls.side == "plus" else Z.X
     Tu = transition_germ(F, Z.h, tau_u, float(p[0]), cls.order, GERM_WINDOW, "forward")
     Ts = transition_germ(G, Z.h, tau_s, float(p[0]), 1, GERM_WINDOW, "backward")
     side = 1 if cls.side == "plus" else -1
@@ -625,10 +627,8 @@ def _transfer_o(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
     return TransferPair(Tu=Tu, Ts=Ts, sigma=tuple(sig), case_tag="O")
 
 
-def _transfer_ei(Z, p, cls: Tangency, cfg: SectionConfig) -> TransferPair:
+def _transfer_ei(Z, p, cls: Tangency, tau_u: Section, tau_s: Section) -> TransferPair:
     F = Z.X if cls.side == "plus" else Z.Y
-    tau_u = cfg.tau_u or place_section(F, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
-    tau_s = cfg.tau_s or place_section(F, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
     # sigma is a transversal segment over p: chart by height above Sigma
     sgn = 1.0 if cls.side == "plus" else -1.0
     sigma_sec = Section(anchor=(float(p[0]), float(p[1])), direction=(0.0, sgn), halfwidth=GERM_WINDOW)
@@ -657,10 +657,8 @@ def _flip_if_concave(g: Germ) -> Germ:
     )
 
 
-def _transfer_eii(Z, p, cfg: SectionConfig) -> TransferPair:
+def _transfer_eii(Z, p, cls: FoldFold, tau_u: Section, tau_s: Section) -> TransferPair:
     # X has the visible fold at p, Y the invisible one nearby.
-    tau_u = cfg.tau_u or place_section(Z.X, p, SEPARATRIX_DISTANCE, "forward", cfg.halfwidth)
-    tau_s = cfg.tau_s or place_section(Z.X, p, SEPARATRIX_DISTANCE, "backward", cfg.halfwidth)
     x0 = float(p[0])
     contacts = sigma_contacts(Z.Y, Z.h, (x0 - 4 * GERM_WINDOW, x0 + 4 * GERM_WINDOW))
     if not contacts:

@@ -42,12 +42,11 @@ class SyntheticLeg:
 
 @dataclass(frozen=True)
 class SyntheticModel:
-    k: int
     legs: tuple[SyntheticLeg, ...]
 
-    def __post_init__(self):
-        if self.k != len(self.legs):
-            raise ValueError(f"k = {self.k} but {len(self.legs)} legs given")
+    @property
+    def k(self) -> int:
+        return len(self.legs)
 
     def displacement(self, xs) -> np.ndarray:
         return np.array(
@@ -239,4 +238,4 @@ def normal_form_model(
     Tu = Germ(base=0.0, coeffs=tuple(coeffs), window=max(abs(sigma[0]), abs(sigma[1])))
     DTs = Germ(base=0.0, coeffs=(0.0, dtilde), window=Tu.window)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=sigma, a=a)
-    return SyntheticModel(k=1, legs=(leg,))
+    return SyntheticModel(legs=(leg,))

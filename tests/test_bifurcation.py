@@ -2,21 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sigmapoly import bifurcation
 from sigmapoly.bifurcation import (
+    CURVE_TOL,
     classify_parameter_point,
     cusp_curves,
     cusp_family,
     cusp_fold_points,
-    foldfold_curve_value,
     foldfold_curves,
     foldfold_family,
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda, NoHit, WrongSign
+from sigmapoly.errors import ConfigError, NegativeLambda, NoHit
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import SyntheticLeg, SyntheticModel
 
@@ -94,17 +96,81 @@ def test_cusp_connection_uses_the_ibar_band():
     assert r.heteroclinic
 
 
+def _closed_form_crossing_roots(fam, p1, p2):
+    """Sorted first coordinates of the in-window real roots of the scenario's displacement."""
+    c, eps = fam.coeffs, fam.eps
+    x2 = None
+    if fam.name == "Cusp":  # kappa x^3 + (lam1 - dtilde) x + beta on (-eps, eps)
+        poly, windows = [c["kappa"], 0.0, p1 - c["dtilde"], p2], [(-eps, eps)]
+    elif fam.name == "VIFoldFold":  # (kappa - dtilde) x^2 - 4 kappa alpha x + beta + 4 kappa alpha^2
+        k, d = c["kappa"], c["dtilde"]
+        poly, windows = [k - d, -4 * k * p1, p2 + 4 * k * p1**2], [(-eps, min(0.0, 2 * p1))]
+    else:  # x1 -> x2 = (beta1 + kappa1 x1^2) / dtilde1 -> (beta2 + kappa2 x2^2) / dtilde2 = x1
+        x2 = np.poly1d([c["kappa1"], 0.0, p1]) / c["dtilde1"]
+        poly = (c["kappa2"] * x2**2 + p2) / c["dtilde2"] - np.poly1d([1.0, 0.0])
+        windows = [(0.0, eps), (-eps, 0.0)]
+    out = []
+    for r in np.roots(poly):
+        xs = [r.real] if x2 is None else [r.real, x2(r.real)]
+        if abs(r.imag) < 1e-10 and all(lo < x < hi for x, (lo, hi) in zip(xs, windows)):
+            out.append(r.real)
+    return sorted(out)
+
+
 def test_cusp_cycle_count_matches_cubic_roots():
-    # away from the sliding band the crossing cycles are exactly the
-    # in-window real roots of kappa x^3 + (lam1 - dtilde) x + beta
-    fam = cusp_family()
-    for lam1, beta in [(-0.02, 0.0), (0.03, -0.2), (0.03, 0.23)]:
-        roots = np.roots([-1.0, 0.0, lam1 + 1.0, beta])
-        real = [r.real for r in roots if abs(r.imag) < 1e-10 and -0.6 < r.real < 0.6]
-        r = classify_parameter_point(fam, (lam1, beta))
-        assert len(r.crossing_cycles) == len(real)
-        got = sorted(c.point[0] for c in r.crossing_cycles)
-        assert got == pytest.approx(sorted(real), abs=1e-9)
+    # away from the cusp's sliding band the crossing cycles are exactly the
+    # in-window real roots of the displacement: the cubic
+    # kappa x^3 + (lam1 - dtilde) x + beta, the fold-fold quadratic, and the
+    # two-fold return quartic P(x1) = x1
+    cells = [
+        (cusp_family(), [(-0.02, 0.0), (0.03, -0.2), (0.03, 0.23)]),
+        (twofold_family(), [(0.05, 0.1), (0.005, 0.1), (-0.05, 0.1), (-0.05, -0.001), (0.05, -0.05)]),
+        (foldfold_family(), [(0.1, -0.06), (0.1, -0.1), (-0.1, 0.05), (-0.1, 0.1), (0.05, 0.01)]),
+    ]
+    for fam, points in cells:
+        for p1, p2 in points:
+            real = _closed_form_crossing_roots(fam, p1, p2)
+            r = classify_parameter_point(fam, (p1, p2))
+            assert len(r.crossing_cycles) == len(real), (fam.name, p1, p2)
+            got = sorted(c.point[0] for c in r.crossing_cycles)
+            assert got == pytest.approx(real, abs=1e-9)
+
+
+def test_band_is_odd_on_an_edge_and_the_first_edge_wins_a_tie():
+    band = bifurcation._band
+    assert [band(v, (1.0, 2.0), 0.1) for v in (0.5, 1.05, 1.5, 2.0, 3.0)] == [0, 1, 2, 3, 4]
+    # two edges within 2 tol, as gamma1 and beta1 = 0 at a small beta2: the first given wins
+    assert band(0.0, (1e-10, 0.0), CURVE_TOL) == 3 and band(0.0, (0.0, 1e-10), CURVE_TOL) == 1
+    assert classify_parameter_point(twofold_family(), (0.0, 1e-5)).item == 2
+
+
+# -- the curve orders the item bands assume, over each family's coefficient box
+
+COEFF = st.floats(0.01, 100.0)
+
+
+@given(COEFF, COEFF, st.floats(CURVE_TOL, 0.05, exclude_min=True))
+def test_cusp_curve_order(kappa, dtilde, lam1):
+    cur = cusp_curves(cusp_family(-kappa, -dtilde), lam1)
+    assert cur["Vbar"] < cur["Ibar"] < cur["Abar"]
+
+
+@given(COEFF, COEFF, COEFF, COEFF, st.floats(CURVE_TOL, 0.2, exclude_min=True))
+def test_twofold_curve_order(kappa1, kappa2, dtilde1, dtilde2, b):
+    fam = twofold_family(-kappa1, kappa2, dtilde1, dtilde2)
+    assert 0.0 < twofold_curves(fam, b)["gamma1"]
+    assert twofold_curves(fam, -b)["gamma2"] < 0.0
+
+
+@given(COEFF, COEFF, st.floats(CURVE_TOL, 0.15, exclude_min=True))
+def test_foldfold_curve_order(kappa, dtilde, a):
+    assume(kappa < dtilde)
+    fam = foldfold_family(kappa, dtilde)
+    # the sliding window beta2 < beta < 0 (alpha > 0) or 0 < beta < beta3 (alpha < 0),
+    # split by the sliding connection beta4 or beta5
+    up, down = foldfold_curves(fam, a), foldfold_curves(fam, -a)
+    assert up["beta2"] == -4 * kappa * a**2 and down["beta3"] == 4 * dtilde * a**2
+    assert up["beta2"] < up["beta4"] < 0.0 < down["beta5"] < down["beta3"]
 
 
 # -- double regular fold ----------------------------------------------------------
@@ -201,9 +267,8 @@ def test_foldfold_curves_closed_form():
 
 
 def test_foldfold_curve_wrong_sign():
-    fam = foldfold_family()
-    with pytest.raises(WrongSign):
-        foldfold_curve_value(fam, 0.1, "beta3")
+    # beta3 is the alpha < 0 boundary polycycle: undefined at alpha > 0
+    assert "beta3" not in foldfold_curves(foldfold_family(), 0.1).values
 
 
 def test_foldfold_family_validation():
@@ -384,7 +449,7 @@ def test_circle_has_no_traced_curves():
 def test_sweep_records_period_annulus(monkeypatch):
     fam = foldfold_family()
     g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
-    annulus = SyntheticModel(k=1, legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
+    annulus = SyntheticModel(legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
     monkeypatch.setattr(bifurcation, "_foldfold_model", lambda *args: annulus)
     grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
     assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")

@@ -106,6 +106,7 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
            for v in (float("nan"), float("inf"), float("-inf"))},
         "no-coeffs": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": []})]},
         "no-legs": {"k": 0, "legs": []},
+        "k-mismatch": {"k": 2, "legs": [leg]},
         "lo-above-hi": {"k": 1, "legs": [dict(leg, sigma=[[0.0, -0.3]])]},
     }
     for name, d in models.items():

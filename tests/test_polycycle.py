@@ -135,7 +135,7 @@ def test_two_leg_symmetric_cycle():
     Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
     DTs = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
     leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(-0.3, 0.0))
-    model = SyntheticModel(k=2, legs=(leg, leg))
+    model = SyntheticModel(legs=(leg, leg))
     reports = [r for r in find_cycles(model) if r.locus == "interior"]
     assert len(reports) == 1
     root = in_window_roots(-0.01, 1.0)[0]
@@ -224,7 +224,7 @@ def test_find_cycles_triple_root_is_one_saddle_node():
 def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
     Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
     leg = SyntheticLeg(Tu=Tu, DTs=Germ(base=0.0, coeffs=dts, window=0.3), sigma=(-0.3, 0.0))
-    model = SyntheticModel(k=2, legs=(leg, leg))
+    model = SyntheticModel(legs=(leg, leg))
     with pytest.raises(ConfigError):
         find_cycles(model)
     mp = tmp_path / "model.json"
@@ -244,7 +244,7 @@ def test_find_cycles_twofold_double_root_to_machine_precision():
 def _annulus_model() -> SyntheticModel:
     # Tu = DTs: every point of the window returns to itself
     g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
-    return SyntheticModel(k=1, legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
+    return SyntheticModel(legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
 
 
 def test_find_cycles_flags_period_annulus(tmp_path, capsys):
