@@ -20,7 +20,16 @@ The artifacts are:
   benchmark workload builds them;
 - the labels of the synthetic cells on each closed-form curve and at
   +-CURVE_TOL/2 and +-2 CURVE_TOL from it, at five parameter values per
-  scenario (the grid diagrams never land on a curve's band edges).
+  scenario (the grid diagrams never land on a curve's band edges);
+- the stdout of `sigmapoly classify` at the origin for one system of each
+  Sigma class (h = y; crossing X = Y = (1, 1), stable sliding X = (1, -1),
+  Y = (1, 1), unstable sliding the two swapped, tangency X = (1, x),
+  Y = (1, 1), fold-fold VI X = Y = (1, x), equilibrium on Sigma X = (x, x),
+  Y = (1, 1));
+- the stdout of `sigmapoly germ --section 1,0,0,1,2 --degree 2` on the
+  tests/test_cli.py system (X = (1, x), Y = (1, -1), h = y);
+- the stdout of `sigmapoly polycycle-solve` on
+  normal_form_model(1.0, -0.25, 2, lam=(0.01,)).
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -29,7 +38,9 @@ ten seconds on two cores.
 Usage: python3 scripts/artifact_digests.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -48,8 +59,10 @@ from sigmapoly.bifurcation import (  # noqa: E402
 )
 from sigmapoly.cli import run  # noqa: E402
 from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
+from sigmapoly.io import dumps, model_to_dict  # noqa: E402
 from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
 from sigmapoly.poly2 import poly_const, poly_x, poly_y  # noqa: E402
+from sigmapoly.polycycle import normal_form_model  # noqa: E402
 
 DIAGRAMS = [
     ("twofold-synthetic", "11x11"),
@@ -75,6 +88,16 @@ FLOWS = [
     ("X=(1,-1) Y=(1,-0.9)", _line(-1.0), _line(-0.9)),
 ]
 
+# (class, X, Y) of the `sigmapoly classify` systems, all with h = y, classified at the origin
+CLASSIFY = [
+    ("crossing", _line(1.0), _line(1.0)),
+    ("stable-sliding", _line(-1.0), _line(1.0)),
+    ("unstable-sliding", _line(1.0), _line(-1.0)),
+    ("tangency", FOLD_X, _line(1.0)),
+    ("fold-fold", FOLD_X, FOLD_X),
+    ("equilibrium-on-sigma", {"fx": [[1, 0, 1.0]], "fy": [[1, 0, 1.0]]}, _line(1.0)),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -83,6 +106,23 @@ def _sha(data: bytes) -> str:
 def _file_sha(path: str) -> str:
     with open(path, "rb") as f:
         return _sha(f.read())
+
+
+def _write_system(path: str, X: dict, Y: dict) -> str:
+    """Write the system (X, Y, h = y) to path as JSON and return path."""
+    with open(path, "w") as f:
+        json.dump({"X": X, "Y": Y, "h": [[0, 1, 1.0]]}, f)
+    return path
+
+
+def _stdout_sha(argv) -> str:
+    """sha256 of what `sigmapoly argv` writes to stdout; the command must succeed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = run(argv)
+    if rc != 0:
+        raise SystemExit(f"{' '.join(argv)} failed")
+    return _sha(buf.getvalue().encode())
 
 
 # (scenario, curve parameters); a cell moves off its curve along the curve's value:
@@ -134,9 +174,7 @@ def main() -> int:
             for name in ("diagram.csv", "curves.csv"):
                 print(f"{_file_sha(os.path.join(out, name))}  diagram {scenario} {grid} {name}")
         for k, (name, X, Y) in enumerate(FLOWS):
-            system = os.path.join(tmp, f"sys{k}.json")
-            with open(system, "w") as f:
-                json.dump({"X": X, "Y": Y, "h": [[0, 1, 1.0]]}, f)
+            system = _write_system(os.path.join(tmp, f"sys{k}.json"), X, Y)
             out = os.path.join(tmp, f"traj{k}.csv")
             argv = ["flow", "--system", system, "--point=-1,0.5", "--tmax", "6", "--dt-out", "0.01", "--out", out]
             if run(argv) != 0:
@@ -153,6 +191,17 @@ def main() -> int:
     labels = [classify_parameter_point(SCENARIOS[sc](), cell).label for sc, cell in _band_cells()]
     joined = "\n".join(labels).encode()
     print(f"{_sha(joined)}  labels of {len(labels)} synthetic cells on and near the curves")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, X, Y in CLASSIFY:
+            system = _write_system(os.path.join(tmp, f"{name}.json"), X, Y)
+            print(f"{_stdout_sha(['classify', '--system', system, '--point', '0,0'])}  classify {name} stdout")
+        system = _write_system(os.path.join(tmp, "fold.json"), FOLD_X, _line(-1.0))
+        argv = ["germ", "--system", system, "--section", "1,0,0,1,2", "--degree", "2"]
+        print(f"{_stdout_sha(argv)}  germ X=(1,x) section 1,0,0,1,2 degree 2 stdout")
+        model = os.path.join(tmp, "model.json")
+        with open(model, "w") as f:
+            f.write(dumps(model_to_dict(normal_form_model(1.0, -0.25, 2, lam=(0.01,)))))
+        print(f"{_stdout_sha(['polycycle-solve', '--model', model])}  polycycle-solve normal_form_model stdout")
     return 0
 
 

@@ -729,11 +729,9 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
 
 def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> DiagramGrid:
     (lo1, hi1), (lo2, hi2) = ranges or fam.ranges
-    p1s = np.linspace(lo1, hi1, n1) if n1 > 1 else np.array([lo1])
-    p2s = np.linspace(lo2, hi2, n2) if n2 > 1 else np.array([lo2])
     cells = []
-    for p1 in p1s:
-        for p2 in p2s:
+    for p1 in np.linspace(lo1, hi1, n1):
+        for p2 in np.linspace(lo2, hi2, n2):
             try:
                 cells.append(classify_parameter_point(fam, (p1, p2)))
             except SigmapolyError as e:  # recorded; a programming error propagates

@@ -10,21 +10,15 @@ reruns (shortest round-trip float formatting, deterministic ordering).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import bifurcation, io
-from .core import (
-    Crossing,
-    EquilibriumOnSigma,
-    FoldFold,
-    StableSliding,
-    Tangency,
-    UnstableSliding,
-    classify_sigma_point,
-)
+from .core import classify_sigma_point
 from .errors import ConfigError, IOFailure, SigmapolyError
 from .flow import Section, filippov_trajectory
 from .maps import exclusion_set, mirror_map, transition_germ, transition_map
@@ -71,38 +65,20 @@ def _emit(obj) -> None:
     sys.stdout.write(io.dumps(obj) + "\n")
 
 
-def _class_dict(cls) -> dict:
-    if isinstance(cls, Crossing):
-        d = {"class": "crossing", "direction": cls.direction}
-    elif isinstance(cls, StableSliding):
-        d = {"class": "stable-sliding"}
-    elif isinstance(cls, UnstableSliding):
-        d = {"class": "unstable-sliding"}
-    elif isinstance(cls, Tangency):
-        d = {
-            "class": "tangency",
-            "side": cls.side,
-            "order": cls.order,
-            "visibility": cls.visibility,
-        }
-    elif isinstance(cls, FoldFold):
-        d = {"class": "fold-fold", "kind": cls.kind}
-    elif isinstance(cls, EquilibriumOnSigma):
-        d = {"class": "equilibrium-on-sigma", "side": cls.side}
-    else:
-        d = {"class": type(cls).__name__}
-    if getattr(cls, "flags", ()):
-        d["flags"] = sorted(cls.flags)
-    return d
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_classify(args) -> int:
     Z = io.read_system(args.system)
     p = _parse_point(args.point)
-    _emit(_class_dict(classify_sigma_point(Z, np.array(p), strict=args.strict)))
+    cls = classify_sigma_point(Z, np.array(p), strict=args.strict)
+    # the kebab-case class name, its fields, and its sorted flags when there are any
+    d = dataclasses.asdict(cls)
+    flags = sorted(d.pop("flags"))
+    d["class"] = re.sub(r"(?<!^)(?=[A-Z])", "-", type(cls).__name__).lower()
+    if flags:
+        d["flags"] = flags
+    _emit(d)
     return 0
 
 
@@ -113,8 +89,8 @@ def _cmd_flow(args) -> int:
         raise ConfigError("--tmax must be positive")
     Z = io.read_system(args.system)
     p = _parse_point(args.point)
-    traj = filippov_trajectory(Z, np.array(p), tmax=args.tmax, dt_out=args.dt_out)
-    text = io.trajectory_csv(traj)
+    arcs = filippov_trajectory(Z, np.array(p), tmax=args.tmax, dt_out=args.dt_out)
+    text = io.trajectory_csv(arcs)
     if args.out:
         io.write_text(args.out, text)
     else:
@@ -122,17 +98,9 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-def _field(Z, name: str):
-    if name == "X":
-        return Z.X
-    if name == "Y":
-        return Z.Y
-    raise ConfigError(f"unknown field {name!r}, expected X or Y")
-
-
 def _cmd_transition(args) -> int:
     Z = io.read_system(args.system)
-    F = _field(Z, args.field)
+    F = getattr(Z, args.field)
     tau = _parse_section(args.section)
     val = transition_map(F, Z.h, tau, args.x, direction=args.direction)
     _emit({"T": val})
@@ -141,7 +109,7 @@ def _cmd_transition(args) -> int:
 
 def _cmd_mirror(args) -> int:
     Z = io.read_system(args.system)
-    F = _field(Z, args.field)
+    F = getattr(Z, args.field)
     side = -1 if args.side == "minus" else 1
     exclusions = None
     if args.window is not None:
@@ -155,7 +123,7 @@ def _cmd_mirror(args) -> int:
 
 def _cmd_germ(args) -> int:
     Z = io.read_system(args.system)
-    F = _field(Z, args.field)
+    F = getattr(Z, args.field)
     tau = _parse_section(args.section)
     if args.window <= 0:
         raise ConfigError("--window must be positive")
@@ -236,6 +204,8 @@ def _cmd_diagram(args) -> int:
             raise ConfigError(
                 f"bad --ranges {args.ranges!r}, expected 'lo:hi,lo:hi'"
             ) from e
+        if lo1 > hi1 or lo2 > hi2:
+            raise ConfigError(f"--ranges {args.ranges!r} needs lo <= hi on each axis")
     grid = bifurcation.sweep_diagram(fam, n1, n2, ranges=ranges)
     try:
         os.makedirs(args.out, exist_ok=True)

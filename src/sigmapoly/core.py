@@ -195,7 +195,9 @@ def _sign(v: float) -> int:
 def contact_order(F: PolyField, h: SwitchingFunction, p, flags: list[str] | None = None):
     """Smallest n with |F^n h(p)| above tolerance, and the sign there.
 
-    n = 1 means the field is transversal to Sigma at p.
+    n = 1 means the field is transversal to Sigma at p.  A near-degenerate
+    F^k h with k >= 2 is appended to flags; order 1 is left to
+    classify_sigma_point, which flags it as Xh or Yh.
     """
     if abs(h.h(p[0], p[1])) > CLASSIFY_TOL:
         raise NotOnSigma(f"h(p) = {h.h(p[0], p[1]):.3e} at {fmt_point(p)}")
@@ -208,7 +210,7 @@ def contact_order(F: PolyField, h: SwitchingFunction, p, flags: list[str] | None
         val = g(p[0], p[1])
         if abs(val) > CLASSIFY_TOL:
             return k, _sign(val)
-        if abs(val) > NEAR_DEGENERATE_TOL and flags is not None:
+        if k > 1 and abs(val) > NEAR_DEGENERATE_TOL and flags is not None:
             flags.append(f"near-degenerate F^{k}h = {val:.3e}")
     raise DegenerateContact(
         f"all Lie derivatives up to order {CONTACT_ORDER_CAP} below tolerance at {fmt_point(p)}"

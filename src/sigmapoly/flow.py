@@ -42,7 +42,7 @@ solve_ivp is bound the same way for the tracer alone, and nothing calls it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -475,11 +475,6 @@ class Arc:
     exit_event: str
 
 
-@dataclass
-class Trajectory:
-    arcs: list[Arc] = field(default_factory=list)
-
-
 def _sample_arc(arc, t1, dt_out):
     n = max(2, int(np.ceil(abs(t1) / dt_out)) + 1)
     ts = np.linspace(0.0, t1, n)
@@ -540,7 +535,7 @@ def _slide(Z: FilippovSystem, p, t_budget, arc):
     return None
 
 
-def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01) -> Trajectory:
+def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01) -> list[Arc]:
     """Forward Filippov orbit: smooth arcs alternating with sliding arcs.
 
     Each arc is one flight from the event point that ended the one before:
@@ -551,7 +546,7 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
     A fold exit that slides on, or a point with no unique forward orbit,
     raises NonDeterministicExit.
     """
-    traj = Trajectory()
+    arcs = []
     t = 0.0
     point = np.asarray(p, dtype=float)
     regime = _regime_at(Z, point)
@@ -565,13 +560,13 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
             (hit,) = _raise_first_error(out)
         ts, pts = _sample_arc(arc, tmax - t if hit is None else hit.time, dt_out)
         end = "time-out" if hit is None else "tangency-touch" if hit.kind == "touch" else hit.kind
-        traj.arcs.append(Arc(regime, ts + t, pts, end))
+        arcs.append(Arc(regime, ts + t, pts, end))
         if hit is None:
-            return traj
+            return arcs
         t += hit.time
         point = hit.point
         if hit.kind != "touch":
             regime = _regime_at(Z, point)
             if regime == "Sliding" and hit.kind.startswith("fold-exit"):
                 raise NonDeterministicExit(f"sliding exit at {fmt_point(point)} slides on")
-    return traj
+    return arcs

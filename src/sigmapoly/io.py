@@ -24,12 +24,6 @@ def finite(vals, what: str):
     return vals
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 # -- system JSON --------------------------------------------------------------
 
 
@@ -61,17 +55,6 @@ def system_from_dict(d: dict) -> FilippovSystem:
     return FilippovSystem(X=X, Y=Y, h=h)
 
 
-def system_to_dict(Z: FilippovSystem) -> dict:
-    d = {
-        "X": {"fx": Z.X.fx.to_triples(), "fy": Z.X.fy.to_triples()},
-        "Y": {"fx": Z.Y.fx.to_triples(), "fy": Z.Y.fy.to_triples()},
-        "h": Z.h.h.to_triples(),
-    }
-    if Z.h.domain is not None:
-        d["domain"] = list(Z.h.domain)
-    return d
-
-
 def read_system(path: str) -> FilippovSystem:
     try:
         with open(path) as f:
@@ -93,16 +76,6 @@ def germ_from_dict(d: dict) -> Germ:
         raise ConfigError("a germ needs at least one coefficient")
     finite((g.base, *g.coeffs, g.residual, g.window), "every germ number")
     return g
-
-
-def read_germ(path: str) -> Germ:
-    try:
-        with open(path) as f:
-            return germ_from_dict(json.load(f))
-    except OSError as e:
-        raise IOFailure(f"cannot read germ file {path}: {e}") from e
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad germ file {path}: {e}") from e
 
 
 def write_json(path: str, obj) -> None:
@@ -175,18 +148,18 @@ def read_model(path: str) -> SyntheticModel:
 # -- CSV ----------------------------------------------------------------------
 
 
-def trajectory_csv(traj) -> str:
-    """Trajectory CSV: t,x,y,regime,event with regime in {P,M,S}."""
+def trajectory_csv(arcs) -> str:
+    """Trajectory CSV of filippov_trajectory's arcs: t,x,y,regime,event with regime in {P,M,S}."""
     regime_code = {"Mplus": "P", "Mminus": "M", "Sliding": "S"}
     lines = ["t,x,y,regime,event"]
-    for arc in traj.arcs:
+    for arc in arcs:
         code = regime_code[arc.regime]
         for k, t in enumerate(arc.ts):
             x, y = arc.points[k]
             event = ""
             if k == len(arc.ts) - 1 and arc.exit_event:
                 event = arc.exit_event
-            lines.append(f"{_fmt(float(t))},{_fmt(float(x))},{_fmt(float(y))},{code},{event}")
+            lines.append(f"{float(t)!r},{float(x)!r},{float(y)!r},{code},{event}")
     return "\n".join(lines) + "\n"
 
 
@@ -196,7 +169,7 @@ def diagram_csv(grid) -> str:
         p1, p2 = cell.params
         flags = ";".join(sorted(cell.flags))
         lines.append(
-            f"{_fmt(p1)},{_fmt(p2)},{cell.label},"
+            f"{p1!r},{p2!r},{cell.label},"
             f"{len(cell.crossing_cycles)},{cell.polycycles},"
             f"{len(cell.sliding_cycles)},{flags}"
         )
@@ -207,7 +180,7 @@ def curves_csv(curves: dict) -> str:
     lines = ["curve,param,p1,p2"]
     for name in sorted(curves):
         for param, p1, p2 in curves[name]:
-            lines.append(f"{name},{_fmt(param)},{_fmt(p1)},{_fmt(p2)}")
+            lines.append(f"{name},{param!r},{p1!r},{p2!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -92,9 +92,6 @@ class Germ:
     def deriv(self, x: float) -> float:
         return _horner(self._dcoeffs, x - self.base)
 
-    def high_confidence(self) -> bool:
-        return self.residual <= 1e-7 * max(self.window, 1e-12) ** self.degree
-
     def to_dict(self) -> dict:
         return {
             "base": self.base,

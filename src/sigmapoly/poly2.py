@@ -48,9 +48,6 @@ class Poly2:
             seen[key] = float(c)
         return cls(seen)
 
-    def to_triples(self):
-        return [[i, j, c] for (i, j), c in sorted(self.coeffs.items())]
-
     # -- queries -----------------------------------------------------------
 
     def degree(self) -> int:
@@ -63,9 +60,6 @@ class Poly2:
         for (i, j), c in self.coeffs.items():
             acc += c * x**i * y**j
         return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     # -- algebra -----------------------------------------------------------
 
@@ -95,19 +89,6 @@ class Poly2:
     def dy(self) -> "Poly2":
         return Poly2({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j > 0})
 
-    def shift(self, ax: float, ay: float) -> "Poly2":
-        """p(x + ax, y + ay) as a Poly2 (exact binomial expansion)."""
-        out = Poly2({})
-        for (i, j), c in self.coeffs.items():
-            xs = _binom_shift(i, ax)
-            ys = _binom_shift(j, ay)
-            term: dict[tuple[int, int], float] = {}
-            for a, ca in xs.items():
-                for b, cb in ys.items():
-                    term[(a, b)] = term.get((a, b), 0.0) + c * ca * cb
-            out = out + Poly2(term)
-        return out
-
     def restrict_y(self, y0: float = 0.0) -> np.ndarray:
         """1-D restriction x -> p(x, y0), as ascending coefficients."""
         if not self.coeffs:
@@ -117,13 +98,6 @@ class Poly2:
         for (i, j), c in self.coeffs.items():
             out[i] += c * y0**j
         return out
-
-
-def _binom_shift(n: int, a: float) -> dict[int, float]:
-    """(t + a)**n expanded in powers of t."""
-    from math import comb
-
-    return {k: comb(n, k) * a ** (n - k) for k in range(n + 1)}
 
 
 def poly_x() -> Poly2:

@@ -38,6 +38,44 @@ def test_classify_tangency(system_path, capsys):
     assert d["order"] == 2
 
 
+ONE, MINUS_ONE, X = [[0, 0, 1.0]], [[0, 0, -1.0]], [[1, 0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "X_fx,X_fy,Y_fy,expected",
+    [
+        (ONE, ONE, ONE, '{"class": "crossing", "direction": 1}'),
+        (ONE, MINUS_ONE, ONE, '{"class": "stable-sliding"}'),
+        (ONE, ONE, MINUS_ONE, '{"class": "unstable-sliding"}'),
+        (ONE, X, ONE, '{"class": "tangency", "order": 2, "side": "plus", "visibility": "visible"}'),
+        (ONE, X, X, '{"class": "fold-fold", "kind": "VI"}'),
+        (X, X, ONE, '{"class": "equilibrium-on-sigma", "side": "plus"}'),
+    ],
+    ids=["crossing", "stable-sliding", "unstable-sliding", "tangency", "fold-fold", "equilibrium-on-sigma"],
+)
+def test_classify_json_of_each_class(tmp_path, capsys, X_fx, X_fy, Y_fy, expected):
+    # h = y, Y = (1, Y_fy), at the origin
+    sp = tmp_path / "sys.json"
+    sp.write_text(json.dumps({"X": {"fx": X_fx, "fy": X_fy}, "Y": {"fx": ONE, "fy": Y_fy}, "h": [[0, 1, 1.0]]}))
+    assert run(["classify", "--system", str(sp), "--point", "0,0"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_classify_flags_a_near_degenerate_value_once(system_path, capsys):
+    # Xh = x = 5e-10 lies in (NEAR_DEGENERATE_TOL, CLASSIFY_TOL]: a tangency, flagged once
+    assert run(["classify", "--system", system_path, "--point=5e-10,0"]) == 0
+    assert _json_out(capsys)["flags"] == ["near-degenerate Xh = 5.000e-10"]
+    assert run(["--strict", "classify", "--system", system_path, "--point=5e-10,0"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "NearDegenerate", "message": "near-degenerate Xh = 5.000e-10"}
+
+
+def test_transition_of_field_Y(system_path, capsys):
+    # Y = (1, -1) from (0.3, 0) meets x = 1 at y = -0.7
+    assert run(["transition", "--system", system_path, "--field", "Y", "--section", "1,0,0,1,2", "--x", "0.3"]) == 0
+    assert _json_out(capsys) == {"T": -0.7}
+
+
 def test_transition_oracle(system_path, capsys):
     rc = run([
         "transition", "--system", system_path,
@@ -59,7 +97,7 @@ def test_germ_roundtrip(system_path, tmp_path, capsys):
         "--degree", "2", "--window", "0.3", "--out", str(out),
     ])
     assert rc == 0
-    g = io.read_germ(str(out))
+    g = io.germ_from_dict(json.loads(out.read_text()))
     assert g.kappa == pytest.approx(-0.5, rel=1e-6)
     # round-trip invariant: re-serializing gives identical bytes
     assert io.dumps(g.to_dict()) + "\n" == out.read_text()
@@ -127,6 +165,9 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         ["transition", "--system", system_path, "--section", "1,0,0,1,2", "--x", "nan"],
         ["diagram", "--scenario", "cusp-synthetic", "--grid", "3x3", "--ranges=nan:0.1,0:0.1",
          "--out", str(tmp_path / "d")],
+        # lo > hi on either axis
+        *(["diagram", "--scenario", "cusp-synthetic", "--grid", "2x2", f"--ranges={r}", "--out", str(tmp_path / "d")]
+          for r in ("0.1:-0.1,0:0", "0:0,0.1:-0.1")),
         ["classify", "--system", system_path, "--point=nan,0"],
         *(["polycycle-solve", "--model", str(tmp_path / f"model-{name}.json")] for name in models),
         # a section of halfwidth <= 0
@@ -242,6 +283,16 @@ def test_diagram_ranges_override(tmp_path):
     assert len(lines) == 10
     p1s = sorted({float(l.split(",")[0]) for l in lines[1:]})
     assert p1s == pytest.approx([0.0, 0.02, 0.04])
+
+
+def test_diagram_ranges_lo_equal_hi_is_a_slice(tmp_path):
+    rc = run([
+        "diagram", "--scenario", "cusp-synthetic", "--grid", "1x3",
+        "--ranges=0.02:0.02,-0.1:0.1", "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in (tmp_path / "d" / "diagram.csv").read_text().splitlines()[1:]]
+    assert [(float(p1), float(p2)) for p1, p2, *_ in rows] == [(0.02, -0.1), (0.02, 0.0), (0.02, 0.1)]
 
 
 def test_diagram_cusp_negative_lambda_traces_no_curve(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import OdeSolution
 
 from sigmapoly.core import FilippovSystem, PolyField
-from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit
+from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit, TangentialHit
 from sigmapoly.flow import (
     MAX_FLIGHT_TIME,
     Section,
@@ -60,6 +60,13 @@ def test_hit_section_respects_halfwidth(fold_field):
     narrow = Section(anchor=(1.0, 0.0), direction=(0.0, 1.0), halfwidth=0.05)
     with pytest.raises(NoHit):
         hit_section(fold_field, np.array([0.2, 0.0]), narrow, "forward", tmax=5.0)
+
+
+def test_hit_section_graze_raises(cusp_field):
+    # the cusp orbit y = (x^3 + 1)/3 from (-1, 0) crosses y = 1/3 at x = 0, where (1, x^2) is tangent to it
+    seg = Section(anchor=(0.0, 1 / 3), direction=(1.0, 0.0), halfwidth=1.0)
+    with pytest.raises(TangentialHit, match="^grazes section at t = 1$"):
+        hit_section(cusp_field, np.array([-1.0, 0.0]), seg, "forward")
 
 
 # A flight is one integration whose steps are at most 4 time units long and
@@ -253,15 +260,15 @@ def test_filippov_trajectory_reaches_sliding():
     # X = (1, x), Y = (1, 1): orbit from above lands on Sigma and slides
     # rightward (F_Z = (1, 0)) until the visible fold at 0, then exits to M+
     Z = make_system(poly_x(), poly_const(1.0))
-    traj = filippov_trajectory(Z, (-1.0, 0.5), tmax=4.0, dt_out=0.05)
-    regimes = [a.regime for a in traj.arcs]
+    arcs = filippov_trajectory(Z, (-1.0, 0.5), tmax=4.0, dt_out=0.05)
+    regimes = [a.regime for a in arcs]
     assert "Sliding" in regimes
     k = regimes.index("Sliding")
-    arc = traj.arcs[k]
+    arc = arcs[k]
     ys = np.abs(np.asarray(arc.points)[:, 1])
     assert ys.max() < 1e-9
     # after the fold the trajectory lifts off into M+
-    assert any(a.regime == "Mplus" for a in traj.arcs[k + 1 :])
+    assert any(a.regime == "Mplus" for a in arcs[k + 1 :])
 
 
 _ONE, _X = poly_const(1.0), poly_x()
@@ -300,9 +307,9 @@ def test_start_on_sigma_follows_the_leaving_field(f, g, regime):
         return
     assert _regime_at(Z, (0.0, 0.0)) == regime
     # every arc of the trajectory lies on its regime's side of Sigma
-    traj = filippov_trajectory(Z, (0.0, 0.0), tmax=0.5, dt_out=0.05)
-    assert traj.arcs[0].regime == regime
-    for arc in traj.arcs:
+    arcs = filippov_trajectory(Z, (0.0, 0.0), tmax=0.5, dt_out=0.05)
+    assert arcs[0].regime == regime
+    for arc in arcs:
         ys = np.asarray(arc.points)[:, 1]
         if arc.regime == "Mplus":
             assert ys.min() >= -1e-12
@@ -333,9 +340,9 @@ def test_trajectory_crossing_straight_lines(x0, y0):
     # t = y0 and runs on down y = -0.9 (t - y0); the crossing lands on Sigma,
     # and Y's flight from there must not find that start again
     Z = make_system(poly_const(-1.0), poly_const(-0.9))
-    traj = filippov_trajectory(Z, (x0, y0), tmax=3.0)
-    assert [(a.regime, a.exit_event) for a in traj.arcs] == [("Mplus", "cross"), ("Mminus", "time-out")]
-    for arc in traj.arcs:
+    arcs = filippov_trajectory(Z, (x0, y0), tmax=3.0)
+    assert [(a.regime, a.exit_event) for a in arcs] == [("Mplus", "cross"), ("Mminus", "time-out")]
+    for arc in arcs:
         t, pts = np.asarray(arc.ts), np.asarray(arc.points)
         assert np.abs(pts[:, 0] - (x0 + t)).max() <= 1e-12
         assert np.abs(pts[:, 1] - np.where(t <= y0, y0 - t, -0.9 * (t - y0))).max() <= 1e-12
@@ -347,11 +354,10 @@ def test_trajectory_touch_keeps_the_regime(lift):
     # grazes Sigma within CLASSIFY_TOL at x = 0; the orbit goes on in M+ from
     # the touch point itself
     Z = make_system(poly_x(), poly_const(-1.0))
-    traj = filippov_trajectory(Z, (-1.0, 0.5 + lift), tmax=2.0)
-    arcs = [(a.regime, a.exit_event) for a in traj.arcs]
-    assert arcs == [("Mplus", "tangency-touch"), ("Mplus", "time-out")]
-    assert traj.arcs[1].ts[0] == pytest.approx(1.0, abs=1e-9)
-    for arc in traj.arcs:
+    arcs = filippov_trajectory(Z, (-1.0, 0.5 + lift), tmax=2.0)
+    assert [(a.regime, a.exit_event) for a in arcs] == [("Mplus", "tangency-touch"), ("Mplus", "time-out")]
+    assert arcs[1].ts[0] == pytest.approx(1.0, abs=1e-9)
+    for arc in arcs:
         t, pts = np.asarray(arc.ts), np.asarray(arc.points)
         assert np.abs(pts[:, 0] - (t - 1.0)).max() <= 1e-12
         assert np.abs(pts[:, 1] - ((t - 1.0) ** 2 / 2 + lift)).max() <= 1e-12
@@ -359,8 +365,8 @@ def test_trajectory_touch_keeps_the_regime(lift):
 
 def test_trajectory_time_monotone():
     Z = make_system(poly_x(), poly_const(1.0))
-    traj = filippov_trajectory(Z, (-1.0, 0.5), tmax=3.0, dt_out=0.1)
-    ts = np.concatenate([np.asarray(a.ts) for a in traj.arcs])
+    arcs = filippov_trajectory(Z, (-1.0, 0.5), tmax=3.0, dt_out=0.1)
+    ts = np.concatenate([np.asarray(a.ts) for a in arcs])
     assert np.all(np.diff(ts) > -1e-12)
 
 

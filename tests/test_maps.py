@@ -41,7 +41,7 @@ def test_transition_germ_fold(fold_field, h_y):
     assert g.coeffs[0] == pytest.approx(0.5, abs=1e-9)
     assert g.coeffs[1] == pytest.approx(0.0, abs=1e-8)
     assert g.kappa == pytest.approx(-0.5, rel=1e-7)
-    assert g.high_confidence()
+    assert g.residual <= 1e-7 * max(g.window, 1e-12) ** g.degree
 
 
 def test_transition_germ_cusp(cusp_field, h_y):
