@@ -6,10 +6,10 @@ The artifacts are:
   scenarios at 11x11, the two-fold scenario at 41x41 and the cusp and
   fold-fold scenarios at 51x51;
 - diagram.csv and curves.csv of `diagram --scenario vi-foldfold-circle --grid 5x5`;
-- the `sigmapoly flow --point=-1,0.5 --tmax 6 --dt-out 0.01` CSVs of the two
-  systems of tests/test_cli.py (X = (1, x), h = y, Y = (1, -1) or (1, 1))
-  and of the crossing of two straight lines (X = (1, -1), Y = (1, -0.9),
-  h = y);
+- the `sigmapoly flow --tmax 6 --dt-out 0.01` CSVs of the two systems of
+  tests/test_cli.py (X = (1, x), h = y, Y = (1, -1) or (1, 1)) from
+  (-1, 0.48), whose orbit lands on Sigma at x = -0.2, and of the crossing
+  of two straight lines (X = (1, -1), Y = (1, -0.9), h = y) from (-1, 0.5);
 - the stdout of scripts/circle_experiment.py;
 - repr(circle_saddle_node(0.05));
 - repr of the sections place_section(X, (0, 0), 0.1) puts forward and
@@ -35,7 +35,11 @@ It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
 ten seconds on two cores.
 
-Usage: python3 scripts/artifact_digests.py
+Usage: python3 scripts/artifact_digests.py [--text]
+
+With --text it prints each artifact's text, under a line "== <name>",
+instead of its sha256, so that two trees' outputs can be diffed number by
+number.
 """
 
 import contextlib
@@ -81,11 +85,11 @@ def _line(c: float) -> dict:
     return {"fx": [[0, 0, 1.0]], "fy": [[0, 0, c]]}
 
 
-# (name, X, Y) of the `sigmapoly flow` systems, all with h = y
+# (name, X, Y, start) of the `sigmapoly flow` systems, all with h = y
 FLOWS = [
-    ("Y=(1,-1)", FOLD_X, _line(-1.0)),
-    ("Y=(1,1)", FOLD_X, _line(1.0)),
-    ("X=(1,-1) Y=(1,-0.9)", _line(-1.0), _line(-0.9)),
+    ("Y=(1,-1)", FOLD_X, _line(-1.0), "-1,0.48"),
+    ("Y=(1,1)", FOLD_X, _line(1.0), "-1,0.48"),
+    ("X=(1,-1) Y=(1,-0.9)", _line(-1.0), _line(-0.9), "-1,0.5"),
 ]
 
 # (class, X, Y) of the `sigmapoly classify` systems, all with h = y, classified at the origin
@@ -99,13 +103,20 @@ CLASSIFY = [
 ]
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+TEXT = "--text" in sys.argv[1:]
 
 
-def _file_sha(path: str) -> str:
+def _emit(data: bytes, name: str) -> None:
+    """Print the sha256 of an artifact and its name, or with --text its name and text."""
+    if TEXT:
+        print(f"== {name}\n{data.decode()}")
+    else:
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+
+def _emit_file(path: str, name: str) -> None:
     with open(path, "rb") as f:
-        return _sha(f.read())
+        _emit(f.read(), name)
 
 
 def _write_system(path: str, X: dict, Y: dict) -> str:
@@ -115,14 +126,14 @@ def _write_system(path: str, X: dict, Y: dict) -> str:
     return path
 
 
-def _stdout_sha(argv) -> str:
-    """sha256 of what `sigmapoly argv` writes to stdout; the command must succeed."""
+def _stdout(argv) -> bytes:
+    """What `sigmapoly argv` writes to stdout; the command must succeed."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = run(argv)
     if rc != 0:
         raise SystemExit(f"{' '.join(argv)} failed")
-    return _sha(buf.getvalue().encode())
+    return buf.getvalue().encode()
 
 
 # (scenario, curve parameters); a cell moves off its curve along the curve's value:
@@ -172,36 +183,36 @@ def main() -> int:
             if run(["diagram", "--scenario", scenario, "--grid", grid, "--out", out]) != 0:
                 raise SystemExit(f"diagram {scenario} {grid} failed")
             for name in ("diagram.csv", "curves.csv"):
-                print(f"{_file_sha(os.path.join(out, name))}  diagram {scenario} {grid} {name}")
-        for k, (name, X, Y) in enumerate(FLOWS):
+                _emit_file(os.path.join(out, name), f"diagram {scenario} {grid} {name}")
+        for k, (name, X, Y, start) in enumerate(FLOWS):
             system = _write_system(os.path.join(tmp, f"sys{k}.json"), X, Y)
             out = os.path.join(tmp, f"traj{k}.csv")
-            argv = ["flow", "--system", system, "--point=-1,0.5", "--tmax", "6", "--dt-out", "0.01", "--out", out]
-            if run(argv) != 0:
+            argv = ["flow", "--system", system, f"--point={start}", "--tmax", "6", "--dt-out", "0.01"]
+            if run(argv + ["--out", out]) != 0:
                 raise SystemExit(f"flow with {name} failed")
-            print(f"{_file_sha(out)}  flow {name} trajectory.csv")
+            _emit_file(out, f"flow {name} trajectory.csv")
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "circle_experiment.py")],
         capture_output=True, check=True,
     )
-    print(f"{_sha(res.stdout)}  scripts/circle_experiment.py stdout")
-    print(f"{_sha(repr(circle_saddle_node(0.05)).encode())}  repr(circle_saddle_node(0.05))")
+    _emit(res.stdout, "scripts/circle_experiment.py stdout")
+    _emit(repr(circle_saddle_node(0.05)).encode(), "repr(circle_saddle_node(0.05))")
     for name, obj in _germs():
-        print(f"{_sha(repr(obj).encode())}  repr({name})")
+        _emit(repr(obj).encode(), f"repr({name})")
     labels = [classify_parameter_point(SCENARIOS[sc](), cell).label for sc, cell in _band_cells()]
     joined = "\n".join(labels).encode()
-    print(f"{_sha(joined)}  labels of {len(labels)} synthetic cells on and near the curves")
+    _emit(joined, f"labels of {len(labels)} synthetic cells on and near the curves")
     with tempfile.TemporaryDirectory() as tmp:
         for name, X, Y in CLASSIFY:
             system = _write_system(os.path.join(tmp, f"{name}.json"), X, Y)
-            print(f"{_stdout_sha(['classify', '--system', system, '--point', '0,0'])}  classify {name} stdout")
+            _emit(_stdout(["classify", "--system", system, "--point", "0,0"]), f"classify {name} stdout")
         system = _write_system(os.path.join(tmp, "fold.json"), FOLD_X, _line(-1.0))
         argv = ["germ", "--system", system, "--section", "1,0,0,1,2", "--degree", "2"]
-        print(f"{_stdout_sha(argv)}  germ X=(1,x) section 1,0,0,1,2 degree 2 stdout")
+        _emit(_stdout(argv), "germ X=(1,x) section 1,0,0,1,2 degree 2 stdout")
         model = os.path.join(tmp, "model.json")
         with open(model, "w") as f:
             f.write(dumps(model_to_dict(normal_form_model(1.0, -0.25, 2, lam=(0.01,)))))
-        print(f"{_stdout_sha(['polycycle-solve', '--model', model])}  polycycle-solve normal_form_model stdout")
+        _emit(_stdout(["polycycle-solve", "--model", model]), "polycycle-solve normal_form_model stdout")
     return 0
 
 

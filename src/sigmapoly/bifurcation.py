@@ -402,11 +402,10 @@ def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
     x_sn = 2.0 * k * alpha / (k - d)
     vals["beta1"] = -(k * (x_sn - 2 * alpha) ** 2 - d * x_sn**2)
     if alpha > 0:
-        vals["beta2"] = -(k * (0.0 - 2 * alpha) ** 2 - d * 0.0**2)
+        vals["beta2"] = -4 * k * alpha**2  # Delta(0) = 0
         vals["beta4"] = -k * alpha**2  # Tu(alpha) = 0: orbit of p_Y hits p_0
     if alpha < 0:
-        zeta = 2.0 * alpha
-        vals["beta3"] = -(k * (zeta - 2 * alpha) ** 2 - d * zeta**2)
+        vals["beta3"] = 4 * d * alpha**2  # Delta(2 alpha) = 0
         vals["beta5"] = d * alpha**2  # DTs(alpha) = Tu(2 alpha): p_0 orbit hits p_Y
     return CurveValues(vals)
 

@@ -1,47 +1,65 @@
 """Event-driven integration of the smooth pieces and the Filippov dynamics.
 
-Every orbit is a flight, _flight, the one DOP853 stepper the package builds
-(Hairer, Norsett & Wanner, Solving ODEs I), from t = 0 towards its time
-limit, never integrating an arc twice.  Its steps are at most _CHUNK long,
-and the event functions are evaluated vectorised on the dense output at
-the fixed time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one
-step (or run of steps) at a time.  An event-free flight (flow_smooth,
-maps.place_section) builds neither, yields nothing and returns the
-stepper's own state at t_end.
+Every orbit is a flight, _flight, the one stepper the package has: a
+Taylor method on the exact Poly2 algebra of its field (Jorba & Zou,
+Exp. Math. 2005; Biscani & Izzo's heyoka, MNRAS 2021), from t = 0 towards
+its time limit, never integrating an arc twice.
+- Series.  _Jet builds the Taylor coefficients of the orbits of a field
+  (px, py) / q from its Poly2 terms: at each order the Cauchy products of
+  the monomials, shared by both components and vectorised over the n
+  orbits of a flight, then one matrix product for the polynomials, and the
+  recurrences of a quotient (the sliding field of _slide) or of a square
+  root (the unit-speed field of maps.place_section).
+- Order and step.  The order _ORDER = ceil(-ln(INTEGRATOR_TOL) / 2) + 1 is
+  fixed.  The step is _STEP_SHARE (1/e^2 and heyoka's safety factor) of the
+  radius of convergence that the last two coefficients give, taken over
+  all orbits, absolute where the state is below 1 and relative above; it
+  is at most _CHUNK, and an orbit whose series ends steps the full _CHUNK.
+- Failure.  A step below 10 spacing(t), or a non-finite coefficient (a
+  blow-up, an equilibrium of the unit-speed field), ends the flight with
+  NoHit("integration failed: ...").
+- Dense output.  Each step's polynomial is its own dense output (_Piece),
+  evaluated by Horner about the step's start; the next step starts from
+  its value at the step's end, so two steps agree at their boundary.
 
-One scanner, _scan, flies n starts as one 2n-dimensional system with
-tolerance INTEGRATOR_TOL / sqrt(n), so that the stepper's RMS error norm
-bounds each orbit as tightly as a flight of its own.  Per orbit it applies
-the Sigma rules (h and Fh bracketed on the lattice, so that a dip through
-Sigma shorter than the lattice spacing is found; a start within EVENT_TOL
-of Sigma is on it, h = 0 at t = 0, and leaves into the side Fh points to),
-the section rules of _section_hit and the race between the two.  Each
-orbit keeps its first event and then rides along unread.  If a step fails,
-the orbits without an event fly again alone, so a blow-up in one orbit
-never decides another's result.
+The event functions are evaluated vectorised on the pieces at the fixed
+time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one step (or run
+of steps) at a time.  An event-free flight (flow_smooth,
+maps.place_section) builds no lattice, yields nothing and returns the
+last step's polynomial at t_end.
+
+One scanner, _scan, flies n starts as one 2n-dimensional system; since the
+step rule takes the largest coefficient over the orbits, each orbit is
+bounded as tightly as in a flight of its own.  Per orbit it applies the
+Sigma rules (h and Fh bracketed on the lattice, so that a dip through
+Sigma shorter than the lattice spacing is found; a sample exactly on Sigma
+that hdot carries across is a crossing; a start within EVENT_TOL of Sigma
+is on it, h = 0 at t = 0, and leaves into the side Fh points to), the
+section rules of _section_hit and the race between the two.  Each orbit
+keeps its first event and then rides along unread.  If a step fails, the
+orbits without an event fly again alone, so a blow-up in one orbit never
+decides another's result.
 hit_sections, next_sigma_hits, their n = 1 calls hit_section and
 next_sigma_hit, and filippov_trajectory's smooth arcs are calls to it; a
 section-only scan never evaluates h or Fh.
 
-Each event root is polished by brentq to ~1e-12 in time on the step
-interpolant that holds it, evaluated for its orbit alone in Python floats
-(_orbit): bit for bit what OdeSolution gives, at a fraction of the cost.
-A trajectory samples each arc from the pieces of the flight that found its
-event, and starts the next arc at that event: _regime_at is the one rule
-that picks the field from a point on Sigma, and no flight is nudged off
-it.  Every right-hand side evaluates its field through
-PolyField.components, bit for bit the two Poly2 components.
+Each event root is polished by brentq to ~1e-14 in time on the step
+polynomial that holds it, evaluated for its orbit alone in Python floats
+(_orbit): bit for bit the piece's vectorised evaluation.  A trajectory
+samples each arc from the pieces of the flight that found its event, and
+starts the next arc at that event: _regime_at is the one rule that picks
+the field from a point on Sigma, and no flight is nudged off it.
 
-scipy's DOP853, OdeSolution and brentq are bound by _scipy the first time
-a flight or an event polish needs them, so the closed-form paths never
-import scipy.  flow.brentq is read at call time and bound on first read
-through the module __getattr__, so that a tracer can wrap and rebind it;
-solve_ivp is bound the same way for the tracer alone, and nothing calls it.
+scipy's brentq is bound by _scipy the first time an event polish needs
+it, so the closed-form paths never import scipy.  flow.brentq is read at
+call time and bound on first read through the module __getattr__, so that
+a tracer can wrap and rebind it; solve_ivp is bound the same way for the
+tracer alone, and nothing calls it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,28 +67,31 @@ import numpy as np
 
 from .core import CLASSIFY_TOL, FilippovSystem, PolyField, SwitchingFunction, contact_order, lie_poly
 from .errors import NoHit, NonDeterministicExit, TangentialHit, fmt_point
+from .poly2 import Poly2
 
 INTEGRATOR_TOL = 1e-12
 EVENT_TOL = 1e-10
 MAX_FLIGHT_TIME = 100.0
 _CHUNK = 4.0
 _SAMPLES_PER_CHUNK = 600
+# the Taylor order for INTEGRATOR_TOL, and the share of the radius of
+# convergence a step takes: Jorba & Zou's 1/e^2 with heyoka's safety factor
+_ORDER = int(np.ceil(-0.5 * np.log(INTEGRATOR_TOL))) + 1
+_STEP_SHARE = float(np.exp(-2.0 - 0.7 / (_ORDER - 1)))
 
-# scipy's stepper, dense output, solver and root finder: bound by _scipy
-DOP853: type
-OdeSolution: type
+# scipy's solver and root finder: bound by _scipy
 solve_ivp: Callable  # uncalled: bench/tracing.py wraps it, until its tracer counts _flight's steps
 brentq: Callable
-_SCIPY_NAMES = ("DOP853", "OdeSolution", "solve_ivp", "brentq")
+_SCIPY_NAMES = ("solve_ivp", "brentq")
 
 
 def _scipy() -> None:
-    """Bind DOP853, OdeSolution, solve_ivp and brentq as module globals, on the first call."""
+    """Bind solve_ivp and brentq as module globals, on the first call."""
     if "solve_ivp" not in globals():
-        from scipy.integrate import DOP853, OdeSolution, solve_ivp
+        from scipy.integrate import solve_ivp
         from scipy.optimize import brentq
 
-        globals().update(DOP853=DOP853, OdeSolution=OdeSolution, solve_ivp=solve_ivp, brentq=brentq)
+        globals().update(solve_ivp=solve_ivp, brentq=brentq)
 
 
 def __getattr__(name: str):
@@ -120,110 +141,202 @@ def vertical_section(x0: float, y_anchor: float = 0.0, halfwidth=None) -> Sectio
     return Section(anchor=(x0, y_anchor), direction=(0.0, 1.0), halfwidth=halfwidth)
 
 
-def _rhs(F: PolyField, n: int = 1):
-    """Right-hand side of n orbits of F, on the state (x_1..x_n, y_1..y_n)."""
-    if n == 1:
-        # Python floats: the same IEEE operations as on numpy scalars, in
-        # about 40% less time; but a float ** that overflows raises, where
-        # numpy's gives the inf that makes the stepper reject its step
+class _Jet:
+    """Taylor coefficients of the orbits of the field (px, py) / q, from exact Poly2 algebra.
 
-        def f(t, s):
-            try:
-                return F.components(*s.tolist())
-            except OverflowError:
-                return F.components(s[0], s[1])
+    px, py and den are Poly2s; q is 1, den, or with root sqrt(den).  Every
+    monomial x^i y^j of them is a series: 1, x, y, or the Cauchy product of
+    x^a y^b of degree ceil((i + j) / 2) and the rest, so the products come
+    in ceil(log2 degree) levels, each one vectorised call per order.  The
+    polynomials are one matrix product of the monomial series; a quotient
+    a / b continues q_k = (a_k - sum_{m=1..k} b_m q_{k-m}) / b_0 and a
+    square root w = sqrt(u) continues
+    w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).
+    """
 
-    else:
+    def __init__(self, px: Poly2, py: Poly2, den: Poly2 | None = None, root: bool = False):
+        polys = [px, py] + ([den] if den is not None else [])
+        slot, level, prods = {(0, 0): 0, (1, 0): 1, (0, 1): 2}, [0, 0, 0], []
 
-        def f(t, s):
-            out = np.empty(2 * n)
-            out[:n], out[n:] = F.components(s[:n], s[n:])
-            return out
+        def mono(i, j):
+            if (i, j) not in slot:
+                h = (i + j + 1) // 2  # the degree of the first factor
+                a = min(i, h)
+                a, b = mono(a, h - a), mono(i - a, j - h + a)
+                slot[i, j] = len(level)
+                level.append(1 + max(level[a], level[b]))
+                prods.append((slot[i, j], a, b))
+            return slot[i, j]
 
-    return f
+        terms = [[(mono(i, j), c) for (i, j), c in p.coeffs.items()] for p in polys]
+        self.levels = [
+            tuple(np.array(v) for v in zip(*(q for q in prods if level[q[0]] == lv)))
+            for lv in range(1, max(level) + 1)
+        ]
+        self.nmono = m = len(level)
+        self.mix = np.zeros((len(polys), m))
+        for r, row in enumerate(terms):
+            for s, c in row:
+                self.mix[r, s] += c
+        # slots: the monomials, then the polynomials, sqrt(den) and the quotients
+        self.polys = slice(m, m + len(polys))
+        self.den = None if den is None else m + 2 + root
+        self.out = slice(m, m + 2) if den is None else slice(self.den + 1, self.den + 3)
+        self.root = root
+        self.size = self.out.stop
+
+    def series(self, state: np.ndarray) -> np.ndarray:
+        """Coefficients (_ORDER + 1, 2n) of the orbits from state = (x_1..x_n, y_1..y_n)."""
+        n = state.size // 2
+        S = np.zeros((self.size, _ORDER + 1, n))
+        S[0, 0] = 1.0
+        S[1, 0], S[2, 0] = state[:n], state[n:]
+        num, q = S[self.polys.start : self.polys.start + 2], S[self.out]
+        for k in range(_ORDER):
+            for s, a, b in self.levels:
+                S[s, k] = np.einsum("smn,smn->sn", S[a, : k + 1], S[b, k::-1])
+            S[self.polys, k] = self.mix @ S[: self.nmono, k]
+            if self.den is not None:
+                b = S[self.den]
+                if self.root and k == 0:  # b = sqrt(u), u in the slot before
+                    b[0] = np.sqrt(S[self.den - 1, 0])
+                elif self.root:
+                    b[k] = (S[self.den - 1, k] - np.einsum("mn,mn->n", b[1:k], b[k - 1 : 0 : -1])) / (2.0 * b[0])
+                carry = np.einsum("mn,smn->sn", b[1 : k + 1], q[:, k - 1 :: -1]) if k else 0.0
+                q[:, k] = (num[:, k] - carry) / b[0]
+            S[1:3, k + 1] = q[:, k] / (k + 1)
+        return S[1:3].transpose(1, 0, 2).reshape(_ORDER + 1, 2 * n)
 
 
-def _flight(rhs, p, t_end: float, events, tol: float = INTEGRATOR_TOL):
-    """Integrate rhs from p over [0, t_end] (backward if t_end < 0) with one stepper.
+def _horner(c, u):
+    """sum_k c[k] u^k by Horner, elementwise over c's trailing axes."""
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * u + ck
+    return acc
 
-    The state holds n orbits as (x_1..x_n, y_1..y_n); steps are at most
-    _CHUNK long.  Yields one piece per step, or run of steps, that passes a
-    point of the lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), which
-    t_end closes: (sol, ts, vals) with sol the dense output of the piece's
-    steps, ts the lattice points from the last one before the piece to the
-    last one in it, and vals[i] = events[i](x, y) on all of them at once, of
-    shape (n, len(ts)).  With no events there is neither dense output nor
-    lattice, and no piece.  A caller stops the flight by leaving the loop;
-    one that reaches t_end returns the stepper's own state there (not the
-    dense output's).  A failed step ends the flight with NoHit, after a
-    last piece that reaches the last good step.
+
+class _Piece:
+    """Dense output of a run of Taylor steps: each step's polynomial about its own start.
+
+    ts holds the step boundaries in flight order and coefs[j] the
+    (_ORDER + 1, 2n) coefficients of step j, whose state at ts[j] + u is
+    sum_k coefs[j][k] u^k.  A time on a boundary is read on the step that
+    ends there; the first step also reads the times before it and the last
+    those after it.
+    """
+
+    def __init__(self, ts, coefs):
+        self.ts = np.array(ts)
+        self.coefs = np.array(coefs)
+
+    def step(self, t):
+        """Index of the step that reads each time in t."""
+        sgn = 1.0 if self.ts[-1] > self.ts[0] else -1.0
+        return np.minimum(np.searchsorted(sgn * self.ts[1:], sgn * t), len(self.coefs) - 1)
+
+    def __call__(self, t) -> np.ndarray:
+        """States (2n, len(t)) at the times t."""
+        j = self.step(t)
+        out = np.empty((self.coefs.shape[2], len(t)))
+        for s in np.unique(j):
+            at = j == s
+            out[:, at] = _horner(self.coefs[s], (t[at] - self.ts[s])[:, None]).T
+        return out
+
+
+def _flight(jet: _Jet, p, t_end: float, events):
+    """Integrate jet from p over [0, t_end] (backward if t_end < 0) with one Taylor stepper.
+
+    The state holds n orbits as (x_1..x_n, y_1..y_n); see the module
+    docstring for the order, the step and when a step fails.  Yields one
+    piece per step, or run of steps, that passes a point of the lattice
+    t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), which t_end closes:
+    (sol, ts, vals) with sol the _Piece of the piece's steps, ts the lattice
+    points from the last one before the piece to the last one in it, and
+    vals[i] = events[i](x, y) on all of them at once, of shape (n, len(ts)).
+    With no events there is no lattice and no piece.  A caller stops the
+    flight by leaving the loop; one that reaches t_end returns the state
+    there, the last step's polynomial at t_end.  A failed step ends the
+    flight with NoHit, after a last piece that reaches the last good step.
     """
     sgn = 1.0 if t_end > 0 else -1.0
     dt = _CHUNK / (_SAMPLES_PER_CHUNK - 1)
     # a lattice point within half a spacing of t_end gives way to t_end
     last = abs(t_end) - 0.5 * dt
-    _scipy()
-    solver = DOP853(rhs, 0.0, np.asarray(p, dtype=float), t_end, max_step=_CHUNK, rtol=tol, atol=tol)
-    bounds, dense = [0.0], []
+    state, t = np.asarray(p, dtype=float), 0.0
+    bounds, steps = [0.0], []
     k = 0  # the lattice point the next piece starts from
     while True:
-        message = solver.step()
-        if events:  # dense output and the lattice serve only to locate events
-            if solver.status != "failed":
-                bounds.append(solver.t)
-                dense.append(solver.dense_output())
-            reach = abs(solver.t)
-            j = k
+        c = jet.series(state)
+        failed = None
+        if not np.isfinite(c).all():
+            failed = f"non-finite Taylor coefficient at t = {t:.6g}"
+        else:
+            # the radius of convergence from the last two coefficients, relative
+            # to the state where it is above 1 and absolute below
+            scale = max(1.0, float(np.abs(c[0]).max()))
+            h = _CHUNK
+            for m in (_ORDER - 1, _ORDER):
+                top = float(np.abs(c[m]).max())
+                if top > 0.0:
+                    h = min(h, _STEP_SHARE * (scale / top) ** (1.0 / m))
+            if h < 10.0 * np.spacing(t):
+                failed = f"step {h:.3g} below 10 spacing(t) at t = {t:.6g}"
+        if failed is None:
+            t_new = t_end if abs(t) + h >= abs(t_end) else t + sgn * h
+            state = _horner(c, t_new - t)
+            t = t_new
+            bounds.append(t)
+            steps.append(c)
+        if events:  # the lattice serves only to locate events
+            reach = abs(t)
+            j = max(k, int(min(reach, last) / dt) - 1)
             while (j + 1) * dt <= reach and (j + 1) * dt < last:
                 j += 1
             ts = np.arange(k, j + 1) * (sgn * dt)
-            if solver.status != "running" and reach > j * dt:
-                ts = np.append(ts, solver.t)  # t_end, or the last good step
+            if (failed or t == t_end) and reach > j * dt:
+                ts = np.append(ts, t)  # t_end, or the last good step
             if ts.size > 1:
-                sol = OdeSolution(bounds, dense)
+                sol = _Piece(bounds, steps)
                 x, y = np.split(sol(ts), 2)
                 yield sol, ts, [np.broadcast_to(f(x, y), x.shape) for f in events]
                 # the next piece starts inside the last step
-                k, bounds, dense = j, bounds[-2:], dense[-1:]
-        if solver.status == "failed":
-            raise NoHit(f"integration failed: {message}")
-        if solver.status == "finished":
-            return solver.y
+                k, bounds, steps = j, bounds[-2:], steps[-1:]
+        if failed:
+            raise NoHit(f"integration failed: {failed}")
+        if t == t_end:
+            return state
 
 
-def _end_state(rhs, p, t_end: float) -> np.ndarray:
-    """The stepper's state at t_end of the event-free flight of rhs from p."""
+def _end_state(jet: _Jet, p, t_end: float) -> np.ndarray:
+    """The state at t_end of the event-free flight of jet from p."""
     try:
-        next(_flight(rhs, p, t_end, []))
+        next(_flight(jet, p, t_end, []))
     except StopIteration as end:
         return end.value
 
 
-def _orbit(sol, i: int = 0, n: int = 1):
-    """t -> (x_i(t), y_i(t)) on the dense output sol of a piece of n orbits, in Python floats.
+def _orbit(sol: _Piece, i: int = 0, n: int = 1):
+    """t -> (x_i(t), y_i(t)) on the piece sol of a flight of n orbits, in Python floats.
 
-    Bit for bit sol(t)[i::n]: the step is the one OdeSolution picks for t
-    (at a step boundary, the lower segment index, forward or backward), and
-    orbit i's two components of its Dop853DenseOutput are summed in the
-    Horner order of _call_impl.
+    Bit for bit sol(t)[i::n]: the same step, and orbit i's two coefficient
+    columns summed in the same Horner order.
     """
-    bounds = sol.ts_sorted.tolist()
-    find = bisect_left if sol.side == "left" else bisect_right
-    steps = [(float(d.t_old), float(d.h), d.F[::-1, i::n].tolist(), d.y_old[i::n].tolist())
-             for d in sol.interpolants]
-    if not sol.ascending:
-        steps.reverse()  # in the order of bounds
+    sgn = 1.0 if sol.ts[-1] > sol.ts[0] else -1.0
+    ends = [sgn * b for b in sol.ts[1:].tolist()]
+    starts = sol.ts.tolist()
+    rows = sol.coefs[:, ::-1][:, :, [i, n + i]].tolist()
+    last = len(rows) - 1
 
     def at(t):
-        t_old, h, rows, (x0, y0) = steps[min(max(find(bounds, t) - 1, 0), len(steps) - 1)]
-        u = (t - t_old) / h
-        v = 1 - u
-        x = y = 0.0
-        for m, (fx, fy) in enumerate(rows):
-            w = v if m % 2 else u
-            x = (x + fx) * w
-            y = (y + fy) * w
-        return x + x0, y + y0
+        j = min(bisect_left(ends, sgn * t), last)
+        u = t - starts[j]
+        (x, y), *rest = rows[j]
+        for cx, cy in rest:
+            x = x * u + cx
+            y = y * u + cy
+        return x, y
 
     return at
 
@@ -243,13 +356,25 @@ def _arc_points(arc, ts) -> np.ndarray:
 
 def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
     """phi_F(t; p) with local tolerance 1e-12."""
-    return _end_state(_rhs(F), p, t)
+    return _end_state(_Jet(F.fx, F.fy), p, t)
 
 
 def _brentq(g, a, b):
+    """The root of g between a and b (a first in time), polished to ~1e-14.
+
+    Where g is exactly 0 on a run of adjacent floats, as on an exact
+    polynomial orbit, the root is the first of the run from a (a few
+    floats at most), not whichever one brentq stopped on.
+    """
     lo, hi = (a, b) if a < b else (b, a)
     _scipy()
-    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    r = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    for _ in range(4):
+        s = float(np.nextafter(r, a))
+        if r == a or g(s) != 0.0:
+            break
+        r = s
+    return r
 
 
 def _sign_changes(g, ts, vals):
@@ -361,7 +486,7 @@ def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, i
         side = np.array([_departure(hpoly, fhpoly, p, sgn) for p in ps])
     if section is not None:
         events.append(_offset(section))
-    flight = _flight(_rhs(F, n), ps.T.ravel(), sgn * tmax, events, tol=INTEGRATOR_TOL / np.sqrt(n))
+    flight = _flight(_Jet(F.fx, F.fy), ps.T.ravel(), sgn * tmax, events)
     try:
         for sol, ts, vals in flight:
             if arc is not None:
@@ -371,7 +496,9 @@ def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, i
                 if ts[0] == 0.0:
                     # a start on Sigma is at h = 0: the rounding of its h is no crossing
                     hs[np.abs(vals[0][:, 0]) <= EVENT_TOL, 0] = 0
-                cross = hs[:, :-1] * hs[:, 1:] < 0
+                # a sign change of h, or a sample exactly on Sigma that the
+                # orbit reaches while hdot = sgn Fh still carries it across
+                cross = (hs[:, :-1] * hs[:, 1:] < 0) | ((hs[:, 1:] == 0) & (sgn * fs[:, 1:] == -hs[:, :-1]))
                 turn = (fs[:, :-1] != 0) & (fs[:, :-1] != fs[:, 1:])
                 k0 = np.zeros(n, dtype=int)
                 for i in np.flatnonzero(side == 0):  # still on Sigma: wait for |h| to grow
@@ -512,15 +639,14 @@ def _slide(Z: FilippovSystem, p, t_budget, arc):
     """
     Xh = lie_poly(Z.X, Z.h.h, 1)
     Yh = lie_poly(Z.Y, Z.h.h, 1)
-    hx, hy = Z.h.h.dx(), Z.h.h.dy()
-
-    def rhs(t, s):
-        xh, yh = Xh(s[0], s[1]), Yh(s[0], s[1])
-        v = (yh * Z.X(s) - xh * Z.Y(s)) / (yh - xh)
-        # mild projection keeps the arc pinned to Sigma
-        return v - 10.0 * Z.h.h(s[0], s[1]) * np.array([hx(s[0], s[1]), hy(s[0], s[1])])
-
-    for sol, ts, vals in _flight(rhs, p, t_budget, [Xh, Yh]):
+    den = Yh - Xh
+    # the sliding field (Yh X - Xh Y) / (Yh - Xh), less a mild projection
+    # 10 h grad h that keeps the arc pinned to Sigma
+    pin = Z.h.h.scale(10.0) * den
+    jet = _Jet(
+        Yh * Z.X.fx - Xh * Z.Y.fx - pin * Z.h.h.dx(), Yh * Z.X.fy - Xh * Z.Y.fy - pin * Z.h.h.dy(), den
+    )
+    for sol, ts, vals in _flight(jet, p, t_budget, [Xh, Yh]):
         arc.append(sol)
         # include t = 0: a slide entering within a hair of the boundary must
         # exit immediately (exact-zero starts are skipped by _sign_changes)
@@ -541,8 +667,9 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
     Each arc is one flight from the event point that ended the one before:
     a smooth arc flies its field (_scan) to the next Sigma crossing or
     grazing touch, a sliding arc the sliding field (_slide) to a fold exit.
-    A touch keeps the regime; after a crossing or a fold exit _regime_at
-    picks it at the event point itself, so no flight is nudged off Sigma.
+    A touch that stays off Sigma keeps the regime; after a crossing, a fold
+    exit or a touch that reaches h = 0 _regime_at picks it at the event
+    point itself, so no flight is nudged off Sigma.
     A fold exit that slides on, or a point with no unique forward orbit,
     raises NonDeterministicExit.
     """
@@ -565,7 +692,7 @@ def filippov_trajectory(Z: FilippovSystem, p, tmax: float, dt_out: float = 0.01)
             return arcs
         t += hit.time
         point = hit.point
-        if hit.kind != "touch":
+        if hit.kind != "touch" or Z.h.h(point[0], point[1]) == 0.0:
             regime = _regime_at(Z, point)
             if regime == "Sliding" and hit.kind.startswith("fold-exit"):
                 raise NonDeterministicExit(f"sliding exit at {fmt_point(point)} slides on")

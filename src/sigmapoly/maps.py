@@ -42,7 +42,7 @@ from .errors import (
     fmt_point,
 )
 from .flow import (
-    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _regime_at, _rhs, hit_sections, next_sigma_hit,
+    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _Jet, _regime_at, hit_sections, next_sigma_hit,
     next_sigma_hits,
 )
 
@@ -345,18 +345,12 @@ def place_section(
 ) -> Section:
     """Transversal section at arclength distance along the separatrix from p0.
 
-    One flight of the unit-speed field F / max(|F|, 1e-9) for time
-    +-distance puts the anchor at that arclength.  The chart runs along the
-    left normal of the field, so polycycle charts keep the enclosed region
-    on a fixed side.
+    One flight of the unit-speed field F (fx^2 + fy^2)^(-1/2) for time
+    +-distance puts the anchor at that arclength; an equilibrium on the way
+    fails the flight.  The chart runs along the left normal of the field,
+    so polycycle charts keep the enclosed region on a fixed side.
     """
-    f = _rhs(F)
-
-    def unit(t, s):
-        vx, vy = f(t, s)
-        k = 1.0 / max(math.hypot(vx, vy), 1e-9)
-        return (vx * k, vy * k)
-
+    unit = _Jet(F.fx, F.fy, F.fx * F.fx + F.fy * F.fy, root=True)
     sgn = 1.0 if direction == "forward" else -1.0
     q = _end_state(unit, p0, sgn * distance)
     v = F(q)

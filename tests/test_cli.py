@@ -353,16 +353,17 @@ def test_numeric_error_exit_code_and_stderr(system_path, capsys):
 
 @pytest.mark.parametrize("gy", [-1.0, 1.0], ids=["Y=(1,-1)", "Y=(1,1)"])
 def test_flow_csv_matches_closed_form(gy, tmp_path):
-    # X = (1, x), Y = (1, gy), h = y from (-1, 0.5): x = -1 + t on every arc.
-    # The start lies on the parabola y = x^2/2 through the visible fold; the
-    # orbit meets Sigma next to the fold.  For gy = -1 it crosses and runs down
-    # the line y = -(x - x_cross); for gy = 1 it slides along y = 0 to the fold
-    # and lifts off on the same parabola.
+    # X = (1, x), Y = (1, gy), h = y from (-1, 0.48): x = -1 + t on every arc.
+    # The start lies on the parabola y = (x^2 - 0.04)/2, just below the one
+    # through the visible fold; the orbit meets Sigma at x = -0.2, next to the
+    # fold.  For gy = -1 it crosses and runs down the line y = -(x - x_cross);
+    # for gy = 1 it slides along y = 0 to the fold and lifts off on the
+    # parabola y = x^2/2 through it.
     sp = tmp_path / "sys.json"
     sp.write_text(json.dumps(dict(SYSTEM, Y={"fx": [[0, 0, 1.0]], "fy": [[0, 0, gy]]})))
     out = tmp_path / "traj.csv"
     rc = run([
-        "flow", "--system", str(sp), "--point=-1,0.5",
+        "flow", "--system", str(sp), "--point=-1,0.48",
         "--tmax", "6", "--dt-out", "0.01", "--out", str(out),
     ])
     assert rc == 0
@@ -371,7 +372,12 @@ def test_flow_csv_matches_closed_form(gy, tmp_path):
     assert len(cross) == 1
     assert float(cross[0][2]) == 0.0  # the event row lies on Sigma exactly
     x_cross = float(cross[0][1])
-    closed = {"P": lambda x: x * x / 2, "M": lambda x: gy * (x - x_cross), "S": lambda x: 0.0}
+    assert abs(x_cross + 0.2) <= 1e-12
+    closed = {
+        "P": lambda x: x * x / 2 - (0.02 if x <= x_cross else 0.0),
+        "M": lambda x: gy * (x - x_cross),
+        "S": lambda x: 0.0,
+    }
     for t, x, y, regime, _ in rows:
         t, x, y = float(t), float(x), float(y)
         assert abs(x - (-1.0 + t)) <= 1e-12

@@ -1,18 +1,17 @@
-import copy
-
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
 
 from sigmapoly.core import FilippovSystem, PolyField
 from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit, TangentialHit
 from sigmapoly.flow import (
+    _CHUNK,
     MAX_FLIGHT_TIME,
     Section,
     _flight,
+    _Jet,
     _orbit,
+    _Piece,
     _regime_at,
-    _rhs,
     _section_hits,
     filippov_trajectory,
     flow_smooth,
@@ -210,26 +209,26 @@ def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
 def _pieces(F, starts, t_end):
     """The dense output of each piece of one flight of the starts."""
     state = np.asarray(starts, dtype=float).T.ravel()
-    return [sol for sol, _, _ in _flight(_rhs(F, len(starts)), state, t_end, [lambda x, y: x])]
+    return [sol for sol, _, _ in _flight(_Jet(F.fx, F.fy), state, t_end, [lambda x, y: x])]
 
 
 def _split_at_boundaries(sol):
     """sol with each step's start value moved by its own amount.
 
-    Two DOP853 steps give the same bits at the boundary they share (the end
-    value is (y1 - y0) + y0 on the first, y1 on the second), so only steps
-    that disagree there show which of them is evaluated.
+    Two Taylor steps give the same bits at the boundary they share (the
+    second starts from the first's polynomial there), so only steps that
+    disagree there show which of them is evaluated.
     """
-    steps = [copy.copy(d) for d in sol.interpolants]
-    for k, d in enumerate(steps):
-        d.y_old = d.y_old + 1e-9 * (k + 1)
-    return OdeSolution(sol.ts, steps)
+    coefs = sol.coefs.copy()
+    for k in range(len(coefs)):
+        coefs[k, 0] += 1e-9 * (k + 1)
+    return _Piece(sol.ts, coefs)
 
 
-def test_step_local_evaluator_is_bitwise_ode_solution():
+def test_step_local_evaluator_is_bitwise_taylor_piece():
     # theta' = 1, r' = r - r^3 forward and backward, one orbit and orbit i of
     # three: at random times and at every step boundary, the evaluator gives
-    # the bits of OdeSolution's own evaluation
+    # the bits of the piece's own vectorised evaluation
     x, y = poly_x(), poly_y()
     r2 = x * x + y * y
     F = PolyField(y.scale(-1.0) + x - x * r2, x + y - y * r2)
@@ -243,24 +242,28 @@ def test_step_local_evaluator_is_bitwise_ode_solution():
     for starts, t_end in flights:
         n = len(starts)
         pieces = _pieces(F, starts, t_end)
-        assert len(pieces) > 2 and all(len(sol.interpolants) == 2 for sol in pieces[1:])
+        assert len(pieces) > 2 and all(len(sol.coefs) == 2 for sol in pieces[1:])
         for sol in pieces + [_split_at_boundaries(sol) for sol in pieces]:
             lo, hi = sorted((sol.ts[0], sol.ts[-1]))
-            for t in np.concatenate([sol.ts, rng.uniform(lo, hi, 20)]).tolist():
-                want = sol(t)
+            ts = np.concatenate([sol.ts, rng.uniform(lo, hi, 20)])
+            want = sol(ts)
+            for t, w in zip(ts.tolist(), want.T):
                 for i in range(n):
-                    assert np.asarray(_orbit(sol, i, n)(t)).tobytes() == want[i::n].tobytes()
-        # the other step at a boundary gives other bits, so a wrong choice fails
+                    assert np.asarray(_orbit(sol, i, n)(t)).tobytes() == w[i::n].tobytes()
+        # the step that ends at a boundary is read there; the next one gives
+        # other bits, so a wrong choice fails
         split = _split_at_boundaries(pieces[1])
-        t = split.ts[1]
-        assert OdeSolution(split.ts, split.interpolants, alt_segment=True)(t).tobytes() != split(t).tobytes()
+        t = split.ts[1:2]
+        assert split.step(t)[0] == 0
+        assert _Piece(split.ts[1:], split.coefs[1:])(t).tobytes() != split(t).tobytes()
 
 
 def test_filippov_trajectory_reaches_sliding():
-    # X = (1, x), Y = (1, 1): orbit from above lands on Sigma and slides
-    # rightward (F_Z = (1, 0)) until the visible fold at 0, then exits to M+
+    # X = (1, x), Y = (1, 1): orbit from above lands on Sigma at x = -0.2 (it
+    # runs down y = (x^2 - 0.04)/2) and slides rightward (F_Z = (1, 0)) until
+    # the visible fold at 0, then exits to M+
     Z = make_system(poly_x(), poly_const(1.0))
-    arcs = filippov_trajectory(Z, (-1.0, 0.5), tmax=4.0, dt_out=0.05)
+    arcs = filippov_trajectory(Z, (-1.0, 0.48), tmax=4.0, dt_out=0.05)
     regimes = [a.regime for a in arcs]
     assert "Sliding" in regimes
     k = regimes.index("Sliding")
@@ -269,6 +272,43 @@ def test_filippov_trajectory_reaches_sliding():
     assert ys.max() < 1e-9
     # after the fold the trajectory lifts off into M+
     assert any(a.regime == "Mplus" for a in arcs[k + 1 :])
+
+
+def test_tangent_orbit_touches_the_fold_and_stays_in_mplus():
+    # X = (1, x), Y = (1, 1): from (-1, 1/2) the orbit runs down y = x^2/2
+    # and reaches Sigma at the visible fold itself, at t = 1; the polynomial
+    # orbit is integrated exactly, so it does not dip below Sigma before the
+    # fold.  On Sigma only X leaves, so the orbit goes on in M+.
+    Z = make_system(poly_x(), poly_const(1.0))
+    arcs = filippov_trajectory(Z, (-1.0, 0.5), tmax=2.0, dt_out=0.05)
+    assert [(a.regime, a.exit_event) for a in arcs] == [("Mplus", "tangency-touch"), ("Mplus", "time-out")]
+    assert arcs[1].ts[0] == 1.0 and arcs[1].points[0].tolist() == [0.0, 0.0]
+
+
+def test_sliding_arc_follows_the_quotient_field(h_y):
+    # X = (0, -1 - x^2), Y = (1, 1), h = y: Xh = -1 - x^2 < 0 < Yh = 1, so
+    # all of Sigma slides, with F_Z = (Yh X - Xh Y) / (Yh - Xh) =
+    # ((1 + x^2) / (2 + x^2), 0).  From the origin x + atan(x) = t.
+    Z = FilippovSystem(
+        PolyField(poly_const(0.0), poly_const(-1.0) - poly_x() * poly_x()), PolyField(_ONE, _ONE), h_y
+    )
+    (arc,) = filippov_trajectory(Z, (0.0, 0.0), tmax=3.0, dt_out=0.01)
+    assert (arc.regime, arc.exit_event) == ("Sliding", "time-out")
+    x = arc.points[:, 0]
+    assert np.abs(x + np.arctan(x) - arc.ts).max() <= 1e-12
+    assert np.abs(arc.points[:, 1]).max() <= 1e-15
+
+
+def test_sigma_hit_on_a_step_end(h_y):
+    # X = (1, x^3 - x) from (2, 0): x = 2 + t and y = 6t + 5.5t^2 + 2t^3 +
+    # t^4/4, whose Taylor series ends, so the stepper takes the full _CHUNK;
+    # backward the orbit is back on Sigma at (-2, 0) at t = -4, that step's end
+    F = PolyField(_ONE, _X * _X * _X - _X)
+    sol, ts, vals = next(_flight(_Jet(F.fx, F.fy), [2.0, 0.0], -8.0, [h_y.h]))
+    assert sol.ts.tolist() == [0.0, -_CHUNK] and ts[-1] == -_CHUNK and vals[0][0, -1] == 0.0
+    hit = next_sigma_hit(F, (2.0, 0.0), h_y, "backward")
+    assert (hit.kind, hit.time) == ("cross", -_CHUNK)
+    assert hit.point.tolist() == [-2.0, 0.0]
 
 
 _ONE, _X = poly_const(1.0), poly_x()
@@ -425,29 +465,20 @@ def _bits(v) -> bytes:
 
 
 def test_field_kernel_is_bitwise_poly2():
-    """_rhs and PolyField.__call__ give the bits of Poly2.__call__ on each component.
+    """PolyField.__call__ gives the bits of Poly2.__call__ on each component.
 
-    The n = 1 right-hand side is pinned against Poly2 on the numpy scalars of
-    the state, the n > 1 one against Poly2 on the state's length-n halves.
+    Python floats and numpy scalars are pinned against Poly2 on the numpy
+    scalars of the state.
     """
     rng = np.random.default_rng(7)
     for F in _random_fields():
-        f1 = _rhs(F, 1)
         for s in _random_states(rng, 1):
             x, y = s[0], s[1]
             want = np.array([F.fx(x, y), F.fy(x, y)])
-            assert _bits(f1(0.0, s)) == _bits(want)
             got = F(s)
             assert got.shape == want.shape and _bits(got) == _bits(want)
             got = F((float(x), float(y)))
             assert got.shape == want.shape and _bits(got) == _bits(want)
-        for n in (2, 12):
-            fn = _rhs(F, n)
-            for s in _random_states(rng, n):
-                ref = np.empty(2 * n)
-                ref[:n] = F.fx(s[:n], s[n:])
-                ref[n:] = F.fy(s[:n], s[n:])
-                assert _bits(fn(0.0, s)) == _bits(ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -178,14 +178,19 @@ def _callee(node: ast.Call) -> str | None:
 
 
 def test_one_stepper():
-    # every orbit flies through flow._flight: nothing calls solve_ivp, and
-    # the one DOP853 the package builds is _flight's
+    # every orbit flies through flow._flight, the one Taylor stepper: the
+    # package names no scipy stepper or dense output, calls no solve_ivp, and
+    # the one call of a jet's series is _flight's
     flight = next(f for f in TREES["flow.py"].body if isinstance(f, ast.FunctionDef) and f.name == "_flight")
-    ours = [
-        ("flow.py", n.lineno) for n in ast.walk(flight) if isinstance(n, ast.Call) and _callee(n) == "DOP853"
-    ]
+    ours = [("flow.py", n.lineno) for n in ast.walk(flight) if isinstance(n, ast.Call) and _callee(n) == "series"]
     steppers = [
         (name, n.lineno) for name, tree in TREES.items() for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and _callee(n) in ("solve_ivp", "DOP853")
+        if isinstance(n, ast.Call) and _callee(n) in ("solve_ivp", "series")
     ]
     assert len(ours) == 1 and steppers == ours
+    named = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in TREES.values() for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    imported = set().union(*(_imported(tree) for tree in TREES.values()))
+    assert not {"DOP853", "OdeSolution", "RK45", "Radau", "LSODA"} & (named | imported)
