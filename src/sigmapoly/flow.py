@@ -11,10 +11,13 @@ its time limit, never integrating an arc twice.
   recurrences of a quotient (the sliding field of _slide) or of a square
   root (the unit-speed field of maps.place_section).
 - Order and step.  The order _ORDER = ceil(-ln(INTEGRATOR_TOL) / 2) + 1 is
-  fixed.  The step is _STEP_SHARE (1/e^2 and heyoka's safety factor) of the
-  radius of convergence that the last two coefficients give, taken over
-  all orbits, absolute where the state is below 1 and relative above; it
-  is at most _CHUNK, and an orbit whose series ends steps the full _CHUNK.
+  fixed.  Each orbit's step is _STEP_SHARE (1/e^2 and heyoka's safety
+  factor) of the radius of convergence that its last two nonzero
+  coefficients give, absolute where its state is below 1 and relative
+  above, and at most _CHUNK; an orbit whose series ends steps the full
+  _CHUNK, but only where the polynomial it ends at provably solves the
+  field (_Jet.ends), not a series with gaps.  A flight takes the smallest
+  of its orbits' steps (_step).
 - Failure.  A step below 10 spacing(t), or a non-finite coefficient (a
   blow-up, an equilibrium of the unit-speed field), ends the flight with
   NoHit("integration failed: ...").
@@ -28,9 +31,9 @@ of steps) at a time.  An event-free flight (flow_smooth,
 maps.place_section) builds no lattice, yields nothing and returns the
 last step's polynomial at t_end.
 
-One scanner, _scan, flies n starts as one 2n-dimensional system; since the
-step rule takes the largest coefficient over the orbits, each orbit is
-bounded as tightly as in a flight of its own.  Per orbit it applies the
+One scanner, _scan, flies n starts as one 2n-dimensional system; since a
+flight takes the smallest of its orbits' own steps, each orbit is bounded
+as tightly as in a flight of its own.  Per orbit it applies the
 Sigma rules (h and Fh bracketed on the lattice, so that a dip through
 Sigma shorter than the lattice spacing is found; a sample exactly on Sigma
 that hdot carries across is a crossing; a start within EVENT_TOL of Sigma
@@ -74,10 +77,12 @@ EVENT_TOL = 1e-10
 MAX_FLIGHT_TIME = 100.0
 _CHUNK = 4.0
 _SAMPLES_PER_CHUNK = 600
-# the Taylor order for INTEGRATOR_TOL, and the share of the radius of
-# convergence a step takes: Jorba & Zou's 1/e^2 with heyoka's safety factor
+# the Taylor order for INTEGRATOR_TOL, the share of the radius of
+# convergence a step takes (Jorba & Zou's 1/e^2 with heyoka's safety
+# factor) and the two orders that read the radius
 _ORDER = int(np.ceil(-0.5 * np.log(INTEGRATOR_TOL))) + 1
 _STEP_SHARE = float(np.exp(-2.0 - 0.7 / (_ORDER - 1)))
+_TOP = (_ORDER - 1, _ORDER)
 
 # scipy's solver and root finder: bound by _scipy
 solve_ivp: Callable  # uncalled: bench/tracing.py wraps it, until its tracer counts _flight's steps
@@ -184,6 +189,24 @@ class _Jet:
         self.out = slice(m, m + 2) if den is None else slice(self.den + 1, self.den + 3)
         self.root = root
         self.size = self.out.stop
+        self.exps = [list(p.coeffs) for p in polys]
+
+    def ends(self, dx: int, dy: int) -> bool:
+        """Whether an orbit whose series stops at degree dx in x and dy in y is that polynomial.
+
+        Each identity the recurrences build (p = q * (x', y') for the
+        polynomials p, and w * w = den for a root w) holds at the orders
+        below _ORDER, so it holds outright once both its sides have degree
+        in t below _ORDER.  A root's orbit has unit speed: a polynomial one
+        is a line, where w = p / (x', y') has the degree of p.
+        """
+        deg = [max((i * dx + j * dy for i, j in e), default=0) for e in self.exps]
+        d = max(dx, dy)
+        if self.root:
+            deg += [2 * max(deg[:2])] if d <= 1 else [_ORDER]
+        elif self.den is not None:
+            deg.append(deg[2] + d - 1)
+        return max(deg) < _ORDER
 
     def series(self, state: np.ndarray) -> np.ndarray:
         """Coefficients (_ORDER + 1, 2n) of the orbits from state = (x_1..x_n, y_1..y_n)."""
@@ -245,6 +268,34 @@ class _Piece:
         return out
 
 
+def _step(jet: _Jet, c: np.ndarray) -> float:
+    """The step of the Taylor coefficients c (_ORDER + 1, 2n): the smallest of the orbits' own.
+
+    An orbit whose series ends (_Jet.ends) steps _CHUNK.  Any other steps
+    _STEP_SHARE of the radius of convergence that its last two nonzero
+    coefficients give, relative to its state where that is above 1 and
+    absolute below.  So a series with gaps, whose top coefficients are 0
+    (along (-y^3, x^3) from (1, 0) x has only the powers t^4k), is stepped
+    by its last terms, not taken for one that has ended.
+    """
+    mag = np.abs(c).reshape(_ORDER + 1, 2, -1)
+    a = mag.max(axis=1)
+    if a[-2:].all():  # the common case: no orbit's top coefficients are 0
+        ratios = (np.maximum(a[0], 1.0) / a[-2:]).tolist()
+        return min(_CHUNK, _STEP_SHARE * min(r ** (1.0 / m) for m, row in zip(_TOP, ratios) for r in row))
+    h = _CHUNK
+    for i, col in enumerate(a.T.tolist()):
+        nonzero = [m for m in range(1, _ORDER + 1) if col[m] > 0.0]
+        if nonzero[-1:] != [_ORDER]:
+            dx, dy = (int(np.flatnonzero(mag[:, k, i]).max(initial=0)) for k in (0, 1))
+            if jet.ends(dx, dy):
+                continue
+        scale = max(1.0, col[0])
+        for m in nonzero[-2:]:
+            h = min(h, _STEP_SHARE * (scale / col[m]) ** (1.0 / m))
+    return h
+
+
 def _flight(jet: _Jet, p, t_end: float, events):
     """Integrate jet from p over [0, t_end] (backward if t_end < 0) with one Taylor stepper.
 
@@ -273,14 +324,7 @@ def _flight(jet: _Jet, p, t_end: float, events):
         if not np.isfinite(c).all():
             failed = f"non-finite Taylor coefficient at t = {t:.6g}"
         else:
-            # the radius of convergence from the last two coefficients, relative
-            # to the state where it is above 1 and absolute below
-            scale = max(1.0, float(np.abs(c[0]).max()))
-            h = _CHUNK
-            for m in (_ORDER - 1, _ORDER):
-                top = float(np.abs(c[m]).max())
-                if top > 0.0:
-                    h = min(h, _STEP_SHARE * (scale / top) ** (1.0 / m))
+            h = _step(jet, c)
             if h < 10.0 * np.spacing(t):
                 failed = f"step {h:.3g} below 10 spacing(t) at t = {t:.6g}"
         if failed is None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sigmapoly.flow import (
     _Piece,
     _regime_at,
     _section_hits,
+    _step,
     filippov_trajectory,
     flow_smooth,
     hit_section,
@@ -309,6 +312,64 @@ def test_sigma_hit_on_a_step_end(h_y):
     hit = next_sigma_hit(F, (2.0, 0.0), h_y, "backward")
     assert (hit.kind, hit.time) == ("cross", -_CHUNK)
     assert hit.point.tolist() == [-2.0, 0.0]
+
+
+
+def test_series_with_gaps_is_not_taken_for_one_that_ends():
+    # X = (-y^3, x^3) keeps x^4 + y^4 = 1 from (1, 0), where x has only the
+    # powers t^4k and y only t^(4k+1): the top coefficients of an order-15
+    # series are 0, yet the series goes on, with radius of convergence about
+    # the quarter period Gamma(1/4)^2 / (4 sqrt(pi)) = 1.854
+    y3 = poly_y() * poly_y() * poly_y()
+    F = PolyField(y3.scale(-1.0), _X * _X * _X)
+    c = _Jet(F.fx, F.fy).series(np.array([1.0, 0.0]))
+    assert not c[-2:].any() and _step(_Jet(F.fx, F.fy), c) < 0.5
+    for t in (4.0, -4.0, 11.0):
+        x, y = flow_smooth(F, (1.0, 0.0), t)
+        assert abs(x**4 + y**4 - 1.0) <= 1e-10
+    quarter = math.gamma(0.25) ** 2 / (4.0 * math.sqrt(math.pi))
+    q, t = hit_section(F, (1.0, 0.0), vertical_section(0.0, 1.0, halfwidth=0.5), "forward")
+    assert t == pytest.approx(quarter, abs=1e-10)
+    np.testing.assert_allclose(q, [0.0, 1.0], rtol=0, atol=1e-10)
+
+
+def test_series_ends_only_as_an_exact_polynomial_orbit():
+    # a jet steps _CHUNK only where the polynomial its series stops at
+    # solves the field: X = (1, x^3 - x) (y is quartic in t), the quotient
+    # (1, 0) / 2 (x = t / 2) and the unit-speed (1, 0) (x = t); the
+    # unit-speed quartic circle (-y^3, x^3) is no line, so its series has no end
+    zero, y3 = poly_const(0.0), poly_y() * poly_y() * poly_y()
+    ends = [
+        (_Jet(_ONE, _X * _X * _X - _X), (2.0, 0.0)),
+        (_Jet(_ONE, zero, poly_const(2.0)), (0.3, 0.0)),
+        (_Jet(_ONE, zero, _ONE, root=True), (0.3, 0.0)),
+    ]
+    for jet, p in ends:
+        assert _step(jet, jet.series(np.array(p))) == _CHUNK
+    quartic = PolyField(y3.scale(-1.0), _X * _X * _X)
+    unit = _Jet(quartic.fx, quartic.fy, quartic.fx * quartic.fx + quartic.fy * quartic.fy, root=True)
+    assert _step(unit, unit.series(np.array([1.0, 0.0]))) < 0.5
+    assert not unit.ends(2, 1) and unit.ends(1, 0)
+
+
+def test_batched_step_is_the_smallest_lone_step():
+    # each orbit of a flight is stepped as tightly as alone: on the rotation
+    # about (100, 0) the large state of an orbit near the centre does not
+    # loosen the step of a small one on a wide circle, and in the flow of
+    # (-y^3, x^3) a gapped series is stepped by its own last terms
+    x, y = poly_x(), poly_y()
+    cases = [
+        (_Jet(y.scale(-1.0), x - poly_const(100.0)), [(0.01, 0.0), (100.5, 0.0)]),
+        (_Jet(y.scale(-1.0) * y * y, x * x * x), [(0.01, 0.0), (1.0, 0.0), (30.0, -20.0)]),
+    ]
+    for jet, starts in cases:
+        n = len(starts)
+        c = jet.series(np.asarray(starts).T.ravel())
+        own = [_step(jet, c[:, [i, n + i]]) for i in range(n)]
+        assert _step(jet, c) == min(own)
+        lone = [_step(jet, jet.series(np.array(p))) for p in starts]
+        np.testing.assert_allclose(own, lone, rtol=1e-6)
+        assert max(own) > 2.0 * min(own)
 
 
 _ONE, _X = poly_const(1.0), poly_x()
