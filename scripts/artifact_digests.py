@@ -29,7 +29,10 @@ The artifacts are:
 - the stdout of `sigmapoly germ --section 1,0,0,1,2 --degree 2` on the
   tests/test_cli.py system (X = (1, x), Y = (1, -1), h = y);
 - the stdout of `sigmapoly polycycle-solve` on
-  normal_form_model(1.0, -0.25, 2, lam=(0.01,)).
+  normal_form_model(1.0, -0.25, 2, lam=(0.01,));
+- repr of the params and the full crossing-cycle reports (point, residual,
+  dP, stability, saddle_node) of every cell of the cusp and fold-fold 51x51
+  and two-fold 41x41 sweeps, which the diagram CSVs print only in part.
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -60,6 +63,7 @@ from sigmapoly.bifurcation import (  # noqa: E402
     circle_saddle_node,
     classify_parameter_point,
     scenario_curves,
+    sweep_diagram,
 )
 from sigmapoly.cli import run  # noqa: E402
 from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
@@ -67,6 +71,9 @@ from sigmapoly.io import dumps, model_to_dict  # noqa: E402
 from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
 from sigmapoly.poly2 import poly_const, poly_x, poly_y  # noqa: E402
 from sigmapoly.polycycle import normal_form_model  # noqa: E402
+
+# (scenario, n1, n2) of the sweeps whose crossing-cycle reports are hashed in full
+REPORT_SWEEPS = [("cusp-synthetic", 51, 51), ("vi-foldfold-synthetic", 51, 51), ("twofold-synthetic", 41, 41)]
 
 DIAGRAMS = [
     ("twofold-synthetic", "11x11"),
@@ -213,6 +220,12 @@ def main() -> int:
         with open(model, "w") as f:
             f.write(dumps(model_to_dict(normal_form_model(1.0, -0.25, 2, lam=(0.01,)))))
         _emit(_stdout(["polycycle-solve", "--model", model]), "polycycle-solve normal_form_model stdout")
+    reports = [
+        repr((cell.params, [(c.point, c.residual, c.dP, c.stability, c.saddle_node) for c in cell.crossing_cycles]))
+        for scenario, n1, n2 in REPORT_SWEEPS
+        for cell in sweep_diagram(SCENARIOS[scenario](), n1, n2).cells
+    ]
+    _emit("\n".join(reports).encode(), "crossing-cycle reports of the cusp, fold-fold and two-fold sweeps")
     return 0
 
 

@@ -39,7 +39,6 @@ from .polycycle import (
     CycleReport,
     SyntheticLeg,
     SyntheticModel,
-    classify_solution,
     find_cycles,
     first_return,
     normal_form_model,

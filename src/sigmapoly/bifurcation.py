@@ -13,6 +13,13 @@ read off such bands (the fold-fold item, from the cycles the cell has).
 The two-fold sliding cycles are the loops of the fold-exit map
 (`_fold_exit`).
 
+Cells are classified in three passes (`_classify_cells`): per cell, the
+scenario builds the cell's model and its return polynomial is composed;
+one batched pass (`polycycle.find_cycles_rows`) solves the polynomials of
+all cells and classifies their roots as array arithmetic; per cell, the
+scenario reads its cycles and bands.  A parameter sweep is one batch, and
+`classify_parameter_point` is a batch of one.
+
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
 return, and it has no closed-form curves.  A family is a plain record, and
@@ -22,6 +29,7 @@ every job dispatches on its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 from typing import Callable
 
 import numpy as np
@@ -35,8 +43,9 @@ from .polycycle import (
     CycleReport,
     SyntheticLeg,
     SyntheticModel,
-    find_cycles,
+    find_cycles_rows,
     normal_form_model,
+    return_polynomial,
 )
 
 CURVE_TOL = 1e-9
@@ -181,7 +190,7 @@ def cusp_fold_points(lam1: float, kappa: float) -> tuple[float, float, float]:
     A is the third point on V's level: with mu = -lam1/kappa = 3 V^2,
     x^3 - mu x - (V^3 - mu V) = (x - V)^2 (x + 2V).
     """
-    V = float(np.sqrt(-lam1 / (3.0 * kappa)))
+    V = math.sqrt(-lam1 / (3.0 * kappa))
     return V, -V, -2.0 * V
 
 
@@ -192,7 +201,12 @@ def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     if lam1 == 0:
         return CurveValues({"Abar": 0.0, "Vbar": 0.0, "Ibar": 0.0}, degenerate=True)
-    V, I, A = cusp_fold_points(lam1, k)
+    return _cusp_curve_values(lam1, k, d, cusp_fold_points(lam1, k))
+
+
+def _cusp_curve_values(lam1: float, k: float, d: float, folds: tuple[float, float, float]) -> CurveValues:
+    """cusp_curves at lam1 > 0 from the fold points (V, I, A)."""
+    V, I, A = folds
     Vbar = _cusp_beta_map(V, lam1, k, d)
     Abar = _cusp_beta_map(A, lam1, k, d)
     # V-I connection: the fold orbit from V lands exactly on I
@@ -200,11 +214,9 @@ def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
     return CurveValues({"Abar": Abar, "Vbar": Vbar, "Ibar": Ibar})
 
 
-def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionReport:
-    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
-    tol = CURVE_TOL
-
-    if abs(lam1) <= tol and abs(beta) <= tol:
+def _cusp_model(fam: ScenarioFamily, lam1: float, beta: float) -> SyntheticModel | RegionReport:
+    """The cell's model, with displacement kappa x^3 + (lam1 - dtilde) x + beta; the codim-2 origin's report."""
+    if abs(lam1) <= CURVE_TOL and abs(beta) <= CURVE_TOL:
         return RegionReport(
             params=(lam1, beta),
             item=3,
@@ -213,10 +225,14 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
             sliding_cycles=(),
             flags=("codim2", "C-attracting"),
         )
+    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
+    return normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
 
-    # displacement kappa x^3 + (lam1 - dtilde) x + beta
-    model = normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
-    roots = [r for r in find_cycles(model) if r.kind == "crossing-cycle"]
+
+def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, model: SyntheticModel, reports) -> RegionReport:
+    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
+    tol = CURVE_TOL
+    roots = [r for r in reports if r.kind == "crossing-cycle"]
 
     side = _band(lam1, (0.0,), tol)
     if side < 2:
@@ -228,8 +244,8 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float) -> RegionRepor
             sliding_cycles=(),
         )
 
-    V, I, A = cusp_fold_points(lam1, k)
-    cur = cusp_curves(fam, lam1)
+    V, I, A = folds = cusp_fold_points(lam1, k)
+    cur = _cusp_curve_values(lam1, k, d, folds)
     flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
     # items 4..10 are the bands of beta among Vbar < Ibar < Abar
     item = 4 + _band(beta, (cur["Vbar"], cur["Ibar"], cur["Abar"]), tol)
@@ -343,10 +359,8 @@ def _twofold_item(b1: float, b2: float, g1: float, g2: float, tol: float) -> int
     return ((None, 11, 12), (6, 7, 13))[row][col]
 
 
-def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float) -> RegionReport:
+def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, model: SyntheticModel, reports) -> RegionReport:
     tol = CURVE_TOL
-    model = _twofold_model(fam, b1, b2)
-    reports = find_cycles(model)
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
     sliding, hetero = _twofold_sliding_trace(model, fam.eps, tol)
@@ -410,7 +424,15 @@ def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
     return CurveValues(vals)
 
 
-def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> RegionReport:
+def _foldfold_cell(fam: ScenarioFamily, alpha: float, beta: float) -> SyntheticModel | RegionReport:
+    """The cell's model, with displacement (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2 on
+    (-eps, zeta); the codim-2 origin's report."""
+    if abs(alpha) <= CURVE_TOL and abs(beta) <= CURVE_TOL:
+        return _tangent_polycycle((alpha, beta))
+    return _foldfold_model(fam, alpha, beta)
+
+
+def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float, model: SyntheticModel, reports) -> RegionReport:
     tol = CURVE_TOL
     flags: list[str] = []
 
@@ -419,11 +441,6 @@ def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float) -> Region
         if abs(beta - val) <= tol and abs(alpha) > tol:
             flags.append(f"on-curve:{name}")
 
-    if abs(alpha) <= tol and abs(beta) <= tol:
-        return _tangent_polycycle((alpha, beta))
-
-    # displacement (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2 on (-eps, zeta)
-    reports = find_cycles(_foldfold_model(fam, alpha, beta))
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
 
@@ -654,17 +671,58 @@ def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> Regi
 # -- dispatch -----------------------------------------------------------------
 
 
-_CLASSIFIERS = {
-    "Cusp": _classify_cusp,
-    "TwoFold": _classify_twofold,
-    "VIFoldFold": _classify_foldfold,
-    "Circle": _classify_circle,
+# Each scenario classifies a cell with two functions.  The first builds the
+# cell's model, or returns the cell's report when the cell needs no crossing
+# cycles (the circle, which has no return polynomial, always does); the second
+# classifies the cell from its model and the model's find_cycles reports.
+_CELLS = {
+    "Cusp": (_cusp_model, _classify_cusp),
+    "TwoFold": (_twofold_model, _classify_twofold),
+    "VIFoldFold": (_foldfold_cell, _classify_foldfold),
+    "Circle": (_classify_circle, None),
 }
 _CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfold_curves}
 
 
+def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | SigmapolyError]:
+    """Classify the cells at points in three passes.
+
+    1. Per cell: build the cell's model and compose its return polynomial.
+    2. One batched pass, ``find_cycles_rows``, solves and classifies the
+       crossing cycles of every cell's polynomial at once.
+    3. Per cell: classify the cell from its cycles and its bands.
+
+    A SigmapolyError of a cell, in either per-cell pass, takes that cell's
+    place; a programming error propagates.
+    """
+    build, classify = _CELLS[fam.name]
+    cells: list = []
+    solve, polys = [], []  # the cells that wait for their cycles, and their polynomials
+    for p in points:
+        try:
+            cell = build(fam, float(p[0]), float(p[1]))
+            if not isinstance(cell, RegionReport):
+                polys.append(return_polynomial(cell))
+                solve.append(len(cells))
+        except SigmapolyError as e:
+            cell = e
+        cells.append(cell)
+    solved = find_cycles_rows([cells[i] for i in solve], polys)
+    del polys  # the root pass is the last reader
+    for i, reports in zip(solve, solved):
+        try:
+            cells[i] = classify(fam, float(points[i][0]), float(points[i][1]), cells[i], reports)
+        except SigmapolyError as e:
+            cells[i] = e
+    return cells
+
+
 def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
-    return _CLASSIFIERS[fam.name](fam, float(params[0]), float(params[1]))
+    """The cell at params: the one-cell case of a sweep, raising its SigmapolyError."""
+    (cell,) = _classify_cells(fam, [params])
+    if isinstance(cell, SigmapolyError):
+        raise cell
+    return cell
 
 
 def _curves_of(fam: ScenarioFamily) -> Callable[[ScenarioFamily, float], CurveValues]:
@@ -727,17 +785,23 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
 
 
 def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> DiagramGrid:
+    """Classify an n1 x n2 grid of cells, row-major over (p1, p2), and trace the curves.
+
+    The cells are classified in the three passes of ``_classify_cells``, so
+    a closed-form sweep solves all of its cells' return polynomials in one
+    batched root pass.  A cell whose classification raises a SigmapolyError
+    is recorded as an error cell; a programming error propagates.
+    """
     (lo1, hi1), (lo2, hi2) = ranges or fam.ranges
-    cells = []
-    for p1 in np.linspace(lo1, hi1, n1):
-        for p2 in np.linspace(lo2, hi2, n2):
-            try:
-                cells.append(classify_parameter_point(fam, (p1, p2)))
-            except SigmapolyError as e:  # recorded; a programming error propagates
-                cells.append(RegionReport(
-                    params=(float(p1), float(p2)), item=None, crossing_cycles=(), polycycles=0,
-                    sliding_cycles=(), error=f"{type(e).__name__}: {e}",
-                ))
+    p1, p2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2), indexing="ij")
+    points = np.stack([p1.ravel(), p2.ravel()], axis=1)
+    cells = [
+        cell if isinstance(cell, RegionReport) else RegionReport(
+            params=(float(p[0]), float(p[1])), item=None, crossing_cycles=(), polycycles=0,
+            sliding_cycles=(), error=f"{type(cell).__name__}: {cell}",
+        )
+        for p, cell in zip(points, _classify_cells(fam, points))
+    ]
     return DiagramGrid(cells=tuple(cells), curves=_trace_curves(fam, ranges=ranges))
 
 

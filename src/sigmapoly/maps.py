@@ -3,16 +3,16 @@
 Near an n-order contact the transition map to a transversal section has the
 germ lambda_0 + lambda_1 x + ... + kappa x^n; this module extracts such
 germs numerically (least squares on Chebyshev abscissae) and builds the
-transfer pairs (cases O, E-I, E-II) feeding the crossing systems.
+transfer pairs (cases O, E-I, E-II) feeding the crossing systems.  It also
+finds the real roots of many polynomials at once (`root_cluster_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import cmath
 import math
 from functools import cached_property
-from itertools import groupby
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -120,63 +120,239 @@ def _horner(coeffs, u: float) -> float:
     return float(acc)
 
 
+def _horner_rows(C: np.ndarray, u) -> np.ndarray:
+    """_horner of each coefficient row C[..., :] at the matching u, in the same operation order.
+
+    u broadcasts against C's leading axes; zero coefficients past a row's
+    degree leave its value as it is.
+    """
+    acc = 0.0
+    for k in range(C.shape[-1] - 1, -1, -1):
+        acc = C[..., k] + acc * u
+    return acc
+
+
 def root_clusters(coeffs) -> list[tuple[float, int]]:
     """Sorted real roots of c0 + c1 x + ... + cn x^n, each with its multiplicity.
 
-    Degree 2 is solved in closed form, other degrees by the companion
-    eigenvalues.  Rounding splits an m-fold root into m roots about
-    (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j: nearest
-    clusters are merged while every member stays within that spread of the
-    merged centre, so a root near the real axis joins its conjugate.  A
-    cluster is kept when its centre is real.  The centre is polished
-    by Newton on the (m-1)-th derivative, where an m-fold root is simple
-    (Zeng, Math. Comp. 2005); that derivative and the lower ones must
-    vanish there to rounding, or the member farthest from the centre
-    leaves the cluster.
+    The one-row case of ``root_cluster_rows``.
     """
-    c = [float(v) for v in coeffs]
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    if len(c) == 3:
-        roots = _quadratic_roots(*c)
-    else:
-        roots = _companion_roots(c)
-    ders = _derivatives(c, len(c) - 1)
-    clusters = [[r] for r in roots]
-    while len(clusters) > 1 and _merge_nearest(clusters, ders):
-        pass
-    out = []
-    while clusters:
-        cl = clusters.pop()
-        centre = sum(cl) / len(cl)
-        # a cluster of conjugate pairs: its centre is real up to the rounding
-        # of the imaginary parts' sum; a lopsided one falls apart
-        if centre.imag and abs(centre.imag) > _EPS * sum(abs(r.imag) for r in cl):
-            if len(cl) > 1:
-                clusters += [[r] for r in cl]
-            continue
-        x = _polish(ders, centre.real, len(cl))
-        if len(cl) == 1 or all(abs(_horner(d, x)) <= _rounding(d, x) for d in ders[: len(cl)]):
-            out.append((x, len(cl)))
-        else:
-            far = max(cl, key=lambda r: abs(r - centre))
-            cl.remove(far)
-            clusters += [cl, [far]]
-    return sorted(out)
+    _, x, m = root_cluster_rows([coeffs])
+    return list(zip(x.tolist(), m.tolist()))
 
 
-def _companion_roots(c: list[float]) -> list[complex]:
-    """The companion eigenvalues that numpy's polyroots gives, without its argument
-    checks, which cost more than a 3x3 eigenproblem."""
-    n = len(c) - 1
-    if n < 1:
-        return []
-    m = np.zeros((n, n))
-    m.reshape(-1)[n :: n + 1] = 1.0
-    m[:, -1] -= np.array(c[:-1]) / c[-1]
+def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real roots of every row c0 + c1 x + ... + cn x^n at once, as (row, x, m).
+
+    Each root x of row ``row`` has multiplicity m; the roots are sorted by
+    row, then x, then m.  Rows may differ in degree, and a constant row has
+    no roots.  Degree 2 is solved in closed form, other degrees by the
+    companion eigenvalues (Edelman & Murakami, Math. Comp. 1995), one
+    stacked eigenproblem per degree.  Rounding splits an m-fold root into m
+    roots about (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j:
+    nearest clusters are merged while every member stays within that spread
+    of the merged centre, so a root near the real axis joins its conjugate;
+    only the rows where some pair of roots fits that spread run the merge
+    loop.  A cluster is kept when its centre is real.  The centre is
+    polished by Newton on the (m-1)-th derivative, where an m-fold root is
+    simple (Zeng, Math. Comp. 2005); that derivative and the lower ones must
+    vanish there to rounding, or the member farthest from the centre leaves
+    the cluster.  Apart from the merge loop, every step runs over all rows
+    as array arithmetic in the operation order of Python's float and complex
+    arithmetic, so a row's roots do not depend on the rows batched with it.
+    """
+    D, deg = _derivative_table(rows)
+    done = []
+    with np.errstate(all="ignore"):
+        batch = _clusters(D, deg)
+        while True:
+            settled, retry = _settle(D, *batch)
+            done.append(settled)
+            if not retry:
+                break
+            batch = _cluster_batch(retry)
+    row, x, m = done[0] if len(done) == 1 else (np.concatenate([d[k] for d in done]) for k in range(3))
+    order = np.lexsort((m, x, row))
+    return row[order], x[order], m[order]
+
+
+def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(D, deg): D[i, k] the coefficients of the k-th derivative of row i, zero-padded
+    to one width, and deg[i] the degree of row i once trailing zeros are dropped."""
+    rows = list(rows)
+    width = max([1, *map(len, rows)])
+    C = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        C[i, : len(r)] = r
+    nonzero = C != 0.0
+    deg = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    C[np.arange(width) > deg[:, None]] = 0.0  # trailing zeros, -0.0 too, are not coefficients
+    D = np.zeros((len(rows), width, width))
+    D[:, 0] = C
+    j = np.arange(1, width)
+    for k in range(1, width):
+        D[:, k, :-1] = j * D[:, k - 1, 1:]
+    return D, deg
+
+
+def _clusters(D: np.ndarray, deg: np.ndarray):
+    """The first batch of clusters (``_cluster_batch``): the roots of each degree's rows.
+
+    A row the merge loop leaves alone keeps each root as a cluster of its
+    own; the other rows run the merge loop.
+    """
+    lone = [(np.zeros(0, int), np.zeros(0), np.zeros(0))]
+    merged = []
+    for n in sorted(set(deg.tolist()) - {0}):
+        idx = np.flatnonzero(deg == n)
+        C = D[idx, 0, : n + 1]
+        re, im = _quadratic_roots(C) if n == 2 else _companion_roots(C)
+        if n > 1 and (loop := _pairs_fit(re, im, D[idx])).any():
+            for i, zr, zi in zip(idx[loop].tolist(), re[loop].tolist(), im[loop].tolist()):
+                ders = D[i].tolist()
+                clusters = [[complex(a, b)] for a, b in zip(zr, zi)]
+                while len(clusters) > 1 and _merge_nearest(clusters, ders):
+                    pass
+                merged += [(i, cl) for cl in clusters]
+            idx, re, im = idx[~loop], re[~loop], im[~loop]
+        lone.append((np.repeat(idx, n), re.ravel(), im.ravel()))
+    row, re, im = (np.concatenate([p[k] for p in lone]) for k in range(3))
+    return _cluster_batch(merged, row, re, im)
+
+
+def _cluster_batch(clusters: list[tuple[int, list[complex]]], row=(), re=(), im=()):
+    """(row, m, member real parts, member imaginary parts) of the (row, members) clusters
+    and of the lone roots re + i im of rows row, the members padded with zeros to the
+    largest cluster."""
+    if not clusters:
+        return row, np.ones(len(row), int), re[:, None], im[:, None]
+    n, w = len(row), max(len(cl) for _, cl in clusters)
+    mr, mi = np.zeros((n + len(clusters), w)), np.zeros((n + len(clusters), w))
+    mr[:n, 0], mi[:n, 0] = re, im
+    for e, (_, cl) in enumerate(clusters, n):
+        mr[e, : len(cl)] = [z.real for z in cl]
+        mi[e, : len(cl)] = [z.imag for z in cl]
+    rows = np.concatenate([row, [i for i, _ in clusters]]).astype(int)
+    m = np.concatenate([np.ones(n, int), [len(cl) for _, cl in clusters]]).astype(int)
+    return rows, m, mr, mi
+
+
+def _settle(D: np.ndarray, row, m, mr, mi):
+    """Settle a batch of clusters: ((row, x, m) of its real roots, the (row, members) to try again).
+
+    D holds each row's derivatives.  A centre (``_centres``) off the real
+    axis drops a lone root and splits a cluster; a real centre is polished,
+    and a cluster whose lower derivatives do not vanish there to rounding
+    gives up its member farthest from the centre.
+    """
+    cr, ci, real = _centres(m, mr, mi)
+
+    def members(e: int) -> list[complex]:
+        return [complex(a, b) for a, b in zip(mr[e, : m[e]].tolist(), mi[e, : m[e]].tolist())]
+
+    retry = [(int(row[e]), [z]) for e in np.flatnonzero(~real & (m > 1)).tolist() for z in members(e)]
+    if not real.all():
+        row, m, mr, mi, cr, ci = (a[real] for a in (row, m, mr, mi, cr, ci))
+    x = _polish(D, row, m, cr)
+    ok = m == 1
+    if not ok.all():
+        vanish = ~ok
+        for k in range(int(m.max())):  # p, ..., p^(m-1) vanish at an m-fold root
+            d = D[row, k]
+            vanish &= (m <= k) | (np.abs(_horner_rows(d, x)) <= _ROOT_ROUNDING * _EPS * _horner_rows(np.abs(d), np.abs(x)))
+        ok |= vanish
+    for e in np.flatnonzero(~ok).tolist():
+        cl = members(e)
+        far = int(np.argmax(np.hypot(mr[e, : m[e]] - cr[e], mi[e, : m[e]] - ci[e])))
+        retry += [(int(row[e]), cl[:far] + cl[far + 1 :]), (int(row[e]), [cl[far]])]
+    return (row[ok], x[ok], m[ok]), retry
+
+
+def _centres(m, mr, mi):
+    """(real part, imaginary part, is real) of each cluster's centre, the mean of its members
+    mr + i mi in the operation order of Python's sum and complex division; a centre is real
+    to within the rounding of its members' imaginary parts."""
+    sr, si, sa = mr[:, 0] + 0.0, mi[:, 0] + 0.0, np.abs(mi[:, 0])
+    for k in range(1, mr.shape[1]):
+        sr, si, sa = sr + mr[:, k], si + mi[:, k], sa + np.abs(mi[:, k])
+    cr, ci = (sr + si * 0.0) / m, (si - sr * 0.0) / m
+    return cr, ci, ~((ci != 0.0) & (np.abs(ci) > _EPS * sa))
+
+
+def _polish(D: np.ndarray, row, m, x):
+    """Newton on the (m-1)-th derivative of each row from x, until its step stops shrinking.
+
+    Masked array arithmetic: an entry stops where the scalar iteration
+    would, and every entry steps in the same operation order.
+    """
+    cd = D[row, np.array((m - 1, m))]  # (2, entries, width)
+    step = np.full(len(x), np.inf)
+    live = np.ones(len(x), bool)
+    for _ in range(_POLISH_ITERS):
+        c, d = _horner_rows(cd, x)
+        new = c / d  # inf or nan where d = 0: either stops the entry, as the scalar inf does
+        live &= np.abs(new) < np.abs(step)
+        if not live.any():
+            break
+        np.copyto(step, new, where=live)
+        np.subtract(x, step, out=x, where=live)
+        live &= np.abs(step) > _EPS * np.abs(x)
+    return x
+
+
+def _pairs_fit(re: np.ndarray, im: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Whether some pair of each row's roots fits the spread of one double root about its mean.
+
+    These are the rows whose clusters the merge loop can change.  The
+    spread is _spread's, p'' at the complex mean in the operation order of
+    Python's complex arithmetic; a factor 2 covers the last bits in which
+    the distances, the square root and hypot may differ from the merge
+    loop's.
+    """
+    i, j = (list(v) for v in zip(*combinations(range(re.shape[1]), 2)))
+    zr, zi = (re[:, i] + re[:, j]) / 2.0, (im[:, i] + im[:, j]) / 2.0
+    dist = np.hypot(re[:, i] - re[:, j], im[:, i] - im[:, j]) / 2.0  # each member's distance from z
+    lr = li = 0.0
+    for k in range(D.shape[2] - 3, -1, -1):  # p'' at the complex z (its top two coefficients are 0)
+        lr, li = D[:, 2, k, None] + (lr * zr - li * zi), 0.0 + (lr * zi + li * zr)
+    lead = np.hypot(lr, li)
+    rounding = _ROOT_ROUNDING * _EPS * _horner_rows(np.abs(D[:, None, 0]), np.hypot(zr, zi))
+    spread = np.where(lead == 0.0, 0.0, np.sqrt(rounding * 2 / lead))
+    return (dist <= 2.0 * spread).any(axis=1)
+
+
+def _companion_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the sorted companion eigenvalues of each row of c,
+    the roots numpy's polyroots gives, as one stacked eigenproblem."""
+    N, n = c.shape[0], c.shape[1] - 1
+    m = np.zeros((N, n, n))
+    m.reshape(N, -1)[:, n :: n + 1] = 1.0
+    m[:, :, -1] -= c[:, :-1] / c[:, -1:]
     r = np.linalg.eigvals(m)
-    r.sort()
-    return r.tolist()
+    r.sort(axis=-1)
+    return r.real, np.imag(r)
+
+
+def _quadratic_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the roots of each quadratic row c0 + c1 x + c2 x^2, c2 != 0.
+
+    q = -(c1 + sign(c1) s) / 2 with s the square root of the discriminant,
+    so that c1 and s do not cancel; the roots are q / c2 and c0 / q, or the
+    exact conjugate pair q / c2 and its conjugate, as the companion
+    eigenvalues give.  The numbers are those of Python's cmath.sqrt and
+    complex arithmetic (for a discriminant above 8 DBL_MIN in size), up to
+    the sign of a zero part, which no later step reads.
+    """
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    pair = ~(disc >= 0.0)  # NaN too, as cmath.sqrt gives it an imaginary part
+    s = np.where(c1 >= 0.0, 1.0, -1.0) * np.sqrt(np.abs(disc))
+    q_re, q_im = -0.5 * np.where(pair, c1, c1 + s), np.where(pair, -0.5 * s, 0.0)
+    r1_re, r1_im = q_re / c2, q_im / c2
+    r2_re, r2_im = np.where(pair, r1_re, c0 / q_re), np.where(pair, -r1_im, 0.0)
+    zero = ~pair & (q_re == 0.0)
+    re = np.where(zero[:, None], 0.0, np.stack([r1_re, r2_re], axis=1))
+    return re, np.stack([r1_im, r2_im], axis=1)
 
 
 def _merge_nearest(clusters: list[list], ders: list[list[float]]) -> bool:
@@ -193,19 +369,6 @@ def _merge_nearest(clusters: list[list], ders: list[list[float]]) -> bool:
     return False
 
 
-def _derivatives(c: list[float], m: int) -> list[list[float]]:
-    """Coefficients of c and of its first m derivatives."""
-    out = [c]
-    for _ in range(m):
-        out.append([j * v for j, v in enumerate(out[-1])][1:] or [0.0])
-    return out
-
-
-def _rounding(c: list[float], z) -> float:
-    """Bound on the rounding of c at z: _ROOT_ROUNDING * eps * sum |c_j| |z|^j."""
-    return _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in c], abs(z))
-
-
 def _spread(ders: list[list[float]], z: complex, m: int) -> float:
     """How far rounding scatters the computed roots of an m-fold root at z.
 
@@ -216,31 +379,8 @@ def _spread(ders: list[list[float]], z: complex, m: int) -> float:
         lead = v + lead * z
     if lead == 0.0:  # p^(m) = 0 at the centre: no m-fold root here, only exact copies merge
         return 0.0
-    return (_rounding(ders[0], z) * math.factorial(m) / abs(lead)) ** (1.0 / m)
-
-
-def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:
-    s = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    q = -0.5 * (c1 + (s if c1 >= 0.0 else -s))  # no cancellation between c1 and s
-    if s.imag:  # an exact conjugate pair, as the companion eigenvalues give
-        return [q / c2, (q / c2).conjugate()]
-    return [q / c2, c0 / q] if q != 0.0 else [0.0, 0.0]
-
-
-def _polish(ders: list[list[float]], x: float, m: int) -> float:
-    """Newton on the (m-1)-th of the derivatives ders from x, until the step stops shrinking."""
-    c, dc = ders[m - 1], ders[m]
-    step = math.inf
-    for _ in range(_POLISH_ITERS):
-        d = _horner(dc, x)
-        new = _horner(c, x) / d if d != 0.0 else math.inf
-        if not abs(new) < abs(step):
-            break
-        step = new
-        x -= step
-        if abs(step) <= _EPS * abs(x):
-            break
-    return float(x)
+    rounding = _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in ders[0]], abs(z))
+    return (rounding * math.factorial(m) / abs(lead)) ** (1.0 / m)
 
 
 def cheb_nodes(base: float, halfwidth: float, m: int) -> np.ndarray:

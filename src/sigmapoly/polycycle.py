@@ -7,16 +7,22 @@ displacement Delta_i(x) = Tu_i(x_i) - DTs_i(x_{i+1}); a zero on the window
 boundary is a polycycle.  They are found as the real roots of one
 polynomial in x_1: the displacement itself for one leg, the fixed-point
 equation P(x_1) = x_1 of the composed first-return map for several.
+
+Many models are solved at once (`find_cycles_rows`): their return
+polynomials go through one batched root pass (`maps.root_cluster_rows`),
+and every root is propagated around its model's legs and classified as
+array arithmetic; `find_cycles` is the one-model case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, NoConvergence, PeriodAnnulus
-from .maps import Germ, root_clusters
+from .maps import Germ, _horner_rows, root_cluster_rows, root_clusters
 
 BOUNDARY_TOL = 1e-9
 
@@ -85,51 +91,6 @@ class CycleReport:
     saddle_node: bool = False
 
 
-def _locus(model: SyntheticModel, xs: np.ndarray) -> str:
-    on_boundary = False
-    for i, leg in enumerate(model.legs):
-        lo, hi = leg.sigma
-        if xs[i] < lo - BOUNDARY_TOL or xs[i] > hi + BOUNDARY_TOL:
-            return "outside"
-        if min(abs(xs[i] - lo), abs(xs[i] - hi)) <= BOUNDARY_TOL:
-            on_boundary = True
-    return "boundary" if on_boundary else "interior"
-
-
-def classify_solution(model: SyntheticModel, xs, multiplicity: int) -> CycleReport:
-    """Locus, kind and stability of one solution of the crossing system.
-
-    multiplicity is that of the solution's root of the return polynomial; a
-    root of multiplicity >= 2 is a saddle-node, semistable when interior.
-    """
-    xs = [float(v) for v in xs]
-    residual = max(map(abs, model.displacement(xs).tolist()))
-    locus = _locus(model, xs)
-    dP = model.return_derivative(xs)
-    saddle_node = multiplicity >= 2
-    if locus == "outside":
-        kind, stability = "outside", "unknown"
-    elif locus == "boundary":
-        kind, stability = "polycycle", "unknown"
-    else:
-        kind = "crossing-cycle"
-        if saddle_node:
-            stability = "semistable"
-        elif abs(dP) < 1.0:
-            stability = "attracting"
-        else:
-            stability = "repelling"
-    return CycleReport(
-        point=tuple(xs),
-        residual=residual,
-        locus=locus,
-        kind=kind,
-        stability=stability,
-        dP=float(dP),
-        saddle_node=saddle_node,
-    )
-
-
 def _compose(coeffs, arg: list[float]) -> list[float]:
     """Coefficients of c0 + c1 arg + ... + cn arg^n for a coefficient list arg."""
     out = [float(coeffs[-1])]
@@ -158,54 +119,144 @@ def _affine(i: int, germ: Germ) -> tuple[float, float]:
     return c[0], c[1]
 
 
-def _return_polynomial(model: SyntheticModel) -> list[float]:
+def return_polynomial(model: SyntheticModel) -> list[float]:
     """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
 
     One leg: Delta(x) = Tu(x - 2a) - DTs(x), for any DTs.  Several legs:
     P(x_1) - x_1 with x_{i+1} = DTs_i^{-1}(Tu_i(x_i - 2a_i)) composed around
     the loop, which needs every DTs_i affine and invertible (ConfigError
-    otherwise).
+    otherwise).  A polynomial that vanishes identically raises
+    PeriodAnnulus.
     """
     if model.k == 1:
         leg = model.legs[0]
         tu = _compose(leg.Tu.coeffs, [-2 * leg.a - leg.Tu.base, 1.0])
-        return _sub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
-    p = [0.0, 1.0]
-    for i, leg in enumerate(model.legs):
-        c0, c1 = _affine(i, leg.DTs)
-        tu = _compose(leg.Tu.coeffs, _sub(p, [2 * leg.a + leg.Tu.base]))
-        tu[0] -= c0
-        p = [v / c1 for v in tu]
-        p[0] += leg.DTs.base
-    return _sub(p, [0.0, 1.0])
-
-
-def _propagate(model: SyntheticModel, x1: float) -> list[float]:
-    """(x_1, ..., x_k) from x_1 through the affine DTs inverses."""
-    xs = [x1]
-    for leg in model.legs[:-1]:
-        xs.append(leg.land(xs[-1]))
-    return xs
+        p = _sub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
+    else:
+        p = [0.0, 1.0]
+        for i, leg in enumerate(model.legs):
+            c0, c1 = _affine(i, leg.DTs)
+            tu = _compose(leg.Tu.coeffs, _sub(p, [2 * leg.a + leg.Tu.base]))
+            tu[0] -= c0
+            p = [v / c1 for v in tu]
+            p[0] += leg.DTs.base
+        p = _sub(p, [0.0, 1.0])
+    if not any(p):
+        raise PeriodAnnulus(
+            "the return polynomial vanishes identically: every point of the "
+            "window is a crossing cycle (a period annulus)"
+        )
+    return p
 
 
 def find_cycles(model: SyntheticModel) -> list[CycleReport]:
     """Every real solution of the crossing system, classified, sorted by x_1.
 
-    Each root cluster of ``_return_polynomial`` (``maps.root_clusters``) is
-    one solution, propagated around the legs; a cluster of multiplicity
-    m >= 2 is a saddle-node.  A return polynomial that vanishes identically
-    raises PeriodAnnulus.
+    The one-row case of ``find_cycles_rows``.  Raises ConfigError or
+    PeriodAnnulus as ``return_polynomial`` does.
     """
-    coeffs = _return_polynomial(model)
-    if not any(coeffs):
-        raise PeriodAnnulus(
-            "the return polynomial vanishes identically: every point of the "
-            "window is a crossing cycle (a period annulus)"
-        )
-    return [
-        classify_solution(model, _propagate(model, x1), m)
-        for x1, m in root_clusters(coeffs)
-    ]
+    return next(find_cycles_rows([model], [return_polynomial(model)]))
+
+
+def find_cycles_rows(models, polys) -> Iterator[list[CycleReport]]:
+    """find_cycles of every model at once, polys[i] being return_polynomial(models[i]).
+
+    One batched root pass (``maps.root_cluster_rows``) gives every model's
+    root clusters; each is one solution, propagated around the legs through
+    the affine DTs inverses, and a cluster of multiplicity m >= 2 is a
+    saddle-node.  The solutions of the models with the same number of legs
+    are then classified together, as array arithmetic in the operation
+    order of the germs' own evaluation: the residual max |Delta_i|, the
+    locus against the windows (BOUNDARY_TOL), dP = prod Tu_i' / DTs_i' (inf
+    where the DTs product vanishes), and the stability, semistable at an
+    interior saddle-node and otherwise attracting for |dP| < 1.  The
+    reports are yielded model by model and built only then, so that a
+    sweep holds one cell's reports at a time.
+    """
+    row, x1, mult = root_cluster_rows(polys)
+    del polys  # a sweep's polynomials are not needed past the root pass
+    ks = np.array([model.k for model in models], dtype=int)
+    solved = {}  # legs -> [the next unread solution, the fields of those models' solutions]
+    for k in sorted(set(ks[row].tolist())):
+        of_k = np.flatnonzero(ks == k)
+        legs = [_LegArrays([models[i].legs[j] for i in of_k.tolist()]) for j in range(k)]
+        sel = ks[row] == k
+        solved[k] = [0, _classify_solutions(legs, np.searchsorted(of_k, row[sel]), x1[sel], mult[sel])]
+    del models  # a sweep frees each model once its cell is classified
+    for k, n in zip(ks.tolist(), np.bincount(row, minlength=len(ks)).tolist()):
+        if not n:
+            yield []
+            continue
+        at, fields = solved[k]
+        solved[k][0] = at + n
+        res, loc, st, dp, mm, *xs = (f[at : at + n].tolist() for f in fields)
+        yield [
+            CycleReport(
+                point=pt, residual=res[e], locus=_LOCI[loc[e]], kind=_KINDS[loc[e]],
+                stability=_STABILITY[st[e]], dP=dp[e], saddle_node=mm[e] >= 2,
+            )
+            for e, pt in enumerate(zip(*xs))
+        ]
+
+
+def _classify_solutions(legs: list[_LegArrays], g: np.ndarray, x: np.ndarray, m: np.ndarray):
+    """(residual, locus, stability, dP, m, x_1, ..., x_k) of the solutions x_1 = x of
+    multiplicity m as arrays, solution e being one of the g[e]-th model of the legs.
+
+    locus indexes _LOCI and _KINDS, stability _STABILITY.
+    """
+    k = len(legs)
+    with np.errstate(all="ignore"):
+        xs = [x]
+        for leg in legs[:-1]:
+            xs.append(leg.land(xs[-1], g))
+        num, den = np.ones(len(x)), np.ones(len(x))
+        outside, boundary = np.zeros(len(x), bool), np.zeros(len(x), bool)
+        for j, leg in enumerate(legs):
+            u, nxt = xs[j] - 2 * leg.a[g] - leg.tu_base[g], xs[(j + 1) % k] - leg.dts_base[g]
+            d = np.abs(_horner_rows(leg.tu[g], u) - _horner_rows(leg.dts[g], nxt))
+            residual = d if j == 0 else np.where(d > residual, d, residual)  # Python's max
+            num = num * _horner_rows(leg.dtu[g], u)
+            den = den * _horner_rows(leg.ddts[g], nxt)
+            lo, hi = leg.lo[g], leg.hi[g]
+            outside |= (xs[j] < lo - BOUNDARY_TOL) | (xs[j] > hi + BOUNDARY_TOL)
+            a, b = np.abs(xs[j] - lo), np.abs(xs[j] - hi)
+            boundary |= np.where(b < a, b, a) <= BOUNDARY_TOL  # Python's min
+        dP = np.where(den == 0.0, np.inf, num / den)
+    locus = np.where(outside, 0, np.where(boundary, 1, 2))
+    stability = np.where(locus < 2, 0, np.where(m >= 2, 1, np.where(np.abs(dP) < 1.0, 2, 3)))
+    return (residual, locus, stability, dP, m, *xs)
+
+
+_LOCI = ("outside", "boundary", "interior")
+_KINDS = ("outside", "polycycle", "crossing-cycle")
+_STABILITY = ("unknown", "semistable", "attracting", "repelling")
+
+
+class _LegArrays:
+    """One leg of many models as arrays, a row per model: the germs' coefficients
+    (padded with zeros, which Horner's rule passes over), their derivatives,
+    bases, the E-II shift a and the window (lo, hi)."""
+
+    def __init__(self, legs: list[SyntheticLeg]):
+        self.tu, self.dtu = _coeff_arrays([leg.Tu.coeffs for leg in legs])
+        self.dts, self.ddts = _coeff_arrays([leg.DTs.coeffs for leg in legs])
+        self.tu_base = np.array([leg.Tu.base for leg in legs], dtype=float)
+        self.dts_base = np.array([leg.DTs.base for leg in legs], dtype=float)
+        self.a = np.array([leg.a for leg in legs], dtype=float)
+        self.lo, self.hi = np.array([leg.sigma for leg in legs], dtype=float).reshape(-1, 2).T
+
+    def land(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """SyntheticLeg.land of the g[e]-th leg at x[e], for each e."""
+        t = _horner_rows(self.tu[g], x - 2 * self.a[g] - self.tu_base[g])
+        return self.dts_base[g] + (t - self.dts[g, 0]) / self.dts[g, 1]
+
+
+def _coeff_arrays(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded rows of germ coefficients and of their derivatives (Germ._dcoeffs)."""
+    w = max(2, max(map(len, coeffs), default=1))
+    c = np.array([tuple(cs) + (0.0,) * (w - len(cs)) for cs in coeffs], dtype=float).reshape(-1, w)
+    return c, np.arange(1, w) * c[:, 1:]
 
 
 # -- first-return maps --------------------------------------------------------

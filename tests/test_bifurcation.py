@@ -446,6 +446,34 @@ def test_circle_has_no_traced_curves():
     assert bifurcation._trace_curves(bifurcation.circle_family()) == {}
 
 
+@pytest.mark.parametrize("scenario", ["cusp-synthetic", "twofold-synthetic", "vi-foldfold-synthetic"])
+def test_sweep_cells_equal_one_cell_classification(scenario):
+    # the sweep's batched root pass gives every cell what classifying it alone gives
+    fam = bifurcation.SCENARIOS[scenario]()
+    grid = bifurcation.sweep_diagram(fam, 11, 11)
+    assert len(grid.cells) == 121
+    for cell in grid.cells:
+        assert cell == classify_parameter_point(fam, cell.params)
+
+
+def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
+    fam = foldfold_family()
+    ranges = ((-0.1, 0.1), (-0.1, 0.1))
+    plain = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
+    g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
+    annulus = SyntheticModel(legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
+    model = bifurcation._foldfold_model
+
+    def annulus_at_one_cell(f, alpha, beta):
+        return annulus if (alpha, beta) == (0.1, -0.1) else model(f, alpha, beta)
+
+    monkeypatch.setattr(bifurcation, "_foldfold_model", annulus_at_one_cell)
+    cells = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
+    assert cells.pop((0.1, -0.1)).label.startswith("error:PeriodAnnulus: ")
+    assert len(cells) == 8 and all(c == plain[p] for p, c in cells.items())
+    assert not any(c.error for c in cells.values())
+
+
 def test_sweep_records_period_annulus(monkeypatch):
     fam = foldfold_family()
     g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
@@ -457,22 +485,23 @@ def test_sweep_records_period_annulus(monkeypatch):
 
 def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
     fam = foldfold_family()
-    classify = bifurcation.classify_parameter_point
+    build, classify = bifurcation._CELLS["VIFoldFold"]
 
-    def no_hit_at_origin(f, params):
+    def no_hit_at_origin(f, *params):
         if params == (0.0, 0.0):
             raise NoHit("no section hit")
-        return classify(f, params)
+        return build(f, *params)
 
-    monkeypatch.setattr(bifurcation, "classify_parameter_point", no_hit_at_origin)
+    # the sweep's first per-cell pass builds each cell's model
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (no_hit_at_origin, classify))
     grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
     labels = {c.params: c.label for c in grid.cells}
     assert labels[(0.0, 0.0)] == "error:NoHit: no section hit"
     assert sum(l.startswith("error:") for l in labels.values()) == 1
 
-    def broken(f, params):
+    def broken(f, *params):
         raise TypeError("a bug, not a data point")
 
-    monkeypatch.setattr(bifurcation, "classify_parameter_point", broken)
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (broken, classify))
     with pytest.raises(TypeError):
         bifurcation.sweep_diagram(fam, 3, 3)

@@ -6,16 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmapoly import io
-from sigmapoly.bifurcation import _twofold_model, twofold_family
+from sigmapoly.bifurcation import (
+    _cusp_model,
+    _foldfold_cell,
+    _twofold_model,
+    cusp_family,
+    foldfold_family,
+    twofold_family,
+)
 from sigmapoly.cli import run
 from sigmapoly.errors import ConfigError, PeriodAnnulus
-from sigmapoly.maps import Germ
+from sigmapoly.maps import Germ, root_cluster_rows, root_clusters
 from sigmapoly.polycycle import (
     SyntheticLeg,
     SyntheticModel,
     find_cycles,
+    find_cycles_rows,
     first_return,
     normal_form_model,
+    return_polynomial,
 )
 
 
@@ -256,3 +265,76 @@ def test_find_cycles_flags_period_annulus(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "PeriodAnnulus"
     assert "period annulus" in err["message"]
+
+
+# -- the batched root and cycle pass ---------------------------------------------
+
+
+def _rows_of(rows):
+    """root_cluster_rows of rows, regrouped into one (x, m) list per row."""
+    row, x, m = root_cluster_rows(rows)
+    out = [[] for _ in rows]
+    for i, xi, mi in zip(row.tolist(), x.tolist(), m.tolist()):
+        out[i].append((xi, mi))
+    return out
+
+
+def _assert_batch_equals_one_row_calls(models):
+    polys = [return_polynomial(model) for model in models]
+    assert _rows_of(polys) == [root_clusters(p) for p in polys]
+    batch = list(find_cycles_rows(models, polys))
+    assert batch == [find_cycles(model) for model in models]
+    # the array classification is the model's own scalar formulas, to the bit
+    for model, reports in zip(models, batch):
+        for r in reports:
+            xs = list(r.point)
+            assert xs[1:] == [leg.land(x) for leg, x in zip(model.legs, xs[:-1])]
+            assert r.residual == max(map(abs, model.displacement(xs).tolist()))
+            assert r.dP == model.return_derivative(xs)
+
+
+@pytest.mark.parametrize(
+    "build, fam",
+    [(_cusp_model, cusp_family()), (_foldfold_cell, foldfold_family())],
+    ids=["cusp", "foldfold"],
+)
+def test_batched_pass_equals_one_row_calls_on_grid(build, fam):
+    (lo1, hi1), (lo2, hi2) = fam.ranges
+    cells = [build(fam, float(a), float(b)) for a in np.linspace(lo1, hi1, 51) for b in np.linspace(lo2, hi2, 51)]
+    models = [c for c in cells if isinstance(c, SyntheticModel)]
+    assert len(models) == 51 * 51 - 1  # the codim-2 origin needs no cycles
+    _assert_batch_equals_one_row_calls(models)
+
+
+# (name, model) of rows that take each branch of the root pass: a double
+# root, a triple root, a complex pair, a leading coefficient of 0 and several
+# legs, so a batch of them also mixes degrees 1 to 4
+HAND_MODELS = [
+    ("double", quad_model(0.01, -0.2)),
+    ("triple", normal_form_model(1.0, -0.03, 3, lam=(0.001, 0.0, 0.3))),
+    ("pair", quad_model(1.0, 1.0)),
+    ("degree drop", normal_form_model(0.0, 1.0, 3, lam=(0.01, -0.5, 1.0))),
+    ("linear", normal_form_model(0.0, -0.25, 1, lam=(0.01, 0.5))),
+    ("two legs", _twofold_model(_TWOFOLD, -0.25, 0.25)),
+    ("simple", quad_model(0.01, -0.25)),
+]
+
+
+def test_batched_pass_equals_one_row_calls_on_hand_rows():
+    models = [m for _, m in HAND_MODELS]
+    degrees = [len(np.trim_zeros(return_polynomial(m), "b")) - 1 for m in models]
+    assert sorted(set(degrees)) == [1, 2, 3, 4]
+    _assert_batch_equals_one_row_calls(models)
+    _assert_batch_equals_one_row_calls(models[::-1])
+    reports = dict(zip([n for n, _ in HAND_MODELS], find_cycles_rows(models, map(return_polynomial, models))))
+    assert [(len(reports[n]), reports[n][0].saddle_node) for n in ("double", "triple")] == [(1, True)] * 2
+    assert reports["pair"] == []
+
+
+def test_all_zero_row_has_no_roots_and_leaves_the_others():
+    rows = [[2.0, -3.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0], [0.0]]
+    assert _rows_of(rows) == [[(1.0, 1), (2.0, 1)], [], [(1.0, 1)], []]
+    assert _rows_of(rows) == [root_clusters(r) for r in rows]
+    # a model whose return polynomial vanishes is flagged on its own
+    with pytest.raises(PeriodAnnulus):
+        return_polynomial(_annulus_model())
