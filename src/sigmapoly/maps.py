@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-from functools import cached_property
 from itertools import combinations, groupby
 
 import numpy as np
@@ -63,7 +62,7 @@ _EPS = float(np.finfo(float).eps)
 # -- germs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Germ:
     """Truncated polynomial c0 + c1 u + ... + cn u^n in u = x - base."""
 
@@ -81,7 +80,7 @@ class Germ:
     def kappa(self) -> float:
         return self.coeffs[-1]
 
-    @cached_property
+    @property
     def _dcoeffs(self) -> tuple[float, ...]:
         """Coefficients of the derivative germ, in u = x - base."""
         return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)

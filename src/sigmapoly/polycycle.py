@@ -27,7 +27,7 @@ from .maps import Germ, _horner_rows, root_cluster_rows, root_clusters
 BOUNDARY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticLeg:
     """One corner of the model: transfer germs and the admissible window."""
 
@@ -46,7 +46,7 @@ class SyntheticLeg:
         return self.DTs.base + (self.Tu(x - 2 * self.a) - c0) / c1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticModel:
     legs: tuple[SyntheticLeg, ...]
 
@@ -80,7 +80,7 @@ class SyntheticModel:
 # -- solver -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReport:
     point: tuple[float, ...]
     residual: float
