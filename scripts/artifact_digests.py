@@ -33,6 +33,12 @@ The artifacts are:
 - repr of the params and the full crossing-cycle reports (point, residual,
   dP, stability, saddle_node) of every cell of the cusp and fold-fold 51x51
   and two-fold 41x41 sweeps, which the diagram CSVs print only in part.
+- repr of (kind, time, point) of every event of three scans: the five
+  starts of tests/test_flow.py::test_batched_sigma_scan_matches_lone_flights
+  (X = (1, x), h = y, a Sigma crossing, a turn-found dip, a start on Sigma
+  and the section x = 0.7), the 16 starts of the circle's Sigma return at
+  (alpha_p, beta_p) = (0.05, -0.01), and the touch of X = (1, x) from
+  (-1, 1/2) at the visible fold; a start that meets nothing is its error.
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -54,6 +60,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -61,12 +69,15 @@ from sigmapoly.bifurcation import (  # noqa: E402
     CURVE_TOL,
     SCENARIOS,
     circle_saddle_node,
+    circle_system,
+    circle_visible_fold,
     classify_parameter_point,
     scenario_curves,
     sweep_diagram,
 )
 from sigmapoly.cli import run  # noqa: E402
 from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
+from sigmapoly.flow import SigmaHit, next_sigma_hits, vertical_section  # noqa: E402
 from sigmapoly.io import dumps, model_to_dict  # noqa: E402
 from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
 from sigmapoly.poly2 import poly_const, poly_x, poly_y  # noqa: E402
@@ -183,6 +194,25 @@ def _germs():
     yield "transfer_pair E-II", transfer_pair(FilippovSystem(fold, fold, h), (0.0, 0.0), cfg)
 
 
+def _events():
+    """(kind, time, point) of every event of the fixed scans, or the error of a start that meets nothing."""
+    fold, h = PolyField(poly_const(1.0), poly_x()), SwitchingFunction(poly_y())
+    x0 = -74.5 * 4 / 599
+    batch = [(x0, x0 * x0 / 2 - 1e-6), (-0.3, 0.0), (0.2, 0.1), (-1.0, 0.2), (0.3, 0.0)]
+    alpha_p, beta_p = 0.05, -0.01
+    Z = circle_system(alpha_p, beta_p)
+    f = circle_visible_fold(Z)
+    xs = min(f, 2.0 * alpha_p - f) - 0.5 * 10.0 ** (-6.0 * np.arange(16) / 15.0)
+    scans = [
+        next_sigma_hits(fold, batch, h, "forward", include_touch=True, section=vertical_section(0.7)),
+        next_sigma_hits(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], Z.h, tmax=2.0 * np.pi + 0.5),
+        next_sigma_hits(fold, [(-1.0, 0.5)], h, "forward", tmax=2.0, include_touch=True),
+    ]
+    for hits in scans:
+        for hit in hits:
+            yield (hit.kind, hit.time, tuple(hit.point.tolist())) if isinstance(hit, SigmaHit) else repr(hit)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario, grid in DIAGRAMS:
@@ -226,6 +256,8 @@ def main() -> int:
         for cell in sweep_diagram(SCENARIOS[scenario](), n1, n2).cells
     ]
     _emit("\n".join(reports).encode(), "crossing-cycle reports of the cusp, fold-fold and two-fold sweeps")
+    events = "\n".join(repr(e) for e in _events()).encode()
+    _emit(events, "events of the batched Sigma scan, the circle return at (0.05, -0.01) and the fold touch")
     return 0
 
 

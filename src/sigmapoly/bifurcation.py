@@ -364,18 +364,14 @@ def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, model: Syntheti
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
     sliding, hetero = _twofold_sliding_trace(model, fam.eps, tol)
-    flags: list[str] = []
-    g1 = twofold_curves(fam, b2)["gamma1"]
-    g2 = twofold_curves(fam, b1)["gamma2"]
-    if b2 > tol and abs(b1 - g1) <= tol:
-        flags.append("on-curve:gamma1")
-    if b1 < -tol and abs(b2 - g2) <= tol:
-        flags.append("on-curve:gamma2")
+    item = _twofold_item(b1, b2, twofold_curves(fam, b2)["gamma1"], twofold_curves(fam, b1)["gamma2"], tol)
+    # a curve is flagged where the item takes its edge band: gamma1's is item 2, gamma2's item 9
+    flags = [f"on-curve:{name}" for name, on in (("gamma1", 2), ("gamma2", 9)) if item == on]
     if abs(b1) <= tol and abs(b2) <= tol:
         flags.append("codim2")
     return RegionReport(
         params=(b1, b2),
-        item=_twofold_item(b1, b2, g1, g2, tol),
+        item=item,
         crossing_cycles=cycles,
         polycycles=polycycles,
         sliding_cycles=tuple(sliding),

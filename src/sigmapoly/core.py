@@ -64,18 +64,19 @@ class SwitchingFunction:
         self._check_regular_value()
 
     def _check_regular_value(self) -> None:
-        # 0 must be a regular value of h on Sigma, sampled on a 25 x 25 grid.
+        # 0 must be a regular value of h on Sigma, sampled on a 25 x 25 grid
+        # in x-major order; the first singular point found is named.
         xmin, xmax, ymin, ymax = self.domain
-        hx, hy = self.h.dx(), self.h.dy()
         scale = max(abs(self.h(x, y)) for x in (xmin, xmax) for y in (ymin, ymax))
         scale = max(scale, 1.0)
-        for x in np.linspace(xmin, xmax, 25):
-            for y in np.linspace(ymin, ymax, 25):
-                if abs(self.h(x, y)) < 1e-6 * scale:
-                    if np.hypot(hx(x, y), hy(x, y)) < CLASSIFY_TOL:
-                        raise ValueError(
-                            f"grad h vanishes on Sigma near ({x:.3g}, {y:.3g})"
-                        )
+        grid = np.meshgrid(np.linspace(xmin, xmax, 25), np.linspace(ymin, ymax, 25), indexing="ij")
+        x, y = (g.ravel() for g in grid)
+        on = np.abs(self.h(x, y)) < 1e-6 * scale
+        flat = np.hypot(self.h.dx()(x, y), self.h.dy()(x, y)) < CLASSIFY_TOL
+        bad = np.flatnonzero(np.broadcast_to(on & flat, x.shape))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"grad h vanishes on Sigma near ({x[k]:.3g}, {y[k]:.3g})")
 
     def contains(self, p) -> bool:
         xmin, xmax, ymin, ymax = self.domain

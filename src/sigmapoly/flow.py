@@ -25,28 +25,39 @@ its time limit, never integrating an arc twice.
   evaluated by Horner about the step's start; the next step starts from
   its value at the step's end, so two steps agree at their boundary.
 
-The event functions are evaluated vectorised on the pieces at the fixed
-time lattice t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), one step (or run
-of steps) at a time.  An event-free flight (flow_smooth,
-maps.place_section) builds no lattice, yields nothing and returns the
-last step's polynomial at t_end.
+Events are roots of each step's own polynomials.  A jet built with event
+functions (h, a section's offset, _slide's Xh and Yh, all Poly2s) returns
+their Taylor coefficients along the orbits as well: extra rows of its
+matrix product, to order _ORDER.  _flight yields each step's piece and
+these coefficients, and _event_steps writes them on the step, s = (t -
+t0) / (t1 - t0) in [0, 1], in the Bernstein basis (one fixed matrix),
+with the first and last coefficients the event function's values at the
+step's ends.  Coefficients of one sign, clear of their rounding
+(_one_sign), certify that the step holds no root, and such a step
+evaluates no event function inside it.  Where they do not, de Casteljau
+splitting (_brackets) isolates the roots in brackets at most _BRACKET
+wide, and the rules below read the event functions at the ends of those
+brackets (_step_times).  An event-free flight (flow_smooth,
+maps.place_section) yields nothing and returns the last step's
+polynomial at t_end.
 
 One scanner, _scan, flies n starts as one 2n-dimensional system; since a
 flight takes the smallest of its orbits' own steps, each orbit is bounded
 as tightly as in a flight of its own.  Per orbit it applies the
-Sigma rules (h and Fh bracketed on the lattice, so that a dip through
-Sigma shorter than the lattice spacing is found; a sample exactly on Sigma
-that hdot carries across is a crossing; a start within EVENT_TOL of Sigma
-is on it, h = 0 at t = 0, and leaves into the side Fh points to), the
-section rules of _section_hit and the race between the two.  Each orbit
-keeps its first event and then rides along unread.  If a step fails, the
-orbits without an event fly again alone, so a blow-up in one orbit never
-decides another's result.
+Sigma rules (h and Fh bracketed on each step, Fh's roots as those of the
+derivative of h's series, so that a dip through Sigma inside one bracket
+is found by its turn; a bracket end exactly on Sigma that hdot carries
+across is a crossing; a start within EVENT_TOL of Sigma is on it, h = 0
+at t = 0, and leaves into the side Fh points to), the section rules of
+_section_hit and the race between the two.  Each orbit keeps its first
+event and then rides along unread.  If a step fails, the orbits without
+an event fly again alone, so a blow-up in one orbit never decides
+another's result.
 hit_sections, next_sigma_hits, their n = 1 calls hit_section and
 next_sigma_hit, and filippov_trajectory's smooth arcs are calls to it; a
 section-only scan never evaluates h or Fh.
 
-Each event root is polished by brentq to ~1e-14 in time on the step
+Each event root is polished by brentq, to the rounding of t, on the step
 polynomial that holds it, evaluated for its orbit alone in Python floats
 (_orbit): bit for bit the piece's vectorised evaluation.  A trajectory
 samples each arc from the pieces of the flight that found its event, and
@@ -62,8 +73,9 @@ tracer alone, and nothing calls it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -76,13 +88,22 @@ INTEGRATOR_TOL = 1e-12
 EVENT_TOL = 1e-10
 MAX_FLIGHT_TIME = 100.0
 _CHUNK = 4.0
-_SAMPLES_PER_CHUNK = 600
+# the widest bracket of an event root, in time
+_BRACKET = _CHUNK / 599
 # the Taylor order for INTEGRATOR_TOL, the share of the radius of
 # convergence a step takes (Jorba & Zou's 1/e^2 with heyoka's safety
 # factor) and the two orders that read the radius
 _ORDER = int(np.ceil(-0.5 * np.log(INTEGRATOR_TOL))) + 1
 _STEP_SHARE = float(np.exp(-2.0 - 0.7 / (_ORDER - 1)))
 _TOP = (_ORDER - 1, _ORDER)
+# power coefficients on [0, 1] to Bernstein coefficients, b_j = sum_k C(j, k) / C(N, k) a_k
+_BERNSTEIN = np.array([[math.comb(j, k) / math.comb(_ORDER, k) for k in range(_ORDER + 1)] for j in range(_ORDER + 1)])
+# power coefficients on [0, 1] to the Bernstein coefficients of their derivative in s:
+# column k is k times column k - 1 of _BERNSTEIN
+_DERIVATIVE = np.concatenate([np.zeros((_ORDER + 1, 1)), _BERNSTEIN[:, :-1] * np.arange(1.0, _ORDER + 1)], axis=1)
+_SPLIT = 32
+# the rounding of a Bernstein coefficient, relative to the largest of its polynomial
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 # scipy's solver and root finder: bound by _scipy
 solve_ivp: Callable  # uncalled: bench/tracing.py wraps it, until its tracer counts _flight's steps
@@ -156,10 +177,12 @@ class _Jet:
     polynomials are one matrix product of the monomial series; a quotient
     a / b continues q_k = (a_k - sum_{m=1..k} b_m q_{k-m}) / b_0 and a
     square root w = sqrt(u) continues
-    w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).
+    w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).  The event functions
+    (Poly2s) are further rows of the same matrix, read off the monomial
+    series once they are complete to order _ORDER.
     """
 
-    def __init__(self, px: Poly2, py: Poly2, den: Poly2 | None = None, root: bool = False):
+    def __init__(self, px: Poly2, py: Poly2, den: Poly2 | None = None, root: bool = False, events=()):
         polys = [px, py] + ([den] if den is not None else [])
         slot, level, prods = {(0, 0): 0, (1, 0): 1, (0, 1): 2}, [0, 0, 0], []
 
@@ -173,16 +196,18 @@ class _Jet:
                 prods.append((slot[i, j], a, b))
             return slot[i, j]
 
-        terms = [[(mono(i, j), c) for (i, j), c in p.coeffs.items()] for p in polys]
+        terms = [[(mono(i, j), c) for (i, j), c in p.coeffs.items()] for p in polys + list(events)]
         self.levels = [
             tuple(np.array(v) for v in zip(*(q for q in prods if level[q[0]] == lv)))
             for lv in range(1, max(level) + 1)
         ]
         self.nmono = m = len(level)
-        self.mix = np.zeros((len(polys), m))
+        # rows: the field's polynomials, then the event functions
+        self.mix = np.zeros((len(terms), m))
         for r, row in enumerate(terms):
             for s, c in row:
                 self.mix[r, s] += c
+        self.nev = len(events)
         # slots: the monomials, then the polynomials, sqrt(den) and the quotients
         self.polys = slice(m, m + len(polys))
         self.den = None if den is None else m + 2 + root
@@ -209,16 +234,24 @@ class _Jet:
         return max(deg) < _ORDER
 
     def series(self, state: np.ndarray) -> np.ndarray:
-        """Coefficients (_ORDER + 1, 2n) of the orbits from state = (x_1..x_n, y_1..y_n)."""
+        """Coefficients (_ORDER + 1, (2 + nev) n) from state = (x_1..x_n, y_1..y_n).
+
+        The columns are the orbits' x_1..x_n and y_1..y_n, then each event
+        function's n series along them.
+        """
         n = state.size // 2
         S = np.zeros((self.size, _ORDER + 1, n))
         S[0, 0] = 1.0
         S[1, 0], S[2, 0] = state[:n], state[n:]
         num, q = S[self.polys.start : self.polys.start + 2], S[self.out]
-        for k in range(_ORDER):
+        npoly = self.polys.stop - self.polys.start
+        # the event functions need the monomials to order _ORDER, one product pass more
+        for k in range(_ORDER + (self.nev > 0)):
             for s, a, b in self.levels:
                 S[s, k] = np.einsum("smn,smn->sn", S[a, : k + 1], S[b, k::-1])
-            S[self.polys, k] = self.mix @ S[: self.nmono, k]
+            if k == _ORDER:
+                break
+            S[self.polys, k] = self.mix[:npoly] @ S[: self.nmono, k]
             if self.den is not None:
                 b = S[self.den]
                 if self.root and k == 0:  # b = sqrt(u), u in the slot before
@@ -228,7 +261,11 @@ class _Jet:
                 carry = np.einsum("mn,smn->sn", b[1 : k + 1], q[:, k - 1 :: -1]) if k else 0.0
                 q[:, k] = (num[:, k] - carry) / b[0]
             S[1:3, k + 1] = q[:, k] / (k + 1)
-        return S[1:3].transpose(1, 0, 2).reshape(_ORDER + 1, 2 * n)
+        c = S[1:3].transpose(1, 0, 2).reshape(_ORDER + 1, 2 * n)
+        if not self.nev:
+            return c
+        ev = np.einsum("em,mkn->ken", self.mix[npoly:], S[: self.nmono])
+        return np.concatenate([c, ev.reshape(_ORDER + 1, self.nev * n)], axis=1)
 
 
 def _horner(c, u):
@@ -240,32 +277,21 @@ def _horner(c, u):
 
 
 class _Piece:
-    """Dense output of a run of Taylor steps: each step's polynomial about its own start.
+    """Dense output of one Taylor step: its polynomial about its own start.
 
-    ts holds the step boundaries in flight order and coefs[j] the
-    (_ORDER + 1, 2n) coefficients of step j, whose state at ts[j] + u is
-    sum_k coefs[j][k] u^k.  A time on a boundary is read on the step that
-    ends there; the first step also reads the times before it and the last
-    those after it.
+    ts = (t0, t1) are the step's ends in flight order and coefs the
+    (_ORDER + 1, 2n) coefficients, whose state at t0 + u is
+    sum_k coefs[k] u^k.
     """
 
     def __init__(self, ts, coefs):
         self.ts = np.array(ts)
-        self.coefs = np.array(coefs)
-
-    def step(self, t):
-        """Index of the step that reads each time in t."""
-        sgn = 1.0 if self.ts[-1] > self.ts[0] else -1.0
-        return np.minimum(np.searchsorted(sgn * self.ts[1:], sgn * t), len(self.coefs) - 1)
+        self.coefs = coefs
+        self.rows = None  # coefs' columns, top order first, as lists: read by _orbit
 
     def __call__(self, t) -> np.ndarray:
         """States (2n, len(t)) at the times t."""
-        j = self.step(t)
-        out = np.empty((self.coefs.shape[2], len(t)))
-        for s in np.unique(j):
-            at = j == s
-            out[:, at] = _horner(self.coefs[s], (t[at] - self.ts[s])[:, None]).T
-        return out
+        return _horner(self.coefs, (np.asarray(t) - self.ts[0])[:, None]).T
 
 
 def _step(jet: _Jet, c: np.ndarray) -> float:
@@ -296,59 +322,34 @@ def _step(jet: _Jet, c: np.ndarray) -> float:
     return h
 
 
-def _flight(jet: _Jet, p, t_end: float, events):
+def _flight(jet: _Jet, p, t_end: float):
     """Integrate jet from p over [0, t_end] (backward if t_end < 0) with one Taylor stepper.
 
     The state holds n orbits as (x_1..x_n, y_1..y_n); see the module
-    docstring for the order, the step and when a step fails.  Yields one
-    piece per step, or run of steps, that passes a point of the lattice
-    t_k = k * _CHUNK / (_SAMPLES_PER_CHUNK - 1), which t_end closes:
-    (sol, ts, vals) with sol the _Piece of the piece's steps, ts the lattice
-    points from the last one before the piece to the last one in it, and
-    vals[i] = events[i](x, y) on all of them at once, of shape (n, len(ts)).
-    With no events there is no lattice and no piece.  A caller stops the
-    flight by leaving the loop; one that reaches t_end returns the state
-    there, the last step's polynomial at t_end.  A failed step ends the
-    flight with NoHit, after a last piece that reaches the last good step.
+    docstring for the order, the step and when a step fails.  A jet with
+    event functions yields each step as (sol, ev, state): sol its _Piece,
+    ev (nev, _ORDER + 1, n) the event functions' Taylor coefficients about
+    its start, and state the state at its end; an event-free jet yields
+    nothing.  A caller stops the flight by leaving the loop; one that
+    reaches t_end returns the state there, the last step's polynomial at
+    t_end.  A failed step ends the flight with NoHit.
     """
     sgn = 1.0 if t_end > 0 else -1.0
-    dt = _CHUNK / (_SAMPLES_PER_CHUNK - 1)
-    # a lattice point within half a spacing of t_end gives way to t_end
-    last = abs(t_end) - 0.5 * dt
     state, t = np.asarray(p, dtype=float), 0.0
-    bounds, steps = [0.0], []
-    k = 0  # the lattice point the next piece starts from
+    n2 = state.size
     while True:
         c = jet.series(state)
-        failed = None
         if not np.isfinite(c).all():
-            failed = f"non-finite Taylor coefficient at t = {t:.6g}"
-        else:
-            h = _step(jet, c)
-            if h < 10.0 * np.spacing(t):
-                failed = f"step {h:.3g} below 10 spacing(t) at t = {t:.6g}"
-        if failed is None:
-            t_new = t_end if abs(t) + h >= abs(t_end) else t + sgn * h
-            state = _horner(c, t_new - t)
-            t = t_new
-            bounds.append(t)
-            steps.append(c)
-        if events:  # the lattice serves only to locate events
-            reach = abs(t)
-            j = max(k, int(min(reach, last) / dt) - 1)
-            while (j + 1) * dt <= reach and (j + 1) * dt < last:
-                j += 1
-            ts = np.arange(k, j + 1) * (sgn * dt)
-            if (failed or t == t_end) and reach > j * dt:
-                ts = np.append(ts, t)  # t_end, or the last good step
-            if ts.size > 1:
-                sol = _Piece(bounds, steps)
-                x, y = np.split(sol(ts), 2)
-                yield sol, ts, [np.broadcast_to(f(x, y), x.shape) for f in events]
-                # the next piece starts inside the last step
-                k, bounds, steps = j, bounds[-2:], steps[-1:]
-        if failed:
-            raise NoHit(f"integration failed: {failed}")
+            raise NoHit(f"integration failed: non-finite Taylor coefficient at t = {t:.6g}")
+        c, ev = c[:, :n2], c[:, n2:]
+        h = _step(jet, c)
+        if h < 10.0 * np.spacing(t):
+            raise NoHit(f"integration failed: step {h:.3g} below 10 spacing(t) at t = {t:.6g}")
+        t_new = t_end if abs(t) + h >= abs(t_end) else t + sgn * h
+        state = _horner(c, t_new - t)
+        if jet.nev:
+            yield _Piece((t, t_new), c), ev.reshape(_ORDER + 1, jet.nev, -1).transpose(1, 0, 2), state
+        t = t_new
         if t == t_end:
             return state
 
@@ -356,42 +357,138 @@ def _flight(jet: _Jet, p, t_end: float, events):
 def _end_state(jet: _Jet, p, t_end: float) -> np.ndarray:
     """The state at t_end of the event-free flight of jet from p."""
     try:
-        next(_flight(jet, p, t_end, []))
+        next(_flight(jet, p, t_end))
     except StopIteration as end:
         return end.value
+
+
+def _one_sign(B: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Whether each column of the Bernstein coefficients B (..., _ORDER + 1, m) is of one sign, clear of 0.
+
+    Clear means by more than margin plus the rounding of the column's
+    largest coefficient.
+    """
+    tol = margin + _ROUNDING * np.abs(B).max(axis=-2, keepdims=True)
+    return (B > tol).all(axis=-2) | (B < -tol).all(axis=-2)
+
+
+def _event_steps(jet: _Jet, p, t_end: float, fns):
+    """Per step of the flight of jet from p: (sol, a, B), the event functions written on the step.
+
+    fns[e] evaluates event function e of the jet, vectorised.  a[e] holds
+    its power coefficients (_ORDER + 1, n) in s, t = t0 + s (t1 - t0) on
+    the step [t0, t1], and B[e] its Bernstein coefficients on [0, 1]; the
+    first and the last of those are fns[e] at the step's ends, so that a
+    root on a step end is never certified away.
+    """
+    k = np.arange(_ORDER + 1)[:, None]
+    state = np.asarray(p, dtype=float)
+    n = state.size // 2
+    end = np.empty((len(fns), n))
+    for e, f in enumerate(fns):
+        end[e] = f(state[:n], state[n:])
+    for sol, ev, state in _flight(jet, p, t_end):
+        a = ev * (sol.ts[1] - sol.ts[0]) ** k
+        B = _BERNSTEIN @ a
+        B[:, 0] = end
+        for e, f in enumerate(fns):
+            B[e, -1] = f(state[:n], state[n:])
+        end = B[:, -1]
+        yield sol, a, B
+
+
+@cache
+def _pieces() -> np.ndarray:
+    """The Bernstein coefficients of the _SPLIT pieces [j / _SPLIT, (j + 1) / _SPLIT] of [0, 1].
+
+    Row k * _SPLIT + j maps coefficients on [0, 1] to coefficient k of
+    piece j, by repeated de Casteljau halving at 1/2.  It is built on first
+    use, so that a run that locates no event (a synthetic sweep) holds no
+    table.
+    """
+    halves = np.array([
+        [[math.comb(i, j) / 2.0**i for j in range(_ORDER + 1)] for i in range(_ORDER + 1)],
+        [[math.comb(_ORDER - i, j - i) / 2.0 ** (_ORDER - i) if j >= i else 0.0 for j in range(_ORDER + 1)]
+         for i in range(_ORDER + 1)],
+    ])
+    pieces = np.eye(_ORDER + 1)[None]
+    while len(pieces) < _SPLIT:
+        pieces = np.einsum("hij,sjk->shik", halves, pieces).reshape(-1, _ORDER + 1, _ORDER + 1)
+    return pieces.transpose(1, 0, 2).reshape(-1, _ORDER + 1)
+
+
+def _brackets(C: np.ndarray, width: float):
+    """(col, lo, w): intervals [lo, lo + w] of [0, 1] where the polynomial of Bernstein column C[:, col] may vanish.
+
+    De Casteljau splits [0, 1] into _SPLIT pieces, and each kept piece
+    again, until w is at most width.  A piece whose coefficients are of one
+    sign, clear of the rounding of the column's largest coefficient on
+    [0, 1], holds no root and is dropped, and so is a column that is 0; a
+    root on a split point keeps the pieces on both sides.
+    """
+    tol = _ROUNDING * np.abs(C).max(axis=0)
+    tol[tol == 0.0] = -1.0  # a column that is 0 keeps no piece
+    col, lo, w, D = np.arange(C.shape[1]), np.zeros(C.shape[1]), 1.0, C[:, None]
+    while True:
+        if w > width:  # coefficient k of piece j of column c is D[k, j, c]
+            w /= _SPLIT
+            D = (_pieces() @ C).reshape(_ORDER + 1, _SPLIT, -1)
+        t = tol[col]
+        j, c = np.nonzero((D.min(axis=0) <= t) & (D.max(axis=0) >= -t))
+        C, col, lo = D[:, j, c], col[c], lo[c] + w * j
+        if w <= width or not col.size:
+            return col, lo, w
+
+
+def _step_times(sol: _Piece, C: np.ndarray, owner: np.ndarray, whole=()) -> dict:
+    """{orbit: times}: per orbit in owner, the ends of the brackets of its columns of C on sol's step.
+
+    owner[c] is the orbit of Bernstein column C[:, c]; no root of a column
+    lies between its brackets.  The orbits in whole read the step's own
+    ends too.  The times are in flight order, t1 exact.
+    """
+    t0, t1 = sol.ts.tolist()
+    col, lo, w = _brackets(C, _BRACKET / abs(t1 - t0))
+    ends = {i: {0.0, 1.0} for i in whole}
+    for i, s in zip(owner[col].tolist(), lo.tolist()):
+        ends.setdefault(i, set()).update((s, s + w))
+    return {i: [t0 + s * (t1 - t0) if s < 1.0 else t1 for s in sorted(e)] for i, e in ends.items()}
 
 
 def _orbit(sol: _Piece, i: int = 0, n: int = 1):
     """t -> (x_i(t), y_i(t)) on the piece sol of a flight of n orbits, in Python floats.
 
-    Bit for bit sol(t)[i::n]: the same step, and orbit i's two coefficient
-    columns summed in the same Horner order.
+    Bit for bit sol(t)[i::n]: orbit i's two coefficient columns summed in
+    the same Horner order.  Each time is evaluated once: the bracket ends
+    of a step are read by its rules and again by brentq.
     """
-    sgn = 1.0 if sol.ts[-1] > sol.ts[0] else -1.0
-    ends = [sgn * b for b in sol.ts[1:].tolist()]
-    starts = sol.ts.tolist()
-    rows = sol.coefs[:, ::-1][:, :, [i, n + i]].tolist()
-    last = len(rows) - 1
+    if sol.rows is None:
+        sol.rows = sol.coefs[::-1].T.tolist()
+    t0, (x0, *rx), (y0, *ry) = float(sol.ts[0]), sol.rows[i], sol.rows[n + i]
+    rest = list(zip(rx, ry))
+    seen = {}
 
     def at(t):
-        j = min(bisect_left(ends, sgn * t), last)
-        u = t - starts[j]
-        (x, y), *rest = rows[j]
+        if t in seen:
+            return seen[t]
+        u = t - t0
+        x, y = x0, y0
         for cx, cy in rest:
             x = x * u + cx
             y = y * u + cy
+        seen[t] = x, y
         return x, y
 
     return at
 
 
 def _arc_points(arc, ts) -> np.ndarray:
-    """Points, shape (2, len(ts)), at the times ts of a flight's pieces in time order."""
+    """States, shape (2n, len(ts)), at the times ts of a flight's pieces in time order."""
     ts = np.asarray(ts, dtype=float)
     sgn = 1.0 if arc[-1].ts[-1] >= arc[0].ts[0] else -1.0
     ends = np.array([sgn * sol.ts[-1] for sol in arc])
     idx = np.minimum(np.searchsorted(ends, sgn * ts), len(arc) - 1)
-    out = np.empty((2, ts.size))
+    out = np.empty((arc[0].coefs.shape[1], ts.size))
     for k in np.unique(idx):
         at = idx == k
         out[:, at] = arc[k](ts[at])
@@ -404,15 +501,30 @@ def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
 
 
 def _brentq(g, a, b):
-    """The root of g between a and b (a first in time), polished to ~1e-14.
+    """The root of g between a and b (a first in time), polished by brentq to the rounding of t.
 
     Where g is exactly 0 on a run of adjacent floats, as on an exact
-    polynomial orbit, the root is the first of the run from a (a few
-    floats at most), not whichever one brentq stopped on.
+    polynomial orbit, the root is the first of the run from a, not whichever
+    float brentq stopped on: a root brentq stops on at a 0 walks back along
+    the run (a few floats at most), and one it stops on elsewhere halves
+    brentq's last bracket, a few floats wide, down to two adjacent floats,
+    where a 0 is the root.
     """
-    lo, hi = (a, b) if a < b else (b, a)
+    tried = {}
+
+    def f(t):
+        tried[t] = v = g(t)
+        return v
+
     _scipy()
-    r = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    r = brentq(f, min(a, b), max(a, b), xtol=1e-300, rtol=8.9e-16)
+    side, d = _sign(tried[a]), 1.0 if b > a else -1.0
+    if side != 0 and tried[r] != 0.0:
+        p = max((t for t, v in tried.items() if _sign(v) == side), key=lambda t: d * t)
+        q = min((t for t, v in tried.items() if _sign(v) != side and d * t > d * p), key=lambda t: d * t)
+        while (m := p + 0.5 * (q - p)) not in (p, q):
+            p, q = (m, q) if _sign(f(m)) == side else (p, m)
+        return q if tried[q] == 0.0 else r
     for _ in range(4):
         s = float(np.nextafter(r, a))
         if r == a or g(s) != 0.0:
@@ -421,36 +533,46 @@ def _brentq(g, a, b):
     return r
 
 
+def _sign(v: float) -> float:
+    """np.sign of a Python float: -1.0, 0.0 or 1.0 (nan stays nan)."""
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else v
+
+
 def _sign_changes(g, ts, vals):
     """Roots of g where its samples vals at ts change sign, in time order.
 
     A sign change between two nonzero samples is polished by brentq; a
     sample after the first that is exactly zero is itself a root.
     """
-    s = np.sign(vals)
-    for k in np.flatnonzero((s[:-1] * s[1:] < 0) | (s[1:] == 0)):
-        yield ts[k + 1] if s[k + 1] == 0 else _brentq(g, ts[k], ts[k + 1])
+    s = [_sign(v) for v in vals]
+    for k in range(len(s) - 1):
+        if s[k + 1] == 0:
+            yield ts[k + 1]
+        elif s[k] * s[k + 1] < 0:
+            yield _brentq(g, ts[k], ts[k + 1])
 
 
 def _offset(section: Section):
-    """(x, y) -> the signed distance from the section's line, vectorised."""
+    """(x, y) -> the signed distance from the section's line, vectorised, and that distance as a Poly2."""
     (ax, ay), (nx, ny) = section.anchor, section.normal.tolist()
-    return lambda x, y: (x - ax) * nx + (y - ay) * ny
+    line = Poly2({(1, 0): nx, (0, 1): ny, (0, 0): -(ax * nx + ay * ny)})
+    return (lambda x, y: (x - ax) * nx + (y - ay) * ny), line
 
 
-def _section_hit(F: PolyField, section: Section, at, ts, gv, sgn: float):
-    """(t, q): the first meeting of the orbit at with the section segment in a piece, or None.
+def _section_hit(F: PolyField, section: Section, offset, at, ts, pts, sgn: float):
+    """(t, q): the first meeting of the orbit at with the section segment at the times ts of a step, or None.
 
-    gv holds the orbit's section offsets at the piece's times ts.  A root at
-    t = 0 is skipped when the flight starts on the section, and a crossing
-    of the section line outside the segment is skipped; q is a
+    offset is the section's _offset and pts the orbit's points at ts.  A
+    root at t = 0 is skipped when the flight starts on the section, and a
+    crossing of the section line outside the segment is skipped; q is a
     TangentialHit when the orbit grazes the line.
     """
+    g = lambda t: offset(*at(t))
+    gv = [offset(x, y) for x, y in pts]
     if ts[0] == 0.0 and abs(gv[0]) < EVENT_TOL:
-        keep = ts * sgn > 1e-9
-        ts, gv = ts[keep], gv[keep]
-    offset = _offset(section)
-    for troot in _sign_changes(lambda t: offset(*at(t)), ts, gv):
+        keep = [k for k, t in enumerate(ts) if t * sgn > 1e-9]
+        ts, gv = [ts[k] for k in keep], [gv[k] for k in keep]
+    for troot in _sign_changes(g, ts, gv):
         q = np.array(at(troot))
         if abs(float(np.dot(F(q), section.normal))) < CLASSIFY_TOL:
             return troot, TangentialHit(f"grazes section at t = {troot:.6g}")
@@ -472,31 +594,47 @@ def _departure(hpoly, fhpoly, p, sgn: float):
     return np.sign(sgn * fh0) if abs(fh0) > CLASSIFY_TOL else 0.0
 
 
-def _sigma_event(hpoly, fhpoly, at, ts, hs, cross, turn, side, k0: int, include_touch: bool):
-    """(t, kind): the first Sigma event of the orbit at in a piece, from lattice point k0 on, or None.
+def _sigma_event(hpoly, fhpoly, at, ts, pts, side: float, sgn: float, include_touch: bool):
+    """((t, kind) or None, side): the first Sigma event of the orbit at among the times ts of a step, and its side.
 
-    A crossing (or a grazing dip entirely between two samples) forces hdot =
-    Fh to cross zero somewhere near it, and Fh varies on the flow timescale,
-    so bracketing h AND Fh on the lattice finds every Sigma interaction even
-    when the dip is much shorter than the lattice spacing.  hs holds the
-    signs of h on the lattice, cross and turn its sign changes and Fh's.
+    ts are the ends of the brackets of h's and Fh's roots on the step (of
+    the step too while the orbit is on Sigma), and pts the orbit's points
+    there.  A crossing (or a grazing dip inside one bracket) forces hdot =
+    Fh to cross zero near it, so bracketing h AND Fh finds every Sigma
+    interaction even when the dip is much shorter than a bracket.  An orbit
+    still on Sigma (side 0) takes the side of its first time with |h| >
+    EVENT_TOL and is read from there on.
     """
     hfun = lambda t: hpoly(*at(t))
-    for k in np.flatnonzero(cross[k0:] | turn[k0:]) + k0:
-        if cross[k]:
-            return _brentq(hfun, ts[k], ts[k + 1]), "cross"
+    hv = [hpoly(x, y) for x, y in pts]
+    hs, fs = [_sign(v) for v in hv], [_sign(fhpoly(x, y)) for x, y in pts]
+    if ts[0] == 0.0 and abs(hv[0]) <= EVENT_TOL:
+        hs[0] = 0.0  # a start on Sigma is at h = 0: the rounding of its h is no crossing
+    k0 = 0
+    if side == 0:  # still on Sigma: wait for |h| to grow
+        k0 = next((k for k, v in enumerate(hv) if abs(v) > EVENT_TOL), None)
+        if k0 is None:
+            return None, side
+        side = hs[k0]
+    for k in range(k0, len(ts) - 1):
+        # a sign change of h, or a time exactly on Sigma that the orbit
+        # reaches while hdot = sgn Fh still carries it across
+        if hs[k] * hs[k + 1] < 0 or (hs[k + 1] == 0 and sgn * fs[k + 1] == -hs[k]):
+            return (_brentq(hfun, ts[k], ts[k + 1]), "cross"), side
+        if fs[k] == 0 or fs[k] == fs[k + 1]:  # no turn
+            continue
         tm = _brentq(lambda t: fhpoly(*at(t)), ts[k], ts[k + 1])
         hm = hfun(tm)
-        if np.sign(hm) != 0 and np.sign(hm) != side:
+        if _sign(hm) != 0 and _sign(hm) != side:
             lo = ts[k] if hs[k] == side else ts[max(k0, k - 1)]
-            return _brentq(hfun, lo, tm), "cross"
-        if np.sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != np.sign(hm):
+            return (_brentq(hfun, lo, tm), "cross"), side
+        if _sign(hm) != 0 and hs[k + 1] != 0 and hs[k + 1] != _sign(hm):
             # dip entirely on the departure side ending in a crossing
-            # (start-on-Sigma orbits that return before the first sample)
-            return _brentq(hfun, tm, ts[k + 1]), "cross"
+            # (start-on-Sigma orbits that return within one bracket)
+            return (_brentq(hfun, tm, ts[k + 1]), "cross"), side
         if include_touch and abs(hm) < CLASSIFY_TOL and abs(tm) > 1e-9:
-            return tm, "touch"
-    return None
+            return (tm, "touch"), side
+    return None, side
 
 
 @dataclass(frozen=True)
@@ -523,42 +661,48 @@ def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, i
         return out
     todo = np.ones(n, dtype=bool)
     near = moved = np.zeros(n, dtype=bool)
-    events = []
+    polys, fns = [], []
     if h is not None:
         hpoly, fhpoly = h.h, lie_poly(F, h.h, 1)
-        events += [hpoly, fhpoly]
+        polys.append(hpoly)
+        fns.append(hpoly)
         side = np.array([_departure(hpoly, fhpoly, p, sgn) for p in ps])
+        # away from Sigma by more than CLASSIFY_TOL a turn can be no touch
+        margin = CLASSIFY_TOL if include_touch else 0.0
     if section is not None:
-        events.append(_offset(section))
-    flight = _flight(_Jet(F.fx, F.fy), ps.T.ravel(), sgn * tmax, events)
+        offset, line = _offset(section)
+        polys.append(line)
+        fns.append(offset)
+    steps = _event_steps(_Jet(F.fx, F.fy, events=polys), ps.T.ravel(), sgn * tmax, fns)
     try:
-        for sol, ts, vals in flight:
+        for sol, a, B in steps:
             if arc is not None:
                 arc.append(sol)
+            # the Bernstein columns to isolate roots of, and their orbits:
+            # h and its derivative (Fh) where h is not certified, the offset
+            # where it is not
+            cols, owner = [], []
             if h is not None:
-                hs, fs = np.sign(vals[0]), np.sign(vals[1])
-                if ts[0] == 0.0:
-                    # a start on Sigma is at h = 0: the rounding of its h is no crossing
-                    hs[np.abs(vals[0][:, 0]) <= EVENT_TOL, 0] = 0
-                # a sign change of h, or a sample exactly on Sigma that the
-                # orbit reaches while hdot = sgn Fh still carries it across
-                cross = (hs[:, :-1] * hs[:, 1:] < 0) | ((hs[:, 1:] == 0) & (sgn * fs[:, 1:] == -hs[:, :-1]))
-                turn = (fs[:, :-1] != 0) & (fs[:, :-1] != fs[:, 1:])
-                k0 = np.zeros(n, dtype=int)
-                for i in np.flatnonzero(side == 0):  # still on Sigma: wait for |h| to grow
-                    big = np.flatnonzero(np.abs(vals[0][i]) > EVENT_TOL)
-                    if big.size:
-                        k0[i], side[i] = big[0], hs[i, big[0]]
-                near = (side != 0) & (cross | turn).any(axis=1)
+                near = todo & ((side == 0) | ~_one_sign(B[0], margin))
+                idx = np.flatnonzero(near)
+                cols += [B[0][:, idx], _DERIVATIVE @ a[0][:, idx]]
+                owner += [idx, idx]
             if section is not None:
-                s = np.sign(vals[-1])
-                moved = ((s[:, :-1] * s[:, 1:] < 0) | (s[:, 1:] == 0)).any(axis=1)
-            for i in np.flatnonzero((near | moved) & todo):
+                moved = todo & ~_one_sign(B[-1])
+                idx = np.flatnonzero(moved)
+                cols.append(B[-1][:, idx])
+                owner.append(idx)
+            if not (near | moved).any():
+                continue
+            still = np.flatnonzero(near & (side == 0)) if h is not None else ()
+            times = _step_times(sol, np.concatenate(cols, axis=1), np.concatenate(owner), still)
+            for i, ts in times.items():
                 at = _orbit(sol, i, n)
-                ev = near[i] and _sigma_event(
-                    hpoly, fhpoly, at, ts, hs[i], cross[i], turn[i], side[i], k0[i], include_touch
-                )
-                on = moved[i] and _section_hit(F, section, at, ts, vals[-1][i], sgn)
+                pts = [at(t) for t in ts]
+                ev = None
+                if near[i]:
+                    ev, side[i] = _sigma_event(hpoly, fhpoly, at, ts, pts, side[i], sgn, include_touch)
+                on = moved[i] and _section_hit(F, section, offset, at, ts, pts, sgn)
                 if on and (not ev or abs(on[0]) <= abs(ev[0])):
                     t, q = on
                     out[i] = q if isinstance(q, TangentialHit) else SigmaHit(point=q, time=t, kind="section")
@@ -688,15 +832,24 @@ def _slide(Z: FilippovSystem, p, t_budget, arc):
     # 10 h grad h that keeps the arc pinned to Sigma
     pin = Z.h.h.scale(10.0) * den
     jet = _Jet(
-        Yh * Z.X.fx - Xh * Z.Y.fx - pin * Z.h.h.dx(), Yh * Z.X.fy - Xh * Z.Y.fy - pin * Z.h.h.dy(), den
+        Yh * Z.X.fx - Xh * Z.Y.fx - pin * Z.h.h.dx(), Yh * Z.X.fy - Xh * Z.Y.fy - pin * Z.h.h.dy(), den,
+        events=(Xh, Yh),
     )
-    for sol, ts, vals in _flight(jet, p, t_budget, [Xh, Yh]):
+    for sol, _, B in _event_steps(jet, p, t_budget, (Xh, Yh)):
         arc.append(sol)
-        # include t = 0: a slide entering within a hair of the boundary must
-        # exit immediately (exact-zero starts are skipped by _sign_changes)
+        vary = ~_one_sign(B)[:, 0]
+        if not vary.any():
+            continue
+        # a slide that enters within a hair of a fold has a bracket at t = 0
+        # and exits at once (_sign_changes skips an exact-zero start)
         exits, at = [], _orbit(sol)
-        for name, f, (v,) in zip("XY", (Xh, Yh), vals):
-            r = next(_sign_changes(lambda t: f(*at(t)), ts, v), None)
+        ts = _step_times(sol, B[vary, :, 0].T, np.zeros(vary.sum(), dtype=int)).get(0, [])
+        pts = [at(t) for t in ts]
+        for name, f, v in zip("XY", (Xh, Yh), vary):
+            if not v:
+                continue
+            g = lambda t: f(*at(t))
+            r = next(_sign_changes(g, ts, [f(x, y) for x, y in pts]), None)
             if r is not None:
                 exits.append((r, name))
         if exits:

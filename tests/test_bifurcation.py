@@ -144,6 +144,20 @@ def test_band_is_odd_on_an_edge_and_the_first_edge_wins_a_tie():
     assert classify_parameter_point(twofold_family(), (0.0, 1e-5)).item == 2
 
 
+def test_twofold_on_curve_flags_follow_the_item_bands():
+    # a curve is flagged only where the item takes its edge band: gamma2 on
+    # item 9 and gamma1 on item 2.  Near beta1 = 0, gamma2 = -beta1^2 lies
+    # within CURVE_TOL of beta2 = 0, whose band the item takes first: item 6
+    fam = twofold_family()
+    g2 = twofold_curves(fam, -1e-5)["gamma2"]
+    near = classify_parameter_point(fam, (-1e-5, g2 + 0.5 * CURVE_TOL))
+    assert (near.item, near.flags) == (6, ())
+    on2 = classify_parameter_point(fam, (-0.1, twofold_curves(fam, -0.1)["gamma2"]))
+    on1 = classify_parameter_point(fam, (twofold_curves(fam, 0.1)["gamma1"], 0.1))
+    assert (on2.item, on2.flags) == (9, ("on-curve:gamma2",))
+    assert (on1.item, on1.flags) == (2, ("on-curve:gamma1",))
+
+
 # -- the curve orders the item bands assume, over each family's coefficient box
 
 COEFF = st.floats(0.01, 100.0)

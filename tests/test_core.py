@@ -6,6 +6,7 @@ from sigmapoly.core import (
     Crossing,
     FoldFold,
     StableSliding,
+    SwitchingFunction,
     Tangency,
     UnstableSliding,
     classify_sigma_point,
@@ -94,3 +95,16 @@ def test_sliding_field_tangent_to_sigma(xval, slope):
     Z = make_system(poly_x().scale(slope), poly_const(1.0))
     F = sliding_field(Z, (xval, 0.0))
     assert abs(F[1]) < 1e-12
+
+
+def test_singular_point_of_h_on_a_grid_node_is_refused():
+    # h = ((x + 5)^2 + (y - 5)^2) ((x - 5)^2 + (y + 5)^2) vanishes, with its
+    # gradient, only at (-5, 5) and (5, -5), both nodes of the 25 x 25 check
+    # grid on [-10, 10]^2; the first in x-major order is named
+    x, y, five = poly_x(), poly_y(), poly_const(5.0)
+    a, b, c, d = x + five, y - five, x - five, y + five
+    h = (a * a + b * b) * (c * c + d * d)
+    with pytest.raises(ValueError, match=r"^grad h vanishes on Sigma near \(-5, 5\)$"):
+        SwitchingFunction(h)
+    # a regular h is accepted, and the grid reads every point: h = y^2 - 25 is 0 on y = +-5
+    assert SwitchingFunction(y * y - five * five).h(0.0, 5.0) == 0.0

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from sigmapoly.core import FilippovSystem, PolyField
+from sigmapoly import flow
+from sigmapoly.core import CLASSIFY_TOL, FilippovSystem, PolyField, SwitchingFunction
 from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit, TangentialHit
 from sigmapoly.flow import (
     _CHUNK,
     MAX_FLIGHT_TIME,
     Section,
+    _arc_points,
+    _event_steps,
     _flight,
     _Jet,
+    _one_sign,
     _orbit,
     _Piece,
     _regime_at,
@@ -71,9 +75,9 @@ def test_hit_section_graze_raises(cusp_field):
         hit_section(cusp_field, np.array([-1.0, 0.0]), seg, "forward")
 
 
-# A flight is one integration whose steps are at most 4 time units long and
-# whose events are scanned on a lattice of 600 points per 4 units; the hits
-# below all lie past the first 4 units.
+# A flight is one integration whose steps are at most 4 time units long,
+# each searched for events as roots of its own polynomials; the hits below
+# all lie past the first 4 units.
 
 
 def test_hit_section_in_a_later_chunk(fold_field):
@@ -185,8 +189,8 @@ def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
     x0 = -74.5 * 4 / 599
     starts = [
         # dips to y = -1e-6 for |x| < 1.4e-3: under Sigma for 2.8e-3 time
-        # units, midway between two points of the lattice t_k = 4k/599; only
-        # the Fh rule sees it
+        # units, less than a root bracket may be wide (4/599), so h need not
+        # change sign across a bracket and the Fh rule must see it
         (x0, x0 * x0 / 2 - 1e-6),
         (-0.3, 0.0),  # on Sigma, leaves downward, back at x = 0.3, t = 0.6
         (0.2, 0.1),  # stays above Sigma, meets the section at t = 0.5
@@ -210,28 +214,27 @@ def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
 
 
 def _pieces(F, starts, t_end):
-    """The dense output of each piece of one flight of the starts."""
+    """The dense output of each step of one flight of the starts."""
     state = np.asarray(starts, dtype=float).T.ravel()
-    return [sol for sol, _, _ in _flight(_Jet(F.fx, F.fy), state, t_end, [lambda x, y: x])]
+    return [sol for sol, _, _ in _flight(_Jet(F.fx, F.fy, events=[_X]), state, t_end)]
 
 
-def _split_at_boundaries(sol):
-    """sol with each step's start value moved by its own amount.
+def _moved(sol, k):
+    """sol with its start value moved by 1e-9 (k + 1).
 
     Two Taylor steps give the same bits at the boundary they share (the
     second starts from the first's polynomial there), so only steps that
     disagree there show which of them is evaluated.
     """
     coefs = sol.coefs.copy()
-    for k in range(len(coefs)):
-        coefs[k, 0] += 1e-9 * (k + 1)
+    coefs[0] += 1e-9 * (k + 1)
     return _Piece(sol.ts, coefs)
 
 
 def test_step_local_evaluator_is_bitwise_taylor_piece():
     # theta' = 1, r' = r - r^3 forward and backward, one orbit and orbit i of
-    # three: at random times and at every step boundary, the evaluator gives
-    # the bits of the piece's own vectorised evaluation
+    # three: at random times and at both ends of every step, the evaluator
+    # gives the bits of the piece's own vectorised evaluation
     x, y = poly_x(), poly_y()
     r2 = x * x + y * y
     F = PolyField(y.scale(-1.0) + x - x * r2, x + y - y * r2)
@@ -245,20 +248,20 @@ def test_step_local_evaluator_is_bitwise_taylor_piece():
     for starts, t_end in flights:
         n = len(starts)
         pieces = _pieces(F, starts, t_end)
-        assert len(pieces) > 2 and all(len(sol.coefs) == 2 for sol in pieces[1:])
-        for sol in pieces + [_split_at_boundaries(sol) for sol in pieces]:
-            lo, hi = sorted((sol.ts[0], sol.ts[-1]))
+        assert len(pieces) > 2 and all(len(sol.ts) == 2 for sol in pieces)
+        for sol in pieces:
+            lo, hi = sorted(sol.ts)
             ts = np.concatenate([sol.ts, rng.uniform(lo, hi, 20)])
             want = sol(ts)
             for t, w in zip(ts.tolist(), want.T):
                 for i in range(n):
                     assert np.asarray(_orbit(sol, i, n)(t)).tobytes() == w[i::n].tobytes()
-        # the step that ends at a boundary is read there; the next one gives
-        # other bits, so a wrong choice fails
-        split = _split_at_boundaries(pieces[1])
-        t = split.ts[1:2]
-        assert split.step(t)[0] == 0
-        assert _Piece(split.ts[1:], split.coefs[1:])(t).tobytes() != split(t).tobytes()
+        # an arc reads a time on a step boundary on the step that ends
+        # there; the next one gives other bits, so a wrong choice fails
+        moved = [_moved(sol, k) for k, sol in enumerate(pieces)]
+        for k in range(len(moved) - 1):
+            t = moved[k].ts[1:]
+            assert _arc_points(moved, t).tobytes() == moved[k](t).tobytes() != moved[k + 1](t).tobytes()
 
 
 def test_filippov_trajectory_reaches_sliding():
@@ -307,12 +310,54 @@ def test_sigma_hit_on_a_step_end(h_y):
     # t^4/4, whose Taylor series ends, so the stepper takes the full _CHUNK;
     # backward the orbit is back on Sigma at (-2, 0) at t = -4, that step's end
     F = PolyField(_ONE, _X * _X * _X - _X)
-    sol, ts, vals = next(_flight(_Jet(F.fx, F.fy), [2.0, 0.0], -8.0, [h_y.h]))
-    assert sol.ts.tolist() == [0.0, -_CHUNK] and ts[-1] == -_CHUNK and vals[0][0, -1] == 0.0
+    sol, _, B = next(_event_steps(_Jet(F.fx, F.fy, events=[h_y.h]), [2.0, 0.0], -8.0, [h_y.h]))
+    # the step's last Bernstein coefficient is h at its end, exactly 0
+    assert sol.ts.tolist() == [0.0, -_CHUNK] and B[0, -1, 0] == 0.0
     hit = next_sigma_hit(F, (2.0, 0.0), h_y, "backward")
     assert (hit.kind, hit.time) == ("cross", -_CHUNK)
     assert hit.point.tolist() == [-2.0, 0.0]
 
+
+def test_short_dip_inside_a_step_is_a_crossing_at_its_first_root(fold_field, h_y):
+    # X = (1, x) from (-2, 2 - 1e-10) runs along y = x^2/2 - 1e-10, a
+    # polynomial orbit that one 4-unit step holds; it dips below Sigma for
+    # |x| < sqrt(2e-10), 2.8e-5 time units around t = 2, mid-step
+    hit = next_sigma_hit(fold_field, (-2.0, 2.0 - 1e-10), h_y, "forward", include_touch=True)
+    assert hit.kind == "cross"
+    assert hit.time == pytest.approx(2.0 - math.sqrt(2e-10), abs=1e-9)
+    assert hit.point[0] == pytest.approx(-math.sqrt(2e-10), abs=1e-9)
+
+
+def test_grazing_touch_inside_a_step_is_found(fold_field, h_y):
+    # the same orbit lifted to y = x^2/2 + 5e-10 stays above Sigma and
+    # grazes it within CLASSIFY_TOL at t = 2, mid-step
+    hit = next_sigma_hit(fold_field, (-2.0, 2.0 + 5e-10), h_y, "forward", include_touch=True)
+    assert hit.kind == "touch"
+    assert hit.time == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(hit.point, [0.0, 5e-10], rtol=0, atol=1e-12)
+
+
+def test_certified_steps_call_no_root_finder(monkeypatch):
+    # the rotation x' = -y, y' = x keeps the unit circle, so h = y - 2 <= -1
+    # and the line x = 2 are never met: the Bernstein coefficients of every
+    # step certify it, and no flight calls flow.brentq (Fh = x turns twice a
+    # lap); the same counter sees the root finder when h = y - 1/2 is met
+    flow._scipy()
+    calls, brentq = [], flow.brentq
+    monkeypatch.setattr(flow, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
+    F = PolyField(poly_y().scale(-1.0), _X)
+    far = SwitchingFunction(poly_y() - poly_const(2.0))
+    jet = _Jet(F.fx, F.fy, events=[far.h])
+    steps = list(_event_steps(jet, [1.0, 0.0], 20.0, [far.h]))
+    assert len(steps) > 10 and all(_one_sign(B[0], CLASSIFY_TOL).all() for _, _, B in steps)
+    (miss,) = next_sigma_hits(F, [(1.0, 0.0)], far, "forward", tmax=20.0, include_touch=True)
+    assert isinstance(miss, NoHit)
+    with pytest.raises(NoHit):
+        hit_section(F, (1.0, 0.0), vertical_section(2.0), "forward", tmax=20.0)
+    assert calls == []
+    near = SwitchingFunction(poly_y() - poly_const(0.5))
+    assert next_sigma_hit(F, (1.0, 0.0), near, "forward").time == pytest.approx(math.pi / 6, abs=1e-12)
+    assert calls
 
 
 def test_series_with_gaps_is_not_taken_for_one_that_ends():
