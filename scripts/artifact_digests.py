@@ -4,7 +4,9 @@
 The artifacts are:
 - diagram.csv and curves.csv of `sigmapoly diagram` for the three synthetic
   scenarios at 11x11, the two-fold scenario at 41x41 and the cusp and
-  fold-fold scenarios at 51x51;
+  fold-fold scenarios at 51x51, and of the non-square grids cusp 7x13,
+  two-fold 9x5 and fold-fold 13x7, where a swapped n1 and n2 or a slip in
+  the row order of the sweep would show;
 - diagram.csv and curves.csv of `diagram --scenario vi-foldfold-circle --grid 5x5`;
 - the `sigmapoly flow --tmax 6 --dt-out 0.01` CSVs of the two systems of
   tests/test_cli.py (X = (1, x), h = y, Y = (1, -1) or (1, 1)) from
@@ -32,7 +34,8 @@ The artifacts are:
   normal_form_model(1.0, -0.25, 2, lam=(0.01,));
 - repr of the params and the full crossing-cycle reports (point, residual,
   dP, stability, saddle_node) of every cell of the cusp and fold-fold 51x51
-  and two-fold 41x41 sweeps, which the diagram CSVs print only in part.
+  and two-fold 41x41 sweeps, which the diagram CSVs print only in part, and
+  on a line of their own those of the three non-square sweeps.
 - repr of (kind, time, point) of every event of three scans: the five
   starts of tests/test_flow.py::test_batched_sigma_scan_matches_lone_flights
   (X = (1, x), h = y, a Sigma crossing, a turn-found dip, a start on Sigma
@@ -85,6 +88,7 @@ from sigmapoly.polycycle import normal_form_model  # noqa: E402
 
 # (scenario, n1, n2) of the sweeps whose crossing-cycle reports are hashed in full
 REPORT_SWEEPS = [("cusp-synthetic", 51, 51), ("vi-foldfold-synthetic", 51, 51), ("twofold-synthetic", 41, 41)]
+NON_SQUARE_SWEEPS = [("cusp-synthetic", 7, 13), ("twofold-synthetic", 9, 5), ("vi-foldfold-synthetic", 13, 7)]
 
 DIAGRAMS = [
     ("twofold-synthetic", "11x11"),
@@ -94,6 +98,7 @@ DIAGRAMS = [
     ("cusp-synthetic", "51x51"),
     ("vi-foldfold-synthetic", "51x51"),
     ("vi-foldfold-circle", "5x5"),
+    *((scenario, f"{n1}x{n2}") for scenario, n1, n2 in NON_SQUARE_SWEEPS),
 ]
 FOLD_X = {"fx": [[0, 0, 1.0]], "fy": [[1, 0, 1.0]]}
 
@@ -213,6 +218,15 @@ def _events():
             yield (hit.kind, hit.time, tuple(hit.point.tolist())) if isinstance(hit, SigmaHit) else repr(hit)
 
 
+def _reports(sweeps) -> bytes:
+    """repr of the params and full crossing-cycle reports of every cell of the sweeps, a line each."""
+    return "\n".join(
+        repr((cell.params, [(c.point, c.residual, c.dP, c.stability, c.saddle_node) for c in cell.crossing_cycles]))
+        for scenario, n1, n2 in sweeps
+        for cell in sweep_diagram(SCENARIOS[scenario](), n1, n2).cells
+    ).encode()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario, grid in DIAGRAMS:
@@ -250,12 +264,8 @@ def main() -> int:
         with open(model, "w") as f:
             f.write(dumps(model_to_dict(normal_form_model(1.0, -0.25, 2, lam=(0.01,)))))
         _emit(_stdout(["polycycle-solve", "--model", model]), "polycycle-solve normal_form_model stdout")
-    reports = [
-        repr((cell.params, [(c.point, c.residual, c.dP, c.stability, c.saddle_node) for c in cell.crossing_cycles]))
-        for scenario, n1, n2 in REPORT_SWEEPS
-        for cell in sweep_diagram(SCENARIOS[scenario](), n1, n2).cells
-    ]
-    _emit("\n".join(reports).encode(), "crossing-cycle reports of the cusp, fold-fold and two-fold sweeps")
+    _emit(_reports(REPORT_SWEEPS), "crossing-cycle reports of the cusp, fold-fold and two-fold sweeps")
+    _emit(_reports(NON_SQUARE_SWEEPS), "crossing-cycle reports of the non-square cusp, two-fold and fold-fold sweeps")
     events = "\n".join(repr(e) for e in _events()).encode()
     _emit(events, "events of the batched Sigma scan, the circle return at (0.05, -0.01) and the fold touch")
     return 0

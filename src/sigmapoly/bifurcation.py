@@ -13,12 +13,15 @@ read off such bands (the fold-fold item, from the cycles the cell has).
 The two-fold sliding cycles are the loops of the fold-exit map
 (`_fold_exit`).
 
-Cells are classified in three passes (`_classify_cells`): per cell, the
-scenario builds the cell's model and its return polynomial is composed;
-one batched pass (`polycycle.find_cycles_rows`) solves the polynomials of
-all cells and classifies their roots as array arithmetic; per cell, the
-scenario reads its cycles and bands.  A parameter sweep is one batch, and
-`classify_parameter_point` is a batch of one.
+Cells are classified in three passes (`_classify_cells`).  The first is
+columnar: from the arrays of the cells' parameters the scenario builds the
+leg columns of every cell's model (`polycycle._LegArrays`), and
+`polycycle.return_polynomial_rows` composes all of their return
+polynomials.  One batched pass then solves the polynomials and classifies
+their roots as array arithmetic, and only the roots in the windows become
+reports.  Last, per cell, the scenario reads its cycles and bands.  A
+parameter sweep is one batch, and `classify_parameter_point` is a batch of
+one.
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
@@ -39,14 +42,7 @@ from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
-from .polycycle import (
-    CycleReport,
-    SyntheticLeg,
-    SyntheticModel,
-    find_cycles_rows,
-    normal_form_model,
-    return_polynomial,
-)
+from .polycycle import CycleReport, _cycle_reports, _cycle_rows, _LegArrays, return_polynomial_rows
 
 CURVE_TOL = 1e-9
 DEFAULT_EPS = 0.3
@@ -214,22 +210,32 @@ def _cusp_curve_values(lam1: float, k: float, d: float, folds: tuple[float, floa
     return CurveValues({"Abar": Abar, "Vbar": Vbar, "Ibar": Ibar})
 
 
-def _cusp_model(fam: ScenarioFamily, lam1: float, beta: float) -> SyntheticModel | RegionReport:
-    """The cell's model, with displacement kappa x^3 + (lam1 - dtilde) x + beta; the codim-2 origin's report."""
-    if abs(lam1) <= CURVE_TOL and abs(beta) <= CURVE_TOL:
-        return RegionReport(
-            params=(lam1, beta),
-            item=3,
-            crossing_cycles=(),
-            polycycles=1,
-            sliding_cycles=(),
-            flags=("codim2", "C-attracting"),
-        )
+def _cusp_cells(fam: ScenarioFamily, lam1: np.ndarray, beta: np.ndarray):
+    """(cells, legs, reads) of the cells at (lam1, beta), as ``_classify_cells`` takes them.
+
+    The codim-2 origin needs no cycles.  Every other cell's model is one leg
+    with Tu(x) = beta + lam1 x + kappa x^3 and DTs(x) = dtilde x on
+    (-eps, eps), so its displacement is kappa x^3 + (lam1 - dtilde) x + beta;
+    its classifier reads where the orbit from the visible fold V lands (nan
+    where lam1 <= 0, which has no V).
+    """
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
-    return normal_form_model(k, d, 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
+    origin = (np.abs(lam1) <= CURVE_TOL) & (np.abs(beta) <= CURVE_TOL)
+    cells = [
+        RegionReport(
+            params=(l, b), item=3, crossing_cycles=(), polycycles=1, sliding_cycles=(),
+            flags=("codim2", "C-attracting"),
+        ) if o else None
+        for o, l, b in zip(origin.tolist(), lam1.tolist(), beta.tolist())
+    ]
+    lam1, beta = lam1[~origin], beta[~origin]
+    legs = [_LegArrays(tu=(beta, lam1, 0.0, k), dts=(0.0, d), sigma=(-fam.eps, fam.eps))]
+    with np.errstate(invalid="ignore"):
+        V = np.sqrt(-lam1 / (3.0 * k))  # cusp_fold_points
+    return cells, legs, [(v,) for v in legs[0].land(V, slice(None)).tolist()]
 
 
-def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, model: SyntheticModel, reports) -> RegionReport:
+def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, reports, land_V: float) -> RegionReport:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     tol = CURVE_TOL
     roots = [r for r in reports if r.kind == "crossing-cycle"]
@@ -254,7 +260,7 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, model: Synthet
     if item == 7:
         structure = "V-I-connection"
     else:
-        structure = "land-in-(I,V)" if model.legs[0].land(V) > I else "land-in-(A,I)"
+        structure = "land-in-(I,V)" if land_V > I else "land-in-(A,I)"
 
     cycles: list[CycleReport] = []
     polycycles = 0
@@ -282,16 +288,23 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, model: Synthet
 # -- double regular fold --------------------------------------------------------
 
 
-def _twofold_model(fam: ScenarioFamily, b1: float, b2: float) -> SyntheticModel:
-    c = fam.coeffs
-    eps = fam.eps
-    Tu1 = Germ(base=0.0, coeffs=(b1, 0.0, c["kappa1"]), window=eps)
-    Tu2 = Germ(base=0.0, coeffs=(b2, 0.0, c["kappa2"]), window=eps)
-    DTs1 = Germ(base=0.0, coeffs=(0.0, c["dtilde1"]), window=eps)
-    DTs2 = Germ(base=0.0, coeffs=(0.0, c["dtilde2"]), window=eps)
-    leg1 = SyntheticLeg(Tu=Tu1, DTs=DTs1, sigma=(0.0, eps))
-    leg2 = SyntheticLeg(Tu=Tu2, DTs=DTs2, sigma=(-eps, 0.0))
-    return SyntheticModel(legs=(leg1, leg2))
+def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
+    """(cells, legs, reads) of the cells at (beta1, beta2), as ``_classify_cells`` takes them.
+
+    Every cell's model has two legs, Tu_i(x) = beta_i + kappa_i x^2 and
+    DTs_i(x) = dtilde_i x, on the windows (0, eps) and (-eps, 0); its
+    classifier reads the exits of its folds 1 and 2 (``_fold_exit``).
+    """
+    c, eps = fam.coeffs, fam.eps
+    legs = [
+        _LegArrays(tu=(b1, 0.0, c["kappa1"]), dts=(0.0, c["dtilde1"]), sigma=(0.0, eps)),
+        _LegArrays(tu=(b2, 0.0, c["kappa2"]), dts=(0.0, c["dtilde2"]), sigma=(-eps, 0.0)),
+    ]
+    reads = [
+        tuple(_fold_exit(lands, fold, eps, CURVE_TOL) for fold in (1, 2))
+        for lands in zip(*(leg.lands() for leg in legs))
+    ]
+    return [None] * len(b1), legs, reads
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -309,16 +322,17 @@ def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
     return CurveValues({"gamma1": gamma1, "gamma2": gamma2})
 
 
-def _fold_exit(model: SyntheticModel, fold: int, eps: float, tol: float) -> tuple[int, str] | None:
+def _fold_exit(lands, fold: int, eps: float, tol: float) -> tuple[int, str] | None:
     """Where the orbit leaving fold p_fold next reaches a fold: (corner, "slide" | "connect").
 
-    The orbit lands corner by corner through the legs' maps.  A landing on a
-    corner's sliding side (x < 0 at corner 1, x > 0 at corner 2) slides into
-    that corner's fold; a landing on the fold connects to it.  None when the
+    The orbit lands corner by corner through the legs' maps, lands[i - 1]
+    being the landing map of leg i.  A landing on a corner's sliding side
+    (x < 0 at corner 1, x > 0 at corner 2) slides into that corner's fold;
+    a landing on the fold connects to it.  None when the
     orbit escapes past 10 eps or the crossing iteration contracts onto a
     crossing cycle (a repeat at the same corner).
     """
-    corner, x = 3 - fold, model.legs[fold - 1].land(0.0)
+    corner, x = 3 - fold, lands[fold - 1](0.0)
     last: dict[int, float] = {}
     for _ in range(200):
         if (x < -tol) if corner == 1 else (x > tol):
@@ -328,17 +342,17 @@ def _fold_exit(model: SyntheticModel, fold: int, eps: float, tol: float) -> tupl
         if abs(x) > eps * 10 or (corner in last and abs(x - last[corner]) < 1e-12):
             return None
         last[corner] = x
-        corner, x = 3 - corner, model.legs[corner - 1].land(x)
+        corner, x = 3 - corner, lands[corner - 1](x)
     return None
 
 
-def _twofold_sliding_trace(model: SyntheticModel, eps: float, tol: float) -> tuple[list[SlidingCycle], bool]:
+def _twofold_sliding_trace(exit1, exit2) -> tuple[list[SlidingCycle], bool]:
     """Sliding cycles as the loops of the fold-exit map, and whether a fold connects to the other.
 
     The loop is (1, 2) when each fold's exit reaches the other, otherwise each
     fold that returns to itself; a loop's segments are the slides on it.
     """
-    exits = {f: _fold_exit(model, f, eps, tol) for f in (1, 2)}
+    exits = {1: exit1, 2: exit2}
     to = {f: e[0] if e else None for f, e in exits.items()}
     loops = [(1, 2)] if to == {1: 2, 2: 1} else [(f,) for f in (1, 2) if to[f] == f]
     sliding = []
@@ -359,11 +373,11 @@ def _twofold_item(b1: float, b2: float, g1: float, g2: float, tol: float) -> int
     return ((None, 11, 12), (6, 7, 13))[row][col]
 
 
-def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, model: SyntheticModel, reports) -> RegionReport:
+def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, reports, exit1, exit2) -> RegionReport:
     tol = CURVE_TOL
     cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
     polycycles = sum(1 for r in reports if r.kind == "polycycle")
-    sliding, hetero = _twofold_sliding_trace(model, fam.eps, tol)
+    sliding, hetero = _twofold_sliding_trace(exit1, exit2)
     item = _twofold_item(b1, b2, twofold_curves(fam, b2)["gamma1"], twofold_curves(fam, b1)["gamma2"], tol)
     # a curve is flagged where the item takes its edge band: gamma1's is item 2, gamma2's item 9
     flags = [f"on-curve:{name}" for name, on in (("gamma1", 2), ("gamma2", 9)) if item == on]
@@ -381,16 +395,6 @@ def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, model: Syntheti
 
 
 # -- VI fold-fold (synthetic) -----------------------------------------------
-
-
-def _foldfold_model(fam: ScenarioFamily, alpha: float, beta: float) -> SyntheticModel:
-    c = fam.coeffs
-    zeta = min(0.0, 2.0 * alpha)
-    lo = -fam.eps
-    Tu = Germ(base=0.0, coeffs=(beta, 0.0, c["kappa"]), window=fam.eps)
-    DTs = Germ(base=0.0, coeffs=(0.0, 0.0, c["dtilde"]), window=fam.eps)
-    leg = SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(lo, zeta), a=alpha)
-    return SyntheticModel(legs=(leg,))
 
 
 def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
@@ -420,15 +424,28 @@ def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
     return CurveValues(vals)
 
 
-def _foldfold_cell(fam: ScenarioFamily, alpha: float, beta: float) -> SyntheticModel | RegionReport:
-    """The cell's model, with displacement (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2 on
-    (-eps, zeta); the codim-2 origin's report."""
-    if abs(alpha) <= CURVE_TOL and abs(beta) <= CURVE_TOL:
-        return _tangent_polycycle((alpha, beta))
-    return _foldfold_model(fam, alpha, beta)
+def _foldfold_cells(fam: ScenarioFamily, alpha: np.ndarray, beta: np.ndarray):
+    """(cells, legs, reads) of the cells at (alpha, beta), as ``_classify_cells`` takes them.
+
+    The codim-2 origin needs no cycles.  Every other cell's model is one leg
+    with Tu(u) = beta + kappa u^2 at u = x - 2 alpha and DTs(x) = dtilde x^2
+    on (-eps, zeta), zeta = min(0, 2 alpha), so its displacement is
+    (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2; its classifier reads
+    nothing more.
+    """
+    c = fam.coeffs
+    origin = (np.abs(alpha) <= CURVE_TOL) & (np.abs(beta) <= CURVE_TOL)
+    cells = [
+        _tangent_polycycle((a, b)) if o else None
+        for o, a, b in zip(origin.tolist(), alpha.tolist(), beta.tolist())
+    ]
+    alpha, beta = alpha[~origin], beta[~origin]
+    zeta = np.where(2.0 * alpha < 0.0, 2.0 * alpha, 0.0)  # Python's min(0.0, 2 alpha)
+    legs = [_LegArrays(tu=(beta, 0.0, c["kappa"]), dts=(0.0, 0.0, c["dtilde"]), sigma=(-fam.eps, zeta), a=alpha)]
+    return cells, legs, [()] * len(alpha)
 
 
-def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float, model: SyntheticModel, reports) -> RegionReport:
+def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float, reports) -> RegionReport:
     tol = CURVE_TOL
     flags: list[str] = []
 
@@ -667,15 +684,17 @@ def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> Regi
 # -- dispatch -----------------------------------------------------------------
 
 
-# Each scenario classifies a cell with two functions.  The first builds the
-# cell's model, or returns the cell's report when the cell needs no crossing
-# cycles (the circle, which has no return polynomial, always does); the second
-# classifies the cell from its model and the model's find_cycles reports.
+# Each closed-form scenario classifies its cells with two functions.  The
+# first takes the arrays of the cells' parameters (p1, p2) and returns
+# (cells, legs, reads): cells holds the report, or the SigmapolyError, of
+# each cell that needs no crossing cycles and None for every other cell;
+# legs are the leg columns of the None cells, a row each in order; reads[r]
+# is what the classifier reads off row r besides its cycles.  The second
+# classifies one cell, as classify(fam, p1, p2, reports, *reads[r]).
 _CELLS = {
-    "Cusp": (_cusp_model, _classify_cusp),
-    "TwoFold": (_twofold_model, _classify_twofold),
-    "VIFoldFold": (_foldfold_cell, _classify_foldfold),
-    "Circle": (_classify_circle, None),
+    "Cusp": (_cusp_cells, _classify_cusp),
+    "TwoFold": (_twofold_cells, _classify_twofold),
+    "VIFoldFold": (_foldfold_cells, _classify_foldfold),
 }
 _CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfold_curves}
 
@@ -683,31 +702,43 @@ _CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfol
 def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | SigmapolyError]:
     """Classify the cells at points in three passes.
 
-    1. Per cell: build the cell's model and compose its return polynomial.
-    2. One batched pass, ``find_cycles_rows``, solves and classifies the
-       crossing cycles of every cell's polynomial at once.
+    1. Columnar: the scenario's builder (``_CELLS``) gives the reports of the
+       cells that need no crossing cycles, the leg columns of all the others
+       and what their classifiers read; ``return_polynomial_rows`` composes
+       every row's return polynomial.
+    2. One batched pass, ``polycycle._cycle_rows``, solves the polynomials
+       and classifies every root at once; CycleReports are built only for
+       the roots in the windows, as the classifiers read no other.
     3. Per cell: classify the cell from its cycles and its bands.
 
-    A SigmapolyError of a cell, in either per-cell pass, takes that cell's
-    place; a programming error propagates.
+    A SigmapolyError of a cell, from the builder, its return polynomial or
+    its classifier, takes that cell's place; a programming error
+    propagates.  The circle, which has no return polynomial, classifies each
+    cell on its own.
     """
+    if fam.name == "Circle":
+        cells: list = []
+        for p in points:
+            try:
+                cells.append(_classify_circle(fam, float(p[0]), float(p[1])))
+            except SigmapolyError as e:
+                cells.append(e)
+        return cells
     build, classify = _CELLS[fam.name]
-    cells: list = []
-    solve, polys = [], []  # the cells that wait for their cycles, and their polynomials
-    for p in points:
+    pts = np.asarray(points, dtype=float)
+    cells, legs, reads = build(fam, pts[:, 0], pts[:, 1])
+    P, errors = return_polynomial_rows(legs)
+    row, fields = _cycle_rows(legs, P)
+    kept = fields[1] > 0  # locus boundary or interior
+    solved = _cycle_reports(row[kept], [f[kept] for f in fields], len(P))
+    pts = pts.tolist()
+    todo = [i for i, cell in enumerate(cells) if cell is None]
+    for r, i in enumerate(todo):
+        if r in errors:
+            cells[i] = errors[r]
+            continue
         try:
-            cell = build(fam, float(p[0]), float(p[1]))
-            if not isinstance(cell, RegionReport):
-                polys.append(return_polynomial(cell))
-                solve.append(len(cells))
-        except SigmapolyError as e:
-            cell = e
-        cells.append(cell)
-    solved = find_cycles_rows([cells[i] for i in solve], polys)
-    del polys  # the root pass is the last reader
-    for i, reports in zip(solve, solved):
-        try:
-            cells[i] = classify(fam, float(points[i][0]), float(points[i][1]), cells[i], reports)
+            cells[i] = classify(fam, *pts[i], solved[r], *reads[r])
         except SigmapolyError as e:
             cells[i] = e
     return cells

@@ -8,21 +8,25 @@ boundary is a polycycle.  They are found as the real roots of one
 polynomial in x_1: the displacement itself for one leg, the fixed-point
 equation P(x_1) = x_1 of the composed first-return map for several.
 
-Many models are solved at once (`find_cycles_rows`): their return
-polynomials go through one batched root pass (`maps.root_cluster_rows`),
-and every root is propagated around its model's legs and classified as
-array arithmetic; `find_cycles` is the one-model case.
+The solver is columnar: a batch of models with the same number of legs is
+one `_LegArrays` per leg, a row per model, built from `SyntheticLeg`s or
+straight from coefficient columns.  `return_polynomial_rows` composes every
+row's return polynomial at once, one batched root pass
+(`maps.root_cluster_rows`) solves them, and `_cycle_rows` propagates every
+root around its row's legs and classifies it as array arithmetic.
+`return_polynomial`, `find_cycles` and `first_return` are one-row cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, PeriodAnnulus
-from .maps import Germ, _horner_rows, root_cluster_rows, root_clusters
+from .errors import ConfigError, NoConvergence, PeriodAnnulus, SigmapolyError
+from .maps import Germ, _horner, _horner_rows, root_cluster_rows, root_clusters
 
 BOUNDARY_TOL = 1e-9
 
@@ -77,6 +81,157 @@ class SyntheticModel:
         return num / den
 
 
+class _LegArrays:
+    """One leg of a batch of models, a row per model: the germs' coefficients
+    (zero-padded to one width, at least 2, which Horner's rule passes over),
+    their derivatives, bases, the E-II shift a and the window (lo, hi).
+
+    Built from coefficient columns: tu and dts list the columns c0, c1, ...
+    of Tu and DTs, and every column or other field is an array with a row
+    per model or a scalar that all rows share.  ``of`` builds it from
+    SyntheticLegs.
+    """
+
+    __slots__ = ("tu", "dtu", "dts", "ddts", "tu_base", "dts_base", "a", "lo", "hi")
+
+    def __init__(self, tu, dts, sigma, a=0.0, tu_base=0.0, dts_base=0.0):
+        fields = (a, tu_base, dts_base, *sigma)
+        n = max([len(c) for c in (*tu, *dts, *fields) if np.ndim(c)], default=1)
+        self.tu, self.dtu = _coeff_rows(tu, n)
+        self.dts, self.ddts = _coeff_rows(dts, n)
+        self.a, self.tu_base, self.dts_base, self.lo, self.hi = (np.full(n, f, dtype=float) for f in fields)
+
+    @classmethod
+    def of(cls, legs: list[SyntheticLeg]) -> _LegArrays:
+        """The rows of the legs, in order."""
+        w = max(len(leg.Tu.coeffs) for leg in legs)
+        v = max(len(leg.DTs.coeffs) for leg in legs)
+        return cls(
+            tu=list(zip(*(tuple(leg.Tu.coeffs) + (0.0,) * (w - len(leg.Tu.coeffs)) for leg in legs))),
+            dts=list(zip(*(tuple(leg.DTs.coeffs) + (0.0,) * (v - len(leg.DTs.coeffs)) for leg in legs))),
+            sigma=tuple(zip(*(leg.sigma for leg in legs))),
+            a=[leg.a for leg in legs],
+            tu_base=[leg.Tu.base for leg in legs],
+            dts_base=[leg.DTs.base for leg in legs],
+        )
+
+    def land(self, x: np.ndarray, g) -> np.ndarray:
+        """SyntheticLeg.land of the g[e]-th row at x[e], for each e."""
+        t = _horner_rows(self.tu[g], x - 2 * self.a[g] - self.tu_base[g])
+        return self.dts_base[g] + (t - self.dts[g, 0]) / self.dts[g, 1]
+
+    def lands(self) -> list[Callable[[float], float]]:
+        """SyntheticLeg.land of each row, as a function of one float over Python floats."""
+        fields = (self.tu, self.a, self.tu_base, self.dts[:, 0], self.dts[:, 1], self.dts_base)
+        return [partial(_land, *row) for row in zip(*(f.tolist() for f in fields))]
+
+
+def _land(tu, a, tu_base, c0, c1, dts_base, x: float) -> float:
+    """SyntheticLeg.land of Tu = tu (base tu_base) and DTs = c0 + c1 (y - dts_base) at x."""
+    return dts_base + (_horner(tu, x - 2 * a - tu_base) - c0) / c1
+
+
+def _coeff_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient columns side by side as n rows, zero-padded to width 2, and
+    the rows of their derivatives (Germ._dcoeffs)."""
+    c = np.zeros((n, max(2, len(columns))))
+    for j, col in enumerate(columns):
+        c[:, j] = col
+    return c, np.arange(1, c.shape[1]) * c[:, 1:]
+
+
+# -- return polynomials ---------------------------------------------------------
+
+
+def _compose_rows(C: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """Rows of c0 + c1 arg + ... + cn arg^n, for coefficient rows C and polynomial rows arg.
+
+    Horner's rule from c_n; each product's coefficient sums its terms by
+    ascending power of the outer factor.  Each row is computed in the
+    operation order of the same composition over Python floats.
+    """
+    out = C[:, -1:]
+    m = arg.shape[1]
+    for k in range(C.shape[1] - 2, -1, -1):
+        prod = np.zeros((len(C), out.shape[1] + m - 1))
+        for i in range(out.shape[1]):
+            prod[:, i : i + m] += out[:, i : i + 1] * arg
+        prod[:, 0] += C[:, k]
+        out = prod
+    return out
+
+
+def _sub_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p - q, the narrower padded with zeros."""
+    out = np.zeros((len(p), max(p.shape[1], q.shape[1])))
+    out[:, : p.shape[1]] = p
+    out[:, : q.shape[1]] -= q
+    return out
+
+
+def _linear_rows(c0: np.ndarray) -> np.ndarray:
+    """The rows c0 + x."""
+    return np.stack([c0, np.ones(len(c0))], axis=1)
+
+
+def return_polynomial_rows(legs: list[_LegArrays]) -> tuple[np.ndarray, dict[int, SigmapolyError]]:
+    """(P, errors): the ascending coefficients, in x_1, of each row's return polynomial
+    as the rows of P, and the error of each row that has none, by row.
+
+    legs[j] is leg j of every model.  One leg: Delta(x) = Tu(x - 2a) - DTs(x),
+    for any DTs.  Several legs: P(x_1) - x_1 with x_{i+1} =
+    DTs_i^{-1}(Tu_i(x_i - 2a_i)) composed around the loop, which needs every
+    DTs_i affine and invertible (a ConfigError naming the first leg that is
+    not).  A polynomial that vanishes identically is a PeriodAnnulus.  The
+    row of a model with an error is zero, which has no roots.
+    """
+    errors: dict[int, SigmapolyError] = {}
+    with np.errstate(all="ignore"):
+        if len(legs) == 1:
+            (leg,) = legs
+            tu = _compose_rows(leg.tu, _linear_rows(-2 * leg.a - leg.tu_base))
+            P = _sub_rows(tu, _compose_rows(leg.dts, _linear_rows(-leg.dts_base)))
+        else:
+            P = _linear_rows(np.zeros(len(legs[0].a)))
+            for i, leg in enumerate(legs):
+                for r in np.flatnonzero(leg.dts[:, 2:].any(axis=1) | (leg.dts[:, 1] == 0.0)).tolist():
+                    coeffs = np.trim_zeros(leg.dts[r], "b").tolist()
+                    errors.setdefault(r, ConfigError(
+                        f"leg {i}: a model with several legs needs an affine DTs of nonzero "
+                        f"slope, got coefficients {coeffs + [0.0] * (2 - len(coeffs))}"
+                    ))
+                arg = P.copy()
+                arg[:, 0] -= 2 * leg.a + leg.tu_base
+                tu = _compose_rows(leg.tu, arg)
+                tu[:, 0] -= leg.dts[:, 0]
+                P = tu / leg.dts[:, 1:2]
+                P[:, 0] += leg.dts_base
+            P[:, 1] -= 1.0
+    for r in np.flatnonzero(~P.any(axis=1)).tolist():
+        errors.setdefault(r, PeriodAnnulus(
+            "the return polynomial vanishes identically: every point of the "
+            "window is a crossing cycle (a period annulus)"
+        ))
+    P[list(errors)] = 0.0
+    return P, errors
+
+
+def _model_legs(model: SyntheticModel) -> list[_LegArrays]:
+    return [_LegArrays.of([leg]) for leg in model.legs]
+
+
+def return_polynomial(model: SyntheticModel) -> list[float]:
+    """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
+
+    The one-row case of ``return_polynomial_rows``, raising the row's
+    ConfigError or PeriodAnnulus.
+    """
+    P, errors = return_polynomial_rows(_model_legs(model))
+    if errors:
+        raise errors[0]
+    return P[0].tolist()
+
+
 # -- solver -------------------------------------------------------------------
 
 
@@ -91,172 +246,95 @@ class CycleReport:
     saddle_node: bool = False
 
 
-def _compose(coeffs, arg: list[float]) -> list[float]:
-    """Coefficients of c0 + c1 arg + ... + cn arg^n for a coefficient list arg."""
-    out = [float(coeffs[-1])]
-    for c in coeffs[-2::-1]:
-        prod = [0.0] * (len(out) + len(arg) - 1)
-        for i, u in enumerate(out):
-            for j, v in enumerate(arg):
-                prod[i + j] += u * v
-        prod[0] += c
-        out = prod
-    return out
-
-
-def _sub(p: list[float], q: list[float]) -> list[float]:
-    n = max(len(p), len(q))
-    return [a - b for a, b in zip(p + [0.0] * (n - len(p)), q + [0.0] * (n - len(q)))]
-
-
-def _affine(i: int, germ: Germ) -> tuple[float, float]:
-    c = tuple(germ.coeffs) + (0.0,)
-    if any(c[2:]) or c[1] == 0.0:
-        raise ConfigError(
-            f"leg {i}: a model with several legs needs an affine DTs of nonzero "
-            f"slope, got coefficients {list(germ.coeffs)}"
-        )
-    return c[0], c[1]
-
-
-def return_polynomial(model: SyntheticModel) -> list[float]:
-    """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
-
-    One leg: Delta(x) = Tu(x - 2a) - DTs(x), for any DTs.  Several legs:
-    P(x_1) - x_1 with x_{i+1} = DTs_i^{-1}(Tu_i(x_i - 2a_i)) composed around
-    the loop, which needs every DTs_i affine and invertible (ConfigError
-    otherwise).  A polynomial that vanishes identically raises
-    PeriodAnnulus.
-    """
-    if model.k == 1:
-        leg = model.legs[0]
-        tu = _compose(leg.Tu.coeffs, [-2 * leg.a - leg.Tu.base, 1.0])
-        p = _sub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
-    else:
-        p = [0.0, 1.0]
-        for i, leg in enumerate(model.legs):
-            c0, c1 = _affine(i, leg.DTs)
-            tu = _compose(leg.Tu.coeffs, _sub(p, [2 * leg.a + leg.Tu.base]))
-            tu[0] -= c0
-            p = [v / c1 for v in tu]
-            p[0] += leg.DTs.base
-        p = _sub(p, [0.0, 1.0])
-    if not any(p):
-        raise PeriodAnnulus(
-            "the return polynomial vanishes identically: every point of the "
-            "window is a crossing cycle (a period annulus)"
-        )
-    return p
-
-
 def find_cycles(model: SyntheticModel) -> list[CycleReport]:
     """Every real solution of the crossing system, classified, sorted by x_1.
 
-    The one-row case of ``find_cycles_rows``.  Raises ConfigError or
-    PeriodAnnulus as ``return_polynomial`` does.
+    The one-row case of ``return_polynomial_rows`` and ``_cycle_rows``.
+    Raises ConfigError or PeriodAnnulus as ``return_polynomial`` does.
     """
-    return next(find_cycles_rows([model], [return_polynomial(model)]))
+    legs = _model_legs(model)
+    P, errors = return_polynomial_rows(legs)
+    if errors:
+        raise errors[0]
+    return _cycle_reports(*_cycle_rows(legs, P), 1)[0]
 
 
-def find_cycles_rows(models, polys) -> Iterator[list[CycleReport]]:
+def find_cycles_rows(models, polys) -> list[list[CycleReport]]:
     """find_cycles of every model at once, polys[i] being return_polynomial(models[i]).
 
-    One batched root pass (``maps.root_cluster_rows``) gives every model's
-    root clusters; each is one solution, propagated around the legs through
-    the affine DTs inverses, and a cluster of multiplicity m >= 2 is a
-    saddle-node.  The solutions of the models with the same number of legs
-    are then classified together, as array arithmetic in the operation
-    order of the germs' own evaluation: the residual max |Delta_i|, the
-    locus against the windows (BOUNDARY_TOL), dP = prod Tu_i' / DTs_i' (inf
-    where the DTs product vanishes), and the stability, semistable at an
-    interior saddle-node and otherwise attracting for |dP| < 1.  The
-    reports are yielded model by model and built only then, so that a
-    sweep holds one cell's reports at a time.
+    The models with the same number of legs are one batch of leg arrays,
+    solved by ``_cycle_rows``; every solution is reported, those outside the
+    windows too.
     """
-    row, x1, mult = root_cluster_rows(polys)
-    del polys  # a sweep's polynomials are not needed past the root pass
-    ks = np.array([model.k for model in models], dtype=int)
-    solved = {}  # legs -> [the next unread solution, the fields of those models' solutions]
-    for k in sorted(set(ks[row].tolist())):
-        of_k = np.flatnonzero(ks == k)
-        legs = [_LegArrays([models[i].legs[j] for i in of_k.tolist()]) for j in range(k)]
-        sel = ks[row] == k
-        solved[k] = [0, _classify_solutions(legs, np.searchsorted(of_k, row[sel]), x1[sel], mult[sel])]
-    del models  # a sweep frees each model once its cell is classified
-    for k, n in zip(ks.tolist(), np.bincount(row, minlength=len(ks)).tolist()):
-        if not n:
-            yield []
-            continue
-        at, fields = solved[k]
-        solved[k][0] = at + n
-        res, loc, st, dp, mm, *xs = (f[at : at + n].tolist() for f in fields)
-        yield [
-            CycleReport(
-                point=pt, residual=res[e], locus=_LOCI[loc[e]], kind=_KINDS[loc[e]],
-                stability=_STABILITY[st[e]], dP=dp[e], saddle_node=mm[e] >= 2,
-            )
-            for e, pt in enumerate(zip(*xs))
-        ]
+    polys = list(polys)
+    ks = [model.k for model in models]
+    out: list[list[CycleReport]] = [[] for _ in models]
+    for k in sorted(set(ks)):
+        of_k = [i for i, ki in enumerate(ks) if ki == k]
+        legs = [_LegArrays.of([models[i].legs[j] for i in of_k]) for j in range(k)]
+        row, fields = _cycle_rows(legs, [polys[i] for i in of_k])
+        for i, reports in zip(of_k, _cycle_reports(row, fields, len(of_k))):
+            out[i] = reports
+    return out
 
 
-def _classify_solutions(legs: list[_LegArrays], g: np.ndarray, x: np.ndarray, m: np.ndarray):
-    """(residual, locus, stability, dP, m, x_1, ..., x_k) of the solutions x_1 = x of
-    multiplicity m as arrays, solution e being one of the g[e]-th model of the legs.
+def _cycle_rows(legs: list[_LegArrays], polys) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(row, fields) of every solution of the batch whose rows' return polynomials are polys.
 
-    locus indexes _LOCI and _KINDS, stability _STABILITY.
+    One batched root pass (``maps.root_cluster_rows``) gives every row's root
+    clusters, sorted by row and then x_1; each is one solution, propagated
+    around its row's legs through the affine DTs inverses, and a cluster of
+    multiplicity m >= 2 is a saddle-node.  The solutions are classified as
+    array arithmetic in the operation order of the germs' own evaluation:
+    the residual max |Delta_i|, the locus against the windows
+    (BOUNDARY_TOL), dP = prod Tu_i' / DTs_i' (inf where the DTs product
+    vanishes), and the stability, semistable at an interior saddle-node and
+    otherwise attracting for |dP| < 1.  fields are the arrays
+    (residual, locus, stability, dP, m, x_1, ..., x_k); locus indexes _LOCI
+    and _KINDS (0 is outside), stability _STABILITY.
     """
+    row, x, m = root_cluster_rows(polys)
     k = len(legs)
     with np.errstate(all="ignore"):
         xs = [x]
         for leg in legs[:-1]:
-            xs.append(leg.land(xs[-1], g))
+            xs.append(leg.land(xs[-1], row))
         num, den = np.ones(len(x)), np.ones(len(x))
         outside, boundary = np.zeros(len(x), bool), np.zeros(len(x), bool)
         for j, leg in enumerate(legs):
-            u, nxt = xs[j] - 2 * leg.a[g] - leg.tu_base[g], xs[(j + 1) % k] - leg.dts_base[g]
-            d = np.abs(_horner_rows(leg.tu[g], u) - _horner_rows(leg.dts[g], nxt))
+            u, nxt = xs[j] - 2 * leg.a[row] - leg.tu_base[row], xs[(j + 1) % k] - leg.dts_base[row]
+            d = np.abs(_horner_rows(leg.tu[row], u) - _horner_rows(leg.dts[row], nxt))
             residual = d if j == 0 else np.where(d > residual, d, residual)  # Python's max
-            num = num * _horner_rows(leg.dtu[g], u)
-            den = den * _horner_rows(leg.ddts[g], nxt)
-            lo, hi = leg.lo[g], leg.hi[g]
+            num = num * _horner_rows(leg.dtu[row], u)
+            den = den * _horner_rows(leg.ddts[row], nxt)
+            lo, hi = leg.lo[row], leg.hi[row]
             outside |= (xs[j] < lo - BOUNDARY_TOL) | (xs[j] > hi + BOUNDARY_TOL)
             a, b = np.abs(xs[j] - lo), np.abs(xs[j] - hi)
             boundary |= np.where(b < a, b, a) <= BOUNDARY_TOL  # Python's min
         dP = np.where(den == 0.0, np.inf, num / den)
     locus = np.where(outside, 0, np.where(boundary, 1, 2))
     stability = np.where(locus < 2, 0, np.where(m >= 2, 1, np.where(np.abs(dP) < 1.0, 2, 3)))
-    return (residual, locus, stability, dP, m, *xs)
+    return row, (residual, locus, stability, dP, m, *xs)
+
+
+def _cycle_reports(row: np.ndarray, fields, n: int) -> list[list[CycleReport]]:
+    """The CycleReports of the solutions (row, fields) of ``_cycle_rows``, one list per
+    row of the n rows; row must be sorted."""
+    res, loc, st, dp, mm, *xs = (f.tolist() for f in fields)
+    reports = [
+        CycleReport(
+            point=pt, residual=res[e], locus=_LOCI[loc[e]], kind=_KINDS[loc[e]],
+            stability=_STABILITY[st[e]], dP=dp[e], saddle_node=mm[e] >= 2,
+        )
+        for e, pt in enumerate(zip(*xs))
+    ]
+    ends = np.searchsorted(row, np.arange(n + 1)).tolist()
+    return [reports[a:b] for a, b in zip(ends, ends[1:])]
 
 
 _LOCI = ("outside", "boundary", "interior")
 _KINDS = ("outside", "polycycle", "crossing-cycle")
 _STABILITY = ("unknown", "semistable", "attracting", "repelling")
-
-
-class _LegArrays:
-    """One leg of many models as arrays, a row per model: the germs' coefficients
-    (padded with zeros, which Horner's rule passes over), their derivatives,
-    bases, the E-II shift a and the window (lo, hi)."""
-
-    def __init__(self, legs: list[SyntheticLeg]):
-        self.tu, self.dtu = _coeff_arrays([leg.Tu.coeffs for leg in legs])
-        self.dts, self.ddts = _coeff_arrays([leg.DTs.coeffs for leg in legs])
-        self.tu_base = np.array([leg.Tu.base for leg in legs], dtype=float)
-        self.dts_base = np.array([leg.DTs.base for leg in legs], dtype=float)
-        self.a = np.array([leg.a for leg in legs], dtype=float)
-        self.lo, self.hi = np.array([leg.sigma for leg in legs], dtype=float).reshape(-1, 2).T
-
-    def land(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """SyntheticLeg.land of the g[e]-th leg at x[e], for each e."""
-        t = _horner_rows(self.tu[g], x - 2 * self.a[g] - self.tu_base[g])
-        return self.dts_base[g] + (t - self.dts[g, 0]) / self.dts[g, 1]
-
-
-def _coeff_arrays(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded rows of germ coefficients and of their derivatives (Germ._dcoeffs)."""
-    w = max(2, max(map(len, coeffs), default=1))
-    c = np.array([tuple(cs) + (0.0,) * (w - len(cs)) for cs in coeffs], dtype=float).reshape(-1, w)
-    return c, np.arange(1, w) * c[:, 1:]
 
 
 # -- first-return maps --------------------------------------------------------
@@ -267,7 +345,8 @@ def first_return(model: SyntheticModel, x: float) -> float:
     if model.k != 1:
         raise ValueError("first_return is defined for k = 1 models")
     leg = model.legs[0]
-    c = _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0])
+    dts = np.array([leg.DTs.coeffs], dtype=float)
+    c = _compose_rows(dts, np.array([[-leg.DTs.base, 1.0]]))[0].tolist()
     c[0] -= leg.Tu(x - 2 * leg.a)
     preimages = [y for y, _ in root_clusters(c)]
     if not preimages:

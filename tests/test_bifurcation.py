@@ -19,8 +19,9 @@ from sigmapoly.bifurcation import (
     twofold_family,
 )
 from sigmapoly.errors import ConfigError, NegativeLambda, NoHit
+from sigmapoly import polycycle
 from sigmapoly.maps import Germ
-from sigmapoly.polycycle import SyntheticLeg, SyntheticModel
+from sigmapoly.polycycle import CycleReport, SyntheticLeg, SyntheticModel, _LegArrays
 
 
 # -- regular cusp ---------------------------------------------------------------
@@ -260,8 +261,11 @@ def test_twofold_sliding_structures():
 )
 def test_twofold_fold_exit_map(b1, b2, exits):
     fam = twofold_family()
-    model = bifurcation._twofold_model(fam, b1, b2)
-    assert [bifurcation._fold_exit(model, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
+    # the two-fold builder hands each cell's classifier the exits of its folds 1 and 2
+    _, legs, reads = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
+    assert list(reads[0]) == exits
+    lands = [leg.lands()[0] for leg in legs]
+    assert [bifurcation._fold_exit(lands, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
 
 
 # -- VI fold-fold (synthetic) -------------------------------------------------
@@ -474,14 +478,19 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
     fam = foldfold_family()
     ranges = ((-0.1, 0.1), (-0.1, 0.1))
     plain = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
-    g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
-    annulus = SyntheticModel(legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
-    model = bifurcation._foldfold_model
+    build, classify = bifurcation._CELLS["VIFoldFold"]
 
     def annulus_at_one_cell(f, alpha, beta):
-        return annulus if (alpha, beta) == (0.1, -0.1) else model(f, alpha, beta)
+        # the builder's row of (0.1, -0.1) becomes Tu = DTs = x, a = 0: every point returns to itself
+        cells, (leg,), reads = build(f, alpha, beta)
+        solved = [(a, b) for a, b, c in zip(alpha.tolist(), beta.tolist(), cells) if c is None]
+        at = solved.index((0.1, -0.1))
+        tu, dts, a = leg.tu.copy(), leg.dts.copy(), leg.a.copy()
+        tu[at], dts[at], a[at] = (0.0, 1.0, 0.0), (0.0, 1.0, 0.0), 0.0
+        annulus = _LegArrays(tu=tuple(tu.T), dts=tuple(dts.T), sigma=(leg.lo, leg.hi), a=a)
+        return cells, [annulus], reads
 
-    monkeypatch.setattr(bifurcation, "_foldfold_model", annulus_at_one_cell)
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (annulus_at_one_cell, classify))
     cells = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
     assert cells.pop((0.1, -0.1)).label.startswith("error:PeriodAnnulus: ")
     assert len(cells) == 8 and all(c == plain[p] for p, c in cells.items())
@@ -490,9 +499,10 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
 
 def test_sweep_records_period_annulus(monkeypatch):
     fam = foldfold_family()
-    g = Germ(base=0.0, coeffs=(0.0, 1.0), window=0.3)
-    annulus = SyntheticModel(legs=(SyntheticLeg(Tu=g, DTs=g, sigma=(-0.3, 0.0)),))
-    monkeypatch.setattr(bifurcation, "_foldfold_model", lambda *args: annulus)
+    classify = bifurcation._CELLS["VIFoldFold"][1]
+    # the one cell's model is Tu = DTs = x: every point of the window returns to itself
+    annulus = _LegArrays(tu=(0.0, 1.0), dts=(0.0, 1.0), sigma=(-0.3, 0.0))
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([None], [annulus], [()]), classify))
     grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
     assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")
 
@@ -501,16 +511,28 @@ def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
     fam = foldfold_family()
     build, classify = bifurcation._CELLS["VIFoldFold"]
 
-    def no_hit_at_origin(f, *params):
-        if params == (0.0, 0.0):
-            raise NoHit("no section hit")
-        return build(f, *params)
+    def no_hit_at_origin(f, alpha, beta):
+        cells, legs, reads = build(f, alpha, beta)
+        cells[list(zip(alpha.tolist(), beta.tolist())).index((0.0, 0.0))] = NoHit("no section hit")
+        return cells, legs, reads
 
-    # the sweep's first per-cell pass builds each cell's model
+    # the sweep's columnar first pass builds every cell's legs and may place a cell's error
     monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (no_hit_at_origin, classify))
     grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
     labels = {c.params: c.label for c in grid.cells}
     assert labels[(0.0, 0.0)] == "error:NoHit: no section hit"
+    assert sum(l.startswith("error:") for l in labels.values()) == 1
+
+    def no_hit_at_one_cell(f, alpha, beta, reports):
+        if (alpha, beta) == (0.1, -0.1):
+            raise NoHit("no section hit")
+        return classify(f, alpha, beta, reports)
+
+    # so may the per-cell classify pass
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (build, no_hit_at_one_cell))
+    grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
+    labels = {c.params: c.label for c in grid.cells}
+    assert labels[(0.1, -0.1)] == "error:NoHit: no section hit"
     assert sum(l.startswith("error:") for l in labels.values()) == 1
 
     def broken(f, *params):
@@ -519,3 +541,32 @@ def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
     monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (broken, classify))
     with pytest.raises(TypeError):
         bifurcation.sweep_diagram(fam, 3, 3)
+
+
+@pytest.mark.parametrize("scenario", ["cusp-synthetic", "vi-foldfold-synthetic"])
+def test_closed_form_sweep_builds_no_model_per_cell_and_no_outside_report(scenario, monkeypatch):
+    built = {"SyntheticModel": 0, "SyntheticLeg": 0, "Germ": 0, "outside CycleReport": 0, "CycleReport": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[key] += 1
+            if cls is CycleReport and self.locus == "outside":
+                built["outside CycleReport"] += 1
+
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    for cls in (SyntheticModel, SyntheticLeg, Germ, CycleReport):
+        counting(cls, cls.__name__)
+    grid = bifurcation.sweep_diagram(bifurcation.SCENARIOS[scenario](), 51, 51)
+    assert len(grid.cells) == 51 * 51 and not any(c.error for c in grid.cells)
+    reported = sum(len(c.crossing_cycles) for c in grid.cells)
+    assert built["CycleReport"] >= reported > 0
+    assert {k: v for k, v in built.items() if k != "CycleReport"} == {
+        "SyntheticModel": 0, "SyntheticLeg": 0, "Germ": 0, "outside CycleReport": 0,
+    }
+    # the public solver still reports the roots outside the windows
+    outside = polycycle.normal_form_model(1.0, 3.0, 2, lam=(1.0,))
+    assert [r.locus for r in polycycle.find_cycles(outside)] == ["outside", "outside"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from sigmapoly import io
 from sigmapoly.bifurcation import (
-    _cusp_model,
-    _foldfold_cell,
-    _twofold_model,
+    _cusp_cells,
+    _foldfold_cells,
+    _twofold_cells,
     cusp_family,
     foldfold_family,
     twofold_family,
@@ -20,11 +21,13 @@ from sigmapoly.maps import Germ, root_cluster_rows, root_clusters
 from sigmapoly.polycycle import (
     SyntheticLeg,
     SyntheticModel,
+    _LegArrays,
     find_cycles,
     find_cycles_rows,
     first_return,
     normal_form_model,
     return_polynomial,
+    return_polynomial_rows,
 )
 
 
@@ -190,6 +193,32 @@ def test_find_cycles_exhaustive_root_isolation(dtilde, lam0):
 _TWOFOLD = twofold_family()
 
 
+def twofold_model(fam, b1: float, b2: float) -> SyntheticModel:
+    """The two-fold cell's model: Tu_i = b_i + kappa_i x^2, DTs_i = dtilde_i x on (0, eps), (-eps, 0)."""
+    c, eps = fam.coeffs, fam.eps
+    legs = [
+        SyntheticLeg(
+            Tu=Germ(base=0.0, coeffs=(b, 0.0, c[f"kappa{i}"]), window=eps),
+            DTs=Germ(base=0.0, coeffs=(0.0, c[f"dtilde{i}"]), window=eps),
+            sigma=sigma,
+        )
+        for i, b, sigma in ((1, b1, (0.0, eps)), (2, b2, (-eps, 0.0)))
+    ]
+    return SyntheticModel(legs=tuple(legs))
+
+
+def cusp_model(fam, lam1: float, beta: float) -> SyntheticModel:
+    """The cusp cell's model: displacement kappa x^3 + (lam1 - dtilde) x + beta on (-eps, eps)."""
+    return normal_form_model(fam.coeffs["kappa"], fam.coeffs["dtilde"], 3, lam=(beta, lam1), sigma=(-fam.eps, fam.eps))
+
+
+def foldfold_model(fam, alpha: float, beta: float) -> SyntheticModel:
+    """The fold-fold cell's model: Tu(u) = beta + kappa u^2 at u = x - 2 alpha, DTs = dtilde x^2."""
+    Tu = Germ(base=0.0, coeffs=(beta, 0.0, fam.coeffs["kappa"]), window=fam.eps)
+    DTs = Germ(base=0.0, coeffs=(0.0, 0.0, fam.coeffs["dtilde"]), window=fam.eps)
+    return SyntheticModel(legs=(SyntheticLeg(Tu=Tu, DTs=DTs, sigma=(-fam.eps, min(0.0, 2.0 * alpha)), a=alpha),))
+
+
 @settings(max_examples=60, deadline=None)
 @given(b1=st.floats(-0.3, 0.3), b2=st.floats(-0.3, 0.3))
 def test_find_cycles_twofold_matches_quartic_roots(b1, b2):
@@ -204,7 +233,7 @@ def test_find_cycles_twofold_matches_quartic_roots(b1, b2):
     # cycle, fixed only to about the square root of machine epsilon
     expected = real[np.r_[True, ~double]] if len(real) else real
     tol = 1e-7 if double.any() else 1e-10
-    reports = find_cycles(_twofold_model(_TWOFOLD, b1, b2))
+    reports = find_cycles(twofold_model(_TWOFOLD, b1, b2))
     got = np.array([r.point for r in reports]).reshape(-1, 2)
     assert got[:, 0] == pytest.approx(expected, abs=tol)
     assert got[:, 1] == pytest.approx((b1 + k1 * expected**2) / d1, abs=tol)
@@ -244,7 +273,7 @@ def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
 def test_find_cycles_twofold_double_root_to_machine_precision():
     # on the saddle-node point (-0.25, 0.25) the quartic in x1 is
     # (x1 - 1/2)^2 (x1^2 + x1 + 5/4): one double root, x2 = -1/2
-    reports = find_cycles(_twofold_model(_TWOFOLD, -0.25, 0.25))
+    reports = find_cycles(twofold_model(_TWOFOLD, -0.25, 0.25))
     assert len(reports) == 1
     assert reports[0].point == pytest.approx((0.5, -0.5), abs=1e-12)
     assert reports[0].saddle_node
@@ -293,17 +322,87 @@ def _assert_batch_equals_one_row_calls(models):
             assert r.dP == model.return_derivative(xs)
 
 
+def _grid(fam, n: int) -> list[np.ndarray]:
+    """The p1 and p2 arrays of the family's n x n grid, row-major, as sweep_diagram makes it."""
+    (lo1, hi1), (lo2, hi2) = fam.ranges
+    return [a.ravel() for a in np.meshgrid(np.linspace(lo1, hi1, n), np.linspace(lo2, hi2, n), indexing="ij")]
+
+
 @pytest.mark.parametrize(
     "build, fam",
-    [(_cusp_model, cusp_family()), (_foldfold_cell, foldfold_family())],
+    [(cusp_model, cusp_family()), (foldfold_model, foldfold_family())],
     ids=["cusp", "foldfold"],
 )
 def test_batched_pass_equals_one_row_calls_on_grid(build, fam):
-    (lo1, hi1), (lo2, hi2) = fam.ranges
-    cells = [build(fam, float(a), float(b)) for a in np.linspace(lo1, hi1, 51) for b in np.linspace(lo2, hi2, 51)]
-    models = [c for c in cells if isinstance(c, SyntheticModel)]
+    models = [build(fam, a, b) for a, b in zip(*(p.tolist() for p in _grid(fam, 51))) if abs(a) > 1e-9 or abs(b) > 1e-9]
     assert len(models) == 51 * 51 - 1  # the codim-2 origin needs no cycles
     _assert_batch_equals_one_row_calls(models)
+
+
+def _compose(coeffs, arg: list[float]) -> list[float]:
+    """Coefficients of c0 + c1 arg + ... + cn arg^n over Python floats: the
+    operation order that return_polynomial_rows reproduces."""
+    out = [float(coeffs[-1])]
+    for c in coeffs[-2::-1]:
+        prod = [0.0] * (len(out) + len(arg) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(arg):
+                prod[i + j] += u * v
+        prod[0] += c
+        out = prod
+    return out
+
+
+def _sub(p: list[float], q: list[float]) -> list[float]:
+    n = max(len(p), len(q))
+    return [a - b for a, b in zip(p + [0.0] * (n - len(p)), q + [0.0] * (n - len(q)))]
+
+
+def _scalar_return_polynomial(model: SyntheticModel) -> list[float]:
+    """The return polynomial composed leg by leg over Python floats."""
+    if model.k == 1:
+        leg = model.legs[0]
+        tu = _compose(leg.Tu.coeffs, [-2 * leg.a - leg.Tu.base, 1.0])
+        return _sub(tu, _compose(leg.DTs.coeffs, [-leg.DTs.base, 1.0]))
+    p = [0.0, 1.0]
+    for leg in model.legs:
+        c0, c1 = leg.DTs.coeffs[:2]
+        tu = _compose(leg.Tu.coeffs, _sub(p, [2 * leg.a + leg.Tu.base]))
+        tu[0] -= c0
+        p = [v / c1 for v in tu]
+        p[0] += leg.DTs.base
+    return _sub(p, [0.0, 1.0])
+
+
+def _assert_bits(row: np.ndarray, p: list[float]) -> None:
+    """row equals p bit for bit, signs of zero included, and is zero past it."""
+    head = np.asarray(p, dtype=float)
+    assert np.array_equal(row[: len(p)], head) and np.array_equal(np.signbit(row[: len(p)]), np.signbit(head))
+    assert not row[len(p) :].any()
+
+
+@pytest.mark.parametrize(
+    "cells, build, fam, n, origins",
+    [
+        (_cusp_cells, cusp_model, cusp_family(), 51, 1),
+        (_foldfold_cells, foldfold_model, foldfold_family(), 51, 1),
+        (_twofold_cells, twofold_model, _TWOFOLD, 41, 0),
+    ],
+    ids=["cusp", "foldfold", "twofold"],
+)
+def test_columnar_return_polynomials_equal_scalar_ones_to_the_bit(cells, build, fam, n, origins):
+    p1, p2 = _grid(fam, n)
+    done, legs, reads = cells(fam, p1, p2)
+    models = [build(fam, a, b) for a, b, cell in zip(p1.tolist(), p2.tolist(), done) if cell is None]
+    assert len(models) == n * n - origins  # a codim-2 origin needs no cycles
+    P, errors = return_polynomial_rows(legs)
+    assert errors == {} and len(P) == len(models) == len(reads)
+    for row, model, read in zip(P, models, reads):
+        _assert_bits(row, _scalar_return_polynomial(model))
+        _assert_bits(row, return_polynomial(model))
+        if build is cusp_model and read[0] == read[0]:  # the landing of V, where lam1 > 0
+            V = np.sqrt(-model.legs[0].Tu.coeffs[1] / (3.0 * fam.coeffs["kappa"]))
+            assert read == (model.legs[0].land(float(V)),)
 
 
 # (name, model) of rows that take each branch of the root pass: a double
@@ -315,7 +414,7 @@ HAND_MODELS = [
     ("pair", quad_model(1.0, 1.0)),
     ("degree drop", normal_form_model(0.0, 1.0, 3, lam=(0.01, -0.5, 1.0))),
     ("linear", normal_form_model(0.0, -0.25, 1, lam=(0.01, 0.5))),
-    ("two legs", _twofold_model(_TWOFOLD, -0.25, 0.25)),
+    ("two legs", twofold_model(_TWOFOLD, -0.25, 0.25)),
     ("simple", quad_model(0.01, -0.25)),
 ]
 
@@ -324,8 +423,15 @@ def test_batched_pass_equals_one_row_calls_on_hand_rows():
     models = [m for _, m in HAND_MODELS]
     degrees = [len(np.trim_zeros(return_polynomial(m), "b")) - 1 for m in models]
     assert sorted(set(degrees)) == [1, 2, 3, 4]
+    for p, model in zip(map(return_polynomial, models), models):
+        assert p == _scalar_return_polynomial(model)
     _assert_batch_equals_one_row_calls(models)
     _assert_batch_equals_one_row_calls(models[::-1])
+    # every batch order gives every model the same reports
+    alone = [find_cycles(m) for m in models]
+    for order in itertools.islice(itertools.permutations(range(len(models))), 1, None, 251):
+        batch = [models[i] for i in order]
+        assert find_cycles_rows(batch, map(return_polynomial, batch)) == [alone[i] for i in order]
     reports = dict(zip([n for n, _ in HAND_MODELS], find_cycles_rows(models, map(return_polynomial, models))))
     assert [(len(reports[n]), reports[n][0].saddle_node) for n in ("double", "triple")] == [(1, True)] * 2
     assert reports["pair"] == []
@@ -338,3 +444,20 @@ def test_all_zero_row_has_no_roots_and_leaves_the_others():
     # a model whose return polynomial vanishes is flagged on its own
     with pytest.raises(PeriodAnnulus):
         return_polynomial(_annulus_model())
+    models = [quad_model(0.01, -0.25), _annulus_model(), quad_model(0.01, -0.2)]
+    P, errors = return_polynomial_rows([_LegArrays.of([m.legs[0] for m in models])])
+    assert list(errors) == [1] and isinstance(errors[1], PeriodAnnulus)
+    assert P[0].tolist() == return_polynomial(models[0]) and not P[1].any()
+
+
+def test_rows_flag_non_affine_legs_with_the_first_leg():
+    Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0))
+    affine, curved = Germ(base=0.0, coeffs=(0.0, 1.0)), Germ(base=0.0, coeffs=(0.0, 1.0, 0.5))
+    flat = Germ(base=0.0, coeffs=(0.3, 0.0))
+    rows = [(affine, affine), (curved, flat), (affine, flat)]
+    legs = [_LegArrays.of([SyntheticLeg(Tu=Tu, DTs=r[j], sigma=(-0.3, 0.0)) for r in rows]) for j in (0, 1)]
+    P, errors = return_polynomial_rows(legs)
+    assert sorted(errors) == [1, 2] and all(isinstance(e, ConfigError) for e in errors.values())
+    assert str(errors[1]).startswith("leg 0: ") and str(errors[1]).endswith("coefficients [0.0, 1.0, 0.5]")
+    assert str(errors[2]).startswith("leg 1: ") and str(errors[2]).endswith("coefficients [0.3, 0.0]")
+    assert not P[1:].any() and P[0].any()
