@@ -42,7 +42,7 @@ from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
-from .polycycle import CycleReport, _cycle_reports, _cycle_rows, _LegArrays, return_polynomial_rows
+from .polycycle import CycleReport, _LegArrays, _window_reports, return_polynomial_rows
 
 CURVE_TOL = 1e-9
 DEFAULT_EPS = 0.3
@@ -706,9 +706,10 @@ def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | Sigmapol
        cells that need no crossing cycles, the leg columns of all the others
        and what their classifiers read; ``return_polynomial_rows`` composes
        every row's return polynomial.
-    2. One batched pass, ``polycycle._cycle_rows``, solves the polynomials
-       and classifies every root at once; CycleReports are built only for
-       the roots in the windows, as the classifiers read no other.
+    2. One batched pass, ``polycycle._window_reports``, solves the
+       polynomials and classifies every root at once; CycleReports are
+       built only for the roots in the windows, as the classifiers read no
+       other.
     3. Per cell: classify the cell from its cycles and its bands.
 
     A SigmapolyError of a cell, from the builder, its return polynomial or
@@ -728,9 +729,7 @@ def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | Sigmapol
     pts = np.asarray(points, dtype=float)
     cells, legs, reads = build(fam, pts[:, 0], pts[:, 1])
     P, errors = return_polynomial_rows(legs)
-    row, fields = _cycle_rows(legs, P)
-    kept = fields[1] > 0  # locus boundary or interior
-    solved = _cycle_reports(row[kept], [f[kept] for f in fields], len(P))
+    solved = _window_reports(legs, P)
     pts = pts.tolist()
     todo = [i for i, cell in enumerate(cells) if cell is None]
     for r, i in enumerate(todo):

@@ -143,10 +143,9 @@ def root_clusters(coeffs) -> list[tuple[float, int]]:
 def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The real roots of every row c0 + c1 x + ... + cn x^n at once, as (row, x, m).
 
-    rows is a sequence of coefficient rows or a 2-D array of them.  Each
-    root x of row ``row`` has multiplicity m; the roots are sorted by row,
-    then x, then m.  Rows may differ in degree, and a constant row has no
-    roots.  Degree 2 is solved in closed form, other degrees by the
+    Each root x of row ``row`` has multiplicity m; the roots are sorted by
+    row, then x, then m.  Rows may differ in degree, and a constant row has
+    no roots.  Degree 2 is solved in closed form, other degrees by the
     companion eigenvalues (Edelman & Murakami, Math. Comp. 1995), one
     stacked eigenproblem per degree.  Rounding splits an m-fold root into m
     roots about (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j:
@@ -179,15 +178,11 @@ def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
     """(D, deg): D[i, k] the coefficients of the k-th derivative of row i, zero-padded
     to one width, and deg[i] the degree of row i once trailing zeros are dropped."""
-    if isinstance(rows, np.ndarray):
-        C = np.array(rows, dtype=float)
-        width = C.shape[1]
-    else:
-        rows = list(rows)
-        width = max([1, *map(len, rows)])
-        C = np.zeros((len(rows), width))
-        for i, r in enumerate(rows):
-            C[i, : len(r)] = r
+    rows = list(rows)
+    width = max([1, *map(len, rows)])
+    C = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        C[i, : len(r)] = r
     nonzero = C != 0.0
     deg = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     C[np.arange(width) > deg[:, None]] = 0.0  # trailing zeros, -0.0 too, are not coefficients

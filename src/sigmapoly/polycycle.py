@@ -13,7 +13,8 @@ one `_LegArrays` per leg, a row per model, built from `SyntheticLeg`s or
 straight from coefficient columns.  `return_polynomial_rows` composes every
 row's return polynomial at once, one batched root pass
 (`maps.root_cluster_rows`) solves them, and `_cycle_rows` propagates every
-root around its row's legs and classifies it as array arithmetic.
+root around its row's legs and classifies it as array arithmetic;
+`_window_reports` builds reports only for the roots in the windows.
 `return_polynomial`, `find_cycles` and `first_return` are one-row cases.
 """
 
@@ -47,7 +48,7 @@ class SyntheticLeg:
     def land(self, x: float) -> float:
         """DTs^{-1}(Tu(x - 2a)): where the orbit from x reaches the next corner, for an affine DTs."""
         c0, c1 = self.DTs.coeffs[:2]
-        return self.DTs.base + (self.Tu(x - 2 * self.a) - c0) / c1
+        return _land(self.Tu.coeffs, self.a, self.Tu.base, c0, c1, self.DTs.base, x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +85,9 @@ class SyntheticModel:
 class _LegArrays:
     """One leg of a batch of models, a row per model: the germs' coefficients
     (zero-padded to one width, at least 2, which Horner's rule passes over),
-    their derivatives, bases, the E-II shift a and the window (lo, hi).
+    their derivatives, bases, the E-II shift a and the window (lo, hi), and
+    the number of DTs coefficients each row was given (dts_len), which
+    error messages quote.
 
     Built from coefficient columns: tu and dts list the columns c0, c1, ...
     of Tu and DTs, and every column or other field is an array with a row
@@ -92,13 +95,14 @@ class _LegArrays:
     SyntheticLegs.
     """
 
-    __slots__ = ("tu", "dtu", "dts", "ddts", "tu_base", "dts_base", "a", "lo", "hi")
+    __slots__ = ("tu", "dtu", "dts", "ddts", "dts_len", "tu_base", "dts_base", "a", "lo", "hi")
 
-    def __init__(self, tu, dts, sigma, a=0.0, tu_base=0.0, dts_base=0.0):
+    def __init__(self, tu, dts, sigma, a=0.0, tu_base=0.0, dts_base=0.0, dts_len=None):
         fields = (a, tu_base, dts_base, *sigma)
         n = max([len(c) for c in (*tu, *dts, *fields) if np.ndim(c)], default=1)
         self.tu, self.dtu = _coeff_rows(tu, n)
         self.dts, self.ddts = _coeff_rows(dts, n)
+        self.dts_len = np.full(n, len(dts) if dts_len is None else dts_len, dtype=int)
         self.a, self.tu_base, self.dts_base, self.lo, self.hi = (np.full(n, f, dtype=float) for f in fields)
 
     @classmethod
@@ -113,6 +117,7 @@ class _LegArrays:
             a=[leg.a for leg in legs],
             tu_base=[leg.Tu.base for leg in legs],
             dts_base=[leg.DTs.base for leg in legs],
+            dts_len=[len(leg.DTs.coeffs) for leg in legs],
         )
 
     def land(self, x: np.ndarray, g) -> np.ndarray:
@@ -195,10 +200,9 @@ def return_polynomial_rows(legs: list[_LegArrays]) -> tuple[np.ndarray, dict[int
             P = _linear_rows(np.zeros(len(legs[0].a)))
             for i, leg in enumerate(legs):
                 for r in np.flatnonzero(leg.dts[:, 2:].any(axis=1) | (leg.dts[:, 1] == 0.0)).tolist():
-                    coeffs = np.trim_zeros(leg.dts[r], "b").tolist()
                     errors.setdefault(r, ConfigError(
                         f"leg {i}: a model with several legs needs an affine DTs of nonzero "
-                        f"slope, got coefficients {coeffs + [0.0] * (2 - len(coeffs))}"
+                        f"slope, got coefficients {leg.dts[r, : leg.dts_len[r]].tolist()}"
                     ))
                 arg = P.copy()
                 arg[:, 0] -= 2 * leg.a + leg.tu_base
@@ -330,6 +334,15 @@ def _cycle_reports(row: np.ndarray, fields, n: int) -> list[list[CycleReport]]:
     ]
     ends = np.searchsorted(row, np.arange(n + 1)).tolist()
     return [reports[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _window_reports(legs: list[_LegArrays], P: np.ndarray) -> list[list[CycleReport]]:
+    """The CycleReports of the solutions in the windows (locus boundary or interior), one
+    list per row of P, P holding the rows' return polynomials; no report is built for a
+    solution outside."""
+    row, fields = _cycle_rows(legs, P)
+    kept = fields[1] > 0
+    return _cycle_reports(row[kept], [f[kept] for f in fields], len(P))
 
 
 _LOCI = ("outside", "boundary", "interior")

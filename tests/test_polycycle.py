@@ -258,16 +258,24 @@ def test_find_cycles_triple_root_is_one_saddle_node():
     assert reports[0].stability == "semistable"
 
 
-@pytest.mark.parametrize("dts", [(0.0, 1.0, 0.5), (0.3, 0.0)])
+@pytest.mark.parametrize("dts", [(0.0, 1.0, 0.5), (0.3, 0.0), (2.0,), (0.5, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0)])
 def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
     Tu = Germ(base=0.0, coeffs=(-0.01, 0.0, 1.0), window=0.3)
     leg = SyntheticLeg(Tu=Tu, DTs=Germ(base=0.0, coeffs=dts, window=0.3), sigma=(-0.3, 0.0))
     model = SyntheticModel(legs=(leg, leg))
-    with pytest.raises(ConfigError):
+    # the message quotes the coefficients as given, trailing zeros and all
+    message = f"leg 0: a model with several legs needs an affine DTs of nonzero slope, got coefficients {list(dts)}"
+    with pytest.raises(ConfigError) as e:
         find_cycles(model)
+    assert str(e.value) == message
+    with pytest.raises(ConfigError) as e:
+        return_polynomial(model)
+    assert str(e.value) == message
     mp = tmp_path / "model.json"
     mp.write_text(io.dumps(io.model_to_dict(model)))
+    capsys.readouterr()
     assert run(["polycycle-solve", "--model", str(mp)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_find_cycles_twofold_double_root_to_machine_precision():
