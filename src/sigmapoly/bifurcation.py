@@ -19,9 +19,10 @@ leg columns of every cell's model (`polycycle._LegArrays`), and
 `polycycle.return_polynomial_rows` composes all of their return
 polynomials.  One batched pass then solves the polynomials and classifies
 their roots as array arithmetic, and only the roots in the windows become
-reports.  Last, per cell, the scenario reads its cycles and bands.  A
-parameter sweep is one batch, and `classify_parameter_point` is a batch of
-one.
+reports.  Last, per cell, the scenario reads its cycles and bands; the
+cusp and fold-fold classifiers recognise the codim-2 origin first.  Every
+cell is a row of the batch: a parameter sweep is one batch, and
+`classify_parameter_point` is a batch of one.
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
@@ -211,33 +212,28 @@ def _cusp_curve_values(lam1: float, k: float, d: float, folds: tuple[float, floa
 
 
 def _cusp_cells(fam: ScenarioFamily, lam1: np.ndarray, beta: np.ndarray):
-    """(cells, legs, reads) of the cells at (lam1, beta), as ``_classify_cells`` takes them.
+    """(legs, reads) of the cells at (lam1, beta), as ``_classify_cells`` takes them.
 
-    The codim-2 origin needs no cycles.  Every other cell's model is one leg
-    with Tu(x) = beta + lam1 x + kappa x^3 and DTs(x) = dtilde x on
-    (-eps, eps), so its displacement is kappa x^3 + (lam1 - dtilde) x + beta;
-    its classifier reads where the orbit from the visible fold V lands (nan
-    where lam1 <= 0, which has no V).
+    Each cell's model is one leg with Tu(x) = beta + lam1 x + kappa x^3 and
+    DTs(x) = dtilde x on (-eps, eps), so its displacement is
+    kappa x^3 + (lam1 - dtilde) x + beta; its classifier reads where the
+    orbit from the visible fold V lands (nan where lam1 < 0, which has no V).
     """
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
-    origin = (np.abs(lam1) <= CURVE_TOL) & (np.abs(beta) <= CURVE_TOL)
-    cells = [
-        RegionReport(
-            params=(l, b), item=3, crossing_cycles=(), polycycles=1, sliding_cycles=(),
-            flags=("codim2", "C-attracting"),
-        ) if o else None
-        for o, l, b in zip(origin.tolist(), lam1.tolist(), beta.tolist())
-    ]
-    lam1, beta = lam1[~origin], beta[~origin]
     legs = [_LegArrays(tu=(beta, lam1, 0.0, k), dts=(0.0, d), sigma=(-fam.eps, fam.eps))]
     with np.errstate(invalid="ignore"):
         V = np.sqrt(-lam1 / (3.0 * k))  # cusp_fold_points
-    return cells, legs, [(v,) for v in legs[0].land(V, slice(None)).tolist()]
+    return legs, [(v,) for v in legs[0].land(V, slice(None)).tolist()]
 
 
 def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, reports, land_V: float) -> RegionReport:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     tol = CURVE_TOL
+    if abs(lam1) <= tol and abs(beta) <= tol:  # the codim-2 origin
+        return RegionReport(
+            params=(lam1, beta), item=3, crossing_cycles=(), polycycles=1, sliding_cycles=(),
+            flags=("codim2", "C-attracting"),
+        )
     roots = [r for r in reports if r.kind == "crossing-cycle"]
 
     side = _band(lam1, (0.0,), tol)
@@ -289,7 +285,7 @@ def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, reports, land_
 
 
 def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
-    """(cells, legs, reads) of the cells at (beta1, beta2), as ``_classify_cells`` takes them.
+    """(legs, reads) of the cells at (beta1, beta2), as ``_classify_cells`` takes them.
 
     Every cell's model has two legs, Tu_i(x) = beta_i + kappa_i x^2 and
     DTs_i(x) = dtilde_i x, on the windows (0, eps) and (-eps, 0); its
@@ -304,7 +300,7 @@ def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
         tuple(_fold_exit(lands, fold, eps, CURVE_TOL) for fold in (1, 2))
         for lands in zip(*(leg.lands() for leg in legs))
     ]
-    return [None] * len(b1), legs, reads
+    return legs, reads
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -425,28 +421,24 @@ def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
 
 
 def _foldfold_cells(fam: ScenarioFamily, alpha: np.ndarray, beta: np.ndarray):
-    """(cells, legs, reads) of the cells at (alpha, beta), as ``_classify_cells`` takes them.
+    """(legs, reads) of the cells at (alpha, beta), as ``_classify_cells`` takes them.
 
-    The codim-2 origin needs no cycles.  Every other cell's model is one leg
-    with Tu(u) = beta + kappa u^2 at u = x - 2 alpha and DTs(x) = dtilde x^2
-    on (-eps, zeta), zeta = min(0, 2 alpha), so its displacement is
+    Each cell's model is one leg with Tu(u) = beta + kappa u^2 at
+    u = x - 2 alpha and DTs(x) = dtilde x^2 on (-eps, zeta),
+    zeta = min(0, 2 alpha), so its displacement is
     (k - d) x^2 - 4 k alpha x + beta + 4 k alpha^2; its classifier reads
     nothing more.
     """
     c = fam.coeffs
-    origin = (np.abs(alpha) <= CURVE_TOL) & (np.abs(beta) <= CURVE_TOL)
-    cells = [
-        _tangent_polycycle((a, b)) if o else None
-        for o, a, b in zip(origin.tolist(), alpha.tolist(), beta.tolist())
-    ]
-    alpha, beta = alpha[~origin], beta[~origin]
     zeta = np.where(2.0 * alpha < 0.0, 2.0 * alpha, 0.0)  # Python's min(0.0, 2 alpha)
     legs = [_LegArrays(tu=(beta, 0.0, c["kappa"]), dts=(0.0, 0.0, c["dtilde"]), sigma=(-fam.eps, zeta), a=alpha)]
-    return cells, legs, [()] * len(alpha)
+    return legs, [()] * len(alpha)
 
 
 def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float, reports) -> RegionReport:
     tol = CURVE_TOL
+    if abs(alpha) <= tol and abs(beta) <= tol:
+        return _tangent_polycycle((alpha, beta))
     flags: list[str] = []
 
     cur = foldfold_curves(fam, alpha)
@@ -668,7 +660,7 @@ def circle_cycle_multiplier() -> float:
     return (sec.coord(q2) - sec.coord(q1)) / 0.05
 
 
-def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> RegionReport:
+def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
     """A circle cell: its crossing cycles from the flow, its flags from the exact geometry."""
     if alpha_p == 0.0 and beta_p == 0.0:
         return _tangent_polycycle((alpha_p, beta_p))
@@ -686,11 +678,10 @@ def _classify_circle(fam: ScenarioFamily, alpha_p: float, beta_p: float) -> Regi
 
 # Each closed-form scenario classifies its cells with two functions.  The
 # first takes the arrays of the cells' parameters (p1, p2) and returns
-# (cells, legs, reads): cells holds the report, or the SigmapolyError, of
-# each cell that needs no crossing cycles and None for every other cell;
-# legs are the leg columns of the None cells, a row each in order; reads[r]
-# is what the classifier reads off row r besides its cycles.  The second
-# classifies one cell, as classify(fam, p1, p2, reports, *reads[r]).
+# (legs, reads): legs are the leg columns of the cells' models, row r being
+# cell r; reads[r] is what the classifier reads off row r besides its
+# cycles.  The second classifies one cell, as
+# classify(fam, p1, p2, reports, *reads[r]).
 _CELLS = {
     "Cusp": (_cusp_cells, _classify_cusp),
     "TwoFold": (_twofold_cells, _classify_twofold),
@@ -702,18 +693,17 @@ _CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfol
 def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | SigmapolyError]:
     """Classify the cells at points in three passes.
 
-    1. Columnar: the scenario's builder (``_CELLS``) gives the reports of the
-       cells that need no crossing cycles, the leg columns of all the others
-       and what their classifiers read; ``return_polynomial_rows`` composes
-       every row's return polynomial.
+    1. Columnar: the scenario's builder (``_CELLS``) gives the leg columns
+       of every cell and what its classifier reads; ``return_polynomial_rows``
+       composes every row's return polynomial.
     2. One batched pass, ``polycycle._window_reports``, solves the
        polynomials and classifies every root at once; CycleReports are
        built only for the roots in the windows, as the classifiers read no
        other.
     3. Per cell: classify the cell from its cycles and its bands.
 
-    A SigmapolyError of a cell, from the builder, its return polynomial or
-    its classifier, takes that cell's place; a programming error
+    A SigmapolyError of a cell, from its return polynomial or its
+    classifier, takes that cell's place; a programming error
     propagates.  The circle, which has no return polynomial, classifies each
     cell on its own.
     """
@@ -721,25 +711,24 @@ def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | Sigmapol
         cells: list = []
         for p in points:
             try:
-                cells.append(_classify_circle(fam, float(p[0]), float(p[1])))
+                cells.append(_classify_circle(float(p[0]), float(p[1])))
             except SigmapolyError as e:
                 cells.append(e)
         return cells
     build, classify = _CELLS[fam.name]
     pts = np.asarray(points, dtype=float)
-    cells, legs, reads = build(fam, pts[:, 0], pts[:, 1])
+    legs, reads = build(fam, pts[:, 0], pts[:, 1])
     P, errors = return_polynomial_rows(legs)
     solved = _window_reports(legs, P)
-    pts = pts.tolist()
-    todo = [i for i, cell in enumerate(cells) if cell is None]
-    for r, i in enumerate(todo):
+    cells = []
+    for r, p in enumerate(pts.tolist()):
         if r in errors:
-            cells[i] = errors[r]
+            cells.append(errors[r])
             continue
         try:
-            cells[i] = classify(fam, *pts[i], solved[r], *reads[r])
+            cells.append(classify(fam, *p, solved[r], *reads[r]))
         except SigmapolyError as e:
-            cells[i] = e
+            cells.append(e)
     return cells
 
 

@@ -70,10 +70,10 @@ def read_system(path: str) -> FilippovSystem:
 
 
 def germ_from_dict(d: dict) -> Germ:
-    """Germ.from_dict, refusing a germ without coefficients or with a non-finite number."""
+    """Germ.from_dict, refusing a germ whose coeffs are not a non-empty list, or with a non-finite number."""
+    if not isinstance(d["coeffs"], list) or not d["coeffs"]:
+        raise ConfigError(f"a germ needs a list of at least one coefficient, got {d['coeffs']!r}")
     g = Germ.from_dict(d)
-    if not g.coeffs:
-        raise ConfigError("a germ needs at least one coefficient")
     finite((g.base, *g.coeffs, g.residual, g.window), "every germ number")
     return g
 
@@ -112,8 +112,8 @@ def model_from_dict(d: dict) -> SyntheticModel:
         legs = []
         for leg in d["legs"]:
             sigma = leg["sigma"]
-            if len(sigma) != 1:
-                raise ConfigError("exactly one sigma interval per leg is supported")
+            if len(sigma) != 1 or len(sigma[0]) != 2:
+                raise ConfigError(f"a leg needs exactly one sigma interval [lo, hi], got {sigma!r}")
             lo, hi = finite((float(sigma[0][0]), float(sigma[0][1])), "sigma")
             if not lo < hi:
                 raise ConfigError(f"sigma window [{lo}, {hi}] needs lo < hi")
@@ -125,7 +125,9 @@ def model_from_dict(d: dict) -> SyntheticModel:
                     a=finite(float(leg.get("a", 0.0)), "a"),
                 )
             )
-        k = int(finite(float(d["k"]), "k"))
+        k = d["k"]
+        if type(k) is not int:  # a JSON true is a bool, and 1.5 is no count of legs
+            raise ConfigError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ConfigError(f"a model needs k >= 1 legs, got k = {k}")
         if k != len(legs):

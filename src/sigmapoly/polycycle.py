@@ -15,7 +15,7 @@ row's return polynomial at once, one batched root pass
 (`maps.root_cluster_rows`) solves them, and `_cycle_rows` propagates every
 root around its row's legs and classifies it as array arithmetic;
 `_window_reports` builds reports only for the roots in the windows.
-`return_polynomial`, `find_cycles` and `first_return` are one-row cases.
+`find_cycles`, the one public solve, and `first_return` are one-row cases.
 """
 
 from __future__ import annotations
@@ -220,22 +220,6 @@ def return_polynomial_rows(legs: list[_LegArrays]) -> tuple[np.ndarray, dict[int
     return P, errors
 
 
-def _model_legs(model: SyntheticModel) -> list[_LegArrays]:
-    return [_LegArrays.of([leg]) for leg in model.legs]
-
-
-def return_polynomial(model: SyntheticModel) -> list[float]:
-    """Ascending coefficients, in x_1, of a polynomial whose real roots are the cycles.
-
-    The one-row case of ``return_polynomial_rows``, raising the row's
-    ConfigError or PeriodAnnulus.
-    """
-    P, errors = return_polynomial_rows(_model_legs(model))
-    if errors:
-        raise errors[0]
-    return P[0].tolist()
-
-
 # -- solver -------------------------------------------------------------------
 
 
@@ -253,33 +237,14 @@ class CycleReport:
 def find_cycles(model: SyntheticModel) -> list[CycleReport]:
     """Every real solution of the crossing system, classified, sorted by x_1.
 
-    The one-row case of ``return_polynomial_rows`` and ``_cycle_rows``.
-    Raises ConfigError or PeriodAnnulus as ``return_polynomial`` does.
+    The one-row case of ``return_polynomial_rows`` and ``_cycle_rows``,
+    raising the row's ConfigError or PeriodAnnulus.
     """
-    legs = _model_legs(model)
+    legs = [_LegArrays.of([leg]) for leg in model.legs]
     P, errors = return_polynomial_rows(legs)
     if errors:
         raise errors[0]
     return _cycle_reports(*_cycle_rows(legs, P), 1)[0]
-
-
-def find_cycles_rows(models, polys) -> list[list[CycleReport]]:
-    """find_cycles of every model at once, polys[i] being return_polynomial(models[i]).
-
-    The models with the same number of legs are one batch of leg arrays,
-    solved by ``_cycle_rows``; every solution is reported, those outside the
-    windows too.
-    """
-    polys = list(polys)
-    ks = [model.k for model in models]
-    out: list[list[CycleReport]] = [[] for _ in models]
-    for k in sorted(set(ks)):
-        of_k = [i for i, ki in enumerate(ks) if ki == k]
-        legs = [_LegArrays.of([models[i].legs[j] for i in of_k]) for j in range(k)]
-        row, fields = _cycle_rows(legs, [polys[i] for i in of_k])
-        for i, reports in zip(of_k, _cycle_reports(row, fields, len(of_k))):
-            out[i] = reports
-    return out
 
 
 def _cycle_rows(legs: list[_LegArrays], polys) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -262,7 +262,7 @@ def test_twofold_sliding_structures():
 def test_twofold_fold_exit_map(b1, b2, exits):
     fam = twofold_family()
     # the two-fold builder hands each cell's classifier the exits of its folds 1 and 2
-    _, legs, reads = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
+    legs, reads = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
     assert list(reads[0]) == exits
     lands = [leg.lands()[0] for leg in legs]
     assert [bifurcation._fold_exit(lands, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
@@ -346,6 +346,22 @@ def test_foldfold_codim2_origin():
     r = classify_parameter_point(fam, (0.0, 0.0))
     assert r.polycycles == 1
     assert "codim2" in r.flags
+
+
+@pytest.mark.parametrize(
+    "scenario, label",
+    [
+        ("cusp-synthetic", "item3|x0|p1|s0|C-attracting|codim2"),
+        ("vi-foldfold-synthetic", "item0|x0|p1|s0|codim2|tangent-polycycle"),
+    ],
+)
+def test_codim2_origin_label_alone_and_in_a_sweep(scenario, label):
+    fam = bifurcation.SCENARIOS[scenario]()
+    assert classify_parameter_point(fam, (0.0, 0.0)).label == label
+    grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.01, 0.01), (-0.01, 0.01)))
+    labels = {c.params: c.label for c in grid.cells}
+    assert labels[(0.0, 0.0)] == label
+    assert [p for p, l in labels.items() if "codim2" in l] == [(0.0, 0.0)]
 
 
 def test_foldfold_sliding_substructure():
@@ -482,13 +498,12 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
 
     def annulus_at_one_cell(f, alpha, beta):
         # the builder's row of (0.1, -0.1) becomes Tu = DTs = x, a = 0: every point returns to itself
-        cells, (leg,), reads = build(f, alpha, beta)
-        solved = [(a, b) for a, b, c in zip(alpha.tolist(), beta.tolist(), cells) if c is None]
-        at = solved.index((0.1, -0.1))
+        (leg,), reads = build(f, alpha, beta)
+        at = list(zip(alpha.tolist(), beta.tolist())).index((0.1, -0.1))
         tu, dts, a = leg.tu.copy(), leg.dts.copy(), leg.a.copy()
         tu[at], dts[at], a[at] = (0.0, 1.0, 0.0), (0.0, 1.0, 0.0), 0.0
         annulus = _LegArrays(tu=tuple(tu.T), dts=tuple(dts.T), sigma=(leg.lo, leg.hi), a=a)
-        return cells, [annulus], reads
+        return [annulus], reads
 
     monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (annulus_at_one_cell, classify))
     cells = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
@@ -502,7 +517,7 @@ def test_sweep_records_period_annulus(monkeypatch):
     classify = bifurcation._CELLS["VIFoldFold"][1]
     # the one cell's model is Tu = DTs = x: every point of the window returns to itself
     annulus = _LegArrays(tu=(0.0, 1.0), dts=(0.0, 1.0), sigma=(-0.3, 0.0))
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([None], [annulus], [()]), classify))
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([annulus], [()]), classify))
     grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
     assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")
 
@@ -511,24 +526,12 @@ def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
     fam = foldfold_family()
     build, classify = bifurcation._CELLS["VIFoldFold"]
 
-    def no_hit_at_origin(f, alpha, beta):
-        cells, legs, reads = build(f, alpha, beta)
-        cells[list(zip(alpha.tolist(), beta.tolist())).index((0.0, 0.0))] = NoHit("no section hit")
-        return cells, legs, reads
-
-    # the sweep's columnar first pass builds every cell's legs and may place a cell's error
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (no_hit_at_origin, classify))
-    grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
-    labels = {c.params: c.label for c in grid.cells}
-    assert labels[(0.0, 0.0)] == "error:NoHit: no section hit"
-    assert sum(l.startswith("error:") for l in labels.values()) == 1
-
     def no_hit_at_one_cell(f, alpha, beta, reports):
         if (alpha, beta) == (0.1, -0.1):
             raise NoHit("no section hit")
         return classify(f, alpha, beta, reports)
 
-    # so may the per-cell classify pass
+    # the per-cell classify pass may raise a cell's error
     monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (build, no_hit_at_one_cell))
     grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
     labels = {c.params: c.label for c in grid.cells}

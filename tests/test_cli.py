@@ -146,6 +146,12 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         "no-legs": {"k": 0, "legs": []},
         "k-mismatch": {"k": 2, "legs": [leg]},
         "lo-above-hi": {"k": 1, "legs": [dict(leg, sigma=[[0.0, -0.3]])]},
+        # neither a fraction nor a bool counts legs, a string is no coefficient list,
+        # and an interval has two ends
+        "k-fraction": {"k": 1.5, "legs": [leg]},
+        "k-bool": {"k": True, "legs": [leg]},
+        "coeffs-string": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": "103"})]},
+        "sigma-three-ends": {"k": 1, "legs": [dict(leg, sigma=[[-0.3, 0.0, 5.0]])]},
     }
     for name, d in models.items():
         (tmp_path / f"model-{name}.json").write_text(json.dumps(d))

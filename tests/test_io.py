@@ -65,6 +65,23 @@ def test_model_from_dict_rejects_bad_sigma():
         io.model_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(k=1.5),
+        lambda d: d.update(k=True),
+        lambda d: d["legs"][0]["Tu"].update(coeffs="103"),  # not (1.0, 0.0, 3.0)
+        lambda d: d["legs"][0].update(sigma=[[-0.3, 0.0, 5.0]]),  # not (-0.3, 0.0)
+    ],
+    ids=["k-fraction", "k-bool", "coeffs-string", "sigma-three-ends"],
+)
+def test_model_from_dict_refuses_malformed_values(edit):
+    d = io.model_to_dict(normal_form_model(1.0, 2.0, 2))
+    edit(d)
+    with pytest.raises(ConfigError):
+        io.model_from_dict(d)
+
+
 def test_dumps_is_key_order_independent():
     assert io.dumps({"b": 1, "a": 2}) == io.dumps({"a": 2, "b": 1})
 

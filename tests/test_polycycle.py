@@ -21,12 +21,12 @@ from sigmapoly.maps import Germ, root_cluster_rows, root_clusters
 from sigmapoly.polycycle import (
     SyntheticLeg,
     SyntheticModel,
+    _cycle_reports,
+    _cycle_rows,
     _LegArrays,
     find_cycles,
-    find_cycles_rows,
     first_return,
     normal_form_model,
-    return_polynomial,
     return_polynomial_rows,
 )
 
@@ -268,9 +268,6 @@ def test_find_cycles_needs_invertible_affine_dts(dts, tmp_path, capsys):
     with pytest.raises(ConfigError) as e:
         find_cycles(model)
     assert str(e.value) == message
-    with pytest.raises(ConfigError) as e:
-        return_polynomial(model)
-    assert str(e.value) == message
     mp = tmp_path / "model.json"
     mp.write_text(io.dumps(io.model_to_dict(model)))
     capsys.readouterr()
@@ -316,10 +313,26 @@ def _rows_of(rows):
     return out
 
 
+def _batch_find_cycles(models) -> list:
+    """The reports of every model from one batch per number of legs, as a sweep solves them;
+    each row's return polynomial is the model's scalar one, to the bit."""
+    out = [None] * len(models)
+    for k in {model.k for model in models}:
+        of_k = [i for i, model in enumerate(models) if model.k == k]
+        legs = [_LegArrays.of([models[i].legs[j] for i in of_k]) for j in range(k)]
+        P, errors = return_polynomial_rows(legs)
+        assert errors == {}
+        for i, row in zip(of_k, P):
+            _assert_bits(row, _scalar_return_polynomial(models[i]))
+        for i, reports in zip(of_k, _cycle_reports(*_cycle_rows(legs, P), len(of_k))):
+            out[i] = reports
+    return out
+
+
 def _assert_batch_equals_one_row_calls(models):
-    polys = [return_polynomial(model) for model in models]
+    polys = [_scalar_return_polynomial(model) for model in models]
     assert _rows_of(polys) == [root_clusters(p) for p in polys]
-    batch = list(find_cycles_rows(models, polys))
+    batch = _batch_find_cycles(models)
     assert batch == [find_cycles(model) for model in models]
     # the array classification is the model's own scalar formulas, to the bit
     for model, reports in zip(models, batch):
@@ -342,8 +355,7 @@ def _grid(fam, n: int) -> list[np.ndarray]:
     ids=["cusp", "foldfold"],
 )
 def test_batched_pass_equals_one_row_calls_on_grid(build, fam):
-    models = [build(fam, a, b) for a, b in zip(*(p.tolist() for p in _grid(fam, 51))) if abs(a) > 1e-9 or abs(b) > 1e-9]
-    assert len(models) == 51 * 51 - 1  # the codim-2 origin needs no cycles
+    models = [build(fam, a, b) for a, b in zip(*(p.tolist() for p in _grid(fam, 51)))]
     _assert_batch_equals_one_row_calls(models)
 
 
@@ -390,24 +402,22 @@ def _assert_bits(row: np.ndarray, p: list[float]) -> None:
 
 
 @pytest.mark.parametrize(
-    "cells, build, fam, n, origins",
+    "cells, build, fam, n",
     [
-        (_cusp_cells, cusp_model, cusp_family(), 51, 1),
-        (_foldfold_cells, foldfold_model, foldfold_family(), 51, 1),
-        (_twofold_cells, twofold_model, _TWOFOLD, 41, 0),
+        (_cusp_cells, cusp_model, cusp_family(), 51),
+        (_foldfold_cells, foldfold_model, foldfold_family(), 51),
+        (_twofold_cells, twofold_model, _TWOFOLD, 41),
     ],
     ids=["cusp", "foldfold", "twofold"],
 )
-def test_columnar_return_polynomials_equal_scalar_ones_to_the_bit(cells, build, fam, n, origins):
+def test_columnar_return_polynomials_equal_scalar_ones_to_the_bit(cells, build, fam, n):
     p1, p2 = _grid(fam, n)
-    done, legs, reads = cells(fam, p1, p2)
-    models = [build(fam, a, b) for a, b, cell in zip(p1.tolist(), p2.tolist(), done) if cell is None]
-    assert len(models) == n * n - origins  # a codim-2 origin needs no cycles
+    legs, reads = cells(fam, p1, p2)
+    models = [build(fam, a, b) for a, b in zip(p1.tolist(), p2.tolist())]
     P, errors = return_polynomial_rows(legs)
-    assert errors == {} and len(P) == len(models) == len(reads)
+    assert errors == {} and len(P) == len(models) == len(reads) == n * n
     for row, model, read in zip(P, models, reads):
         _assert_bits(row, _scalar_return_polynomial(model))
-        _assert_bits(row, return_polynomial(model))
         if build is cusp_model and read[0] == read[0]:  # the landing of V, where lam1 > 0
             V = np.sqrt(-model.legs[0].Tu.coeffs[1] / (3.0 * fam.coeffs["kappa"]))
             assert read == (model.legs[0].land(float(V)),)
@@ -429,18 +439,16 @@ HAND_MODELS = [
 
 def test_batched_pass_equals_one_row_calls_on_hand_rows():
     models = [m for _, m in HAND_MODELS]
-    degrees = [len(np.trim_zeros(return_polynomial(m), "b")) - 1 for m in models]
+    degrees = [len(np.trim_zeros(_scalar_return_polynomial(m), "b")) - 1 for m in models]
     assert sorted(set(degrees)) == [1, 2, 3, 4]
-    for p, model in zip(map(return_polynomial, models), models):
-        assert p == _scalar_return_polynomial(model)
     _assert_batch_equals_one_row_calls(models)
     _assert_batch_equals_one_row_calls(models[::-1])
     # every batch order gives every model the same reports
     alone = [find_cycles(m) for m in models]
     for order in itertools.islice(itertools.permutations(range(len(models))), 1, None, 251):
         batch = [models[i] for i in order]
-        assert find_cycles_rows(batch, map(return_polynomial, batch)) == [alone[i] for i in order]
-    reports = dict(zip([n for n, _ in HAND_MODELS], find_cycles_rows(models, map(return_polynomial, models))))
+        assert _batch_find_cycles(batch) == [alone[i] for i in order]
+    reports = dict(zip([n for n, _ in HAND_MODELS], _batch_find_cycles(models)))
     assert [(len(reports[n]), reports[n][0].saddle_node) for n in ("double", "triple")] == [(1, True)] * 2
     assert reports["pair"] == []
 
@@ -450,12 +458,10 @@ def test_all_zero_row_has_no_roots_and_leaves_the_others():
     assert _rows_of(rows) == [[(1.0, 1), (2.0, 1)], [], [(1.0, 1)], []]
     assert _rows_of(rows) == [root_clusters(r) for r in rows]
     # a model whose return polynomial vanishes is flagged on its own
-    with pytest.raises(PeriodAnnulus):
-        return_polynomial(_annulus_model())
     models = [quad_model(0.01, -0.25), _annulus_model(), quad_model(0.01, -0.2)]
     P, errors = return_polynomial_rows([_LegArrays.of([m.legs[0] for m in models])])
     assert list(errors) == [1] and isinstance(errors[1], PeriodAnnulus)
-    assert P[0].tolist() == return_polynomial(models[0]) and not P[1].any()
+    assert P[0].tolist() == _scalar_return_polynomial(models[0]) and not P[1].any()
 
 
 def test_rows_flag_non_affine_legs_with_the_first_leg():
