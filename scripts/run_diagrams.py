@@ -7,6 +7,7 @@ Usage: python3 scripts/run_diagrams.py [--grid 41x41] [--out out/diagrams]
 import argparse
 import os
 import sys
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -30,10 +31,8 @@ def main() -> int:
         os.makedirs(outdir, exist_ok=True)
         io.write_text(os.path.join(outdir, "diagram.csv"), io.diagram_csv(grid))
         io.write_text(os.path.join(outdir, "curves.csv"), io.curves_csv(grid.curves))
-        labels = {}
-        for c in grid.cells:
-            labels[c.label] = labels.get(c.label, 0) + 1
-        print(f"{name}: {len(grid.cells)} cells, {len(labels)} distinct labels")
+        labels = Counter(grid.labels)
+        print(f"{name}: {len(grid.labels)} cells, {len(labels)} distinct labels")
         for label in sorted(labels, key=labels.get, reverse=True)[:8]:
             print(f"  {labels[label]:5d}  {label}")
     return 0

@@ -13,16 +13,14 @@ read off such bands (the fold-fold item, from the cycles the cell has).
 The two-fold sliding cycles are the loops of the fold-exit map
 (`_fold_exit`).
 
-Cells are classified in three passes (`_classify_cells`).  The first is
-columnar: from the arrays of the cells' parameters the scenario builds the
-leg columns of every cell's model (`polycycle._LegArrays`), and
-`polycycle.return_polynomial_rows` composes all of their return
-polynomials.  One batched pass then solves the polynomials and classifies
-their roots as array arithmetic, and only the roots in the windows become
-reports.  Last, per cell, the scenario reads its cycles and bands; the
-cusp and fold-fold classifiers recognise the codim-2 origin first.  Every
-cell is a row of the batch: a parameter sweep is one batch, and
-`classify_parameter_point` is a batch of one.
+Cells are classified in three columnar passes (`_classify_cells`): the
+scenario builds the leg columns of every cell's model
+(`polycycle._LegArrays`) and `polycycle.return_polynomial_rows` composes
+their return polynomials; one batched pass solves and classifies every
+root; the scenario's classifier reads every cell's cycles and bands as
+arrays and gives integer key columns, whose labels and CSV rows are
+formatted once per distinct key.  A sweep is one batch, its reports are
+built only when read, and `classify_parameter_point` is a batch of one.
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
 circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
@@ -33,8 +31,9 @@ every job dispatches on its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
-from .polycycle import CycleReport, _LegArrays, _window_reports, return_polynomial_rows
+from .polycycle import _STABILITY, CycleReport, _LegArrays, _cycle_reports, _cycle_rows, return_polynomial_rows
 
 CURVE_TOL = 1e-9
 DEFAULT_EPS = 0.3
@@ -75,20 +74,25 @@ class RegionReport:
     def label(self) -> str:
         if self.error:
             return f"error:{self.error}"
-        stab = ",".join(c.stability[0] for c in self.crossing_cycles)
-        slide = ",".join(
-            f"{len(s.folds)}f{s.segments}s" for s in self.sliding_cycles
-        )
-        parts = [
-            f"item{self.item if self.item is not None else 0}",
-            f"x{len(self.crossing_cycles)}" + (f"[{stab}]" if stab else ""),
-            f"p{self.polycycles}",
-            f"s{len(self.sliding_cycles)}" + (f"[{slide}]" if slide else ""),
-        ]
-        if self.heteroclinic:
-            parts.append("het")
-        parts.extend(sorted(self.flags))
-        return "|".join(parts)
+        letters = [c.stability[0] for c in self.crossing_cycles]
+        return _label(self.item, letters, self.polycycles, self.sliding_cycles, self.heteroclinic, self.flags)
+
+
+def _label(item, letters, polycycles: int, sliding, het, flags) -> str:
+    """A cell's label: item, cycle stability letters, polycycles, sliding shapes, het, sorted flags."""
+    stab = ",".join(letters)
+    slide = ",".join(f"{len(s.folds)}f{s.segments}s" for s in sliding)
+    x, s = f"x{len(letters)}" + (f"[{stab}]" if stab else ""), f"s{len(sliding)}" + (f"[{slide}]" if slide else "")
+    return "|".join([f"item{item or 0}", x, f"p{polycycles}", s, *(["het"] if het else []), *sorted(flags)])
+
+
+def _row(c: RegionReport) -> tuple[str, str]:
+    """(label, CSV tail) of a cell; the tail is its diagram.csv columns after the label."""
+    return c.label, _tail(len(c.crossing_cycles), c.polycycles, len(c.sliding_cycles), c.flags)
+
+
+def _tail(crossing: int, polycycles: int, sliding: int, flags) -> str:
+    return f"{crossing},{polycycles},{sliding},{';'.join(sorted(flags))}"
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,53 @@ class CurveValues:
         return self.values[k]
 
 
-def _band(v: float, edges, tol: float) -> int:
+def _band(v, edges, tol: float):
     """The band of v among the curve values edges: 2j + 1 on an edge, 2j off every edge.
 
     v is on an edge within tol of it, the first such in the order given;
-    j counts the edges strictly below that edge, or below v.
+    j counts the edges strictly below that edge, or below v.  v and the
+    edges are floats or arrays of one length, and so is the band.
     """
-    for e in edges:
-        if abs(v - e) <= tol:
-            return 2 * sum(f < e for f in edges) + 1
-    return 2 * sum(f < v for f in edges)
+    band = 2 * sum(f < v for f in edges)
+    for e in reversed(edges):  # the first edge's band is placed last, so it wins
+        band = np.where(np.abs(v - e) <= tol, 2 * sum(f < e for f in edges) + 1, band)
+    return band
+
+
+def _per_value(f, v: np.ndarray, width: int, where=slice(None)) -> np.ndarray:
+    """Row i is f(v[i]) where where[i], nan elsewhere: f, a tuple of width floats of a
+    Python float, is called once per distinct value (bit pattern) of v, so its bits are the scalar ones."""
+    sel = v[where]
+    _, first, inv = np.unique(sel.view(np.int64), return_index=True, return_inverse=True)
+    out = np.full((len(v), width), np.nan)
+    out[where] = np.array([f(x) for x in sel[first].tolist()], dtype=float).reshape(len(first), width)[inv]
+    return out.T
+
+
+# Columnar cells carry their flags as bits (bit j is _FLAGS[j], so the bits
+# read in order give the flags sorted) and their sliding cycles as an index
+# into _SLIDES: the cusp's one to three fold-V cycles of one structure, the
+# fold-fold cycle through p0 and pY, and the loops of the two-fold fold-exit map.
+_CUSP_CURVES = ("Vbar", "Ibar", "Abar")
+_FLAGS = tuple(sorted((
+    "C-attracting", "X-cycle-in-Mplus", "codim2", "tangent-X-cycle", "tangent-polycycle",
+    *(f"on-curve:{n}" for n in (*_CUSP_CURVES, "gamma1", "gamma2", *(f"beta{i}" for i in range(1, 6)))),
+)))
+_BIT = {name: 1 << j for j, name in enumerate(_FLAGS)}
+_CUSP_STRUCTURES = ("land-in-(I,V)", "land-in-(A,I)", "V-I-connection")
+_FOLDFOLD_STRUCTURES = ("crosses-once-from-Mminus", "connection-p0-pY", "direct-from-Mplus")
+_SLIDES: tuple[tuple[SlidingCycle, ...], ...] = (
+    (),
+    *((SlidingCycle(("V",), 1, s),) * n for s in _CUSP_STRUCTURES for n in (1, 2, 3)),  # 3 s + n
+    *((SlidingCycle(("p0", "pY"), 1, s),) for s in _FOLDFOLD_STRUCTURES),  # 10 + s
+    (SlidingCycle(("p1", "p2"), 1),), (SlidingCycle(("p1", "p2"), 2),),
+    (SlidingCycle(("p1",), 1),), (SlidingCycle(("p2",), 1),), (SlidingCycle(("p1",), 1), SlidingCycle(("p2",), 1)),
+)
+_SLIDE_CODE = {s: code for code, s in enumerate(_SLIDES)}
+
+
+def _flag_names(bits: int) -> tuple[str, ...]:
+    return tuple(name for name in _FLAGS if bits & _BIT[name])
 
 
 # -- scenario families --------------------------------------------------------
@@ -175,11 +216,6 @@ def circle_family() -> ScenarioFamily:
 # -- cusp ---------------------------------------------------------------------
 
 
-def _cusp_beta_map(x: float, lam1: float, kappa: float, dtilde: float) -> float:
-    """beta for which x is a root of the displacement Tu(x) - dtilde*x."""
-    return dtilde * x - lam1 * x - kappa * x**3
-
-
 def cusp_fold_points(lam1: float, kappa: float) -> tuple[float, float, float]:
     """(V, I, A): visible fold, invisible fold, mirror landing of V.
 
@@ -198,14 +234,10 @@ def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
     k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
     if lam1 == 0:
         return CurveValues({"Abar": 0.0, "Vbar": 0.0, "Ibar": 0.0}, degenerate=True)
-    return _cusp_curve_values(lam1, k, d, cusp_fold_points(lam1, k))
-
-
-def _cusp_curve_values(lam1: float, k: float, d: float, folds: tuple[float, float, float]) -> CurveValues:
-    """cusp_curves at lam1 > 0 from the fold points (V, I, A)."""
-    V, I, A = folds
-    Vbar = _cusp_beta_map(V, lam1, k, d)
-    Abar = _cusp_beta_map(A, lam1, k, d)
+    V, I, A = cusp_fold_points(lam1, k)
+    # Vbar, Abar: the beta for which V, A is a root of the displacement Tu(x) - dtilde x
+    Vbar = d * V - lam1 * V - k * V**3
+    Abar = d * A - lam1 * A - k * A**3
     # V-I connection: the fold orbit from V lands exactly on I
     Ibar = d * I - lam1 * V - k * V**3
     return CurveValues({"Abar": Abar, "Vbar": Vbar, "Ibar": Ibar})
@@ -223,61 +255,39 @@ def _cusp_cells(fam: ScenarioFamily, lam1: np.ndarray, beta: np.ndarray):
     legs = [_LegArrays(tu=(beta, lam1, 0.0, k), dts=(0.0, d), sigma=(-fam.eps, fam.eps))]
     with np.errstate(invalid="ignore"):
         V = np.sqrt(-lam1 / (3.0 * k))  # cusp_fold_points
-    return legs, [(v,) for v in legs[0].land(V, slice(None)).tolist()]
+    return legs, (legs[0].land(V, slice(None)),)
 
 
-def _classify_cusp(fam: ScenarioFamily, lam1: float, beta: float, reports, land_V: float) -> RegionReport:
-    k, d = fam.coeffs["kappa"], fam.coeffs["dtilde"]
-    tol = CURVE_TOL
-    if abs(lam1) <= tol and abs(beta) <= tol:  # the codim-2 origin
-        return RegionReport(
-            params=(lam1, beta), item=3, crossing_cycles=(), polycycles=1, sliding_cycles=(),
-            flags=("codim2", "C-attracting"),
-        )
-    roots = [r for r in reports if r.kind == "crossing-cycle"]
-
+def _classify_cusp(fam: ScenarioFamily, lam1, beta, row, fields, land_V):
+    tol, n = CURVE_TOL, len(lam1)
+    origin = (np.abs(lam1) <= tol) & (np.abs(beta) <= tol)  # the codim-2 origin
     side = _band(lam1, (0.0,), tol)
-    if side < 2:
-        return RegionReport(
-            params=(lam1, beta),
-            item=1 + side,
-            crossing_cycles=tuple(roots),
-            polycycles=0,
-            sliding_cycles=(),
-        )
+    on = side == 2
 
-    V, I, A = folds = cusp_fold_points(lam1, k)
-    cur = _cusp_curve_values(lam1, k, d, folds)
-    flags = [f"on-curve:{n}" for n in ("Vbar", "Ibar", "Abar") if abs(beta - cur[n]) <= tol]
+    def curves(lam: float) -> tuple:
+        cur = cusp_curves(fam, lam)
+        return (*cusp_fold_points(lam, fam.coeffs["kappa"]), *(cur[nm] for nm in _CUSP_CURVES))
+
+    V, I, A, *bars = _per_value(curves, lam1, 6, on)
+    flags = sum(np.where(np.abs(beta - c) <= tol, _BIT[f"on-curve:{nm}"], 0) for nm, c in zip(_CUSP_CURVES, bars))
     # items 4..10 are the bands of beta among Vbar < Ibar < Abar
-    item = 4 + _band(beta, (cur["Vbar"], cur["Ibar"], cur["Abar"]), tol)
+    item = np.where(on, 4 + _band(beta, bars, tol), 1 + side)
     # a sliding cycle is structured by where the fold orbit from V lands relative to the
     # invisible fold I (V - I = 2V > 0); it lands on I on the curve Ibar, item 7
-    if item == 7:
-        structure = "V-I-connection"
-    else:
-        structure = "land-in-(I,V)" if land_V > I else "land-in-(A,I)"
-
-    cycles: list[CycleReport] = []
-    polycycles = 0
-    sliding: list[SlidingCycle] = []
-    for r in roots:
-        x = r.point[0]
-        if min(abs(x - A), abs(x - V)) <= tol:
-            polycycles += 1
-        elif A < x < V:  # the return map's fixed point falls on the sliding segment
-            sliding.append(SlidingCycle(folds=("V",), segments=1, structure=structure))
-        else:
-            cycles.append(r)
-
-    return RegionReport(
-        params=(lam1, beta),
-        item=item,
-        crossing_cycles=tuple(cycles),
-        polycycles=polycycles,
-        sliding_cycles=tuple(sliding),
-        heteroclinic=bool(sliding) and structure == "V-I-connection",
-        flags=tuple(flags),
+    structure = np.where(item == 7, 2, np.where(land_V > I, 0, 1))  # of _CUSP_STRUCTURES
+    x = fields[5]
+    interior = (fields[1] == 2) & ~origin[row]
+    at_fold = on[row] & (np.minimum(np.abs(x - A[row]), np.abs(x - V[row])) <= tol)
+    # the return map's fixed point falls on the sliding segment (A, V)
+    slide = on[row] & ~at_fold & (A[row] < x) & (x < V[row]) & interior
+    nslide = np.bincount(row[slide], minlength=n)
+    return (
+        np.where(origin, 3, item),
+        interior & ~at_fold & ~slide,
+        np.where(origin, 1, np.bincount(row[interior & at_fold], minlength=n)),
+        np.where(nslide > 0, 3 * structure + nslide, 0),
+        (nslide > 0) & (item == 7),
+        np.where(origin, _BIT["codim2"] | _BIT["C-attracting"], flags),
     )
 
 
@@ -296,11 +306,11 @@ def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
         _LegArrays(tu=(b1, 0.0, c["kappa1"]), dts=(0.0, c["dtilde1"]), sigma=(0.0, eps)),
         _LegArrays(tu=(b2, 0.0, c["kappa2"]), dts=(0.0, c["dtilde2"]), sigma=(-eps, 0.0)),
     ]
-    reads = [
+    exits = [
         tuple(_fold_exit(lands, fold, eps, CURVE_TOL) for fold in (1, 2))
         for lands in zip(*(leg.lands() for leg in legs))
     ]
-    return legs, reads
+    return legs, (exits,)
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -342,8 +352,9 @@ def _fold_exit(lands, fold: int, eps: float, tol: float) -> tuple[int, str] | No
     return None
 
 
-def _twofold_sliding_trace(exit1, exit2) -> tuple[list[SlidingCycle], bool]:
-    """Sliding cycles as the loops of the fold-exit map, and whether a fold connects to the other.
+def _twofold_sliding_trace(exit1, exit2) -> tuple[int, bool]:
+    """Sliding cycles as the loops of the fold-exit map, as a code of _SLIDES, and whether a
+    fold connects to the other.
 
     The loop is (1, 2) when each fold's exit reaches the other, otherwise each
     fold that returns to itself; a loop's segments are the slides on it.
@@ -351,43 +362,32 @@ def _twofold_sliding_trace(exit1, exit2) -> tuple[list[SlidingCycle], bool]:
     exits = {1: exit1, 2: exit2}
     to = {f: e[0] if e else None for f, e in exits.items()}
     loops = [(1, 2)] if to == {1: 2, 2: 1} else [(f,) for f in (1, 2) if to[f] == f]
-    sliding = []
-    for loop in loops:
-        segments = sum(exits[f][1] == "slide" for f in loop)
-        if segments:
-            sliding.append(SlidingCycle(folds=tuple(f"p{f}" for f in loop), segments=segments))
-    return sliding, any(e == (3 - f, "connect") for f, e in exits.items())
+    segments = [(loop, sum(exits[f][1] == "slide" for f in loop)) for loop in loops]
+    sliding = tuple(SlidingCycle(folds=tuple(f"p{f}" for f in loop), segments=n) for loop, n in segments if n)
+    return _SLIDE_CODE[sliding], any(e == (3 - f, "connect") for f, e in exits.items())
 
 
-def _twofold_item(b1: float, b2: float, g1: float, g2: float, tol: float) -> int:
-    """The item of a cell: its bands about beta2 = 0 and beta1 = 0, then about gamma1 or gamma2."""
+def _twofold_item(b1, b2, g1, g2, tol: float):
+    """The items of cells: their bands about beta2 = 0 and beta1 = 0, then about gamma1 or gamma2; 0 for none."""
     row, col = _band(b2, (0.0,), tol), _band(b1, (0.0,), tol)
-    if row == 2:  # beta2 > 0: gamma1 > 0 splits beta1 > 0
-        return 5 - _band(b1, (g1, 0.0), tol)
-    if row == 0 and col == 0:  # beta2 < 0 and beta1 < 0: gamma2 < 0 splits beta2 < 0
-        return 10 - _band(b2, (g2,), tol)
-    return ((None, 11, 12), (6, 7, 13))[row][col]
+    item = np.array(((0, 11, 12), (6, 7, 13)))[np.minimum(row, 1), col]
+    # beta2 < 0 and beta1 < 0: gamma2 < 0 splits beta2 < 0
+    item = np.where((row == 0) & (col == 0), 10 - _band(b2, (g2,), tol), item)
+    return np.where(row == 2, 5 - _band(b1, (g1, 0.0), tol), item)  # beta2 > 0: gamma1 > 0 splits beta1 > 0
 
 
-def _classify_twofold(fam: ScenarioFamily, b1: float, b2: float, reports, exit1, exit2) -> RegionReport:
-    tol = CURVE_TOL
-    cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
-    polycycles = sum(1 for r in reports if r.kind == "polycycle")
-    sliding, hetero = _twofold_sliding_trace(exit1, exit2)
-    item = _twofold_item(b1, b2, twofold_curves(fam, b2)["gamma1"], twofold_curves(fam, b1)["gamma2"], tol)
+def _classify_twofold(fam: ScenarioFamily, b1, b2, row, fields, exits):
+    tol, n = CURVE_TOL, len(b1)
+    gammas = lambda b: tuple(twofold_curves(fam, b).values.values())  # noqa: E731
+    (g1, _), (_, g2) = _per_value(gammas, b2, 2), _per_value(gammas, b1, 2)
+    item = _twofold_item(b1, b2, g1, g2, tol)
     # a curve is flagged where the item takes its edge band: gamma1's is item 2, gamma2's item 9
-    flags = [f"on-curve:{name}" for name, on in (("gamma1", 2), ("gamma2", 9)) if item == on]
-    if abs(b1) <= tol and abs(b2) <= tol:
-        flags.append("codim2")
-    return RegionReport(
-        params=(b1, b2),
-        item=item,
-        crossing_cycles=cycles,
-        polycycles=polycycles,
-        sliding_cycles=tuple(sliding),
-        heteroclinic=hetero,
-        flags=tuple(flags),
+    flags = (
+        np.where(item == 2, _BIT["on-curve:gamma1"], 0) | np.where(item == 9, _BIT["on-curve:gamma2"], 0)
+        | np.where((np.abs(b1) <= tol) & (np.abs(b2) <= tol), _BIT["codim2"], 0)
     )
+    slide, hetero = (np.array(col) for col in zip(*(_twofold_sliding_trace(*e) for e in exits)))
+    return item, fields[1] == 2, np.bincount(row[fields[1] == 1], minlength=n), slide, hetero, flags
 
 
 # -- VI fold-fold (synthetic) -----------------------------------------------
@@ -432,63 +432,43 @@ def _foldfold_cells(fam: ScenarioFamily, alpha: np.ndarray, beta: np.ndarray):
     c = fam.coeffs
     zeta = np.where(2.0 * alpha < 0.0, 2.0 * alpha, 0.0)  # Python's min(0.0, 2 alpha)
     legs = [_LegArrays(tu=(beta, 0.0, c["kappa"]), dts=(0.0, 0.0, c["dtilde"]), sigma=(-fam.eps, zeta), a=alpha)]
-    return legs, [()] * len(alpha)
+    return legs, ()
 
 
-def _classify_foldfold(fam: ScenarioFamily, alpha: float, beta: float, reports) -> RegionReport:
-    tol = CURVE_TOL
-    if abs(alpha) <= tol and abs(beta) <= tol:
-        return _tangent_polycycle((alpha, beta))
-    flags: list[str] = []
-
-    cur = foldfold_curves(fam, alpha)
-    for name, val in sorted(cur.values.items()):
-        if abs(beta - val) <= tol and abs(alpha) > tol:
-            flags.append(f"on-curve:{name}")
-
-    cycles = tuple(r for r in reports if r.kind == "crossing-cycle")
-    polycycles = sum(1 for r in reports if r.kind == "polycycle")
-
+def _classify_foldfold(fam: ScenarioFamily, alpha, beta, row, fields):
+    tol, n = CURVE_TOL, len(alpha)
+    origin = (np.abs(alpha) <= tol) & (np.abs(beta) <= tol)  # the codim-2 origin: the tangent polycycle
+    names = [f"beta{i}" for i in range(1, 6)]
+    curves = _per_value(lambda a: tuple(foldfold_curves(fam, a).values.get(nm, np.nan) for nm in names), alpha, 5)
+    off = np.abs(alpha) > tol
+    flags = sum(np.where((np.abs(beta - c) <= tol) & off, _BIT[f"on-curve:{nm}"], 0) for nm, c in zip(names, curves))
+    _, b2, b3, b4, b5 = curves
     # a sliding cycle through both folds lives strictly between the boundary polycycle
     # and beta = 0; its band about the sliding connection places the orbit joining p0 and pY
-    sliding: list[SlidingCycle] = []
     side = _band(alpha, (0.0,), tol)
-    if side != 1:
-        lo, hi, conn = (0.0, cur["beta3"], cur["beta5"]) if side == 0 else (cur["beta2"], 0.0, cur["beta4"])
-        if _band(beta, (lo, hi), tol) == 2:
-            structure = ("crosses-once-from-Mminus", "connection-p0-pY", "direct-from-Mplus")[
-                _band(beta, (conn,), tol)
-            ]
-            sliding.append(SlidingCycle(folds=("p0", "pY"), segments=1, structure=structure))
-
-    flags.extend((("X-cycle-in-Mplus",), ("tangent-X-cycle",), ())[_band(beta, (0.0,), tol)])
-
-    return RegionReport(
-        params=(alpha, beta),
-        item=_foldfold_item(cycles, polycycles),
-        crossing_cycles=cycles,
-        polycycles=polycycles,
-        sliding_cycles=tuple(sliding),
-        flags=tuple(flags),
+    neg = side == 0
+    lo, hi, conn = np.where(neg, 0.0, b2), np.where(neg, b3, 0.0), np.where(neg, b5, b4)
+    slide = np.where((side != 1) & (_band(beta, (lo, hi), tol) == 2), 10 + _band(beta, (conn,), tol), 0)
+    flags |= np.array((_BIT["X-cycle-in-Mplus"], _BIT["tangent-X-cycle"], 0))[_band(beta, (0.0,), tol)]
+    cross = (fields[1] == 2) & ~origin[row]
+    poly = np.bincount(row[fields[1] == 1], minlength=n)
+    saddle_node = np.bincount(row[cross & (fields[4] >= 2)], minlength=n) > 0
+    item = _foldfold_item(saddle_node, np.bincount(row[cross], minlength=n), poly)
+    return (
+        np.where(origin, 0, item),
+        cross,
+        np.where(origin, 1, poly),
+        np.where(origin, 0, slide),
+        np.zeros(n, dtype=bool),
+        np.where(origin, _BIT["codim2"] | _BIT["tangent-polycycle"], flags),
     )
 
 
-def _tangent_polycycle(params: tuple[float, float]) -> RegionReport:
-    """The codim-2 origin of the VI fold-fold unfolding: the tangent polycycle."""
-    return RegionReport(
-        params=params, item=None, crossing_cycles=(), polycycles=1, sliding_cycles=(),
-        flags=("codim2", "tangent-polycycle"),
+def _foldfold_item(saddle_node, crossing, polycycles):
+    """The item of cells from whether a crossing cycle is a saddle-node, and the counts."""
+    return np.select(
+        [saddle_node, crossing == 2, crossing == 1], [2, 3, np.where(polycycles, 4, 5)], np.where(polycycles, 6, 1)
     )
-
-
-def _foldfold_item(cycles: tuple[CycleReport, ...], polycycles: int) -> int:
-    if any(c.saddle_node for c in cycles):
-        return 2
-    if len(cycles) == 2:
-        return 3
-    if len(cycles) == 1:
-        return 4 if polycycles else 5
-    return 6 if polycycles else 1
 
 
 # -- VI fold-fold (ODE circle backend) ----------------------------------------
@@ -662,26 +642,27 @@ def circle_cycle_multiplier() -> float:
 
 def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
     """A circle cell: its crossing cycles from the flow, its flags from the exact geometry."""
-    if alpha_p == 0.0 and beta_p == 0.0:
-        return _tangent_polycycle((alpha_p, beta_p))
+    params = (alpha_p, beta_p)
+    if alpha_p == 0.0 and beta_p == 0.0:  # the tangent polycycle
+        return RegionReport(params, None, (), 1, (), flags=("codim2", "tangent-polycycle"))
     cycles = _circle_return(alpha_p, beta_p)
     # beta_p > 0 lifts the X-cycle off Sigma into M+; beta_p = 0 makes it tangent
     flags = ("X-cycle-in-Mplus",) if beta_p > 0 else ("tangent-X-cycle",) if beta_p == 0 else ()
-    return RegionReport(
-        params=(alpha_p, beta_p), item=_foldfold_item(cycles, 0), crossing_cycles=cycles, polycycles=0,
-        sliding_cycles=(), flags=flags,
-    )
+    item = int(_foldfold_item(any(c.saddle_node for c in cycles), len(cycles), 0))
+    return RegionReport(params, item, cycles, 0, (), flags=flags)
 
 
 # -- dispatch -----------------------------------------------------------------
 
 
-# Each closed-form scenario classifies its cells with two functions.  The
-# first takes the arrays of the cells' parameters (p1, p2) and returns
-# (legs, reads): legs are the leg columns of the cells' models, row r being
-# cell r; reads[r] is what the classifier reads off row r besides its
-# cycles.  The second classifies one cell, as
-# classify(fam, p1, p2, reports, *reads[r]).
+# Each closed-form scenario classifies its cells with two columnar functions.
+# build(fam, p1, p2) returns (legs, reads): the leg columns of the cells'
+# models, row r being cell r, and the arrays the classifier reads besides
+# the solutions (the cusp's fold landings, the two-fold's fold exits).
+# classify(fam, p1, p2, row, fields, *reads), with (row, fields) the
+# solutions of polycycle._cycle_rows, returns the columns item (0 for none),
+# a mask of the solutions that are crossing cycles, polycycles, sliding
+# code (an index into _SLIDES), heteroclinic and flag bits.
 _CELLS = {
     "Cusp": (_cusp_cells, _classify_cusp),
     "TwoFold": (_twofold_cells, _classify_twofold),
@@ -690,54 +671,81 @@ _CELLS = {
 _CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfold_curves}
 
 
-def _classify_cells(fam: ScenarioFamily, points) -> list[RegionReport | SigmapolyError]:
-    """Classify the cells at points in three passes.
+class _Cells(NamedTuple):
+    """Classified cells as columns, row r being cell r."""
 
-    1. Columnar: the scenario's builder (``_CELLS``) gives the leg columns
-       of every cell and what its classifier reads; ``return_polynomial_rows``
-       composes every row's return polynomial.
-    2. One batched pass, ``polycycle._window_reports``, solves the
-       polynomials and classifies every root at once; CycleReports are
-       built only for the roots in the windows, as the classifiers read no
-       other.
-    3. Per cell: classify the cell from its cycles and its bands.
+    params: list[tuple[float, float]]
+    keys: np.ndarray  # item, crossing cycles, their stabilities in base 4, polycycles, slides, het, flag bits
+    cycles: tuple  # (row, fields) of every crossing cycle
+    errors: dict[int, SigmapolyError]
 
-    A SigmapolyError of a cell, from its return polynomial or its
-    classifier, takes that cell's place; a programming error
-    propagates.  The circle, which has no return polynomial, classifies each
-    cell on its own.
+
+def _classify_cells(fam: ScenarioFamily, points) -> _Cells:
+    """Classify the cells at points in three columnar passes.
+
+    1. The scenario's builder (``_CELLS``) gives the leg columns of every
+       cell and what its classifier reads; ``return_polynomial_rows``
+       composes every row's return polynomial, whose SigmapolyError is the
+       row's error.
+    2. ``polycycle._cycle_rows`` solves the polynomials and classifies every root.
+    3. The classifier reads all cells' bands and solutions, its curve values
+       computed once per distinct parameter, and returns the key columns.
     """
-    if fam.name == "Circle":
-        cells: list = []
-        for p in points:
-            try:
-                cells.append(_classify_circle(float(p[0]), float(p[1])))
-            except SigmapolyError as e:
-                cells.append(e)
-        return cells
     build, classify = _CELLS[fam.name]
     pts = np.asarray(points, dtype=float)
-    legs, reads = build(fam, pts[:, 0], pts[:, 1])
+    p1, p2 = pts[:, 0], pts[:, 1]
+    legs, reads = build(fam, p1, p2)
     P, errors = return_polynomial_rows(legs)
-    solved = _window_reports(legs, P)
-    cells = []
-    for r, p in enumerate(pts.tolist()):
-        if r in errors:
-            cells.append(errors[r])
-            continue
-        try:
-            cells.append(classify(fam, *p, solved[r], *reads[r]))
-        except SigmapolyError as e:
-            cells.append(e)
-    return cells
+    row, fields = _cycle_rows(legs, P)
+    item, cross, poly, slide, het, flags = classify(fam, p1, p2, row, fields, *reads)
+    row, fields, n = row[cross], [f[cross] for f in fields], len(pts)
+    place = np.arange(len(row)) - np.searchsorted(row, row)  # of each cycle among its cell's
+    digits = np.bincount(row, fields[2] * 4.0**place, minlength=n)
+    keys = np.stack([item, np.bincount(row, minlength=n), digits, poly, slide, het, flags], axis=1)
+    return _Cells(list(zip(p1.tolist(), p2.tolist())), keys.astype(np.int64), (row, fields), errors)
+
+
+def _reports(cells: _Cells) -> tuple[RegionReport, ...]:
+    """The RegionReport of each cell, an error report where the cell has an error."""
+    cycles = _cycle_reports(*cells.cycles, len(cells.params))
+    return tuple(
+        _error_report(p, cells.errors[r]) if r in cells.errors else RegionReport(
+            params=p, item=item or None, crossing_cycles=tuple(cycles[r]), polycycles=poly,
+            sliding_cycles=_SLIDES[slide], heteroclinic=bool(het), flags=_flag_names(flags),
+        )
+        for r, (p, (item, _, _, poly, slide, het, flags)) in enumerate(zip(cells.params, cells.keys.tolist()))
+    )
+
+
+def _rows(cells: _Cells) -> tuple[list[str], list[str]]:
+    """The label and CSV tail of each cell, each formatted once per distinct key row."""
+    code = np.ravel_multi_index(cells.keys.T, cells.keys.max(axis=0) + 1)  # the rows (all >= 0) in mixed radix
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    labels, tails = [], []
+    for item, crossing, digits, poly, slide, het, bits in cells.keys[first].tolist():
+        letters = [_STABILITY[(digits >> 2 * j) & 3][0] for j in range(crossing)]
+        flags = _flag_names(bits)
+        labels.append(_label(item, letters, poly, _SLIDES[slide], het, flags))
+        tails.append(_tail(crossing, poly, len(_SLIDES[slide]), flags))
+    labels, tails = ([col[k] for k in inverse.tolist()] for col in (labels, tails))
+    for r, e in cells.errors.items():
+        labels[r], tails[r] = _row(_error_report(cells.params[r], e))
+    return labels, tails
+
+
+def _error_report(params: tuple[float, float], e: SigmapolyError) -> RegionReport:
+    return RegionReport(params, None, (), 0, (), error=f"{type(e).__name__}: {e}")
 
 
 def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
-    """The cell at params: the one-cell case of a sweep, raising its SigmapolyError."""
-    (cell,) = _classify_cells(fam, [params])
-    if isinstance(cell, SigmapolyError):
-        raise cell
-    return cell
+    """The cell at params, raising its SigmapolyError: the one-row case of the columnar
+    classification, or for the circle its own classification."""
+    if fam.name == "Circle":
+        return _classify_circle(float(params[0]), float(params[1]))
+    cells = _classify_cells(fam, [params])
+    if cells.errors:
+        raise cells.errors[0]
+    return _reports(cells)[0]
 
 
 def _curves_of(fam: ScenarioFamily) -> Callable[[ScenarioFamily, float], CurveValues]:
@@ -756,8 +764,19 @@ def scenario_curves(fam: ScenarioFamily, p: float) -> CurveValues:
 
 @dataclass(frozen=True)
 class DiagramGrid:
-    cells: tuple[RegionReport, ...]  # row-major over (p1, p2)
+    """A swept grid, row-major over (p1, p2): each cell's params, label and CSV tail
+    (its diagram.csv columns after the label), the traced curves, and the
+    cells' RegionReports, built by ``reports`` when ``cells`` is first read."""
+
+    params: list[tuple[float, float]]
+    labels: list[str]
+    tails: list[str]
     curves: dict  # name -> list of (param, p1, p2)
+    reports: Callable[[], tuple[RegionReport, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def cells(self) -> tuple[RegionReport, ...]:
+        return self.reports()
 
 
 def _span(lo: float, hi: float, n: int) -> np.ndarray:
@@ -768,7 +787,7 @@ def _span(lo: float, hi: float, n: int) -> np.ndarray:
 def _trace_cusp(fam: ScenarioFamily, n: int, r1, r2):
     for lam in _span(max(r1[0], 1e-6), r1[1], n):
         cur = cusp_curves(fam, lam)
-        for nm in ("Vbar", "Ibar", "Abar"):
+        for nm in _CUSP_CURVES:
             yield nm, lam, lam, cur[nm]
 
 
@@ -802,22 +821,29 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
 def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> DiagramGrid:
     """Classify an n1 x n2 grid of cells, row-major over (p1, p2), and trace the curves.
 
-    The cells are classified in the three passes of ``_classify_cells``, so
-    a closed-form sweep solves all of its cells' return polynomials in one
-    batched root pass.  A cell whose classification raises a SigmapolyError
-    is recorded as an error cell; a programming error propagates.
+    A closed-form sweep is one columnar batch (``_classify_cells``): its
+    labels and CSV tails are formatted once per distinct key, and its
+    RegionReports are built only if read.  The circle classifies each cell
+    on its own.  A cell whose classification raises a SigmapolyError is
+    recorded as an error cell; a programming error propagates.
     """
     (lo1, hi1), (lo2, hi2) = ranges or fam.ranges
     p1, p2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2), indexing="ij")
-    points = np.stack([p1.ravel(), p2.ravel()], axis=1)
-    cells = [
-        cell if isinstance(cell, RegionReport) else RegionReport(
-            params=(float(p[0]), float(p[1])), item=None, crossing_cycles=(), polycycles=0,
-            sliding_cycles=(), error=f"{type(cell).__name__}: {cell}",
-        )
-        for p, cell in zip(points, _classify_cells(fam, points))
-    ]
-    return DiagramGrid(cells=tuple(cells), curves=_trace_curves(fam, ranges=ranges))
+    curves = _trace_curves(fam, ranges=ranges)
+    if fam.name != "Circle":
+        cells = _classify_cells(fam, np.stack([p1.ravel(), p2.ravel()], axis=1))
+        return DiagramGrid(cells.params, *_rows(cells), curves, lambda: _reports(cells))
+    params = list(zip(p1.ravel().tolist(), p2.ravel().tolist()))
+    circle = tuple(map(_circle_cell, params))
+    labels, tails = (list(col) for col in zip(*map(_row, circle)))
+    return DiagramGrid(params, labels, tails, curves, lambda: circle)
+
+
+def _circle_cell(params: tuple[float, float]) -> RegionReport:
+    try:
+        return _classify_circle(*params)
+    except SigmapolyError as e:
+        return _error_report(params, e)
 
 
 SCENARIOS: dict[str, Callable[[], ScenarioFamily]] = {

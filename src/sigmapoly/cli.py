@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+from functools import cache
 import os
 import re
 import sys
@@ -65,6 +66,15 @@ def _emit(obj) -> None:
     sys.stdout.write(io.dumps(obj) + "\n")
 
 
+def _output(path: str | None, text: str) -> int:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        io.write_text(path, text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -90,12 +100,7 @@ def _cmd_flow(args) -> int:
     Z = io.read_system(args.system)
     p = _parse_point(args.point)
     arcs = filippov_trajectory(Z, np.array(p), tmax=args.tmax, dt_out=args.dt_out)
-    text = io.trajectory_csv(arcs)
-    if args.out:
-        io.write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _output(args.out, io.trajectory_csv(arcs))
 
 
 def _cmd_transition(args) -> int:
@@ -129,14 +134,8 @@ def _cmd_germ(args) -> int:
         raise ConfigError("--window must be positive")
     if args.degree < 0:
         raise ConfigError("--degree must be non-negative")
-    g = transition_germ(
-        F, Z.h, tau, args.base, args.degree, args.window, direction=args.direction
-    )
-    if args.out:
-        io.write_json(args.out, g.to_dict())
-    else:
-        _emit(g.to_dict())
-    return 0
+    g = transition_germ(F, Z.h, tau, args.base, args.degree, args.window, direction=args.direction)
+    return _output(args.out, io.dumps(g.to_dict()) + "\n")
 
 
 def _cmd_polycycle_solve(args) -> int:
@@ -154,11 +153,7 @@ def _cmd_polycycle_solve(args) -> int:
         }
         for r in reports
     ]
-    if args.out:
-        io.write_json(args.out, out)
-    else:
-        _emit(out)
-    return 0
+    return _output(args.out, io.dumps(out) + "\n")
 
 
 def _scenario(name: str) -> bifurcation.ScenarioFamily:
@@ -181,13 +176,7 @@ def _cmd_scenario_curves(args) -> int:
     bifurcation._curves_of(fam)  # refuses the circle, whose curves are not known in closed form
     if args.samples < 1:
         raise ConfigError("--samples must be positive")
-    curves = bifurcation._trace_curves(fam, args.samples)
-    text = io.curves_csv(curves)
-    if args.out:
-        io.write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _output(args.out, io.curves_csv(bifurcation._trace_curves(fam, args.samples)))
 
 
 def _cmd_diagram(args) -> int:
@@ -219,6 +208,7 @@ def _cmd_diagram(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@cache  # built on the first run, once per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sigmapoly",

@@ -24,12 +24,22 @@ def finite(vals, what: str):
     return vals
 
 
+def _number(v, what: str, integer: bool = False):
+    """v as a float (an int if integer); a ConfigError unless a JSON number (integer), not a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ConfigError(f"{what} must be a JSON {'integer' if integer else 'number'}, got {v!r}")
+    return v if integer else float(v)
+
+
 # -- system JSON --------------------------------------------------------------
 
 
 def poly_from_triples(triples) -> Poly2:
     try:
-        return Poly2.from_triples([(int(i), int(j), float(c)) for i, j, c in triples])
+        return Poly2.from_triples([
+            (_number(i, "a power", True), _number(j, "a power", True), _number(c, "a coefficient"))
+            for i, j, c in triples
+        ])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad coefficient triples: {e}") from e
 
@@ -44,7 +54,7 @@ def system_from_dict(d: dict) -> FilippovSystem:
         )
         if "domain" in d:
             h = SwitchingFunction(
-                poly_from_triples(d["h"]), domain=tuple(float(v) for v in d["domain"])
+                poly_from_triples(d["h"]), domain=tuple(_number(v, "domain") for v in d["domain"])
             )
         else:
             h = SwitchingFunction(poly_from_triples(d["h"]))
@@ -55,36 +65,33 @@ def system_from_dict(d: dict) -> FilippovSystem:
     return FilippovSystem(X=X, Y=Y, h=h)
 
 
-def read_system(path: str) -> FilippovSystem:
+def _read_json(path: str, what: str):
     try:
         with open(path) as f:
-            d = json.load(f)
+            return json.load(f)
     except OSError as e:
-        raise IOFailure(f"cannot read system file {path}: {e}") from e
+        raise IOFailure(f"cannot read {what} file {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"system file {path} is not valid JSON: {e}") from e
-    return system_from_dict(d)
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
+
+
+def read_system(path: str) -> FilippovSystem:
+    return system_from_dict(_read_json(path, "system"))
 
 
 # -- germ / model JSON --------------------------------------------------------
 
 
 def germ_from_dict(d: dict) -> Germ:
-    """Germ.from_dict, refusing a germ whose coeffs are not a non-empty list, or with a non-finite number."""
+    """Germ.from_dict, refusing a germ whose coeffs are not a non-empty list, or with a number
+    that is not a finite JSON number."""
     if not isinstance(d["coeffs"], list) or not d["coeffs"]:
         raise ConfigError(f"a germ needs a list of at least one coefficient, got {d['coeffs']!r}")
+    for v in (d["base"], *d["coeffs"], *(d[k] for k in ("residual", "window") if k in d)):
+        _number(v, "every germ number")
     g = Germ.from_dict(d)
     finite((g.base, *g.coeffs, g.residual, g.window), "every germ number")
     return g
-
-
-def write_json(path: str, obj) -> None:
-    try:
-        with open(path, "w") as f:
-            f.write(dumps(obj))
-            f.write("\n")
-    except OSError as e:
-        raise IOFailure(f"cannot write {path}: {e}") from e
 
 
 def dumps(obj) -> str:
@@ -114,7 +121,7 @@ def model_from_dict(d: dict) -> SyntheticModel:
             sigma = leg["sigma"]
             if len(sigma) != 1 or len(sigma[0]) != 2:
                 raise ConfigError(f"a leg needs exactly one sigma interval [lo, hi], got {sigma!r}")
-            lo, hi = finite((float(sigma[0][0]), float(sigma[0][1])), "sigma")
+            lo, hi = finite(tuple(_number(v, "sigma") for v in sigma[0]), "sigma")
             if not lo < hi:
                 raise ConfigError(f"sigma window [{lo}, {hi}] needs lo < hi")
             legs.append(
@@ -122,12 +129,10 @@ def model_from_dict(d: dict) -> SyntheticModel:
                     Tu=germ_from_dict(leg["Tu"]),
                     DTs=germ_from_dict(leg["DTs"]),
                     sigma=(lo, hi),
-                    a=finite(float(leg.get("a", 0.0)), "a"),
+                    a=finite(_number(leg.get("a", 0.0), "a"), "a"),
                 )
             )
-        k = d["k"]
-        if type(k) is not int:  # a JSON true is a bool, and 1.5 is no count of legs
-            raise ConfigError(f"k must be an integer, got {k!r}")
+        k = _number(d["k"], "k", integer=True)  # a JSON true is a bool, and 1.5 is no count of legs
         if k < 1:
             raise ConfigError(f"a model needs k >= 1 legs, got k = {k}")
         if k != len(legs):
@@ -138,13 +143,7 @@ def model_from_dict(d: dict) -> SyntheticModel:
 
 
 def read_model(path: str) -> SyntheticModel:
-    try:
-        with open(path) as f:
-            return model_from_dict(json.load(f))
-    except OSError as e:
-        raise IOFailure(f"cannot read model file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"model file {path} is not valid JSON: {e}") from e
+    return model_from_dict(_read_json(path, "model"))
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -166,16 +165,9 @@ def trajectory_csv(arcs) -> str:
 
 
 def diagram_csv(grid) -> str:
-    lines = ["p1,p2,label,crossing_cycles,polycycles,sliding_cycles,flags"]
-    for cell in grid.cells:
-        p1, p2 = cell.params
-        flags = ";".join(sorted(cell.flags))
-        lines.append(
-            f"{p1!r},{p2!r},{cell.label},"
-            f"{len(cell.crossing_cycles)},{cell.polycycles},"
-            f"{len(cell.sliding_cycles)},{flags}"
-        )
-    return "\n".join(lines) + "\n"
+    """diagram.csv of a DiagramGrid: each cell's p1,p2, its label and its pre-built tail."""
+    rows = (f"{p1!r},{p2!r},{label},{tail}" for (p1, p2), label, tail in zip(grid.params, grid.labels, grid.tails))
+    return "\n".join(["p1,p2,label,crossing_cycles,polycycles,sliding_cycles,flags", *rows]) + "\n"
 
 
 def curves_csv(curves: dict) -> str:

@@ -13,8 +13,7 @@ one `_LegArrays` per leg, a row per model, built from `SyntheticLeg`s or
 straight from coefficient columns.  `return_polynomial_rows` composes every
 row's return polynomial at once, one batched root pass
 (`maps.root_cluster_rows`) solves them, and `_cycle_rows` propagates every
-root around its row's legs and classifies it as array arithmetic;
-`_window_reports` builds reports only for the roots in the windows.
+root around its row's legs and classifies it as array arithmetic.
 `find_cycles`, the one public solve, and `first_return` are one-row cases.
 """
 
@@ -299,15 +298,6 @@ def _cycle_reports(row: np.ndarray, fields, n: int) -> list[list[CycleReport]]:
     ]
     ends = np.searchsorted(row, np.arange(n + 1)).tolist()
     return [reports[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _window_reports(legs: list[_LegArrays], P: np.ndarray) -> list[list[CycleReport]]:
-    """The CycleReports of the solutions in the windows (locus boundary or interior), one
-    list per row of P, P holding the rows' return polynomials; no report is built for a
-    solution outside."""
-    row, fields = _cycle_rows(legs, P)
-    kept = fields[1] > 0
-    return _cycle_reports(row[kept], [f[kept] for f in fields], len(P))
 
 
 _LOCI = ("outside", "boundary", "interior")

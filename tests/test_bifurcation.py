@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from sigmapoly import bifurcation
+from sigmapoly import bifurcation, cli
 from sigmapoly.bifurcation import (
     CURVE_TOL,
     classify_parameter_point,
@@ -18,7 +18,7 @@ from sigmapoly.bifurcation import (
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda, NoHit
+from sigmapoly.errors import ConfigError, NegativeLambda
 from sigmapoly import polycycle
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import CycleReport, SyntheticLeg, SyntheticModel, _LegArrays
@@ -142,6 +142,9 @@ def test_band_is_odd_on_an_edge_and_the_first_edge_wins_a_tie():
     assert [band(v, (1.0, 2.0), 0.1) for v in (0.5, 1.05, 1.5, 2.0, 3.0)] == [0, 1, 2, 3, 4]
     # two edges within 2 tol, as gamma1 and beta1 = 0 at a small beta2: the first given wins
     assert band(0.0, (1e-10, 0.0), CURVE_TOL) == 3 and band(0.0, (0.0, 1e-10), CURVE_TOL) == 1
+    # the same rule over arrays, each row with its own edges
+    v, e1, e2 = np.array([0.0, 0.0, 0.5, 3.0]), np.array([1e-10, 0.0, 1.0, 1.0]), np.array([0.0, 1e-10, 2.0, 2.0])
+    assert band(v, (e1, e2), CURVE_TOL).tolist() == [3, 1, 0, 4]
     assert classify_parameter_point(twofold_family(), (0.0, 1e-5)).item == 2
 
 
@@ -261,9 +264,9 @@ def test_twofold_sliding_structures():
 )
 def test_twofold_fold_exit_map(b1, b2, exits):
     fam = twofold_family()
-    # the two-fold builder hands each cell's classifier the exits of its folds 1 and 2
-    legs, reads = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
-    assert list(reads[0]) == exits
+    # the two-fold builder hands the classifier each cell's exits of its folds 1 and 2
+    legs, (cell_exits,) = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
+    assert list(cell_exits[0]) == exits
     lands = [leg.lands()[0] for leg in legs]
     assert [bifurcation._fold_exit(lands, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
 
@@ -482,12 +485,127 @@ def test_circle_has_no_traced_curves():
 
 @pytest.mark.parametrize("scenario", ["cusp-synthetic", "twofold-synthetic", "vi-foldfold-synthetic"])
 def test_sweep_cells_equal_one_cell_classification(scenario):
-    # the sweep's batched root pass gives every cell what classifying it alone gives
+    # the sweep's columnar passes give every cell what classifying it alone gives:
+    # label, item, flags, sliding shapes, het, polycycles and cycles
     fam = bifurcation.SCENARIOS[scenario]()
-    grid = bifurcation.sweep_diagram(fam, 11, 11)
-    assert len(grid.cells) == 121
-    for cell in grid.cells:
-        assert cell == classify_parameter_point(fam, cell.params)
+    for n1, n2 in ((11, 11), (7, 13)):
+        grid = bifurcation.sweep_diagram(fam, n1, n2)
+        assert len(grid.cells) == len(grid.labels) == n1 * n2
+        for cell, label in zip(grid.cells, grid.labels):
+            assert cell == classify_parameter_point(fam, cell.params)
+            assert cell.label == label
+
+
+def _on_curve_cells():
+    """(scenario, (p1, p2)) of cells on and within CURVE_TOL of each curve value, then of
+    cells at the codim-2 origins and within CURVE_TOL of the lines lambda1, beta1, alpha = 0."""
+    offsets = (0.0, 0.75 * CURVE_TOL, -0.75 * CURVE_TOL)
+    cusp, twofold, foldfold = cusp_family(), twofold_family(), foldfold_family()
+    for lam1 in (0.03, 2e-9):
+        for name in ("Vbar", "Ibar", "Abar"):
+            yield from (("cusp-synthetic", (lam1, cusp_curves(cusp, lam1)[name] + o)) for o in offsets)
+    for b in (0.1, 1e-5):
+        yield from (("twofold-synthetic", (twofold_curves(twofold, b)["gamma1"] + o, b)) for o in offsets)
+        yield from (("twofold-synthetic", (-b, twofold_curves(twofold, -b)["gamma2"] + o)) for o in offsets)
+    for alpha in (0.1, -0.1, 1e-5, -1e-5):
+        for _, v in sorted(foldfold_curves(foldfold, alpha).values.items()):
+            yield from (("vi-foldfold-synthetic", (alpha, v + o)) for o in offsets)
+    yield from (("cusp-synthetic", p) for p in ((5e-10, 0.1), (-5e-10, -0.1), (0.0, 5e-10)))
+    yield from (("twofold-synthetic", p) for p in ((0.0, 1e-5), (0.0, 0.0), (5e-10, -5e-10)))
+    yield from (("vi-foldfold-synthetic", p) for p in ((5e-10, 0.01), (0.0, 0.0), (-5e-10, 5e-10)))
+
+
+# the labels of _on_curve_cells, as the per-cell classifiers gave them
+ON_CURVE_LABELS = """
+item5|x0|p1|s0|on-curve:Vbar
+item5|x0|p1|s0|on-curve:Vbar
+item5|x0|p1|s0|on-curve:Vbar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item9|x0|p1|s0|on-curve:Abar
+item9|x0|p1|s0|on-curve:Abar
+item9|x0|p1|s0|on-curve:Abar
+item5|x0|p1|s0|on-curve:Vbar
+item5|x0|p1|s0|on-curve:Vbar
+item5|x0|p1|s0|on-curve:Vbar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item7|x0|p0|s1[1f1s]|het|on-curve:Ibar
+item9|x0|p1|s0|on-curve:Abar
+item9|x0|p1|s0|on-curve:Abar
+item9|x0|p1|s0|on-curve:Abar
+item2|x0|p1|s0|on-curve:gamma1
+item2|x0|p1|s0|on-curve:gamma1
+item2|x0|p1|s0|on-curve:gamma1
+item9|x0|p1|s0|on-curve:gamma2
+item9|x0|p1|s0|on-curve:gamma2
+item9|x0|p1|s0|on-curve:gamma2
+item2|x0|p1|s0|het|on-curve:gamma1
+item2|x0|p1|s0|het|on-curve:gamma1
+item2|x0|p1|s0|het|on-curve:gamma1
+item6|x0|p1|s0|het
+item6|x0|p1|s0|het
+item6|x0|p1|s0|het
+item2|x1[s]|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item3|x2[a,r]|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item4|x1[a]|p1|s0|X-cycle-in-Mplus|on-curve:beta2
+item5|x1[a]|p0|s0|X-cycle-in-Mplus|on-curve:beta2
+item3|x2[a,r]|p0|s0|X-cycle-in-Mplus|on-curve:beta2
+item5|x1[a]|p0|s1[2f1s]|X-cycle-in-Mplus|on-curve:beta4
+item5|x1[a]|p0|s1[2f1s]|X-cycle-in-Mplus|on-curve:beta4
+item5|x1[a]|p0|s1[2f1s]|X-cycle-in-Mplus|on-curve:beta4
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item6|x0|p1|s0|on-curve:beta3
+item6|x0|p1|s0|on-curve:beta3
+item6|x0|p1|s0|on-curve:beta3
+item1|x0|p0|s1[2f1s]|on-curve:beta5
+item1|x0|p0|s1[2f1s]|on-curve:beta5
+item1|x0|p0|s1[2f1s]|on-curve:beta5
+item2|x1[s]|p0|s0|on-curve:beta1|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item5|x1[a]|p0|s0|on-curve:beta1|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item4|x1[a]|p1|s0|on-curve:beta1|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item5|x1[a]|p0|s0|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1|on-curve:beta2
+item5|x1[a]|p0|s0|on-curve:beta1|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item5|x1[a]|p0|s0|on-curve:beta4|tangent-X-cycle
+item1|x0|p0|s0|on-curve:beta1|on-curve:beta2|on-curve:beta4|tangent-X-cycle
+item1|x0|p0|s0|on-curve:beta1|tangent-X-cycle
+item1|x0|p0|s0|on-curve:beta1|on-curve:beta3|on-curve:beta5|tangent-X-cycle
+item1|x0|p0|s0|X-cycle-in-Mplus|on-curve:beta1
+item6|x0|p1|s0|on-curve:beta3|on-curve:beta5|tangent-X-cycle
+item5|x1[a]|p0|s0|on-curve:beta3
+item1|x0|p0|s0|on-curve:beta1|on-curve:beta3|on-curve:beta5|tangent-X-cycle
+item1|x0|p0|s0|on-curve:beta3|on-curve:beta5|tangent-X-cycle
+item5|x1[a]|p0|s0|on-curve:beta3|on-curve:beta5|tangent-X-cycle
+item1|x0|p0|s0|on-curve:beta1|on-curve:beta5|tangent-X-cycle
+item2|x1[a]|p0|s0
+item2|x1[a]|p0|s0
+item3|x0|p1|s0|C-attracting|codim2
+item2|x0|p1|s0|het|on-curve:gamma1
+item7|x0|p1|s0|het|codim2
+item7|x0|p1|s0|het|codim2
+item5|x1[a]|p0|s0
+item0|x0|p1|s0|codim2|tangent-polycycle
+item0|x0|p1|s0|codim2|tangent-polycycle
+""".split()
+
+
+def test_cells_on_and_near_every_curve_keep_their_labels_alone_and_in_a_batch():
+    cells = list(_on_curve_cells())
+    labels = {}
+    for scenario in ("cusp-synthetic", "twofold-synthetic", "vi-foldfold-synthetic"):
+        fam = bifurcation.SCENARIOS[scenario]()
+        points = [p for sc, p in cells if sc == scenario]
+        batch = bifurcation._classify_cells(fam, points)
+        for p, label, report in zip(points, bifurcation._rows(batch)[0], bifurcation._reports(batch)):
+            assert report == classify_parameter_point(fam, p) and report.label == label, (scenario, p)
+            labels[scenario, p] = label
+    assert [labels[cell] for cell in cells] == ON_CURVE_LABELS
 
 
 def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
@@ -517,26 +635,16 @@ def test_sweep_records_period_annulus(monkeypatch):
     classify = bifurcation._CELLS["VIFoldFold"][1]
     # the one cell's model is Tu = DTs = x: every point of the window returns to itself
     annulus = _LegArrays(tu=(0.0, 1.0), dts=(0.0, 1.0), sigma=(-0.3, 0.0))
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([annulus], [()]), classify))
+    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([annulus], ()), classify))
     grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
     assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")
 
 
 def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
+    # a cell's numeric error is its return polynomial's (the PeriodAnnulus
+    # tests above); the classifiers read columns and raise none per cell
     fam = foldfold_family()
-    build, classify = bifurcation._CELLS["VIFoldFold"]
-
-    def no_hit_at_one_cell(f, alpha, beta, reports):
-        if (alpha, beta) == (0.1, -0.1):
-            raise NoHit("no section hit")
-        return classify(f, alpha, beta, reports)
-
-    # the per-cell classify pass may raise a cell's error
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (build, no_hit_at_one_cell))
-    grid = bifurcation.sweep_diagram(fam, 3, 3, ranges=((-0.1, 0.1), (-0.1, 0.1)))
-    labels = {c.params: c.label for c in grid.cells}
-    assert labels[(0.1, -0.1)] == "error:NoHit: no section hit"
-    assert sum(l.startswith("error:") for l in labels.values()) == 1
+    classify = bifurcation._CELLS["VIFoldFold"][1]
 
     def broken(f, *params):
         raise TypeError("a bug, not a data point")
@@ -547,8 +655,11 @@ def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", ["cusp-synthetic", "vi-foldfold-synthetic"])
-def test_closed_form_sweep_builds_no_model_per_cell_and_no_outside_report(scenario, monkeypatch):
-    built = {"SyntheticModel": 0, "SyntheticLeg": 0, "Germ": 0, "outside CycleReport": 0, "CycleReport": 0}
+def test_closed_form_sweep_builds_no_model_per_cell_and_no_outside_report(scenario, monkeypatch, tmp_path):
+    built = {
+        "SyntheticModel": 0, "SyntheticLeg": 0, "Germ": 0,
+        "outside CycleReport": 0, "CycleReport": 0, "RegionReport": 0,
+    }
 
     def counting(cls, key):
         init = cls.__init__
@@ -561,13 +672,18 @@ def test_closed_form_sweep_builds_no_model_per_cell_and_no_outside_report(scenar
 
         monkeypatch.setattr(cls, "__init__", wrapper)
 
-    for cls in (SyntheticModel, SyntheticLeg, Germ, CycleReport):
+    for cls in (SyntheticModel, SyntheticLeg, Germ, CycleReport, bifurcation.RegionReport):
         counting(cls, cls.__name__)
+    # the diagram command writes its CSVs from the columns: no report of any kind
+    assert cli.run(["diagram", "--scenario", scenario, "--grid", "51x51", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "diagram.csv").read_text().splitlines()) == 1 + 51 * 51
+    assert set(built.values()) == {0}
+    # a sweep's reports are built when its cells are read
     grid = bifurcation.sweep_diagram(bifurcation.SCENARIOS[scenario](), 51, 51)
     assert len(grid.cells) == 51 * 51 and not any(c.error for c in grid.cells)
     reported = sum(len(c.crossing_cycles) for c in grid.cells)
-    assert built["CycleReport"] >= reported > 0
-    assert {k: v for k, v in built.items() if k != "CycleReport"} == {
+    assert built["CycleReport"] >= reported > 0 and built["RegionReport"] == 51 * 51
+    assert {k: v for k, v in built.items() if k not in ("CycleReport", "RegionReport")} == {
         "SyntheticModel": 0, "SyntheticLeg": 0, "Germ": 0, "outside CycleReport": 0,
     }
     # the public solver still reports the roots outside the windows

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sigmapoly import io
+from sigmapoly import cli, io
 from sigmapoly.cli import run
 from sigmapoly.polycycle import normal_form_model
 
@@ -131,6 +131,12 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         "x9": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[9, 0, 1.0]]}),  # past the degree cap
         "domain": dict(SYSTEM, domain=[1, 0, -1, 1]),  # degenerate rectangle
         "y2": dict(SYSTEM, h=[[0, 2, 1.0]]),  # grad h vanishes on Sigma
+        # a power is a JSON integer and a coefficient or a domain end a JSON number:
+        # neither is truncated, and no bool or string counts
+        "power-fraction": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[1.5, 0, 1.0]]}),
+        "power-bool": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[True, 0, 1.0]]}),
+        "coefficient-string": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[1, 0, "2"]]}),
+        "domain-string": dict(SYSTEM, domain=["-1", 1, -1, 1]),
     }
     for name, d in systems.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(d))
@@ -152,6 +158,12 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         "k-bool": {"k": True, "legs": [leg]},
         "coeffs-string": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": "103"})]},
         "sigma-three-ends": {"k": 1, "legs": [dict(leg, sigma=[[-0.3, 0.0, 5.0]])]},
+        # every number of a model file is a JSON number, never a string or a bool
+        "base-string": {"k": 1, "legs": [dict(leg, Tu={"base": "0.5", "coeffs": [0.01, 0.0, 1.0]})]},
+        "coeff-bool": {"k": 1, "legs": [dict(leg, Tu={"base": 0.0, "coeffs": [True, 0.0, 1.0]})]},
+        "window-string": {"k": 1, "legs": [dict(leg, DTs={"base": 0.0, "coeffs": [0.0, -0.25], "window": "1"})]},
+        "a-bool": {"k": 1, "legs": [dict(leg, a=True)]},
+        "sigma-strings": {"k": 1, "legs": [dict(leg, sigma=[["-0.3", "0"]])]},
     }
     for name, d in models.items():
         (tmp_path / f"model-{name}.json").write_text(json.dumps(d))
@@ -201,6 +213,32 @@ def test_polycycle_solve_writes_strict_json(tmp_path, capsys):
     (report,) = json.loads(capsys.readouterr().out, parse_constant=refuse)
     assert report["kind"] == "polycycle"
     assert report["dP"] is None
+
+
+def test_one_parser_per_process_carries_nothing_from_run_to_run(tmp_path, system_path, capsys, fresh_python):
+    # the parser is built on the first run and kept, and each run parses into a fresh namespace
+    assert cli.build_parser() is cli.build_parser()
+    point = ["classify", "--system", system_path, "--point=5e-10,0"]
+    assert run(["--strict", *point]) == 3
+    capsys.readouterr()
+    assert run(point) == 0  # --strict does not carry over
+    assert _json_out(capsys)["flags"] == ["near-degenerate Xh = 5.000e-10"]
+    # a diagram run, then a polycycle-solve run, write what each writes in a new process
+    model = tmp_path / "model.json"
+    model.write_text(io.dumps(io.model_to_dict(normal_form_model(1.0, -0.25, 2, lam=(0.01,)))))
+    solve = ["polycycle-solve", "--model", str(model)]
+    assert run(["diagram", "--scenario", "vi-foldfold-synthetic", "--grid", "7x5", "--out", str(tmp_path / "a")]) == 0
+    assert run(solve) == 0
+    solved = capsys.readouterr().out
+    fresh_diagram = ["diagram", "--scenario", "vi-foldfold-synthetic", "--grid", "7x5", "--out", str(tmp_path / "b")]
+    for argv in (fresh_diagram, solve):
+        fresh = fresh_python(
+            "import contextlib, io, json\nfrom sigmapoly.cli import run\nbuf = io.StringIO()\n"
+            f"with contextlib.redirect_stdout(buf):\n    rc = run({argv!r})\nprint(json.dumps([rc, buf.getvalue()]))"
+        )
+        assert fresh == [0, solved if argv is solve else ""]
+    for name in ("diagram.csv", "curves.csv"):
+        assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
 
 def test_exit_code_numeric_error(system_path, capsys):

@@ -26,6 +26,22 @@ def test_duplicate_triple_rejected():
         io.poly_from_triples([[0, 0, 1.0], [0, 0, 2.0]])
 
 
+@pytest.mark.parametrize(
+    "triple", [[1.5, 0, 1.0], [True, 0, "2"], [0, 1, True], [0, "1", 1.0], [1, 0, "2.0"], [1, 0, None]]
+)
+def test_poly_from_triples_refuses_what_is_no_json_power_or_number(triple):
+    # a fractional power is refused, not truncated, and a bool or a string is no number
+    with pytest.raises(ConfigError):
+        io.poly_from_triples([triple])
+    assert io.poly_from_triples([[1, 0, 2], [0, 1, 0.5]]) == io.poly_from_triples([[1, 0, 2.0], [0, 1, 0.5]])
+
+
+def test_system_from_dict_refuses_a_string_domain():
+    with pytest.raises(ConfigError):
+        io.system_from_dict(dict(SYSTEM_DICT, domain=["-1", 1, -1, 1]))
+    assert io.system_from_dict(dict(SYSTEM_DICT, domain=[-1, 1, -1, 1.5])).h.domain == (-1.0, 1.0, -1.0, 1.5)
+
+
 def test_system_missing_key():
     with pytest.raises(ConfigError):
         io.system_from_dict({"X": SYSTEM_DICT["X"], "h": SYSTEM_DICT["h"]})
@@ -46,7 +62,7 @@ def test_germ_file_roundtrip(tmp_path):
     g = Germ(base=0.1, coeffs=(0.5, 0.0, -0.5), residual=1e-12, window=0.3,
              chart={"anchor": [1.0, 0.0]})
     path = tmp_path / "germ.json"
-    io.write_json(str(path), g.to_dict())
+    io.write_text(str(path), io.dumps(g.to_dict()) + "\n")
     assert io.germ_from_dict(json.loads(path.read_text())) == g
 
 
@@ -72,8 +88,15 @@ def test_model_from_dict_rejects_bad_sigma():
         lambda d: d.update(k=True),
         lambda d: d["legs"][0]["Tu"].update(coeffs="103"),  # not (1.0, 0.0, 3.0)
         lambda d: d["legs"][0].update(sigma=[[-0.3, 0.0, 5.0]]),  # not (-0.3, 0.0)
+        # a JSON string or bool is no number: none is read as float() would read it
+        lambda d: d["legs"][0]["Tu"].update(base="0.5"),
+        lambda d: d["legs"][0].update(a=True),
+        lambda d: d["legs"][0]["Tu"].update(coeffs=[True, 0.0, 1.0]),
+        lambda d: d["legs"][0]["DTs"].update(residual="0"),
+        lambda d: d["legs"][0].update(sigma=[["-0.3", "0"]]),
     ],
-    ids=["k-fraction", "k-bool", "coeffs-string", "sigma-three-ends"],
+    ids=["k-fraction", "k-bool", "coeffs-string", "sigma-three-ends", "base-string", "a-bool", "coeff-bool",
+         "residual-string", "sigma-strings"],
 )
 def test_model_from_dict_refuses_malformed_values(edit):
     d = io.model_to_dict(normal_form_model(1.0, 2.0, 2))

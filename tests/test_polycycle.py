@@ -415,12 +415,12 @@ def test_columnar_return_polynomials_equal_scalar_ones_to_the_bit(cells, build, 
     legs, reads = cells(fam, p1, p2)
     models = [build(fam, a, b) for a, b in zip(p1.tolist(), p2.tolist())]
     P, errors = return_polynomial_rows(legs)
-    assert errors == {} and len(P) == len(models) == len(reads) == n * n
-    for row, model, read in zip(P, models, reads):
+    assert errors == {} and len(P) == len(models) == n * n and all(len(col) == n * n for col in reads)
+    for r, (row, model) in enumerate(zip(P, models)):
         _assert_bits(row, _scalar_return_polynomial(model))
-        if build is cusp_model and read[0] == read[0]:  # the landing of V, where lam1 > 0
+        if build is cusp_model and reads[0][r] == reads[0][r]:  # the landing of V, where lam1 > 0
             V = np.sqrt(-model.legs[0].Tu.coeffs[1] / (3.0 * fam.coeffs["kappa"]))
-            assert read == (model.legs[0].land(float(V)),)
+            assert reads[0][r] == model.legs[0].land(float(V))
 
 
 # (name, model) of rows that take each branch of the root pass: a double
