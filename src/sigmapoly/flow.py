@@ -5,11 +5,12 @@ Taylor method on the exact Poly2 algebra of its field (Jorba & Zou,
 Exp. Math. 2005; Biscani & Izzo's heyoka, MNRAS 2021), from t = 0 towards
 its time limit, never integrating an arc twice.
 - Series.  _Jet builds the Taylor coefficients of the orbits of a field
-  (px, py) / q from its Poly2 terms: at each order the Cauchy products of
-  the monomials, shared by both components and vectorised over the n
-  orbits of a flight, then one matrix product for the polynomials, and the
-  recurrences of a quotient (the sliding field of _slide) or of a square
-  root (the unit-speed field of maps.place_section).
+  (px, py) / q from its Poly2 terms, in a buffer it reuses from step to
+  step: at each order the monomials of each degree d, as the words
+  {x, y}^d, are one Cauchy product of those of degree d - 1 with (x, y),
+  vectorised over the n orbits of a flight, then one matrix product gives
+  the polynomials, and the recurrences of a quotient (the sliding field of
+  _slide) or of a square root (maps.place_section's unit-speed field).
 - Order and step.  The order _ORDER = ceil(-ln(INTEGRATOR_TOL) / 2) + 1 is
   fixed.  Each orbit's step is _STEP_SHARE (1/e^2 and heyoka's safety
   factor) of the radius of convergence that its last two nonzero
@@ -170,51 +171,39 @@ def vertical_section(x0: float, y_anchor: float = 0.0, halfwidth=None) -> Sectio
 class _Jet:
     """Taylor coefficients of the orbits of the field (px, py) / q, from exact Poly2 algebra.
 
-    px, py and den are Poly2s; q is 1, den, or with root sqrt(den).  Every
-    monomial x^i y^j of them is a series: 1, x, y, or the Cauchy product of
-    x^a y^b of degree ceil((i + j) / 2) and the rest, so the products come
-    in ceil(log2 degree) levels, each one vectorised call per order.  The
-    polynomials are one matrix product of the monomial series; a quotient
-    a / b continues q_k = (a_k - sum_{m=1..k} b_m q_{k-m}) / b_0 and a
-    square root w = sqrt(u) continues
-    w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).  The event functions
-    (Poly2s) are further rows of the same matrix, read off the monomial
-    series once they are complete to order _ORDER.
+    px, py and den are Poly2s; q is 1, den, or with root sqrt(den).  Slots
+    2^d - 1 .. 2^(d+1) - 2 hold the words {x, y}^d, x^i y^j the one of i x's
+    and then j y's, to the degree D of the jet: 2^(D+1) - 1 slots, 15 for a
+    cubic field and 127 for its unit-speed jet (D = 6).  At each order the
+    words of degree d are one einsum, the Cauchy product of those of degree
+    d - 1 with (x, y), and the polynomials one matrix product of the words,
+    1/(k + 1) folded into the field's rows; a quotient a / b continues
+    q_k = (a_k - sum_{m=1..k} b_m q_{k-m}) / b_0 and a square root
+    w = sqrt(u) continues w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).
+    The event functions are further rows of the matrix, read off the words
+    complete to order _ORDER.  The buffer (order, slot, orbit) is allocated
+    once per number of orbits and reused.
     """
 
     def __init__(self, px: Poly2, py: Poly2, den: Poly2 | None = None, root: bool = False, events=()):
         polys = [px, py] + ([den] if den is not None else [])
-        slot, level, prods = {(0, 0): 0, (1, 0): 1, (0, 1): 2}, [0, 0, 0], []
-
-        def mono(i, j):
-            if (i, j) not in slot:
-                h = (i + j + 1) // 2  # the degree of the first factor
-                a = min(i, h)
-                a, b = mono(a, h - a), mono(i - a, j - h + a)
-                slot[i, j] = len(level)
-                level.append(1 + max(level[a], level[b]))
-                prods.append((slot[i, j], a, b))
-            return slot[i, j]
-
-        terms = [[(mono(i, j), c) for (i, j), c in p.coeffs.items()] for p in polys + list(events)]
-        self.levels = [
-            tuple(np.array(v) for v in zip(*(q for q in prods if level[q[0]] == lv)))
-            for lv in range(1, max(level) + 1)
-        ]
-        self.nmono = m = len(level)
+        rows = polys + list(events)
+        self.degree = max([1] + [i + j for p in rows for i, j in p.coeffs])
+        self.nmono = m = 2 ** (self.degree + 1) - 1
         # rows: the field's polynomials, then the event functions
-        self.mix = np.zeros((len(terms), m))
-        for r, row in enumerate(terms):
-            for s, c in row:
-                self.mix[r, s] += c
+        self.mix = np.zeros((len(rows), m))
+        for r, p in enumerate(rows):
+            for (i, j), c in p.coeffs.items():
+                self.mix[r, 2 ** (i + j) + 2**j - 2] = c
+        self.rates = self.mix[:2] / np.arange(1.0, _ORDER + 1)[:, None, None]
         self.nev = len(events)
-        # slots: the monomials, then the polynomials, sqrt(den) and the quotients
-        self.polys = slice(m, m + len(polys))
+        # slots: the words, then the polynomials, sqrt(den) and the quotients
+        self.npoly = len(polys)
         self.den = None if den is None else m + 2 + root
-        self.out = slice(m, m + 2) if den is None else slice(self.den + 1, self.den + 3)
         self.root = root
-        self.size = self.out.stop
+        self.size = m if den is None else self.den + 3
         self.exps = [list(p.coeffs) for p in polys]
+        self.bufs = {}
 
     def ends(self, dx: int, dy: int) -> bool:
         """Whether an orbit whose series stops at degree dx in x and dy in y is that polynomial.
@@ -237,34 +226,44 @@ class _Jet:
         """Coefficients (_ORDER + 1, (2 + nev) n) from state = (x_1..x_n, y_1..y_n).
 
         The columns are the orbits' x_1..x_n and y_1..y_n, then each event
-        function's n series along them.
+        function's n series along them; they are a new array, not a view
+        of the buffer.
         """
         n = state.size // 2
-        S = np.zeros((self.size, _ORDER + 1, n))
-        S[0, 0] = 1.0
-        S[1, 0], S[2, 0] = state[:n], state[n:]
-        num, q = S[self.polys.start : self.polys.start + 2], S[self.out]
-        npoly = self.polys.stop - self.polys.start
-        # the event functions need the monomials to order _ORDER, one product pass more
+        if n not in self.bufs:
+            M = np.empty((_ORDER + 1, self.size, n))
+            M[:, 0], M[0, 0] = 0.0, 1.0
+            blocks = [
+                (M[:, 2 ** (d - 1) - 1 : 2**d - 1], M[:, 2**d - 1 : 2 ** (d + 1) - 1].reshape(_ORDER + 1, -1, 2, n))
+                for d in range(2, self.degree + 1)
+            ]
+            self.bufs[n] = M, blocks
+        M, blocks = self.bufs[n]
+        m, X = self.nmono, M[:, 1:3]
+        X[0] = state.reshape(2, n)
+        if self.den is not None:
+            num, b, q = M[:, m : m + 2], M[:, self.den], M[:, self.den + 1 :]
+        # the event functions need the words to order _ORDER, one product pass more
         for k in range(_ORDER + (self.nev > 0)):
-            for s, a, b in self.levels:
-                S[s, k] = np.einsum("smn,smn->sn", S[a, : k + 1], S[b, k::-1])
+            for lower, block in blocks:
+                np.einsum("jan,jcn->acn", lower[: k + 1], X[k::-1], out=block[k])
             if k == _ORDER:
                 break
-            S[self.polys, k] = self.mix[:npoly] @ S[: self.nmono, k]
-            if self.den is not None:
-                b = S[self.den]
-                if self.root and k == 0:  # b = sqrt(u), u in the slot before
-                    b[0] = np.sqrt(S[self.den - 1, 0])
-                elif self.root:
-                    b[k] = (S[self.den - 1, k] - np.einsum("mn,mn->n", b[1:k], b[k - 1 : 0 : -1])) / (2.0 * b[0])
-                carry = np.einsum("mn,smn->sn", b[1 : k + 1], q[:, k - 1 :: -1]) if k else 0.0
-                q[:, k] = (num[:, k] - carry) / b[0]
-            S[1:3, k + 1] = q[:, k] / (k + 1)
-        c = S[1:3].transpose(1, 0, 2).reshape(_ORDER + 1, 2 * n)
+            if self.den is None:
+                np.matmul(self.rates[k], M[k, :m], out=X[k + 1])
+                continue
+            np.matmul(self.mix[: self.npoly], M[k, :m], out=M[k, m : m + self.npoly])
+            if self.root and k == 0:  # b = sqrt(u), u in the slot before
+                b[0] = np.sqrt(M[0, self.den - 1])
+            elif self.root:
+                b[k] = (M[k, self.den - 1] - np.einsum("mn,mn->n", b[1:k], b[k - 1 : 0 : -1])) / (2.0 * b[0])
+            carry = np.einsum("mn,msn->sn", b[1 : k + 1], q[k - 1 :: -1]) if k else 0.0
+            q[k] = (num[k] - carry) / b[0]
+            X[k + 1] = q[k] / (k + 1)
+        c = X.reshape(_ORDER + 1, 2 * n)
         if not self.nev:
-            return c
-        ev = np.einsum("em,mkn->ken", self.mix[npoly:], S[: self.nmono])
+            return c.copy()
+        ev = np.einsum("em,kmn->ken", self.mix[self.npoly :], M[:, :m])
         return np.concatenate([c, ev.reshape(_ORDER + 1, self.nev * n)], axis=1)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from sigmapoly.core import CLASSIFY_TOL, FilippovSystem, PolyField, SwitchingFun
 from sigmapoly.errors import EquilibriumOnSigmaError, NoHit, NonDeterministicExit, TangentialHit
 from sigmapoly.flow import (
     _CHUNK,
+    _ORDER,
     MAX_FLIGHT_TIME,
     Section,
     _arc_points,
@@ -415,6 +417,96 @@ def test_batched_step_is_the_smallest_lone_step():
         lone = [_step(jet, jet.series(np.array(p))) for p in starts]
         np.testing.assert_allclose(own, lone, rtol=1e-6)
         assert max(own) > 2.0 * min(own)
+
+
+def _exact_series(px, py, start, den=None, root=False, events=(), bound=False):
+    """The columns of _Jet.series for one orbit, in Fractions: the reference of the jet tests.
+
+    Each monomial is extended order by order as x^i y^j = x^(i-1) y^j * x
+    (x^0 y^j = x^0 y^(j-1) * y), with no slots; w_0 = sqrt(den_0) is the
+    one inexact number, to 2^-100.  With bound, the same recurrences run
+    on the absolute values of the coefficients and the start, with sums for
+    differences: the magnitudes each coefficient is summed from, which
+    bound its rounding.
+    """
+    fix, sgn = (abs, 1) if bound else ((lambda v: v), -1)
+    rows = [px, py] + ([den] if den is not None else []) + list(events)
+    top = max(i + j for p in rows for i, j in p.coeffs)
+    pw = {(i, d - i): [] for d in range(top + 1) for i in range(d + 1)}
+    x, y, w, q = [Fraction(fix(start[0]))], [Fraction(fix(start[1]))], [], ([], [])
+
+    def cauchy(a, b, k):
+        return sum(a[m] * b[k - m] for m in range(k + 1))
+
+    def value(p, k):
+        return sum(Fraction(fix(c)) * pw[ij][k] for ij, c in p.coeffs.items())
+
+    for k in range(_ORDER + 1):
+        for i, j in pw:  # by degree, so that the factor of each is complete to order k
+            lower = pw[i - 1, j] if i else pw[i, j - 1] if j else None
+            pw[i, j].append(Fraction(int(k == 0)) if lower is None else cauchy(lower, x if i else y, k))
+        if k == _ORDER:
+            break
+        vel = [value(px, k), value(py, k)]
+        if den is not None:
+            u = value(den, k)
+            if not root:
+                w.append(u)
+            elif k == 0:
+                w.append(Fraction(math.isqrt(u.numerator * u.denominator * 4**100), u.denominator * 2**100))
+            else:
+                w.append((u + sgn * sum(w[m] * w[k - m] for m in range(1, k))) / (2 * w[0]))
+            for v, qs in zip(vel, q):
+                qs.append((v + sgn * sum(w[m] * qs[k - m] for m in range(1, k + 1))) / w[0])
+            vel = [qs[k] for qs in q]
+        x.append(vel[0] / (k + 1))
+        y.append(vel[1] / (k + 1))
+    return [x, y] + [[value(e, k) for k in range(_ORDER + 1)] for e in events]
+
+
+def _every_cubic_monomial(scale: float, flip: int) -> Poly2:
+    """A Poly2 with every monomial x^i y^j of degree <= 3, each with a coefficient of its own."""
+    return Poly2({(i, d - i): (-1) ** (i + flip * d) * scale * (d + 2 * i + 1) for d in range(4) for i in range(d + 1)})
+
+
+def _columns(orbits, n: int) -> np.ndarray:
+    """The exact series of the first n orbits as _Jet.series lays them out: row r of orbit i in column r n + i."""
+    return np.array([[float(v) for v in rows[i]] for rows in zip(*orbits[:n]) for i in range(n)]).T
+
+
+def test_series_matches_an_exact_reference():
+    # the field and the event row hold every monomial of degree <= 3; with a
+    # quotient and with the unit-speed root (den of degree 6, 127 word
+    # slots), for one orbit and for three, each coefficient is within 1e-13
+    # of the magnitudes it is summed from, so a monomial read from a wrong
+    # word slot shows
+    px, py = _every_cubic_monomial(1 / 16, 0), _every_cubic_monomial(1 / 32, 1)
+    event = _every_cubic_monomial(1 / 8, 1)
+    starts = [(0.25, -0.375), (-0.5, 0.125), (0.375, 0.5)]
+    quotient = Poly2({(0, 0): 2.0, (2, 0): 0.5, (1, 1): -0.25, (0, 1): 0.125})
+    for kw in (dict(events=[event]), dict(den=quotient), dict(den=px * px + py * py, root=True)):
+        ref, mag = ([_exact_series(px, py, p, bound=bound, **kw) for p in starts] for bound in (False, True))
+        for n in (1, 3):
+            c = _Jet(px, py, **kw).series(np.asarray(starts[:n]).T.ravel())
+            assert (np.abs(c - _columns(ref, n)) <= 1e-13 * _columns(mag, n)).all()
+
+
+def test_series_does_not_alias_the_reused_buffer():
+    # one jet called with 3, 1 and 3 orbits returns the bits of fresh jets,
+    # and what it returned before is not written over by later calls: a
+    # piece kept from one step of a flight still holds its coefficients
+    # after the steps that follow
+    px, py = _every_cubic_monomial(1 / 16, 0), _every_cubic_monomial(1 / 32, 1)
+    states = [np.array([0.25, -0.5, 0.375, -0.375, 0.125, 0.5]), np.array([0.5, 0.25]), np.linspace(-0.5, 0.5, 6)]
+    for kw in (dict(), dict(events=[_X]), dict(den=px * px + py * py, root=True)):
+        jet = _Jet(px, py, **kw)
+        got = [jet.series(s) for s in states]
+        fresh = [_Jet(px, py, **kw).series(s) for s in states]
+        assert [_bits(c) for c in got] == [_bits(c) for c in fresh]
+    steps = _flight(_Jet(px, py, events=[_X]), states[0], 3.0)
+    kept = [(sol.coefs, sol.coefs.copy(), ev, ev.copy()) for sol, ev, _ in steps]
+    assert len(kept) > 2
+    assert all(_bits(c) == _bits(c0) and _bits(e) == _bits(e0) for c, c0, e, e0 in kept)
 
 
 _ONE, _X = poly_const(1.0), poly_x()
