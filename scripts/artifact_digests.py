@@ -35,13 +35,17 @@ The artifacts are:
 - repr of the params and the full crossing-cycle reports (point, residual,
   dP, stability, saddle_node) of every cell of the cusp and fold-fold 51x51
   and two-fold 41x41 sweeps, which the diagram CSVs print only in part, and
-  on a line of their own those of the three non-square sweeps.
+  on a line of their own those of the three non-square sweeps;
 - repr of (kind, time, point) of every event of three scans: the five
   starts of tests/test_flow.py::test_batched_sigma_scan_matches_lone_flights
   (X = (1, x), h = y, a Sigma crossing, a turn-found dip, a start on Sigma
   and the section x = 0.7), the 16 starts of the circle's Sigma return at
   (alpha_p, beta_p) = (0.05, -0.01), and the touch of X = (1, x) from
-  (-1, 1/2) at the visible fold; a start that meets nothing is its error.
+  (-1, 1/2) at the visible fold; a start that meets nothing is its error;
+- repr of (row, x, m) of one `root_cluster_rows` batch that reaches the
+  cluster rule (the sweeps reach it on only a few fold-fold rows): the hand
+  rows and split rows of tests/test_polycycle.py and 300 seeded rows with a
+  perturbed double, triple or quadruple root.
 
 It runs against the src/ of its own checkout, so comparing two trees means
 running each tree's copy and diffing the outputs.  The whole set takes about
@@ -82,7 +86,7 @@ from sigmapoly.cli import run  # noqa: E402
 from sigmapoly.core import FilippovSystem, PolyField, SwitchingFunction  # noqa: E402
 from sigmapoly.flow import SigmaHit, next_sigma_hits, vertical_section  # noqa: E402
 from sigmapoly.io import dumps, model_to_dict  # noqa: E402
-from sigmapoly.maps import SectionConfig, place_section, transfer_pair  # noqa: E402
+from sigmapoly.maps import SectionConfig, place_section, root_cluster_rows, transfer_pair  # noqa: E402
 from sigmapoly.poly2 import poly_const, poly_x, poly_y  # noqa: E402
 from sigmapoly.polycycle import normal_form_model  # noqa: E402
 
@@ -125,6 +129,27 @@ CLASSIFY = [
     ("equilibrium-on-sigma", {"fx": [[1, 0, 1.0]], "fy": [[1, 0, 1.0]]}, _line(1.0)),
 ]
 
+# rows of the root-pass batch: the return polynomials of the hand models of
+# tests/test_polycycle.py (a double root, a triple root, a complex pair, a
+# degree drop, a linear row, two legs, two simple roots), the rows of its
+# all-zero-row test, and its rows whose clusters split
+HAND_ROWS = [
+    [0.01, 0.2, 1.0],
+    [0.001, 0.03, 0.3, 1.0],
+    [1.0, -1.0, 1.0],
+    [0.01, -1.5, 1.0, 0.0],
+    [0.01, 0.25],
+    [0.3125, -1.0, 0.5, 0.0, 1.0],
+    [0.01, 0.25, 1.0],
+    [2.0, -3.0, 1.0],
+    [0.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 1.0],
+    [0.0],
+    [0.011044135782126568, 0.13627267917447117, 0.6305464995992149, 1.296710195943397, 0.9999999999987916],
+    [0.9881324837389505, 3.964344374076687, 5.964291191303342, 3.988079300890995, 0.9999999999997303],
+    [-28.00061872753324, 51.04429422244836, -31.017409508238796, 6.2826459989767285],
+    [-1.4595962911022347, 7.911111719825988, -14.292922187934922, 8.607623972679692],
+]
 
 TEXT = "--text" in sys.argv[1:]
 
@@ -227,6 +252,18 @@ def _reports(sweeps) -> bytes:
     ).encode()
 
 
+def _root_rows() -> list[list[float]]:
+    """HAND_ROWS and 300 seeded rows with an m-fold root, m = 2, 3, 4, and one simple root
+    or none, each coefficient perturbed by a relative 1e-15 to 1e-10."""
+    rng = np.random.default_rng(28)
+    rows = [list(r) for r in HAND_ROWS]
+    for k in range(300):
+        roots = [rng.uniform(-1.0, 1.0)] * (2 + k % 3) + list(rng.uniform(-2.0, 2.0, k % 2))
+        c = np.polynomial.polynomial.polyfromroots(roots)
+        rows.append((c * (1.0 + rng.normal(size=len(c)) * 10.0 ** rng.uniform(-15.0, -10.0))).tolist())
+    return rows
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario, grid in DIAGRAMS:
@@ -268,6 +305,9 @@ def main() -> int:
     _emit(_reports(NON_SQUARE_SWEEPS), "crossing-cycle reports of the non-square cusp, two-fold and fold-fold sweeps")
     events = "\n".join(repr(e) for e in _events()).encode()
     _emit(events, "events of the batched Sigma scan, the circle return at (0.05, -0.01) and the fold touch")
+    rows = _root_rows()
+    roots = repr(list(zip(*(a.tolist() for a in root_cluster_rows(rows))))).encode()
+    _emit(roots, f"root_cluster_rows of {len(rows)} hand, split and perturbed multiple-root rows")
     return 0
 
 

@@ -148,29 +148,34 @@ def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     no roots.  Degree 2 is solved in closed form, other degrees by the
     companion eigenvalues (Edelman & Murakami, Math. Comp. 1995), one
     stacked eigenproblem per degree.  Rounding splits an m-fold root into m
-    roots about (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j:
-    nearest clusters are merged while every member stays within that spread
-    of the merged centre, so a root near the real axis joins its conjugate;
-    only the rows where some pair of roots fits that spread run the merge
-    loop.  A cluster is kept when its centre is real.  The centre is
-    polished by Newton on the (m-1)-th derivative, where an m-fold root is
-    simple (Zeng, Math. Comp. 2005); that derivative and the lower ones must
-    vanish there to rounding, or the member farthest from the centre leaves
-    the cluster.  Apart from the merge loop, every step runs over all rows
-    as array arithmetic in the operation order of Python's float and complex
-    arithmetic, so a row's roots do not depend on the rows batched with it.
+    roots about (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j,
+    so only a row where some pair of roots fits that spread (``_pairs_fit``)
+    can hold a multiple root: it runs the cluster rule, ``_row_clusters``,
+    in Python floats.  The roots of every other row are simple; the real
+    ones are polished together by Newton on (p, p').  A row's roots do not
+    depend on the rows batched with it.
     """
     D, deg = _derivative_table(rows)
-    done = []
+    lone, found = [(np.zeros(0, int), np.zeros(0))], []
     with np.errstate(all="ignore"):
-        batch = _clusters(D, deg)
-        while True:
-            settled, retry = _settle(D, *batch)
-            done.append(settled)
-            if not retry:
-                break
-            batch = _cluster_batch(retry)
-    row, x, m = done[0] if len(done) == 1 else (np.concatenate([d[k] for d in done]) for k in range(3))
+        for n in sorted(set(deg.tolist()) - {0}):
+            idx = np.flatnonzero(deg == n)
+            C = D[idx, 0, : n + 1]
+            re, im = _quadratic_roots(C) if n == 2 else _companion_roots(C)
+            if n > 1 and (fit := _pairs_fit(re, im, D[idx])).any():
+                for i, zr, zi in zip(idx[fit].tolist(), re[fit].tolist(), im[fit].tolist()):
+                    found += [(i, x, m) for x, m in _row_clusters(D[i].tolist(), list(map(complex, zr, zi)))]
+                idx, re, im = idx[~fit], re[~fit], im[~fit]
+            # a lone root's centre, sum([z]) / 1, and the real test of _row_clusters
+            sr, si = re.ravel() + 0.0, im.ravel() + 0.0
+            x, ci = sr + si * 0.0, si - sr * 0.0
+            real = ~((ci != 0.0) & (np.abs(ci) > _EPS * np.abs(si)))
+            lone.append((np.repeat(idx, n)[real], x[real]))
+        row, x = (np.concatenate([p[k] for p in lone]) for k in range(2))
+        x = _polish(D[row, [[0], [1]]], x)
+    fr, fx, fm = np.array(found).reshape(-1, 3).T
+    m = np.concatenate([np.ones(len(row), int), fm]).astype(int)
+    row, x = np.concatenate([row, fr]).astype(int), np.concatenate([x, fx])
     order = np.lexsort((m, x, row))
     return row[order], x[order], m[order]
 
@@ -194,102 +199,53 @@ def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
     return D, deg
 
 
-def _clusters(D: np.ndarray, deg: np.ndarray):
-    """The first batch of clusters (``_cluster_batch``): the roots of each degree's rows.
+def _row_clusters(ders: list[list[float]], roots: list[complex]) -> list[tuple[float, int]]:
+    """(x, m) of the real roots of one row, from its computed roots, by the cluster rule.
 
-    A row the merge loop leaves alone keeps each root as a cluster of its
-    own; the other rows run the merge loop.
+    ders holds the row and its derivatives.  Nearest clusters are merged
+    while every member stays within the spread of one root about the merged
+    centre (``_merge_nearest``), so a root near the real axis joins its
+    conjugate.  A cluster is kept when its centre, the mean of its members,
+    is real to within the rounding of their imaginary parts; otherwise a
+    lone root is dropped and a cluster splits into its members.  The centre
+    is polished by Newton on the (m-1)-th derivative, where an m-fold root
+    is simple (Zeng, Math. Comp. 2005); that derivative and the lower ones
+    must vanish there to rounding, or the member farthest from the centre
+    leaves the cluster.
     """
-    lone = [(np.zeros(0, int), np.zeros(0), np.zeros(0))]
-    merged = []
-    for n in sorted(set(deg.tolist()) - {0}):
-        idx = np.flatnonzero(deg == n)
-        C = D[idx, 0, : n + 1]
-        re, im = _quadratic_roots(C) if n == 2 else _companion_roots(C)
-        if n > 1 and (loop := _pairs_fit(re, im, D[idx])).any():
-            for i, zr, zi in zip(idx[loop].tolist(), re[loop].tolist(), im[loop].tolist()):
-                ders = D[i].tolist()
-                clusters = [[complex(a, b)] for a, b in zip(zr, zi)]
-                while len(clusters) > 1 and _merge_nearest(clusters, ders):
-                    pass
-                merged += [(i, cl) for cl in clusters]
-            idx, re, im = idx[~loop], re[~loop], im[~loop]
-        lone.append((np.repeat(idx, n), re.ravel(), im.ravel()))
-    row, re, im = (np.concatenate([p[k] for p in lone]) for k in range(3))
-    return _cluster_batch(merged, row, re, im)
+    clusters = [[z] for z in roots]
+    while len(clusters) > 1 and _merge_nearest(clusters, ders):
+        pass
+    out = []
+    while clusters:
+        cl = clusters.pop()
+        m = len(cl)
+        c = sum(cl) / m
+        if c.imag != 0.0 and abs(c.imag) > _EPS * sum(abs(z.imag) for z in cl):
+            if m > 1:  # a non-real cluster breaks up; a non-real lone root is dropped
+                clusters += [[z] for z in cl]
+            continue
+        x = float(_polish(np.array(ders[m - 1 : m + 1])[:, None], np.array([c.real]))[0])
+        vanish = (abs(_horner(d, x)) <= _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in d], abs(x)) for d in ders[:m])
+        if m == 1 or all(vanish):
+            out.append((x, m))
+        else:
+            far = max(range(m), key=lambda k: abs(cl[k] - c))
+            clusters += [cl[:far] + cl[far + 1 :], [cl[far]]]
+    return out
 
 
-def _cluster_batch(clusters: list[tuple[int, list[complex]]], row=(), re=(), im=()):
-    """(row, m, member real parts, member imaginary parts) of the (row, members) clusters
-    and of the lone roots re + i im of rows row, the members padded with zeros to the
-    largest cluster."""
-    if not clusters:
-        return row, np.ones(len(row), int), re[:, None], im[:, None]
-    n, w = len(row), max(len(cl) for _, cl in clusters)
-    mr, mi = np.zeros((n + len(clusters), w)), np.zeros((n + len(clusters), w))
-    mr[:n, 0], mi[:n, 0] = re, im
-    for e, (_, cl) in enumerate(clusters, n):
-        mr[e, : len(cl)] = [z.real for z in cl]
-        mi[e, : len(cl)] = [z.imag for z in cl]
-    rows = np.concatenate([row, [i for i, _ in clusters]]).astype(int)
-    m = np.concatenate([np.ones(n, int), [len(cl) for _, cl in clusters]]).astype(int)
-    return rows, m, mr, mi
+def _polish(cd: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton on each entry's polynomial cd[0], with derivative cd[1], from x, until its step stops shrinking.
 
-
-def _settle(D: np.ndarray, row, m, mr, mi):
-    """Settle a batch of clusters: ((row, x, m) of its real roots, the (row, members) to try again).
-
-    D holds each row's derivatives.  A centre (``_centres``) off the real
-    axis drops a lone root and splits a cluster; a real centre is polished,
-    and a cluster whose lower derivatives do not vanish there to rounding
-    gives up its member farthest from the centre.
+    cd has shape (2, entries, width).  An entry stops on its own, so its
+    result does not depend on the entries polished with it.
     """
-    cr, ci, real = _centres(m, mr, mi)
-
-    def members(e: int) -> list[complex]:
-        return [complex(a, b) for a, b in zip(mr[e, : m[e]].tolist(), mi[e, : m[e]].tolist())]
-
-    retry = [(int(row[e]), [z]) for e in np.flatnonzero(~real & (m > 1)).tolist() for z in members(e)]
-    if not real.all():
-        row, m, mr, mi, cr, ci = (a[real] for a in (row, m, mr, mi, cr, ci))
-    x = _polish(D, row, m, cr)
-    ok = m == 1
-    if not ok.all():
-        vanish = ~ok
-        for k in range(int(m.max())):  # p, ..., p^(m-1) vanish at an m-fold root
-            d = D[row, k]
-            vanish &= (m <= k) | (np.abs(_horner_rows(d, x)) <= _ROOT_ROUNDING * _EPS * _horner_rows(np.abs(d), np.abs(x)))
-        ok |= vanish
-    for e in np.flatnonzero(~ok).tolist():
-        cl = members(e)
-        far = int(np.argmax(np.hypot(mr[e, : m[e]] - cr[e], mi[e, : m[e]] - ci[e])))
-        retry += [(int(row[e]), cl[:far] + cl[far + 1 :]), (int(row[e]), [cl[far]])]
-    return (row[ok], x[ok], m[ok]), retry
-
-
-def _centres(m, mr, mi):
-    """(real part, imaginary part, is real) of each cluster's centre, the mean of its members
-    mr + i mi in the operation order of Python's sum and complex division; a centre is real
-    to within the rounding of its members' imaginary parts."""
-    sr, si, sa = mr[:, 0] + 0.0, mi[:, 0] + 0.0, np.abs(mi[:, 0])
-    for k in range(1, mr.shape[1]):
-        sr, si, sa = sr + mr[:, k], si + mi[:, k], sa + np.abs(mi[:, k])
-    cr, ci = (sr + si * 0.0) / m, (si - sr * 0.0) / m
-    return cr, ci, ~((ci != 0.0) & (np.abs(ci) > _EPS * sa))
-
-
-def _polish(D: np.ndarray, row, m, x):
-    """Newton on the (m-1)-th derivative of each row from x, until its step stops shrinking.
-
-    Masked array arithmetic: an entry stops where the scalar iteration
-    would, and every entry steps in the same operation order.
-    """
-    cd = D[row, np.array((m - 1, m))]  # (2, entries, width)
     step = np.full(len(x), np.inf)
     live = np.ones(len(x), bool)
     for _ in range(_POLISH_ITERS):
         c, d = _horner_rows(cd, x)
-        new = c / d  # inf or nan where d = 0: either stops the entry, as the scalar inf does
+        new = c / d  # inf or nan where d = 0: either stops the entry
         live &= np.abs(new) < np.abs(step)
         if not live.any():
             break
@@ -565,7 +521,7 @@ def _bisect_edge(F, h, tau, bad, good, side):
 def sigma_contacts(
     F: PolyField, h: SwitchingFunction, window: tuple[float, float]
 ) -> list[tuple[float, int, int]]:
-    """Contacts of F with Sigma on the window: (x, order, lead sign).
+    """Contacts of F with Sigma on the window, its ends included: (x, order, lead sign).
 
     Roots of g(x) = Fh on Sigma over x.  The critical points of g cut the
     window into monotone pieces, each with at most one sign change,
@@ -605,10 +561,10 @@ def sigma_contacts(
         if abs(vals[k]) <= CLASSIFY_TOL:
             vals[k] = 0.0
     roots = []
-    for k in range(len(knots) - 1):
+    for k in range(len(knots)):
         if vals[k] == 0.0:
             roots.append(knots[k])
-        elif np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
+        elif k + 1 < len(knots) and np.sign(vals[k]) * np.sign(vals[k + 1]) < 0:
             roots.append(brentq(g, knots[k], knots[k + 1], xtol=1e-14))
     out = []
     for r in roots:

@@ -160,6 +160,15 @@ def test_sigma_contacts_touching_root(h_y):
         x, order, _ = contacts[0]
         assert x == pytest.approx(0.3, abs=1e-9)
         assert order == 3
+    # a fold exactly on either end of the window: Fh = x - c, c = -1 or 1,
+    # on Sigma = {y = 0} from X = (1, x - c) and on the tilted Sigma from
+    # X = (10, x - c + 1); both ends are found, and both are excluded
+    for c in (-1.0, 1.0):
+        on_y = PolyField(poly_const(1.0), poly_x() + poly_const(-c))
+        on_tilted = PolyField(poly_const(10.0), poly_x() + poly_const(1.0 - c))
+        for field, h in ((on_y, h_y), (on_tilted, tilted)):
+            assert sigma_contacts(field, h, (-1.0, 1.0)) == [(c, 2, 1)]
+            assert exclusion_set(field, h, (-1.0, 1.0), side=-1) == [c]
 
 
 def test_exclusion_set_pitchfork(pitchfork_field, h_y):

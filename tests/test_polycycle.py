@@ -436,6 +436,25 @@ HAND_MODELS = [
     ("simple", quad_model(0.01, -0.25)),
 ]
 
+# (row, its real roots as (x, m)) of rows whose clusters split.  In the
+# first quartic a cluster loses its farthest member and the non-real rest
+# breaks up, leaving no real root; in the second far splits leave two simple
+# roots.  A perturbed triple root splits into a double and a simple root when
+# its farthest member leaves, and a non-real triple breaks up into a real
+# root and a pair.
+SPLIT_ROWS = [
+    ([0.011044135782126568, 0.13627267917447117, 0.6305464995992149, 1.296710195943397, 0.9999999999987916], []),
+    (
+        [0.9881324837389505, 3.964344374076687, 5.964291191303342, 3.988079300890995, 0.9999999999997303],
+        [(-0.9984773593222613, 1), (-0.9955662786476055, 1)],
+    ),
+    (
+        [-28.00061872753324, 51.04429422244836, -31.017409508238796, 6.2826459989767285],
+        [(1.6456657350524015, 2), (1.645706705146417, 1)],
+    ),
+    ([-1.4595962911022347, 7.911111719825988, -14.292922187934922, 8.607623972679692], [(0.5534858560161563, 1)]),
+]
+
 
 def test_batched_pass_equals_one_row_calls_on_hand_rows():
     models = [m for _, m in HAND_MODELS]
@@ -451,6 +470,13 @@ def test_batched_pass_equals_one_row_calls_on_hand_rows():
     reports = dict(zip([n for n, _ in HAND_MODELS], _batch_find_cycles(models)))
     assert [(len(reports[n]), reports[n][0].saddle_node) for n in ("double", "triple")] == [(1, True)] * 2
     assert reports["pair"] == []
+    # with the rows whose clusters split, the batch gives every row its own roots in any order
+    polys = [_scalar_return_polynomial(m) for m in models] + [row for row, _ in SPLIT_ROWS]
+    alone = [root_clusters(p) for p in polys]
+    assert alone[len(models) :] == [roots for _, roots in SPLIT_ROWS]
+    rng = np.random.default_rng(0)
+    for order in [range(len(polys)), range(len(polys))[::-1], *(rng.permutation(len(polys)) for _ in range(20))]:
+        assert _rows_of([polys[i] for i in order]) == [alone[i] for i in order]
 
 
 def test_all_zero_row_has_no_roots_and_leaves_the_others():
