@@ -36,6 +36,9 @@ The artifacts are:
   dP, stability, saddle_node) of every cell of the cusp and fold-fold 51x51
   and two-fold 41x41 sweeps, which the diagram CSVs print only in part, and
   on a line of their own those of the three non-square sweeps;
+- repr of every RegionReport of the circle 5x5 sweep (params, item, full
+  crossing-cycle reports, flags, error), which its diagram CSV prints
+  only as labels;
 - repr of (kind, time, point) of every event of three scans: the five
   starts of tests/test_flow.py::test_batched_sigma_scan_matches_lone_flights
   (X = (1, x), h = y, a Sigma crossing, a turn-found dip, a start on Sigma
@@ -93,6 +96,7 @@ from sigmapoly.polycycle import normal_form_model  # noqa: E402
 # (scenario, n1, n2) of the sweeps whose crossing-cycle reports are hashed in full
 REPORT_SWEEPS = [("cusp-synthetic", 51, 51), ("vi-foldfold-synthetic", 51, 51), ("twofold-synthetic", 41, 41)]
 NON_SQUARE_SWEEPS = [("cusp-synthetic", 7, 13), ("twofold-synthetic", 9, 5), ("vi-foldfold-synthetic", 13, 7)]
+CIRCLE_SWEEP = ("vi-foldfold-circle", 5, 5)
 
 DIAGRAMS = [
     ("twofold-synthetic", "11x11"),
@@ -303,6 +307,9 @@ def main() -> int:
         _emit(_stdout(["polycycle-solve", "--model", model]), "polycycle-solve normal_form_model stdout")
     _emit(_reports(REPORT_SWEEPS), "crossing-cycle reports of the cusp, fold-fold and two-fold sweeps")
     _emit(_reports(NON_SQUARE_SWEEPS), "crossing-cycle reports of the non-square cusp, two-fold and fold-fold sweeps")
+    scenario, n1, n2 = CIRCLE_SWEEP
+    circle = "\n".join(repr(cell) for cell in sweep_diagram(SCENARIOS[scenario](), n1, n2).cells).encode()
+    _emit(circle, f"reports of the circle {n1}x{n2} sweep")
     events = "\n".join(repr(e) for e in _events()).encode()
     _emit(events, "events of the batched Sigma scan, the circle return at (0.05, -0.01) and the fold touch")
     rows = _root_rows()

@@ -14,18 +14,18 @@ The two-fold sliding cycles are the loops of the fold-exit map
 (`_fold_exit`).
 
 Cells are classified in three columnar passes (`_classify_cells`): the
-scenario builds the leg columns of every cell's model
-(`polycycle._LegArrays`) and `polycycle.return_polynomial_rows` composes
-their return polynomials; one batched pass solves and classifies every
-root; the scenario's classifier reads every cell's cycles and bands as
-arrays and gives integer key columns, whose labels and CSV rows are
-formatted once per distinct key.  A sweep is one batch, its reports are
-built only when read, and `classify_parameter_point` is a batch of one.
+scenario solves every cell, the closed-form ones building the leg columns
+of every cell's model (`polycycle._LegArrays`), whose return polynomials
+one batched pass solves and classifies root by root; the scenario's
+classifier reads every cell's cycles and bands as arrays and gives integer
+key columns, whose labels and CSV rows are formatted once per distinct
+key.  A sweep is one batch, its reports are built only when read, and
+`classify_parameter_point` is a batch of one.
 
 A fourth family, "Circle", realizes the fold-fold scenario on a concrete
-circle field: its cells count crossing cycles from the flow's Sigma-to-Sigma
+circle field: each cell's crossing cycles come from its own Sigma-to-Sigma
 return, and it has no closed-form curves.  A family is a plain record, and
-every job dispatches on its name.
+one table (`_JOBS`) gives each name its solve, classifier, curves and tracer.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def _label(item, letters, polycycles: int, sliding, het, flags) -> str:
     slide = ",".join(f"{len(s.folds)}f{s.segments}s" for s in sliding)
     x, s = f"x{len(letters)}" + (f"[{stab}]" if stab else ""), f"s{len(sliding)}" + (f"[{slide}]" if slide else "")
     return "|".join([f"item{item or 0}", x, f"p{polycycles}", s, *(["het"] if het else []), *sorted(flags)])
-
-
-def _row(c: RegionReport) -> tuple[str, str]:
-    """(label, CSV tail) of a cell; the tail is its diagram.csv columns after the label."""
-    return c.label, _tail(len(c.crossing_cycles), c.polycycles, len(c.sliding_cycles), c.flags)
 
 
 def _tail(crossing: int, polycycles: int, sliding: int, flags) -> str:
@@ -503,8 +498,9 @@ def circle_visible_fold(Z: FilippovSystem) -> float:
     return min((c[0] for c in vis), key=abs)
 
 
-def _circle_return(alpha_p: float, beta_p: float) -> tuple[CycleReport, ...]:
-    """Crossing cycles of the circle field: the sign changes of P(x) - x on (zeta - 0.5, zeta).
+def _circle_return(alpha_p: float, beta_p: float) -> list[tuple[float, int, float]]:
+    """(x, stability, dP) of each crossing cycle of the circle field, stability indexing
+    polycycle._STABILITY: the sign changes of P(x) - x on (zeta - 0.5, zeta).
 
     P is the Poincare map on Sigma, Y's exact mirror x -> 2 alpha_p - x and
     then the X flight back to Sigma.  The 16 starts crowd toward zeta, where
@@ -526,12 +522,8 @@ def _circle_return(alpha_p: float, beta_p: float) -> tuple[CycleReport, ...]:
     for k in range(len(xs) - 1):
         if g[k] * g[k + 1] < 0:  # False when either start did not return
             slope = (g[k + 1] - g[k]) / (xs[k + 1] - xs[k])
-            cycles.append(CycleReport(
-                point=(float(xs[k] - g[k] / slope),), residual=float("nan"), locus="interior",
-                kind="crossing-cycle", stability="attracting" if g[k] > 0 else "repelling",
-                dP=float(1.0 + slope),
-            ))
-    return tuple(cycles)
+            cycles.append((float(xs[k] - g[k] / slope), 2 if g[k] > 0 else 3, float(1.0 + slope)))
+    return cycles
 
 
 def _circle_setup(alpha_p: float, beta_p: float):
@@ -640,35 +632,43 @@ def circle_cycle_multiplier() -> float:
     return (sec.coord(q2) - sec.coord(q1)) / 0.05
 
 
-def _classify_circle(alpha_p: float, beta_p: float) -> RegionReport:
-    """A circle cell: its crossing cycles from the flow, its flags from the exact geometry."""
-    params = (alpha_p, beta_p)
-    if alpha_p == 0.0 and beta_p == 0.0:  # the tangent polycycle
-        return RegionReport(params, None, (), 1, (), flags=("codim2", "tangent-polycycle"))
-    cycles = _circle_return(alpha_p, beta_p)
+def _circle_cells(fam: ScenarioFamily, alpha: np.ndarray, beta: np.ndarray):
+    """(row, fields, errors) of the circle cells at (alpha_p, beta_p), as ``_classify_cells`` takes them:
+    every cell but the codim-2 origin flies its own Sigma return, whose SigmapolyError is the
+    cell's error, and its cycles are ``_cycle_rows`` columns of residual nan, locus interior, m = 1."""
+    found, errors = [], {}
+    for r, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        try:
+            found += [(r, *c) for c in (_circle_return(a, b) if a or b else ())]
+        except SigmapolyError as e:
+            errors[r] = e
+    row, x, stability, dP = np.array(found, dtype=float).reshape(-1, 4).T
+    one = np.ones(len(x), dtype=int)
+    return row.astype(int), (np.full(len(x), np.nan), 2 * one, stability.astype(int), dP, one, x), errors
+
+
+def _classify_circle(fam: ScenarioFamily, alpha, beta, row, fields):
+    n, origin = len(alpha), (alpha == 0.0) & (beta == 0.0)  # the origin is the tangent polycycle
+    saddle_node = np.bincount(row[fields[4] >= 2], minlength=n) > 0
+    item = _foldfold_item(saddle_node, np.bincount(row, minlength=n), 0)
     # beta_p > 0 lifts the X-cycle off Sigma into M+; beta_p = 0 makes it tangent
-    flags = ("X-cycle-in-Mplus",) if beta_p > 0 else ("tangent-X-cycle",) if beta_p == 0 else ()
-    item = int(_foldfold_item(any(c.saddle_node for c in cycles), len(cycles), 0))
-    return RegionReport(params, item, cycles, 0, (), flags=flags)
+    flags = np.array((0, _BIT["tangent-X-cycle"], _BIT["X-cycle-in-Mplus"]))[_band(beta, (0.0,), 0.0)]
+    flags = np.where(origin, _BIT["codim2"] | _BIT["tangent-polycycle"], flags)
+    none = np.zeros(n, dtype=int)  # no sliding cycle and no heteroclinic connection
+    return np.where(origin, 0, item), np.ones(len(row), dtype=bool), origin.astype(int), none, none, flags
 
 
 # -- dispatch -----------------------------------------------------------------
 
 
-# Each closed-form scenario classifies its cells with two columnar functions.
-# build(fam, p1, p2) returns (legs, reads): the leg columns of the cells'
-# models, row r being cell r, and the arrays the classifier reads besides
-# the solutions (the cusp's fold landings, the two-fold's fold exits).
-# classify(fam, p1, p2, row, fields, *reads), with (row, fields) the
-# solutions of polycycle._cycle_rows, returns the columns item (0 for none),
-# a mask of the solutions that are crossing cycles, polycycles, sliding
-# code (an index into _SLIDES), heteroclinic and flag bits.
-_CELLS = {
-    "Cusp": (_cusp_cells, _classify_cusp),
-    "TwoFold": (_twofold_cells, _classify_twofold),
-    "VIFoldFold": (_foldfold_cells, _classify_foldfold),
-}
-_CURVES = {"Cusp": cusp_curves, "TwoFold": twofold_curves, "VIFoldFold": foldfold_curves}
+def _solve_legs(build):
+    """The solve of a closed-form scenario whose builder gives (legs, reads): every row's
+    return polynomial, whose SigmapolyError is the row's error, solved by ``_cycle_rows``."""
+    def solve(fam: ScenarioFamily, p1: np.ndarray, p2: np.ndarray):
+        legs, reads = build(fam, p1, p2)
+        P, errors = return_polynomial_rows(legs)
+        return (*_cycle_rows(legs, P), errors, *reads)
+    return solve
 
 
 class _Cells(NamedTuple):
@@ -683,20 +683,18 @@ class _Cells(NamedTuple):
 def _classify_cells(fam: ScenarioFamily, points) -> _Cells:
     """Classify the cells at points in three columnar passes.
 
-    1. The scenario's builder (``_CELLS``) gives the leg columns of every
-       cell and what its classifier reads; ``return_polynomial_rows``
-       composes every row's return polynomial, whose SigmapolyError is the
-       row's error.
-    2. ``polycycle._cycle_rows`` solves the polynomials and classifies every root.
+    1. The scenario's solve (``_JOBS``) gives every cell's errors and what
+       its classifier reads: a closed-form scenario builds the leg columns of
+       every cell (``_solve_legs``); the circle flies each cell's Sigma return.
+    2. ``polycycle._cycle_rows`` solves the return polynomials and classifies
+       every root; the circle's cycles come as the same columns.
     3. The classifier reads all cells' bands and solutions, its curve values
        computed once per distinct parameter, and returns the key columns.
     """
-    build, classify = _CELLS[fam.name]
+    solve, classify, _, _ = _JOBS[fam.name]
     pts = np.asarray(points, dtype=float)
     p1, p2 = pts[:, 0], pts[:, 1]
-    legs, reads = build(fam, p1, p2)
-    P, errors = return_polynomial_rows(legs)
-    row, fields = _cycle_rows(legs, P)
+    row, fields, errors, *reads = solve(fam, p1, p2)
     item, cross, poly, slide, het, flags = classify(fam, p1, p2, row, fields, *reads)
     row, fields, n = row[cross], [f[cross] for f in fields], len(pts)
     place = np.arange(len(row)) - np.searchsorted(row, row)  # of each cycle among its cell's
@@ -729,7 +727,7 @@ def _rows(cells: _Cells) -> tuple[list[str], list[str]]:
         tails.append(_tail(crossing, poly, len(_SLIDES[slide]), flags))
     labels, tails = ([col[k] for k in inverse.tolist()] for col in (labels, tails))
     for r, e in cells.errors.items():
-        labels[r], tails[r] = _row(_error_report(cells.params[r], e))
+        labels[r], tails[r] = _error_report(cells.params[r], e).label, _tail(0, 0, 0, ())
     return labels, tails
 
 
@@ -739,9 +737,7 @@ def _error_report(params: tuple[float, float], e: SigmapolyError) -> RegionRepor
 
 def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
     """The cell at params, raising its SigmapolyError: the one-row case of the columnar
-    classification, or for the circle its own classification."""
-    if fam.name == "Circle":
-        return _classify_circle(float(params[0]), float(params[1]))
+    classification, for every scenario."""
     cells = _classify_cells(fam, [params])
     if cells.errors:
         raise cells.errors[0]
@@ -750,9 +746,10 @@ def classify_parameter_point(fam: ScenarioFamily, params) -> RegionReport:
 
 def _curves_of(fam: ScenarioFamily) -> Callable[[ScenarioFamily, float], CurveValues]:
     """The scenario's closed-form curve function; the circle has none."""
-    if fam.name not in _CURVES:
+    curves = _JOBS[fam.name][2]
+    if curves is None:
         raise ConfigError(NO_CIRCLE_CURVES)
-    return _CURVES[fam.name]
+    return curves
 
 
 def scenario_curves(fam: ScenarioFamily, p: float) -> CurveValues:
@@ -804,16 +801,11 @@ def _trace_foldfold(fam: ScenarioFamily, n: int, r1, r2):
             yield nm, a, a, val
 
 
-_TRACERS = {
-    "Cusp": _trace_cusp, "TwoFold": _trace_twofold, "VIFoldFold": _trace_foldfold,
-    "Circle": lambda fam, n, r1, r2: (),  # no closed-form curves
-}
-
-
 def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict:
     """Sample every bifurcation curve of the scenario over its own parameter's range."""
     curves: dict = {}
-    for name, param, p1, p2 in _TRACERS[fam.name](fam, nsamples, *(ranges or fam.ranges)):
+    trace = _JOBS[fam.name][3] or (lambda fam, n, r1, r2: ())  # the circle has no closed-form curves
+    for name, param, p1, p2 in trace(fam, nsamples, *(ranges or fam.ranges)):
         curves.setdefault(name, []).append((float(param), float(p1), float(p2)))
     return curves
 
@@ -821,29 +813,33 @@ def _trace_curves(fam: ScenarioFamily, nsamples: int = 201, ranges=None) -> dict
 def sweep_diagram(fam: ScenarioFamily, n1: int, n2: int, ranges=None) -> DiagramGrid:
     """Classify an n1 x n2 grid of cells, row-major over (p1, p2), and trace the curves.
 
-    A closed-form sweep is one columnar batch (``_classify_cells``): its
-    labels and CSV tails are formatted once per distinct key, and its
-    RegionReports are built only if read.  The circle classifies each cell
-    on its own.  A cell whose classification raises a SigmapolyError is
+    Every sweep is one columnar batch (``_classify_cells``): its labels and
+    CSV tails are formatted once per distinct key, and its RegionReports
+    are built only if read.  A cell whose solve meets a SigmapolyError is
     recorded as an error cell; a programming error propagates.
     """
     (lo1, hi1), (lo2, hi2) = ranges or fam.ranges
     p1, p2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2), indexing="ij")
     curves = _trace_curves(fam, ranges=ranges)
-    if fam.name != "Circle":
-        cells = _classify_cells(fam, np.stack([p1.ravel(), p2.ravel()], axis=1))
-        return DiagramGrid(cells.params, *_rows(cells), curves, lambda: _reports(cells))
-    params = list(zip(p1.ravel().tolist(), p2.ravel().tolist()))
-    circle = tuple(map(_circle_cell, params))
-    labels, tails = (list(col) for col in zip(*map(_row, circle)))
-    return DiagramGrid(params, labels, tails, curves, lambda: circle)
+    cells = _classify_cells(fam, np.stack([p1.ravel(), p2.ravel()], axis=1))
+    return DiagramGrid(cells.params, *_rows(cells), curves, lambda: _reports(cells))
 
 
-def _circle_cell(params: tuple[float, float]) -> RegionReport:
-    try:
-        return _classify_circle(*params)
-    except SigmapolyError as e:
-        return _error_report(params, e)
+# Each scenario's (solve, classify, curves, trace), by family name.
+# solve(fam, p1, p2) returns (row, fields, errors, *reads): the cells'
+# solutions as polycycle._cycle_rows gives them, row r being cell r, the
+# SigmapolyError of each cell that has one, and the arrays the classifier
+# reads besides (the cusp's fold landings, the two-fold's fold exits).
+# classify(fam, p1, p2, row, fields, *reads) returns the columns item (0 for
+# none), a mask of the solutions that are crossing cycles, polycycles,
+# sliding code (an index into _SLIDES), heteroclinic and flag bits; the
+# circle has no closed-form curves to give or trace.
+_JOBS = {
+    "Cusp": (_solve_legs(_cusp_cells), _classify_cusp, cusp_curves, _trace_cusp),
+    "TwoFold": (_solve_legs(_twofold_cells), _classify_twofold, twofold_curves, _trace_twofold),
+    "VIFoldFold": (_solve_legs(_foldfold_cells), _classify_foldfold, foldfold_curves, _trace_foldfold),
+    "Circle": (_circle_cells, _classify_circle, None, None),
+}
 
 
 SCENARIOS: dict[str, Callable[[], ScenarioFamily]] = {

@@ -60,7 +60,7 @@ def system_from_dict(d: dict) -> FilippovSystem:
             h = SwitchingFunction(poly_from_triples(d["h"]))
     except KeyError as e:
         raise ConfigError(f"system file missing key {e}") from e
-    except ValueError as e:  # degree cap, degenerate domain, grad h vanishing on Sigma
+    except (TypeError, ValueError) as e:  # a wrong JSON shape, degree cap, degenerate domain, grad h = 0 on Sigma
         raise ConfigError(f"bad system: {e}") from e
     return FilippovSystem(X=X, Y=Y, h=h)
 

@@ -18,7 +18,7 @@ from sigmapoly.bifurcation import (
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda
+from sigmapoly.errors import ConfigError, NegativeLambda, NoHit
 from sigmapoly import polycycle
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import CycleReport, SyntheticLeg, SyntheticModel, _LegArrays
@@ -496,6 +496,34 @@ def test_sweep_cells_equal_one_cell_classification(scenario):
             assert cell.label == label
 
 
+def test_circle_sweep_is_its_cells_alone_and_keeps_a_cell_error_to_its_cell(monkeypatch):
+    # cells compare by repr: a circle cycle's residual is nan, so two reports of one cell differ under ==
+    fam = bifurcation.circle_family()
+    grid = bifurcation.sweep_diagram(fam, 3, 3)  # both signs of alpha_p and beta_p, and the origin
+    assert len(grid.cells) == len(grid.labels) == 9
+    for cell, label in zip(grid.cells, grid.labels):
+        assert repr(cell) == repr(classify_parameter_point(fam, cell.params)) and cell.label == label
+    at = grid.params.index((0.1, 0.0))  # a cell with a crossing cycle
+    fly = bifurcation._circle_return
+
+    def no_return_at_one_cell(alpha_p, beta_p):
+        if (alpha_p, beta_p) == (0.1, 0.0):
+            raise NoHit("no Sigma return")
+        return fly(alpha_p, beta_p)
+
+    monkeypatch.setattr(bifurcation, "_circle_return", no_return_at_one_cell)
+    broken = bifurcation.sweep_diagram(fam, 3, 3)
+    assert broken.labels[at] == broken.cells[at].label == "error:NoHit: no Sigma return"
+    assert broken.tails[at] == "0,0,0,"
+    others = [k for k in range(9) if k != at]
+    assert [broken.labels[k] for k in others] == [grid.labels[k] for k in others]
+    assert [repr(broken.cells[k]) for k in others] == [repr(grid.cells[k]) for k in others]
+    # a programming error is no cell's error
+    monkeypatch.setattr(bifurcation, "_circle_return", lambda alpha_p, beta_p: None + 1)
+    with pytest.raises(TypeError):
+        bifurcation.sweep_diagram(fam, 3, 3)
+
+
 def _on_curve_cells():
     """(scenario, (p1, p2)) of cells on and within CURVE_TOL of each curve value, then of
     cells at the codim-2 origins and within CURVE_TOL of the lines lambda1, beta1, alpha = 0."""
@@ -612,7 +640,8 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
     fam = foldfold_family()
     ranges = ((-0.1, 0.1), (-0.1, 0.1))
     plain = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
-    build, classify = bifurcation._CELLS["VIFoldFold"]
+    _, classify, curves, trace = bifurcation._JOBS["VIFoldFold"]
+    build = bifurcation._foldfold_cells
 
     def annulus_at_one_cell(f, alpha, beta):
         # the builder's row of (0.1, -0.1) becomes Tu = DTs = x, a = 0: every point returns to itself
@@ -623,7 +652,8 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
         annulus = _LegArrays(tu=tuple(tu.T), dts=tuple(dts.T), sigma=(leg.lo, leg.hi), a=a)
         return [annulus], reads
 
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (annulus_at_one_cell, classify))
+    solve = bifurcation._solve_legs(annulus_at_one_cell)
+    monkeypatch.setitem(bifurcation._JOBS, "VIFoldFold", (solve, classify, curves, trace))
     cells = {c.params: c for c in bifurcation.sweep_diagram(fam, 3, 3, ranges=ranges).cells}
     assert cells.pop((0.1, -0.1)).label.startswith("error:PeriodAnnulus: ")
     assert len(cells) == 8 and all(c == plain[p] for p, c in cells.items())
@@ -632,10 +662,11 @@ def test_sweep_period_annulus_cell_leaves_the_others(monkeypatch):
 
 def test_sweep_records_period_annulus(monkeypatch):
     fam = foldfold_family()
-    classify = bifurcation._CELLS["VIFoldFold"][1]
+    _, classify, curves, trace = bifurcation._JOBS["VIFoldFold"]
     # the one cell's model is Tu = DTs = x: every point of the window returns to itself
     annulus = _LegArrays(tu=(0.0, 1.0), dts=(0.0, 1.0), sigma=(-0.3, 0.0))
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (lambda *args: ([annulus], ()), classify))
+    solve = bifurcation._solve_legs(lambda *args: ([annulus], ()))
+    monkeypatch.setitem(bifurcation._JOBS, "VIFoldFold", (solve, classify, curves, trace))
     grid = bifurcation.sweep_diagram(fam, 1, 1, ranges=((0.1, 0.1), (-0.05, -0.05)))
     assert grid.cells[0].label.startswith("error:PeriodAnnulus: ")
 
@@ -644,12 +675,12 @@ def test_sweep_records_numeric_errors_and_propagates_bugs(monkeypatch):
     # a cell's numeric error is its return polynomial's (the PeriodAnnulus
     # tests above); the classifiers read columns and raise none per cell
     fam = foldfold_family()
-    classify = bifurcation._CELLS["VIFoldFold"][1]
+    _, classify, curves, trace = bifurcation._JOBS["VIFoldFold"]
 
     def broken(f, *params):
         raise TypeError("a bug, not a data point")
 
-    monkeypatch.setitem(bifurcation._CELLS, "VIFoldFold", (broken, classify))
+    monkeypatch.setitem(bifurcation._JOBS, "VIFoldFold", (bifurcation._solve_legs(broken), classify, curves, trace))
     with pytest.raises(TypeError):
         bifurcation.sweep_diagram(fam, 3, 3)
 

@@ -137,6 +137,7 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         "power-bool": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[True, 0, 1.0]]}),
         "coefficient-string": dict(SYSTEM, X={"fx": [[0, 0, 1.0]], "fy": [[1, 0, "2"]]}),
         "domain-string": dict(SYSTEM, domain=["-1", 1, -1, 1]),
+        "top-level-array": [SYSTEM],  # a system file holds an object
     }
     for name, d in systems.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(d))

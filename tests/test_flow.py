@@ -183,6 +183,17 @@ def test_next_sigma_hit_from_a_rounded_start_on_sigma(fold_field, h_y, y0):
     assert hit.point[0] == pytest.approx(0.3, abs=1e-12)
 
 
+def test_orbit_that_stays_on_sigma_has_no_next_hit(h_y):
+    # X = (1, 0) runs along y = 0: an orbit within EVENT_TOL of Sigma never leaves it,
+    # so every step waits for |h| to grow and none ends in an event
+    X, starts = PolyField(poly_const(1.0), poly_const(0.0)), [(0.0, 0.0), (0.0, 1e-11)]
+    misses = next_sigma_hits(X, starts, h_y, tmax=5.0)
+    assert [(type(m), str(m)) for m in misses] == [(NoHit, "no Sigma hit within tmax = 5.0")] * 2
+    for p in starts:
+        with pytest.raises(NoHit, match="^no Sigma hit within tmax = 5.0$"):
+            next_sigma_hit(X, p, h_y, tmax=5.0)
+
+
 def test_batched_sigma_scan_matches_lone_flights(fold_field, h_y):
     # X = (1, x): orbits are y = y0 + (x^2 - x0^2)/2, and x = x0 + t.  One
     # scan flies all five starts; each orbit's first event must be the one

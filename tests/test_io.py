@@ -42,6 +42,17 @@ def test_system_from_dict_refuses_a_string_domain():
     assert io.system_from_dict(dict(SYSTEM_DICT, domain=[-1, 1, -1, 1.5])).h.domain == (-1.0, 1.0, -1.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [[SYSTEM_DICT], dict(SYSTEM_DICT, X=[1, 2]), dict(SYSTEM_DICT, Y=3), dict(SYSTEM_DICT, domain=5)],
+    ids=["top-level-array", "X-list", "Y-number", "domain-number"],
+)
+def test_system_from_dict_refuses_values_of_the_wrong_shape(d):
+    # an array where an object belongs, or a number where an object or a list belongs
+    with pytest.raises(ConfigError, match="bad system: "):
+        io.system_from_dict(d)
+
+
 def test_system_missing_key():
     with pytest.raises(ConfigError):
         io.system_from_dict({"X": SYSTEM_DICT["X"], "h": SYSTEM_DICT["h"]})
