@@ -13,7 +13,8 @@ The artifacts are:
   (-1, 0.48), whose orbit lands on Sigma at x = -0.2, and of the crossing
   of two straight lines (X = (1, -1), Y = (1, -0.9), h = y) from (-1, 0.5);
 - the stdout of scripts/circle_experiment.py;
-- repr(circle_saddle_node(0.05));
+- repr(circle_saddle_node(0.05)) and repr(circle_saddle_node(0.1)), where a
+  change to the saddle-node search's starts or stop rule would show;
 - repr of the sections place_section(X, (0, 0), 0.1) puts forward and
   backward on the fold field X = (1, x);
 - repr of the O (halfwidth 0.3), E-I (same_side) and E-II (the two
@@ -288,7 +289,8 @@ def main() -> int:
         capture_output=True, check=True,
     )
     _emit(res.stdout, "scripts/circle_experiment.py stdout")
-    _emit(repr(circle_saddle_node(0.05)).encode(), "repr(circle_saddle_node(0.05))")
+    for alpha_p in (0.05, 0.1):
+        _emit(repr(circle_saddle_node(alpha_p)).encode(), f"repr(circle_saddle_node({alpha_p}))")
     for name, obj in _germs():
         _emit(repr(obj).encode(), f"repr({name})")
     labels = [classify_parameter_point(SCENARIOS[sc](), cell).label for sc, cell in _band_cells()]

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
-from .errors import ConfigError, NegativeLambda, NoHit, SigmapolyError
+from .errors import ConfigError, NegativeLambda, NoConvergence, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
@@ -557,46 +557,42 @@ def _circle_setup(alpha_p: float, beta_p: float):
     return x_fold, min(x_fold, 2 * alpha_p - x_fold), tud, ts
 
 
-def _circle_narrow_fits(setup, n: int) -> tuple[Germ, Germ]:
-    """Ts, and D = TuD - Ts about Ts's vertex, fitted on n points within 2e-3 below zeta.
-
-    The narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
+def _circle_narrow_fits(alpha_p: float, beta_p: float):
+    """(C1^2 - 4 C0 C2, setup, Ts, D): Ts, and D = TuD - Ts about Ts's vertex, on 12 points within
+    2e-3 below zeta.  The narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
     error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha.
     """
+    setup = _circle_setup(alpha_p, beta_p)
     x_fold, zeta, tud, ts = setup
-    xs = zeta - np.linspace(1e-4, 2e-3, n)
+    xs = zeta - np.linspace(1e-4, 2e-3, 12)
     ts_n = ts(xs)
     Ts = fit_germ(list(zip(xs, ts_n)), x_fold, 3)
     x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
-    return Ts, fit_germ(list(zip(xs, tud(xs) - ts_n)), x_v, 3)
+    D = fit_germ(list(zip(xs, tud(xs) - ts_n)), x_v, 3)
+    return D.coeffs[1] * D.coeffs[1] - 4.0 * D.coeffs[0] * D.coeffs[2], setup, Ts, D
 
 
-def circle_unfolding_fit(alpha_p: float, beta_p: float) -> dict:
-    """Fit the germ-level unfolding (alpha, beta, kappa, dtilde) by flow.
-
-    kappa and dtilde come from degree-4 fits over a wide window; beta and
-    alpha from the displacement quadratic over a narrow window near the fold,
-    where the saddle-node lives and the 2-jet truncation error stays below
-    the size of beta itself (beta scales like the lap contraction, ~3.5e-6,
-    in the tau_s chart).  The fit reports; cells count from _circle_return.
-    """
-    setup = _circle_setup(alpha_p, beta_p)
+def _circle_report(setup, Ts: Germ, D: Germ) -> dict:
+    """The unfolding from the narrow fits and one wide kappa fit (circle_unfolding_fit)."""
     x_fold, zeta, tud, _ = setup
     xs_w = zeta - np.linspace(0.012, 0.12, 12)
     kappa = fit_germ(list(zip(xs_w, tud(xs_w))), x_fold, 4).coeffs[2]
-    Ts, D = _circle_narrow_fits(setup, 12)
-    dtilde = Ts.coeffs[2]
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     alpha = -C1 / (4.0 * kappa)
-    beta = C0 + C1 * alpha
-    return {
-        "alpha": float(alpha),
-        "beta": float(beta),
-        "kappa": float(kappa),
-        "dtilde": float(dtilde),
-        "fold": float(x_fold),
-        "C": (float(C0), float(C1), float(C2)),
-    }
+    return {"alpha": float(alpha), "beta": float(C0 + C1 * alpha), "kappa": float(kappa),
+            "dtilde": float(Ts.coeffs[2]), "fold": float(x_fold), "C": (float(C0), float(C1), float(C2))}
+
+
+def circle_unfolding_fit(alpha_p: float, beta_p: float) -> dict:
+    """Fit the germ-level unfolding (alpha, beta, kappa, dtilde) by flow at (alpha_p, beta_p).
+
+    kappa comes from a degree-4 fit over a wide window; dtilde, beta and alpha
+    from the cubic fits over a narrow window near the fold, where the
+    saddle-node lives and the truncation error stays below the size of beta
+    itself (beta scales like the lap contraction, ~3.5e-6, in the tau_s
+    chart).  The fit reports; cells count from _circle_return.
+    """
+    return _circle_report(*_circle_narrow_fits(alpha_p, beta_p)[1:])
 
 
 def circle_crossing_count(alpha_p: float, beta_p: float) -> int:
@@ -604,24 +600,28 @@ def circle_crossing_count(alpha_p: float, beta_p: float) -> int:
     return len(_circle_return(alpha_p, beta_p))
 
 
-def _circle_disc(alpha_p: float, beta_p: float) -> float:
-    """Discriminant of the narrow-window displacement quadratic (fast path)."""
-    _, D = _circle_narrow_fits(_circle_setup(alpha_p, beta_p), 10)
-    C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
-    return C1 * C1 - 4.0 * C0 * C2
-
-
 def circle_saddle_node(alpha_p: float) -> dict:
-    """Locate the saddle-node in beta_p on (-1e-6, 1e-6) and report the germ-chart unfolding.
+    """circle_unfolding_fit, with "beta_p", at the root beta_p* of the narrow-fit discriminant.
 
-    The saddle-node sits within O(exp(-8 pi)) of the boundary curve beta_2 in
-    germ units, i.e. at beta_p of a few 1e-8 for alpha_p ~ 0.05."""
-    from scipy.optimize import brentq
-
-    beta_p_star = brentq(lambda b: _circle_disc(alpha_p, b), -1e-6, 1e-6, xtol=1e-13)
-    fit = circle_unfolding_fit(alpha_p, beta_p_star)
-    fit["beta_p"] = float(beta_p_star)
-    return fit
+    The discriminant is affine in beta_p to ~1e-6 relative, so a secant from beta_p = 0 and
+    1e-7 settles after its third evaluation (next step below 1e-13), whose set-up and fits the
+    report reuses.  beta_p* is a few 1e-8 for alpha_p ~ 0.05, within O(exp(-8 pi)) of the
+    boundary curve beta_2 in germ units.  NoConvergence: an iterate leaves (-1e-6, 1e-6), the
+    secant is flat, or it has not settled in 8 evaluations.
+    """
+    b0, b1 = 0.0, 1e-7
+    f0 = _circle_narrow_fits(alpha_p, b0)[0]
+    for _ in range(7):
+        f1, *fit = _circle_narrow_fits(alpha_p, b1)
+        if f1 == f0:
+            raise NoConvergence(f"flat discriminant secant at beta_p = {b1!r}")
+        step = f1 * (b1 - b0) / (f1 - f0)
+        if abs(step) < 1e-13:
+            return {**_circle_report(*fit), "beta_p": b1}
+        b0, f0, b1 = b1, f1, b1 - step
+        if not -1e-6 < b1 < 1e-6:
+            raise NoConvergence(f"saddle-node secant left (-1e-6, 1e-6) at beta_p = {b1!r}")
+    raise NoConvergence(f"saddle-node secant has not settled at beta_p = {b1!r}")
 
 
 def circle_cycle_multiplier() -> float:

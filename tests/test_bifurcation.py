@@ -18,7 +18,7 @@ from sigmapoly.bifurcation import (
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda, NoHit
+from sigmapoly.errors import ConfigError, NegativeLambda, NoConvergence, NoHit
 from sigmapoly import polycycle
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import CycleReport, SyntheticLeg, SyntheticModel, _LegArrays
@@ -473,6 +473,53 @@ def test_circle_cycle_is_hyperbolic():
     dp = bifurcation.circle_cycle_multiplier()
     assert dp == pytest.approx((r(2 * math.pi, 1.1) - r(2 * math.pi, 1.05)) / 0.05, abs=1e-10)
     assert abs(dp - 1.0) > 0.05
+
+
+@pytest.mark.parametrize("alpha_p", [0.03, 0.05, 0.1])
+def test_circle_saddle_node_is_the_discriminant_root(alpha_p, monkeypatch):
+    # the secant's beta_p* against brentq on the same 12-point discriminant
+    disc = bifurcation._circle_narrow_fits
+    root = brentq(lambda b: disc(alpha_p, b)[0], -1e-6, 1e-6, xtol=1e-15)
+    calls = {"fits": 0, "setups": 0, "laps": 0}
+    setup, fly = bifurcation._circle_setup, bifurcation.hit_sections
+
+    def counted(name, f, counts=lambda *args: True):
+        def g(*args):
+            calls[name] += counts(*args)
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(bifurcation, "_circle_narrow_fits", counted("fits", disc))
+    monkeypatch.setattr(bifurcation, "_circle_setup", counted("setups", setup))
+    # a lap is a forward flight; the backward ones are the short Ts transfers
+    monkeypatch.setattr(bifurcation, "hit_sections", counted("laps", fly, lambda *args: args[3] == "forward"))
+    sn = bifurcation.circle_saddle_node(alpha_p)
+    assert abs(sn["beta_p"] - root) < 1e-13, (sn["beta_p"], root)
+    if alpha_p == 0.05:
+        # three set-ups and fits, then the wide kappa fit: four forward laps in all
+        assert calls == {"fits": 3, "setups": 3, "laps": 4}
+        # inside the flow's return-domain closure bracket
+        assert 2.10e-8 < sn["beta_p"] < 2.15e-8
+
+
+def test_circle_saddle_node_reports_the_fit_at_its_root():
+    sn = bifurcation.circle_saddle_node(0.05)
+    fit = bifurcation.circle_unfolding_fit(0.05, sn.pop("beta_p"))
+    assert repr(fit) == repr(sn)
+
+
+@pytest.mark.parametrize(
+    "disc, why",
+    [
+        (lambda b: b - 5e-6, "left"),  # the first secant step lands on 5e-6
+        (lambda b: 1.0, "flat"),
+        (lambda b: (b - 5e-7) ** 3, "not settled"),  # a triple root: the secant crawls
+    ],
+)
+def test_circle_saddle_node_search_fails_cleanly(disc, why, monkeypatch):
+    monkeypatch.setattr(bifurcation, "_circle_narrow_fits", lambda a, b: (disc(b), None, None, None))
+    with pytest.raises(NoConvergence, match=why):
+        bifurcation.circle_saddle_node(0.05)
 
 
 # -- sweeps ---------------------------------------------------------------------
