@@ -60,16 +60,17 @@ section-only scan never evaluates h or Fh.
 
 Each event root is polished by brentq, to the rounding of t, on the step
 polynomial that holds it, evaluated for its orbit alone in Python floats
-(_orbit): bit for bit the piece's vectorised evaluation.  A trajectory
-samples each arc from the pieces of the flight that found its event, and
-starts the next arc at that event: _regime_at is the one rule that picks
-the field from a point on Sigma, and no flight is nudged off it.
+(_orbit): bit for bit the piece's vectorised evaluation.  brentq is
+Brent's method (1973) as SciPy's C routine runs it, the same float
+operations in the same order, so every event time is SciPy's bit for bit
+and the package runs on numpy alone.  _brentq reads flow.brentq at call
+time, so that a tracer can wrap and rebind it.  A trajectory samples each
+arc from the pieces of the flight that found its event, and starts the
+next arc at that event: _regime_at is the one rule that picks the field
+from a point on Sigma, and no flight is nudged off it.
 
-scipy's brentq is bound by _scipy the first time an event polish needs
-it, so the closed-form paths never import scipy.  flow.brentq is read at
-call time and bound on first read through the module __getattr__, so that
-a tracer can wrap and rebind it; solve_ivp is bound the same way for the
-tracer alone, and nothing calls it.
+solve_ivp is bound from scipy.integrate on its first read, through the
+module __getattr__, for a tracer that wraps it; nothing here calls it.
 """
 
 from __future__ import annotations
@@ -106,26 +107,18 @@ _SPLIT = 32
 # the rounding of a Bernstein coefficient, relative to the largest of its polynomial
 _ROUNDING = 64.0 * np.finfo(float).eps
 
-# scipy's solver and root finder: bound by _scipy
-solve_ivp: Callable  # uncalled: bench/tracing.py wraps it, until its tracer counts _flight's steps
-brentq: Callable
-_SCIPY_NAMES = ("solve_ivp", "brentq")
-
-
-def _scipy() -> None:
-    """Bind solve_ivp and brentq as module globals, on the first call."""
-    if "solve_ivp" not in globals():
-        from scipy.integrate import solve_ivp
-        from scipy.optimize import brentq
-
-        globals().update(solve_ivp=solve_ivp, brentq=brentq)
+# scipy's solver, bound on first read: uncalled, bench/tracing.py wraps it
+# until its tracer counts _flight's steps
+solve_ivp: Callable
 
 
 def __getattr__(name: str):
-    # PEP 562: a read of flow.solve_ivp or flow.brentq before the first flight binds scipy
-    if name in _SCIPY_NAMES:
-        _scipy()
-        return globals()[name]
+    # PEP 562: only a read of flow.solve_ivp imports scipy
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -499,6 +492,64 @@ def flow_smooth(F: PolyField, p, t: float) -> np.ndarray:
     return _end_state(_Jet(F.fx, F.fy), p, t)
 
 
+def brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * float(np.finfo(float).eps), maxiter: int = 100):
+    """A root of f between a and b, where f changes sign, by Brent's method (1973).
+
+    SciPy's C routine (optimize/Zeros/brentq.c) line for line, rtol and
+    maxiter defaulting as there: the same float operations in the same
+    order, so the root is SciPy's bit for bit.  An end where f is 0 is the
+    root; a NaN value of f or a bracket whose ends have one sign raises
+    ValueError, and maxiter steps without convergence RuntimeError.  Where
+    C divides by 0 its step is not finite and it bisects; so does this.
+    """
+
+    def value(x):
+        v = float(f(x))  # as C reads it: numpy scalar arithmetic is several times slower
+        if v != v:
+            raise ValueError(f"f({x}) is NaN")
+        return v
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
+
+
 def _brentq(g, a, b):
     """The root of g between a and b (a first in time), polished by brentq to the rounding of t.
 
@@ -515,7 +566,6 @@ def _brentq(g, a, b):
         tried[t] = v = g(t)
         return v
 
-    _scipy()
     r = brentq(f, min(a, b), max(a, b), xtol=1e-300, rtol=8.9e-16)
     side, d = _sign(tried[a]), 1.0 if b > a else -1.0
     if side != 0 and tried[r] != 0.0:

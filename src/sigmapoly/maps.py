@@ -41,8 +41,8 @@ from .errors import (
     fmt_point,
 )
 from .flow import (
-    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _Jet, _regime_at, hit_sections, next_sigma_hit,
-    next_sigma_hits,
+    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _Jet, _regime_at, brentq, hit_sections,
+    next_sigma_hit, next_sigma_hits,
 )
 
 GERM_COND_CAP = 1e10
@@ -525,14 +525,14 @@ def sigma_contacts(
 
     Roots of g(x) = Fh on Sigma over x.  The critical points of g cut the
     window into monotone pieces, each with at most one sign change,
-    polished by brentq; a critical point where |g| <= CLASSIFY_TOL is a
-    touching root (an even-multiplicity root, which no sign change shows).
-    When h = c*y the critical points are the real roots of the exact
-    polynomial restriction's derivative; otherwise they are the sign
-    changes of dg/dx along Sigma on a 400-point scan, polished by brentq.
+    polished by flow's brentq (xtol 1e-14); a critical point where |g| <=
+    CLASSIFY_TOL is a touching root (an even-multiplicity root, which no
+    sign change shows).  When h = c*y the critical points are the real
+    roots of the exact polynomial restriction's derivative; otherwise they
+    are the sign changes of dg/dx along Sigma on a 400-point scan, polished
+    the same way.  brentq is bound when maps loads, so a tracer that
+    rebinds flow.brentq counts event roots alone.
     """
-    from scipy.optimize import brentq
-
     fh = lie_poly(F, h.h, 1)
     lo, hi = window
 

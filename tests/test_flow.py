@@ -355,7 +355,6 @@ def test_certified_steps_call_no_root_finder(monkeypatch):
     # and the line x = 2 are never met: the Bernstein coefficients of every
     # step certify it, and no flight calls flow.brentq (Fh = x turns twice a
     # lap); the same counter sees the root finder when h = y - 1/2 is met
-    flow._scipy()
     calls, brentq = [], flow.brentq
     monkeypatch.setattr(flow, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
     F = PolyField(poly_y().scale(-1.0), _X)

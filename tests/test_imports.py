@@ -1,9 +1,11 @@
 """Every name a module of the package imports is used in that module,
 every module-level private name or UPPER_CASE constant is read somewhere in
 the package, and every method, property or annotated field of a package
-class is read somewhere in src/, tests/, scripts/ or bench/.  scipy is
-imported only inside function bodies, never when a module loads, and
-flow._flight is the one place that builds a stepper.
+class is read somewhere in src/, tests/, scripts/ or bench/.  The one
+scipy import in the package is scipy.integrate in flow's module
+__getattr__, read by a tracer alone: the program runs on numpy, and no
+module imports scipy when it loads.  flow._flight is the one place that
+builds a stepper.
 
 The modules are read with ast only, never imported.  The package's
 __init__ is left out of the import check (its imports are the public
@@ -157,6 +159,17 @@ def test_scipy_is_imported_only_in_function_bodies(name):
     bodies = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     in_bodies = {id(n) for f in bodies for n in ast.walk(f)}
     assert [n.lineno for n in ast.walk(tree) if _names_scipy(n) and id(n) not in in_bodies] == []
+
+
+def test_the_one_scipy_import_is_the_tracer_hook():
+    # flow.brentq polishes every root; scipy.integrate is bound only when a
+    # tracer reads flow.solve_ivp
+    imports = [
+        (name, f.name, ast.unparse(n)) for name, tree in TREES.items()
+        for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(f) if _names_scipy(n)
+    ]
+    assert imports == [("flow.py", "__getattr__", "from scipy.integrate import solve_ivp")]
 
 
 def test_no_unread_members():

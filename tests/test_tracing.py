@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from sigmapoly import flow
+from sigmapoly import flow, maps
+from sigmapoly.core import PolyField
 from sigmapoly.maps import Germ
-from sigmapoly.poly2 import Poly2
+from sigmapoly.poly2 import Poly2, poly_const, poly_x
 from sigmapoly.polycycle import SyntheticModel, normal_form_model
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
@@ -30,6 +30,7 @@ def test_tracer_counts_what_it_binds_and_uninstalls(fold_field, h_y):
         (Germ, "deriv"): Germ.deriv,
         (SyntheticModel, "jacobian"): SyntheticModel.jacobian,
     }
+    brentq = flow.brentq
     tracer = _tracing().Tracer()
     tracer.install()
     try:
@@ -49,9 +50,27 @@ def test_tracer_counts_what_it_binds_and_uninstalls(fold_field, h_y):
     assert m["flow.rhs_evals"] > 0 and m["flow.event_roots"] > 0
     assert m["poly2.evals"] > 0 and m["polycycle.germ_evals"] > 0
     assert m["polycycle.newton_iters"] == 1  # the jacobian call
-    assert flow.solve_ivp is solve_ivp and flow.brentq is brentq
+    # flow's own brentq is back where the tracer rebound it: its counter in flow, a span in maps
+    assert flow.solve_ivp is solve_ivp and flow.brentq is brentq and maps.brentq is brentq
     for (owner, name), fn in bound.items():
         assert getattr(owner, name) is fn
+
+
+def test_tracer_counts_event_roots_alone(h_y):
+    # maps binds flow's brentq when it loads, so the tracer's event-root
+    # counter, bound to flow.brentq, does not see sigma_contacts polish
+    # Fh = (x - 0.3)^2 - 0.04 on y = 0 at 0.1 and 0.5
+    s = poly_x() + poly_const(-0.3)
+    F = PolyField(poly_const(1.0), s * s + poly_const(-0.04))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        contacts = maps.sigma_contacts(F, h_y, (-1.0, 1.0))
+        roots = tracer.counters["event_roots"]
+    finally:
+        tracer.uninstall()
+    assert [x for x, _, _ in contacts] == pytest.approx([0.1, 0.5], abs=1e-12)
+    assert roots == 0
 
 
 LAZY_TRACE = f"""
@@ -62,6 +81,7 @@ from sigmapoly.core import PolyField, SwitchingFunction
 from sigmapoly.poly2 import poly_const, poly_x, poly_y
 
 before = "scipy" in sys.modules
+brentq = flow.brentq
 spec = importlib.util.spec_from_file_location("bench_tracing", {TRACING!r})
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
@@ -72,7 +92,6 @@ roots = tracer.metrics()["flow.event_roots"]
 tracer.uninstall()
 
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 print(json.dumps({{
     "before": before, "t": hit.time, "roots": roots,
