@@ -259,14 +259,16 @@ def _reports(sweeps) -> bytes:
 
 def _root_rows() -> list[list[float]]:
     """HAND_ROWS and 300 seeded rows with an m-fold root, m = 2, 3, 4, and one simple root
-    or none, each coefficient perturbed by a relative 1e-15 to 1e-10."""
+    or none, each coefficient perturbed by a relative 1e-15 to 1e-10; every row is
+    zero-padded to the widest one's width, as root_cluster_rows takes them."""
     rng = np.random.default_rng(28)
     rows = [list(r) for r in HAND_ROWS]
     for k in range(300):
         roots = [rng.uniform(-1.0, 1.0)] * (2 + k % 3) + list(rng.uniform(-2.0, 2.0, k % 2))
         c = np.polynomial.polynomial.polyfromroots(roots)
         rows.append((c * (1.0 + rng.normal(size=len(c)) * 10.0 ** rng.uniform(-15.0, -10.0))).tolist())
-    return rows
+    width = max(map(len, rows))
+    return [r + [0.0] * (width - len(r)) for r in rows]
 
 
 def main() -> int:

@@ -10,8 +10,8 @@ the closed-form curves is one rule, `_band`: its band among a few curve
 values, odd on a curve (within CURVE_TOL) and even between two.  The cusp
 and two-fold items, the fold-fold sliding window and the X-cycle flags are
 read off such bands (the fold-fold item, from the cycles the cell has).
-The two-fold sliding cycles are the loops of the fold-exit map
-(`_fold_exit`).
+The two-fold sliding cycles are the loops of the fold-exit map, whose
+exits from both folds of every cell fly as one batch (`_fold_exits`).
 
 Cells are classified in three columnar passes (`_classify_cells`): the
 scenario solves every cell, the closed-form ones building the leg columns
@@ -40,12 +40,11 @@ import numpy as np
 from .core import FilippovSystem, PolyField, SwitchingFunction
 from .errors import ConfigError, NegativeLambda, NoConvergence, NoHit, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
-from .maps import Germ, fit_germ, place_section, sigma_contacts
+from .maps import Germ, _transition_values, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
 from .polycycle import _STABILITY, CycleReport, _LegArrays, _cycle_reports, _cycle_rows, return_polynomial_rows
 
 CURVE_TOL = 1e-9
-DEFAULT_EPS = 0.3
 NO_CIRCLE_CURVES = "the circle ODE scenario has no closed-form bifurcation curves yet"
 
 
@@ -125,7 +124,8 @@ def _per_value(f, v: np.ndarray, width: int, where=slice(None)) -> np.ndarray:
 # Columnar cells carry their flags as bits (bit j is _FLAGS[j], so the bits
 # read in order give the flags sorted) and their sliding cycles as an index
 # into _SLIDES: the cusp's one to three fold-V cycles of one structure, the
-# fold-fold cycle through p0 and pY, and the loops of the two-fold fold-exit map.
+# fold-fold cycle through p0 and pY, and the loops of the two-fold fold-exit map:
+# the loop through p1 and p2 with its segments, or the self-loops of p1 and p2.
 _CUSP_CURVES = ("Vbar", "Ibar", "Abar")
 _FLAGS = tuple(sorted((
     "C-attracting", "X-cycle-in-Mplus", "codim2", "tangent-X-cycle", "tangent-polycycle",
@@ -138,10 +138,10 @@ _SLIDES: tuple[tuple[SlidingCycle, ...], ...] = (
     (),
     *((SlidingCycle(("V",), 1, s),) * n for s in _CUSP_STRUCTURES for n in (1, 2, 3)),  # 3 s + n
     *((SlidingCycle(("p0", "pY"), 1, s),) for s in _FOLDFOLD_STRUCTURES),  # 10 + s
-    (SlidingCycle(("p1", "p2"), 1),), (SlidingCycle(("p1", "p2"), 2),),
+    (SlidingCycle(("p1", "p2"), 1),), (SlidingCycle(("p1", "p2"), 2),),  # 12 + segments
+    # 14 + p1 + 2 p2, p_f being 1 where fold f slides back into itself
     (SlidingCycle(("p1",), 1),), (SlidingCycle(("p2",), 1),), (SlidingCycle(("p1",), 1), SlidingCycle(("p2",), 1)),
 )
-_SLIDE_CODE = {s: code for code, s in enumerate(_SLIDES)}
 
 
 def _flag_names(bits: int) -> tuple[str, ...]:
@@ -156,7 +156,7 @@ class ScenarioFamily:
     name: str  # "Cusp" | "TwoFold" | "VIFoldFold" | "Circle"
     ranges: tuple[tuple[float, float], tuple[float, float]]
     coeffs: dict = field(default_factory=dict)
-    eps: float = DEFAULT_EPS
+    eps: float | None = None  # the synthetic windows' half-width; the circle has none
 
 
 def cusp_family(kappa: float = -1.0, dtilde: float = -1.0) -> ScenarioFamily:
@@ -294,18 +294,14 @@ def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
 
     Every cell's model has two legs, Tu_i(x) = beta_i + kappa_i x^2 and
     DTs_i(x) = dtilde_i x, on the windows (0, eps) and (-eps, 0); its
-    classifier reads the exits of its folds 1 and 2 (``_fold_exit``).
+    classifier reads the exits of its folds 1 and 2 (``_fold_exits``).
     """
     c, eps = fam.coeffs, fam.eps
     legs = [
         _LegArrays(tu=(b1, 0.0, c["kappa1"]), dts=(0.0, c["dtilde1"]), sigma=(0.0, eps)),
         _LegArrays(tu=(b2, 0.0, c["kappa2"]), dts=(0.0, c["dtilde2"]), sigma=(-eps, 0.0)),
     ]
-    exits = [
-        tuple(_fold_exit(lands, fold, eps, CURVE_TOL) for fold in (1, 2))
-        for lands in zip(*(leg.lands() for leg in legs))
-    ]
-    return legs, (exits,)
+    return legs, _fold_exits(legs, eps, CURVE_TOL)
 
 
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
@@ -323,43 +319,36 @@ def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
     return CurveValues({"gamma1": gamma1, "gamma2": gamma2})
 
 
-def _fold_exit(lands, fold: int, eps: float, tol: float) -> tuple[int, str] | None:
-    """Where the orbit leaving fold p_fold next reaches a fold: (corner, "slide" | "connect").
+def _fold_exits(legs: list[_LegArrays], eps: float, tol: float):
+    """(to1, kind1, to2, kind2): where the orbit leaving each cell's fold p1, p2 next reaches a fold.
 
-    The orbit lands corner by corner through the legs' maps, lands[i - 1]
-    being the landing map of leg i.  A landing on a corner's sliding side
-    (x < 0 at corner 1, x > 0 at corner 2) slides into that corner's fold;
-    a landing on the fold connects to it.  None when the
-    orbit escapes past 10 eps or the crossing iteration contracts onto a
-    crossing cycle (a repeat at the same corner).
+    to is the corner reached, 0 for none; kind is 1 for a slide, 2 for a
+    connection, 0 for none.  The 2n orbits fly as one batch, landing corner
+    by corner, legs[i - 1] landing from corner i on the other.  A landing
+    on a corner's sliding side (x < 0 at corner 1, x > 0 at corner 2)
+    slides into that corner's fold; a landing on the fold connects to it.
+    An orbit has no exit when it escapes past 10 eps, repeats the x of two
+    landings back (the same corner) within 1e-12, as the crossing iteration
+    does when it contracts onto a crossing cycle, or is still going after
+    200 landings.  An orbit leaves the batch once its exit is decided.
     """
-    corner, x = 3 - fold, lands[fold - 1](0.0)
-    last: dict[int, float] = {}
+    n = len(legs[0].a)
+    to, kind = np.zeros(2 * n, dtype=int), np.zeros(2 * n, dtype=int)
+    e = np.arange(2 * n)  # entry e leaves fold 1 + e // n of cell e % n
+    cell, corner, zero = e % n, 2 - e // n, np.zeros(2 * n)
+    x = np.where(corner == 2, legs[0].land(zero, cell), legs[1].land(zero, cell))
+    one = two = np.full(2 * n, np.nan)  # x one and two landings back
     for _ in range(200):
-        if (x < -tol) if corner == 1 else (x > tol):
-            return corner, "slide"
-        if abs(x) <= tol:
-            return corner, "connect"
-        if abs(x) > eps * 10 or (corner in last and abs(x - last[corner]) < 1e-12):
-            return None
-        last[corner] = x
-        corner, x = 3 - corner, lands[corner - 1](x)
-    return None
-
-
-def _twofold_sliding_trace(exit1, exit2) -> tuple[int, bool]:
-    """Sliding cycles as the loops of the fold-exit map, as a code of _SLIDES, and whether a
-    fold connects to the other.
-
-    The loop is (1, 2) when each fold's exit reaches the other, otherwise each
-    fold that returns to itself; a loop's segments are the slides on it.
-    """
-    exits = {1: exit1, 2: exit2}
-    to = {f: e[0] if e else None for f, e in exits.items()}
-    loops = [(1, 2)] if to == {1: 2, 2: 1} else [(f,) for f in (1, 2) if to[f] == f]
-    segments = [(loop, sum(exits[f][1] == "slide" for f in loop)) for loop in loops]
-    sliding = tuple(SlidingCycle(folds=tuple(f"p{f}" for f in loop), segments=n) for loop, n in segments if n)
-    return _SLIDE_CODE[sliding], any(e == (3 - f, "connect") for f, e in exits.items())
+        slide = np.where(corner == 1, x < -tol, x > tol)
+        hit = slide | (np.abs(x) <= tol)
+        to[e[hit]], kind[e[hit]] = corner[hit], 2 - slide[hit]
+        go = ~hit & ~(np.abs(x) > eps * 10) & ~(np.abs(x - two) < 1e-12)  # a nan x flies on, as over Python floats
+        if not go.any():
+            break
+        e, cell, corner, x, one, two = e[go], cell[go], corner[go], x[go], x[go], one[go]
+        x = np.where(corner == 1, legs[0].land(x, cell), legs[1].land(x, cell))
+        corner = 3 - corner
+    return to[:n], kind[:n], to[n:], kind[n:]
 
 
 def _twofold_item(b1, b2, g1, g2, tol: float):
@@ -371,7 +360,7 @@ def _twofold_item(b1, b2, g1, g2, tol: float):
     return np.where(row == 2, 5 - _band(b1, (g1, 0.0), tol), item)  # beta2 > 0: gamma1 > 0 splits beta1 > 0
 
 
-def _classify_twofold(fam: ScenarioFamily, b1, b2, row, fields, exits):
+def _classify_twofold(fam: ScenarioFamily, b1, b2, row, fields, to1, kind1, to2, kind2):
     tol, n = CURVE_TOL, len(b1)
     gammas = lambda b: tuple(twofold_curves(fam, b).values.values())  # noqa: E731
     (g1, _), (_, g2) = _per_value(gammas, b2, 2), _per_value(gammas, b1, 2)
@@ -381,7 +370,13 @@ def _classify_twofold(fam: ScenarioFamily, b1, b2, row, fields, exits):
         np.where(item == 2, _BIT["on-curve:gamma1"], 0) | np.where(item == 9, _BIT["on-curve:gamma2"], 0)
         | np.where((np.abs(b1) <= tol) & (np.abs(b2) <= tol), _BIT["codim2"], 0)
     )
-    slide, hetero = (np.array(col) for col in zip(*(_twofold_sliding_trace(*e) for e in exits)))
+    # the sliding cycles are the loops of the fold-exit map, the one through p1 and p2 when each
+    # fold exits to the other, else each fold that exits to itself; a loop's segments are its slides
+    loop = (to1 == 2) & (to2 == 1)
+    segments = (kind1 == 1).astype(int) + (kind2 == 1)
+    self1, self2 = (to1 == 1) & (kind1 == 1), (to2 == 2) & (kind2 == 1)
+    slide = np.select([loop & (segments > 0), self1 | self2], [12 + segments, 14 + self1 + 2 * self2], 0)
+    hetero = ((to1 == 2) & (kind1 == 2)) | ((to2 == 1) & (kind2 == 2))  # a fold connects to the other
     return item, fields[1] == 2, np.bincount(row[fields[1] == 1], minlength=n), slide, hetero, flags
 
 
@@ -527,13 +522,13 @@ def _circle_return(alpha_p: float, beta_p: float) -> list[tuple[float, int, floa
 
 
 def _circle_setup(alpha_p: float, beta_p: float):
-    """(x_fold, zeta, tud, ts): visible X-fold, crossing-window end, transfer maps.
+    """(Z, alpha_p, x_fold, zeta, tau_s): the system, visible X-fold, crossing-window end, and
+    the section in whose chart the transfer maps take their values.
 
-    tud and ts map abscissae to values in the tau_s chart, each call flying
-    its orbits as one system (flow.hit_sections).  The flows are
-    forward-stable: the circle contracts radially like exp(-4 pi) per lap, so
-    the connection D is composed onto Tu (TuD = D o T+ o rho_Y, a full
-    forward lap) and Ts stays the short local backward transfer.
+    The transfers are flights of maps._transition_values onto tau_s, TuD forward from Y's
+    mirror image 2 alpha_p - x and Ts backward from x.  The flows are forward-stable: the
+    circle contracts radially like exp(-4 pi) per lap, so the connection D is composed onto
+    Tu (TuD = D o T+ o rho_Y, a full forward lap) and Ts stays the short local backward transfer.
     """
     Z = circle_system(alpha_p, beta_p)
     x_fold = circle_visible_fold(Z)
@@ -545,16 +540,7 @@ def _circle_setup(alpha_p: float, beta_p: float):
     if float(np.dot(outward, tau_s.direction)) < 0.0:
         d = tau_s.direction
         tau_s = Section(anchor=tau_s.anchor, direction=(-d[0], -d[1]), halfwidth=tau_s.halfwidth)
-
-    def tud(xs) -> np.ndarray:
-        hits = hit_sections(Z.X, [(2.0 * alpha_p - x, 0.0) for x in xs], tau_s, "forward")
-        return np.array([tau_s.coord(q) for q, _ in hits])
-
-    def ts(xs) -> np.ndarray:
-        hits = hit_sections(Z.X, [(x, 0.0) for x in xs], tau_s, "backward")
-        return np.array([tau_s.coord(q) for q, _ in hits])
-
-    return x_fold, min(x_fold, 2 * alpha_p - x_fold), tud, ts
+    return Z, alpha_p, x_fold, min(x_fold, 2 * alpha_p - x_fold), tau_s
 
 
 def _circle_narrow_fits(alpha_p: float, beta_p: float):
@@ -562,21 +548,22 @@ def _circle_narrow_fits(alpha_p: float, beta_p: float):
     2e-3 below zeta.  The narrow Ts fit pins down the vertex to ~1e-9; a wide-window vertex
     error delta shifts C1 by 2*dtilde*delta, which would swamp -4*kappa*alpha.
     """
-    setup = _circle_setup(alpha_p, beta_p)
-    x_fold, zeta, tud, ts = setup
+    Z, _, x_fold, zeta, tau_s = setup = _circle_setup(alpha_p, beta_p)
     xs = zeta - np.linspace(1e-4, 2e-3, 12)
-    ts_n = ts(xs)
+    ts_n = np.array(_transition_values(Z.X, Z.h, tau_s, xs, "backward"))
     Ts = fit_germ(list(zip(xs, ts_n)), x_fold, 3)
     x_v = x_fold - Ts.coeffs[1] / (2.0 * Ts.coeffs[2])
-    D = fit_germ(list(zip(xs, tud(xs) - ts_n)), x_v, 3)
+    tud = _transition_values(Z.X, Z.h, tau_s, 2.0 * alpha_p - xs, "forward")
+    D = fit_germ(list(zip(xs, tud - ts_n)), x_v, 3)
     return D.coeffs[1] * D.coeffs[1] - 4.0 * D.coeffs[0] * D.coeffs[2], setup, Ts, D
 
 
 def _circle_report(setup, Ts: Germ, D: Germ) -> dict:
     """The unfolding from the narrow fits and one wide kappa fit (circle_unfolding_fit)."""
-    x_fold, zeta, tud, _ = setup
+    Z, alpha_p, x_fold, zeta, tau_s = setup
     xs_w = zeta - np.linspace(0.012, 0.12, 12)
-    kappa = fit_germ(list(zip(xs_w, tud(xs_w))), x_fold, 4).coeffs[2]
+    tud = _transition_values(Z.X, Z.h, tau_s, 2.0 * alpha_p - xs_w, "forward")
+    kappa = fit_germ(list(zip(xs_w, tud)), x_fold, 4).coeffs[2]
     C0, C1, C2 = D.coeffs[0], D.coeffs[1], D.coeffs[2]
     alpha = -C1 / (4.0 * kappa)
     return {"alpha": float(alpha), "beta": float(C0 + C1 * alpha), "kappa": float(kappa),

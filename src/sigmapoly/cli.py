@@ -141,18 +141,8 @@ def _cmd_germ(args) -> int:
 def _cmd_polycycle_solve(args) -> int:
     model = io.read_model(args.model)
     reports = find_cycles(model)
-    out = [
-        {
-            "point": list(r.point),
-            "residual": r.residual,
-            "locus": r.locus,
-            "kind": r.kind,
-            "stability": r.stability,
-            "dP": r.dP if np.isfinite(r.dP) else None,  # dP = inf where DTs' = 0: no JSON number
-            "saddle_node": r.saddle_node,
-        }
-        for r in reports
-    ]
+    # dP = inf where DTs' = 0, which is no JSON number
+    out = [{**dataclasses.asdict(r), "dP": r.dP if np.isfinite(r.dP) else None} for r in reports]
     return _output(args.out, io.dumps(out) + "\n")
 
 

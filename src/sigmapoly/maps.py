@@ -9,7 +9,7 @@ finds the real roots of many polynomials at once (`root_cluster_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 from itertools import combinations, groupby
 
@@ -143,11 +143,13 @@ def root_clusters(coeffs) -> list[tuple[float, int]]:
 def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The real roots of every row c0 + c1 x + ... + cn x^n at once, as (row, x, m).
 
-    Each root x of row ``row`` has multiplicity m; the roots are sorted by
-    row, then x, then m.  Rows may differ in degree, and a constant row has
-    no roots.  Degree 2 is solved in closed form, other degrees by the
-    companion eigenvalues (Edelman & Murakami, Math. Comp. 1995), one
-    stacked eigenproblem per degree.  Rounding splits an m-fold root into m
+    rows is one rectangular array-like, a row per polynomial, zero-padded to
+    one width; trailing zeros are not coefficients, so rows may differ in
+    degree, and a zero or constant row has no roots.  Each root x of row
+    ``row`` has multiplicity m; the roots are sorted by row, then x, then m.
+    Degree 2 is solved in closed form, other degrees by the companion
+    eigenvalues (Edelman & Murakami, Math. Comp. 1995), one stacked
+    eigenproblem per degree.  Rounding splits an m-fold root into m
     roots about (eps * S / |p^(m) / m!|)^(1/m) apart, S = sum |c_j| |x|^j,
     so only a row where some pair of roots fits that spread (``_pairs_fit``)
     can hold a multiple root: it runs the cluster rule, ``_row_clusters``,
@@ -181,17 +183,17 @@ def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
-    """(D, deg): D[i, k] the coefficients of the k-th derivative of row i, zero-padded
-    to one width, and deg[i] the degree of row i once trailing zeros are dropped."""
-    rows = list(rows)
-    width = max([1, *map(len, rows)])
-    C = np.zeros((len(rows), width))
-    for i, r in enumerate(rows):
-        C[i, : len(r)] = r
+    """(D, deg): D[i, k] the coefficients of the k-th derivative of row i of the
+    rectangular rows, and deg[i] the degree of row i once trailing zeros are dropped.
+    An empty batch, or a batch of rows of width 0, is read at width 1."""
+    C = np.array(rows, dtype=float)
+    if not C.size:  # np.array([]) has one axis, and a width-0 row no coefficient
+        C = np.zeros((len(C), 1))
+    width = C.shape[1]
     nonzero = C != 0.0
     deg = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     C[np.arange(width) > deg[:, None]] = 0.0  # trailing zeros, -0.0 too, are not coefficients
-    D = np.zeros((len(rows), width, width))
+    D = np.zeros((len(C), width, width))
     D[:, 0] = C
     j = np.arange(1, width)
     for k in range(1, width):
@@ -377,12 +379,13 @@ def fit_germ(samples, base: float, degree: int, chart: dict | None = None) -> Ge
 
 def sigma_point(h: SwitchingFunction, x: float) -> np.ndarray:
     """Point of Sigma over abscissa x (Newton on y from y = 0; exact when h = y)."""
-    hy = h.h.dy()
-    y = 0.0
+    hy, y = None, 0.0
     for _ in range(50):
         val = h.h(x, y)
         if abs(val) < 1e-14:
             break
+        if hy is None:  # built only once Newton needs it: h = y is done at y = 0
+            hy = h.h.dy()
         d = hy(x, y)
         if abs(d) < CLASSIFY_TOL:
             raise NoHit(f"Sigma is not a graph over x = {x}")
@@ -732,15 +735,7 @@ def _transfer_ei(Z, p, cls: Tangency, tau_u: Section, tau_s: Section) -> Transfe
 def _flip_if_concave(g: Germ) -> Germ:
     if g.coeffs[-1] >= 0:
         return g
-    chart = dict(g.chart)
-    chart["flipped"] = True
-    return Germ(
-        base=g.base,
-        coeffs=tuple(-c for c in g.coeffs),
-        residual=g.residual,
-        window=g.window,
-        chart=chart,
-    )
+    return replace(g, coeffs=tuple(-c for c in g.coeffs), chart={**g.chart, "flipped": True})
 
 
 def _transfer_eii(Z, p, cls: FoldFold, tau_u: Section, tau_s: Section) -> TransferPair:

@@ -20,8 +20,6 @@ root around its row's legs and classifies it as array arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -47,7 +45,7 @@ class SyntheticLeg:
     def land(self, x: float) -> float:
         """DTs^{-1}(Tu(x - 2a)): where the orbit from x reaches the next corner, for an affine DTs."""
         c0, c1 = self.DTs.coeffs[:2]
-        return _land(self.Tu.coeffs, self.a, self.Tu.base, c0, c1, self.DTs.base, x)
+        return self.DTs.base + (_horner(self.Tu.coeffs, x - 2 * self.a - self.Tu.base) - c0) / c1
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,16 +121,6 @@ class _LegArrays:
         """SyntheticLeg.land of the g[e]-th row at x[e], for each e."""
         t = _horner_rows(self.tu[g], x - 2 * self.a[g] - self.tu_base[g])
         return self.dts_base[g] + (t - self.dts[g, 0]) / self.dts[g, 1]
-
-    def lands(self) -> list[Callable[[float], float]]:
-        """SyntheticLeg.land of each row, as a function of one float over Python floats."""
-        fields = (self.tu, self.a, self.tu_base, self.dts[:, 0], self.dts[:, 1], self.dts_base)
-        return [partial(_land, *row) for row in zip(*(f.tolist() for f in fields))]
-
-
-def _land(tu, a, tu_base, c0, c1, dts_base, x: float) -> float:
-    """SyntheticLeg.land of Tu = tu (base tu_base) and DTs = c0 + c1 (y - dts_base) at x."""
-    return dts_base + (_horner(tu, x - 2 * a - tu_base) - c0) / c1
 
 
 def _coeff_rows(columns, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -253,22 +253,65 @@ def test_twofold_sliding_structures():
     assert r10.sliding_cycles[0].segments == 1
 
 
+def _scalar_fold_exit(legs, fold: int, eps: float, tol: float) -> tuple[int, int, str]:
+    """The fold-exit rule over Python floats, one orbit through SyntheticLeg.land at a time:
+    (corner, kind, rule), kind 1 for a slide and 2 for a connection, (0, 0) for no exit."""
+    corner, x = 3 - fold, legs[fold - 1].land(0.0)
+    last: dict[int, float] = {}
+    for _ in range(200):
+        if (x < -tol) if corner == 1 else (x > tol):
+            return corner, 1, "slide"
+        if abs(x) <= tol:
+            return corner, 2, "connect"
+        if abs(x) > eps * 10:
+            return 0, 0, "escape"
+        if corner in last and abs(x - last[corner]) < 1e-12:
+            return 0, 0, "repeat"
+        last[corner] = x
+        corner, x = 3 - corner, legs[corner - 1].land(x)
+    return 0, 0, "cap"
+
+
+def _scalar_fold_exits(fam, b1: float, b2: float) -> tuple[tuple[int, int, str], tuple[int, int, str]]:
+    """The scalar exits of folds 1 and 2 of the two-fold cell at (b1, b2), from its SyntheticLegs."""
+    c, eps = fam.coeffs, fam.eps
+    legs = [
+        SyntheticLeg(Tu=Germ(0.0, (b, 0.0, c[f"kappa{i}"])), DTs=Germ(0.0, (0.0, c[f"dtilde{i}"])), sigma=sigma)
+        for i, b, sigma in ((1, b1, (0.0, eps)), (2, b2, (-eps, 0.0)))
+    ]
+    return tuple(_scalar_fold_exit(legs, f, eps, CURVE_TOL) for f in (1, 2))
+
+
 @pytest.mark.parametrize(
     "b1,b2,exits",
     [
-        (0.05, -0.05, [(2, "slide"), (1, "slide")]),  # region 12: the loop p1 -> p2 -> p1
-        (-0.05, -0.05, [(1, "slide"), (1, "slide")]),  # region 10: the self-loop p1 -> p1
-        (-0.05, 0.1, [None, None]),  # region 5: both exits contract onto the crossing cycle
-        (0.0, 0.0, [(2, "connect"), (1, "connect")]),  # region 7: each fold connects to the other
+        (0.05, -0.05, (2, 1, 1, 1)),  # region 12: the loop p1 -> p2 -> p1, two slides
+        (-0.05, -0.05, (1, 1, 1, 1)),  # region 10: the self-loop p1 -> p1
+        (-0.05, 0.1, (0, 0, 0, 0)),  # region 5: both exits contract onto the crossing cycle
+        (0.0, 0.0, (2, 2, 1, 2)),  # region 7: each fold connects to the other
     ],
 )
 def test_twofold_fold_exit_map(b1, b2, exits):
     fam = twofold_family()
-    # the two-fold builder hands the classifier each cell's exits of its folds 1 and 2
-    legs, (cell_exits,) = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
-    assert list(cell_exits[0]) == exits
-    lands = [leg.lands()[0] for leg in legs]
-    assert [bifurcation._fold_exit(lands, f, fam.eps, bifurcation.CURVE_TOL) for f in (1, 2)] == exits
+    # the two-fold builder hands the classifier the columns (to1, kind1, to2, kind2) of its fold exits
+    _, cols = bifurcation._twofold_cells(fam, np.array([b1]), np.array([b2]))
+    assert tuple(int(col[0]) for col in cols) == exits
+    (to1, kind1, _), (to2, kind2, _) = _scalar_fold_exits(fam, b1, b2)
+    assert (to1, kind1, to2, kind2) == exits
+
+
+@pytest.mark.parametrize("r, rules", [
+    (0.2, {"slide", "connect", "repeat"}),
+    (1.0, {"slide", "connect", "repeat", "escape", "cap"}),  # past +-0.2 orbits escape or run 200 landings
+])
+def test_twofold_fold_exit_columns_match_the_scalar_rule(r, rules):
+    # every cell of a 41x41 grid over +-r: the batched exits equal the scalar rule, cell by cell
+    fam = twofold_family()
+    b1, b2 = (p.ravel() for p in np.meshgrid(*[np.linspace(-r, r, 41)] * 2, indexing="ij"))
+    _, cols = bifurcation._twofold_cells(fam, b1, b2)
+    scalar = [_scalar_fold_exits(fam, p, q) for p, q in zip(b1.tolist(), b2.tolist())]
+    assert np.stack(cols, axis=1).tolist() == [[*e1[:2], *e2[:2]] for e1, e2 in scalar]
+    assert {e[2] for cell in scalar for e in cell} == rules
 
 
 # -- VI fold-fold (synthetic) -------------------------------------------------
@@ -481,7 +524,7 @@ def test_circle_saddle_node_is_the_discriminant_root(alpha_p, monkeypatch):
     disc = bifurcation._circle_narrow_fits
     root = brentq(lambda b: disc(alpha_p, b)[0], -1e-6, 1e-6, xtol=1e-15)
     calls = {"fits": 0, "setups": 0, "laps": 0}
-    setup, fly = bifurcation._circle_setup, bifurcation.hit_sections
+    setup, fly = bifurcation._circle_setup, bifurcation._transition_values
 
     def counted(name, f, counts=lambda *args: True):
         def g(*args):
@@ -492,7 +535,7 @@ def test_circle_saddle_node_is_the_discriminant_root(alpha_p, monkeypatch):
     monkeypatch.setattr(bifurcation, "_circle_narrow_fits", counted("fits", disc))
     monkeypatch.setattr(bifurcation, "_circle_setup", counted("setups", setup))
     # a lap is a forward flight; the backward ones are the short Ts transfers
-    monkeypatch.setattr(bifurcation, "hit_sections", counted("laps", fly, lambda *args: args[3] == "forward"))
+    monkeypatch.setattr(bifurcation, "_transition_values", counted("laps", fly, lambda *args: args[4] == "forward"))
     sn = bifurcation.circle_saddle_node(alpha_p)
     assert abs(sn["beta_p"] - root) < 1e-13, (sn["beta_p"], root)
     if alpha_p == 0.05:

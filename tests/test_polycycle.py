@@ -305,8 +305,9 @@ def test_find_cycles_flags_period_annulus(tmp_path, capsys):
 
 
 def _rows_of(rows):
-    """root_cluster_rows of rows, regrouped into one (x, m) list per row."""
-    row, x, m = root_cluster_rows(rows)
+    """root_cluster_rows of rows, zero-padded to one width, regrouped into one (x, m) list per row."""
+    width = max(map(len, rows))
+    row, x, m = root_cluster_rows([list(r) + [0.0] * (width - len(r)) for r in rows])
     out = [[] for _ in rows]
     for i, xi, mi in zip(row.tolist(), x.tolist(), m.tolist()):
         out[i].append((xi, mi))
@@ -477,6 +478,19 @@ def test_batched_pass_equals_one_row_calls_on_hand_rows():
     rng = np.random.default_rng(0)
     for order in [range(len(polys)), range(len(polys))[::-1], *(rng.permutation(len(polys)) for _ in range(20))]:
         assert _rows_of([polys[i] for i in order]) == [alone[i] for i in order]
+
+
+def test_root_pass_reads_one_rectangular_array():
+    # an empty batch gives three empty columns, whatever its width
+    for empty in ([], np.zeros((0, 3))):
+        assert [col.tolist() for col in root_cluster_rows(empty)] == [[], [], []]
+    # a zero row and a constant row have no roots; every other row keeps its own
+    rows = np.array([[0.0, 0.0, 0.0], [2.0, -3.0, 1.0], [5.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+    row, x, m = root_cluster_rows(rows)
+    assert list(zip(row.tolist(), x.tolist(), m.tolist())) == [(1, 1.0, 1), (1, 2.0, 1), (3, 1.0, 1)]
+    # a ragged row list is not one array
+    with pytest.raises(ValueError):
+        root_cluster_rows([[2.0, -3.0, 1.0], [1.0]])
 
 
 def test_all_zero_row_has_no_roots_and_leaves_the_others():
