@@ -636,8 +636,8 @@ def _circle_cells(fam: ScenarioFamily, alpha: np.ndarray, beta: np.ndarray):
 
 def _classify_circle(fam: ScenarioFamily, alpha, beta, row, fields):
     n, origin = len(alpha), (alpha == 0.0) & (beta == 0.0)  # the origin is the tangent polycycle
-    saddle_node = np.bincount(row[fields[4] >= 2], minlength=n) > 0
-    item = _foldfold_item(saddle_node, np.bincount(row, minlength=n), 0)
+    # every circle cycle is simple (m = 1): no cell holds a saddle-node
+    item = _foldfold_item(False, np.bincount(row, minlength=n), 0)
     # beta_p > 0 lifts the X-cycle off Sigma into M+; beta_p = 0 makes it tangent
     flags = np.array((0, _BIT["tangent-X-cycle"], _BIT["X-cycle-in-Mplus"]))[_band(beta, (0.0,), 0.0)]
     flags = np.where(origin, _BIT["codim2"] | _BIT["tangent-polycycle"], flags)

@@ -26,21 +26,21 @@ its time limit, never integrating an arc twice.
   evaluated by Horner about the step's start; the next step starts from
   its value at the step's end, so two steps agree at their boundary.
 
-Events are roots of each step's own polynomials.  A jet built with event
-functions (h, a section's offset, _slide's Xh and Yh, all Poly2s) returns
-their Taylor coefficients along the orbits as well: extra rows of its
-matrix product, to order _ORDER.  _flight yields each step's piece and
-these coefficients, and _event_steps writes them on the step, s = (t -
-t0) / (t1 - t0) in [0, 1], in the Bernstein basis (one fixed matrix),
-with the first and last coefficients the event function's values at the
-step's ends.  Coefficients of one sign, clear of their rounding
-(_one_sign), certify that the step holds no root, and such a step
-evaluates no event function inside it.  Where they do not, de Casteljau
-splitting (_brackets) isolates the roots in brackets at most _BRACKET
-wide, and the rules below read the event functions at the ends of those
-brackets (_step_times).  An event-free flight (flow_smooth,
-maps.place_section) yields nothing and returns the last step's
-polynomial at t_end.
+Events are roots of each step's own polynomials.  A jet owns its event
+functions, _Jet.events (h, a section's offset, _slide's Xh and Yh), each
+one Poly2, and returns their Taylor coefficients along the orbits as
+well: extra rows of its matrix product, to order _ORDER.  _flight writes
+them on each step, s = (t - t0) / (t1 - t0) in [0, 1], in the Bernstein
+basis (one fixed matrix), with the first and last coefficients that same
+Poly2 at the step's start and end states, so that a root exactly on a
+step end is never certified away.  Coefficients of one sign, clear of
+their rounding (_one_sign), certify that the step holds no root, and
+such a step evaluates no event function inside it.  Where they do not,
+de Casteljau splitting (_brackets) isolates the roots in brackets at
+most _BRACKET wide, and the rules below read the event functions at the
+ends of those brackets (_step_times).  An event-free flight
+(flow_smooth, maps.place_section) yields nothing and returns the last
+step's polynomial at t_end.
 
 One scanner, _scan, flies n starts as one 2n-dimensional system; since a
 flight takes the smallest of its orbits' own steps, each orbit is bounded
@@ -173,9 +173,9 @@ class _Jet:
     1/(k + 1) folded into the field's rows; a quotient a / b continues
     q_k = (a_k - sum_{m=1..k} b_m q_{k-m}) / b_0 and a square root
     w = sqrt(u) continues w_k = (u_k - sum_{m=1..k-1} w_m w_{k-m}) / (2 w_0).
-    The event functions are further rows of the matrix, read off the words
-    complete to order _ORDER.  The buffer (order, slot, orbit) is allocated
-    once per number of orbits and reused.
+    The event functions, the Poly2s events, are further rows of the
+    matrix, read off the words complete to order _ORDER.  The buffer
+    (order, slot, orbit) is allocated once per number of orbits and reused.
     """
 
     def __init__(self, px: Poly2, py: Poly2, den: Poly2 | None = None, root: bool = False, events=()):
@@ -189,7 +189,7 @@ class _Jet:
             for (i, j), c in p.coeffs.items():
                 self.mix[r, 2 ** (i + j) + 2**j - 2] = c
         self.rates = self.mix[:2] / np.arange(1.0, _ORDER + 1)[:, None, None]
-        self.nev = len(events)
+        self.events = tuple(events)
         # slots: the words, then the polynomials, sqrt(den) and the quotients
         self.npoly = len(polys)
         self.den = None if den is None else m + 2 + root
@@ -216,7 +216,7 @@ class _Jet:
         return max(deg) < _ORDER
 
     def series(self, state: np.ndarray) -> np.ndarray:
-        """Coefficients (_ORDER + 1, (2 + nev) n) from state = (x_1..x_n, y_1..y_n).
+        """Coefficients (_ORDER + 1, (2 + len(events)) n) from state = (x_1..x_n, y_1..y_n).
 
         The columns are the orbits' x_1..x_n and y_1..y_n, then each event
         function's n series along them; they are a new array, not a view
@@ -237,7 +237,7 @@ class _Jet:
         if self.den is not None:
             num, b, q = M[:, m : m + 2], M[:, self.den], M[:, self.den + 1 :]
         # the event functions need the words to order _ORDER, one product pass more
-        for k in range(_ORDER + (self.nev > 0)):
+        for k in range(_ORDER + bool(self.events)):
             for lower, block in blocks:
                 np.einsum("jan,jcn->acn", lower[: k + 1], X[k::-1], out=block[k])
             if k == _ORDER:
@@ -254,10 +254,10 @@ class _Jet:
             q[k] = (num[k] - carry) / b[0]
             X[k + 1] = q[k] / (k + 1)
         c = X.reshape(_ORDER + 1, 2 * n)
-        if not self.nev:
+        if not self.events:
             return c.copy()
         ev = np.einsum("em,kmn->ken", self.mix[self.npoly :], M[:, :m])
-        return np.concatenate([c, ev.reshape(_ORDER + 1, self.nev * n)], axis=1)
+        return np.concatenate([c, ev.reshape(_ORDER + 1, -1)], axis=1)
 
 
 def _horner(c, u):
@@ -319,28 +319,41 @@ def _flight(jet: _Jet, p, t_end: float):
 
     The state holds n orbits as (x_1..x_n, y_1..y_n); see the module
     docstring for the order, the step and when a step fails.  A jet with
-    event functions yields each step as (sol, ev, state): sol its _Piece,
-    ev (nev, _ORDER + 1, n) the event functions' Taylor coefficients about
-    its start, and state the state at its end; an event-free jet yields
-    nothing.  A caller stops the flight by leaving the loop; one that
-    reaches t_end returns the state there, the last step's polynomial at
-    t_end.  A failed step ends the flight with NoHit.
+    event functions yields each step as (sol, a, B): sol its _Piece, a[e]
+    the power coefficients (_ORDER + 1, n) of jet.events[e] in s, t = t0 +
+    s (t1 - t0) on the step [t0, t1], and B[e] its Bernstein coefficients
+    on [0, 1], the first and the last of them jet.events[e] itself at the
+    step's start and end states, so that a root on a step end is never
+    certified away.  An event-free jet yields nothing.  A caller stops the
+    flight by leaving the loop; one that reaches t_end returns the state
+    there, the last step's polynomial at t_end.  A failed step ends the
+    flight with NoHit.
     """
     sgn = 1.0 if t_end > 0 else -1.0
     state, t = np.asarray(p, dtype=float), 0.0
-    n2 = state.size
+    n = state.size // 2
+    k = np.arange(_ORDER + 1)[:, None]
+    end = np.empty((len(jet.events), n))
+    for e, f in enumerate(jet.events):
+        end[e] = f(state[:n], state[n:])
     while True:
         c = jet.series(state)
         if not np.isfinite(c).all():
             raise NoHit(f"integration failed: non-finite Taylor coefficient at t = {t:.6g}")
-        c, ev = c[:, :n2], c[:, n2:]
+        c, ev = c[:, : 2 * n], c[:, 2 * n :]
         h = _step(jet, c)
         if h < 10.0 * np.spacing(t):
             raise NoHit(f"integration failed: step {h:.3g} below 10 spacing(t) at t = {t:.6g}")
         t_new = t_end if abs(t) + h >= abs(t_end) else t + sgn * h
         state = _horner(c, t_new - t)
-        if jet.nev:
-            yield _Piece((t, t_new), c), ev.reshape(_ORDER + 1, jet.nev, -1).transpose(1, 0, 2), state
+        if jet.events:
+            a = ev.reshape(_ORDER + 1, len(end), n).transpose(1, 0, 2) * (t_new - t) ** k
+            B = _BERNSTEIN @ a
+            B[:, 0] = end
+            for e, f in enumerate(jet.events):
+                B[e, -1] = f(state[:n], state[n:])
+            end = B[:, -1]
+            yield _Piece((t, t_new), c), a, B
         t = t_new
         if t == t_end:
             return state
@@ -362,31 +375,6 @@ def _one_sign(B: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """
     tol = margin + _ROUNDING * np.abs(B).max(axis=-2, keepdims=True)
     return (B > tol).all(axis=-2) | (B < -tol).all(axis=-2)
-
-
-def _event_steps(jet: _Jet, p, t_end: float, fns):
-    """Per step of the flight of jet from p: (sol, a, B), the event functions written on the step.
-
-    fns[e] evaluates event function e of the jet, vectorised.  a[e] holds
-    its power coefficients (_ORDER + 1, n) in s, t = t0 + s (t1 - t0) on
-    the step [t0, t1], and B[e] its Bernstein coefficients on [0, 1]; the
-    first and the last of those are fns[e] at the step's ends, so that a
-    root on a step end is never certified away.
-    """
-    k = np.arange(_ORDER + 1)[:, None]
-    state = np.asarray(p, dtype=float)
-    n = state.size // 2
-    end = np.empty((len(fns), n))
-    for e, f in enumerate(fns):
-        end[e] = f(state[:n], state[n:])
-    for sol, ev, state in _flight(jet, p, t_end):
-        a = ev * (sol.ts[1] - sol.ts[0]) ** k
-        B = _BERNSTEIN @ a
-        B[:, 0] = end
-        for e, f in enumerate(fns):
-            B[e, -1] = f(state[:n], state[n:])
-        end = B[:, -1]
-        yield sol, a, B
 
 
 @cache
@@ -601,11 +589,10 @@ def _sign_changes(g, ts, vals):
             yield _brentq(g, ts[k], ts[k + 1])
 
 
-def _offset(section: Section):
-    """(x, y) -> the signed distance from the section's line, vectorised, and that distance as a Poly2."""
+def _offset(section: Section) -> Poly2:
+    """The signed distance from the section's line."""
     (ax, ay), (nx, ny) = section.anchor, section.normal.tolist()
-    line = Poly2({(1, 0): nx, (0, 1): ny, (0, 0): -(ax * nx + ay * ny)})
-    return (lambda x, y: (x - ax) * nx + (y - ay) * ny), line
+    return Poly2({(1, 0): nx, (0, 1): ny, (0, 0): -(ax * nx + ay * ny)})
 
 
 def _section_hit(F: PolyField, section: Section, offset, at, ts, pts, sgn: float):
@@ -710,19 +697,16 @@ def _scan(F: PolyField, ps, direction: str, tmax: float, h=None, section=None, i
         return out
     todo = np.ones(n, dtype=bool)
     near = moved = np.zeros(n, dtype=bool)
-    polys, fns = [], []
+    events = []
     if h is not None:
         hpoly, fhpoly = h.h, lie_poly(F, h.h, 1)
-        polys.append(hpoly)
-        fns.append(hpoly)
+        events.append(hpoly)
         side = np.array([_departure(hpoly, fhpoly, p, sgn) for p in ps])
         # away from Sigma by more than CLASSIFY_TOL a turn can be no touch
         margin = CLASSIFY_TOL if include_touch else 0.0
     if section is not None:
-        offset, line = _offset(section)
-        polys.append(line)
-        fns.append(offset)
-    steps = _event_steps(_Jet(F.fx, F.fy, events=polys), ps.T.ravel(), sgn * tmax, fns)
+        events.append(offset := _offset(section))
+    steps = _flight(_Jet(F.fx, F.fy, events=events), ps.T.ravel(), sgn * tmax)
     try:
         for sol, a, B in steps:
             if arc is not None:
@@ -884,7 +868,7 @@ def _slide(Z: FilippovSystem, p, t_budget, arc):
         Yh * Z.X.fx - Xh * Z.Y.fx - pin * Z.h.h.dx(), Yh * Z.X.fy - Xh * Z.Y.fy - pin * Z.h.h.dy(), den,
         events=(Xh, Yh),
     )
-    for sol, _, B in _event_steps(jet, p, t_budget, (Xh, Yh)):
+    for sol, _, B in _flight(jet, p, t_budget):
         arc.append(sol)
         vary = ~_one_sign(B)[:, 0]
         if not vary.any():
@@ -903,7 +887,7 @@ def _slide(Z: FilippovSystem, p, t_budget, arc):
                 exits.append((r, name))
         if exits:
             troot, which = min(exits)
-            return SigmaHit(point=_arc_points(arc, [troot])[:, 0], time=troot, kind=f"fold-exit-{which}")
+            return SigmaHit(point=np.array(at(troot)), time=troot, kind=f"fold-exit-{which}")
     return None
 
 

@@ -164,9 +164,19 @@ def trajectory_csv(arcs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_field(s: str) -> str:
+    """s as one CSV field: quoted, its quotes doubled, where it holds a comma, a quote or a line break.
+
+    This is RFC 4180's minimal quoting, as csv.writer writes it.
+    """
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+
+
 def diagram_csv(grid) -> str:
-    """diagram.csv of a DiagramGrid: each cell's p1,p2, its label and its pre-built tail."""
-    rows = (f"{p1!r},{p2!r},{label},{tail}" for (p1, p2), label, tail in zip(grid.params, grid.labels, grid.tails))
+    """diagram.csv of a DiagramGrid: each cell's p1,p2, its label (quoted where it holds a comma) and its tail."""
+    field = {label: _csv_field(label) for label in set(grid.labels)}  # a sweep has few distinct labels
+    cells = zip(grid.params, grid.labels, grid.tails)
+    rows = (f"{p1!r},{p2!r},{field[label]},{tail}" for (p1, p2), label, tail in cells)
     return "\n".join(["p1,p2,label,crossing_cycles,polycycles,sliding_cycles,flags", *rows]) + "\n"
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io as stdio
 import json
 
 import pytest
@@ -299,7 +301,7 @@ def test_diagram_deterministic(tmp_path, capsys):
         ),
         (
             "vi-foldfold-synthetic",
-            {"diagram.csv": "0fe5ea2137f639758805779054292e8d462e7f4878b47658a8d2c34b01f42c3f"},
+            {"diagram.csv": "3ccb0321286ce7407b045fc81ec157a8eec42084a103c58549fa0724244f43aa"},
         ),
     ],
     ids=["twofold-synthetic", "cusp-synthetic", "vi-foldfold-synthetic"],
@@ -316,6 +318,21 @@ def test_diagram_twofold_artifacts_pinned(tmp_path, scenario, digests):
         for name in digests
     }
     assert got == digests
+
+
+def test_diagram_csv_reads_as_seven_fields(tmp_path):
+    # the 51x51 fold-fold sweep labels two-cycle cells x2[a,r]: the label
+    # is quoted, so csv.reader reads every row under the 7-field header,
+    # and csv.writer writes the same bytes back
+    rc = run(["diagram", "--scenario", "vi-foldfold-synthetic", "--grid", "51x51", "--out", str(tmp_path / "d")])
+    assert rc == 0
+    text = (tmp_path / "d" / "diagram.csv").read_text()
+    rows = list(csv.reader(stdio.StringIO(text)))
+    assert len(rows) == 1 + 51 * 51 and {len(row) for row in rows} == {7}
+    assert sum("," in row[2] for row in rows) > 100
+    out = stdio.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert out.getvalue() == text
 
 
 def test_diagram_ranges_override(tmp_path):

@@ -13,7 +13,6 @@ from sigmapoly.flow import (
     MAX_FLIGHT_TIME,
     Section,
     _arc_points,
-    _event_steps,
     _flight,
     _Jet,
     _one_sign,
@@ -323,12 +322,53 @@ def test_sigma_hit_on_a_step_end(h_y):
     # t^4/4, whose Taylor series ends, so the stepper takes the full _CHUNK;
     # backward the orbit is back on Sigma at (-2, 0) at t = -4, that step's end
     F = PolyField(_ONE, _X * _X * _X - _X)
-    sol, _, B = next(_event_steps(_Jet(F.fx, F.fy, events=[h_y.h]), [2.0, 0.0], -8.0, [h_y.h]))
+    sol, _, B = next(_flight(_Jet(F.fx, F.fy, events=[h_y.h]), [2.0, 0.0], -8.0))
     # the step's last Bernstein coefficient is h at its end, exactly 0
     assert sol.ts.tolist() == [0.0, -_CHUNK] and B[0, -1, 0] == 0.0
     hit = next_sigma_hit(F, (2.0, 0.0), h_y, "backward")
     assert (hit.kind, hit.time) == ("cross", -_CHUNK)
     assert hit.point.tolist() == [-2.0, 0.0]
+
+
+def test_step_end_coefficients_are_the_event_polys_there(monkeypatch, h_y):
+    # every step of every event flight pins its first and last Bernstein
+    # coefficients to the jet's own event Poly2s at the step's start and end
+    # states, bit for bit: h, a section's offset, both raced, and a slide's
+    # Xh and Yh
+    flights, flight = [], flow._flight
+
+    def recording(jet, p, t_end):
+        if not jet.events:
+            return (yield from flight(jet, p, t_end))
+        for step in flight(jet, p, t_end):
+            flights.append((jet, step))
+            yield step
+
+    monkeypatch.setattr(flow, "_flight", recording)
+    Z = make_system(_X, _ONE)
+    filippov_trajectory(Z, (-1.0, 0.48), tmax=4.0, dt_out=0.05)
+    starts = [(-1.0, 0.48), (-0.5, 0.3), (0.2, 0.0), (-2.0, 1.5)]
+    seg = Section(anchor=(0.7, 0.5), direction=(0.6, 0.8), halfwidth=2.0)
+    hit_sections(Z.X, starts, seg, "forward", tmax=9.0)
+    next_sigma_hits(Z.X, starts, h_y, "forward", section=seg)
+    kinds = {(len(jet.events), jet.den is not None) for jet, _ in flights}
+    assert kinds == {(1, False), (2, False), (2, True)}
+    for jet, (sol, a, B) in flights:
+        n = sol.coefs.shape[1] // 2
+        for state, col in ((sol.coefs[0], 0), (sol(sol.ts[1:])[:, 0], -1)):
+            for e, f in enumerate(jet.events):
+                want = np.broadcast_to(f(state[:n], state[n:]), (n,))
+                assert B[e, col].tobytes() == want.tobytes()
+
+
+def test_section_crossed_on_the_last_step_end():
+    # X = (1, x) from (-1, 0.5): x = t - 1 and y = (t - 1)^2 / 2, whose
+    # series ends, so one step of _CHUNK = tmax takes the whole flight; the
+    # orbit meets the slanted section at (3, 4.5) at its last step end
+    F = PolyField(_ONE, _X)
+    seg = Section(anchor=(3.0, 4.5), direction=(0.6, 0.8), halfwidth=1.0)
+    q, t = hit_section(F, (-1.0, 0.5), seg, "forward", tmax=_CHUNK)
+    assert t == _CHUNK and q.tolist() == [3.0, 4.5]
 
 
 def test_short_dip_inside_a_step_is_a_crossing_at_its_first_root(fold_field, h_y):
@@ -359,8 +399,7 @@ def test_certified_steps_call_no_root_finder(monkeypatch):
     monkeypatch.setattr(flow, "brentq", lambda *a, **k: calls.append(a) or brentq(*a, **k))
     F = PolyField(poly_y().scale(-1.0), _X)
     far = SwitchingFunction(poly_y() - poly_const(2.0))
-    jet = _Jet(F.fx, F.fy, events=[far.h])
-    steps = list(_event_steps(jet, [1.0, 0.0], 20.0, [far.h]))
+    steps = list(_flight(_Jet(F.fx, F.fy, events=[far.h]), [1.0, 0.0], 20.0))
     assert len(steps) > 10 and all(_one_sign(B[0], CLASSIFY_TOL).all() for _, _, B in steps)
     (miss,) = next_sigma_hits(F, [(1.0, 0.0)], far, "forward", tmax=20.0, include_touch=True)
     assert isinstance(miss, NoHit)
@@ -514,7 +553,7 @@ def test_series_does_not_alias_the_reused_buffer():
         fresh = [_Jet(px, py, **kw).series(s) for s in states]
         assert [_bits(c) for c in got] == [_bits(c) for c in fresh]
     steps = _flight(_Jet(px, py, events=[_X]), states[0], 3.0)
-    kept = [(sol.coefs, sol.coefs.copy(), ev, ev.copy()) for sol, ev, _ in steps]
+    kept = [(sol.coefs, sol.coefs.copy(), a, a.copy()) for sol, a, _ in steps]
     assert len(kept) > 2
     assert all(_bits(c) == _bits(c0) and _bits(e) == _bits(e0) for c, c0, e, e0 in kept)
 
