@@ -31,18 +31,18 @@ one table (`_JOBS`) gives each name its solve, classifier, curves and tracer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import FilippovSystem, PolyField, SwitchingFunction
-from .errors import ConfigError, NegativeLambda, NoConvergence, NoHit, SigmapolyError
+from .errors import ConfigError, NegativeLambda, NoConvergence, NoHit, NumericError, SigmapolyError
 from .flow import Section, SigmaHit, hit_sections, next_sigma_hits
 from .maps import Germ, _transition_values, fit_germ, place_section, sigma_contacts
 from .poly2 import poly_const, poly_x, poly_y
-from .polycycle import _STABILITY, CycleReport, _LegArrays, _cycle_reports, _cycle_rows, return_polynomial_rows
+from .polycycle import _STABILITY, CycleReport, _LegArrays, _cycle_reports, _cycle_rows
 
 CURVE_TOL = 1e-9
 NO_CIRCLE_CURVES = "the circle ODE scenario has no closed-form bifurcation curves yet"
@@ -96,6 +96,20 @@ class CurveValues:
 
     def __getitem__(self, k):
         return self.values[k]
+
+
+def _finite_curves(curves):
+    """The curve function curves at a float p, with a non-finite value or a float overflow a NumericError."""
+    @wraps(curves)
+    def checked(fam: ScenarioFamily, p: float) -> CurveValues:
+        try:
+            cur = curves(fam, float(p))
+            if all(map(math.isfinite, cur.values.values())):
+                return cur
+        except OverflowError:
+            pass
+        raise NumericError(f"{curves.__name__} overflows at {float(p)!r}")
+    return checked
 
 
 def _band(v, edges, tol: float):
@@ -222,6 +236,7 @@ def cusp_fold_points(lam1: float, kappa: float) -> tuple[float, float, float]:
     return V, -V, -2.0 * V
 
 
+@_finite_curves
 def cusp_curves(fam: ScenarioFamily, lam1: float) -> CurveValues:
     """(Abar, Vbar, Ibar): beta values of the cusp bifurcation curves."""
     if lam1 < 0:
@@ -304,6 +319,7 @@ def _twofold_cells(fam: ScenarioFamily, b1: np.ndarray, b2: np.ndarray):
     return legs, _fold_exits(legs, eps, CURVE_TOL)
 
 
+@_finite_curves
 def twofold_curves(fam: ScenarioFamily, b: float) -> CurveValues:
     """gamma1 evaluated at beta2 = b, gamma2 at beta1 = b.
 
@@ -335,19 +351,18 @@ def _fold_exits(legs: list[_LegArrays], eps: float, tol: float):
     n = len(legs[0].a)
     to, kind = np.zeros(2 * n, dtype=int), np.zeros(2 * n, dtype=int)
     e = np.arange(2 * n)  # entry e leaves fold 1 + e // n of cell e % n
-    cell, corner, zero = e % n, 2 - e // n, np.zeros(2 * n)
-    x = np.where(corner == 2, legs[0].land(zero, cell), legs[1].land(zero, cell))
+    cell, x, k = e % n, np.zeros(2 * n), n  # fold 1's entries are x[:k], fold 2's the rest
+    side = np.repeat([1, -1], n)  # 1 where an entry lands on corner 2 next, -1 on corner 1
     one = two = np.full(2 * n, np.nan)  # x one and two landings back
-    for _ in range(200):
-        slide = np.where(corner == 1, x < -tol, x > tol)
+    for s in (0, 1) * 100:  # fold 1's entries land through legs[s], fold 2's through the other
+        x = np.concatenate([legs[s].land(x[:k], cell[:k]), legs[1 - s].land(x[k:], cell[k:])])
+        slide = side * x > tol  # x > tol at corner 2, x < -tol at corner 1
         hit = slide | (np.abs(x) <= tol)
-        to[e[hit]], kind[e[hit]] = corner[hit], 2 - slide[hit]
+        to[e[hit]], kind[e[hit]] = (3 + side[hit]) // 2, 2 - slide[hit]
         go = ~hit & ~(np.abs(x) > eps * 10) & ~(np.abs(x - two) < 1e-12)  # a nan x flies on, as over Python floats
         if not go.any():
             break
-        e, cell, corner, x, one, two = e[go], cell[go], corner[go], x[go], x[go], one[go]
-        x = np.where(corner == 1, legs[0].land(x, cell), legs[1].land(x, cell))
-        corner = 3 - corner
+        k, e, cell, side, x, one, two = np.count_nonzero(go[:k]), e[go], cell[go], -side[go], x[go], x[go], one[go]
     return to[:n], kind[:n], to[n:], kind[n:]
 
 
@@ -383,6 +398,7 @@ def _classify_twofold(fam: ScenarioFamily, b1, b2, row, fields, to1, kind1, to2,
 # -- VI fold-fold (synthetic) -----------------------------------------------
 
 
+@_finite_curves
 def foldfold_curves(fam: ScenarioFamily, alpha: float) -> CurveValues:
     """Bifurcation curves of the VI fold-fold unfolding at a given alpha.
 
@@ -649,12 +665,10 @@ def _classify_circle(fam: ScenarioFamily, alpha, beta, row, fields):
 
 
 def _solve_legs(build):
-    """The solve of a closed-form scenario whose builder gives (legs, reads): every row's
-    return polynomial, whose SigmapolyError is the row's error, solved by ``_cycle_rows``."""
+    """The solve of a closed-form scenario whose builder gives (legs, reads): ``_cycle_rows`` of legs, and reads."""
     def solve(fam: ScenarioFamily, p1: np.ndarray, p2: np.ndarray):
         legs, reads = build(fam, p1, p2)
-        P, errors = return_polynomial_rows(legs)
-        return (*_cycle_rows(legs, P), errors, *reads)
+        return (*_cycle_rows(legs), *reads)
     return solve
 
 

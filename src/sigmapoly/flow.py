@@ -261,7 +261,7 @@ class _Jet:
 
 
 def _horner(c, u):
-    """sum_k c[k] u^k by Horner, elementwise over c's trailing axes."""
+    """sum_k c[k] u^k by Horner, elementwise over c's trailing axes: the package's one Horner (_orbit fuses it)."""
     acc = c[-1]
     for ck in c[-2::-1]:
         acc = acc * u + ck

@@ -34,6 +34,7 @@ from .errors import (
     InExclusionSet,
     NoHit,
     NoReturn,
+    NumericError,
     OrbitHitsSliding,
     TangentialHit,
     UnsupportedSingularity,
@@ -41,7 +42,7 @@ from .errors import (
     fmt_point,
 )
 from .flow import (
-    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _Jet, _regime_at, brentq, hit_sections,
+    MAX_FLIGHT_TIME, Section, SigmaHit, _end_state, _horner, _Jet, _regime_at, brentq, hit_sections,
     next_sigma_hit, next_sigma_hits,
 )
 
@@ -86,10 +87,10 @@ class Germ:
         return tuple(j * c for j, c in enumerate(self.coeffs))[1:] or (0.0,)
 
     def __call__(self, x: float) -> float:
-        return _horner(self.coeffs, x - self.base)
+        return float(_horner(self.coeffs, x - self.base))
 
     def deriv(self, x: float) -> float:
-        return _horner(self._dcoeffs, x - self.base)
+        return float(_horner(self._dcoeffs, x - self.base))
 
     def to_dict(self) -> dict:
         return {
@@ -111,32 +112,14 @@ class Germ:
         )
 
 
-def _horner(coeffs, u: float) -> float:
-    """c0 + c1 u + ... + cn u^n, in the operation order of numpy's polyval."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = c + acc * u
-    return float(acc)
-
-
-def _horner_rows(C: np.ndarray, u) -> np.ndarray:
-    """_horner of each coefficient row C[..., :] at the matching u, in the same operation order.
-
-    u broadcasts against C's leading axes; zero coefficients past a row's
-    degree leave its value as it is.
-    """
-    acc = 0.0
-    for k in range(C.shape[-1] - 1, -1, -1):
-        acc = C[..., k] + acc * u
-    return acc
-
-
 def root_clusters(coeffs) -> list[tuple[float, int]]:
     """Sorted real roots of c0 + c1 x + ... + cn x^n, each with its multiplicity.
 
-    The one-row case of ``root_cluster_rows``.
+    The one-row case of ``root_cluster_rows``; a root that is not finite is a NumericError.
     """
     _, x, m = root_cluster_rows([coeffs])
+    if not np.isfinite(x).all():
+        raise NumericError(f"the roots of {np.asarray(coeffs, float).tolist()} overflow")
     return list(zip(x.tolist(), m.tolist()))
 
 
@@ -155,26 +138,28 @@ def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     can hold a multiple root: it runs the cluster rule, ``_row_clusters``,
     in Python floats.  The roots of every other row are simple; the real
     ones are polished together by Newton on (p, p').  A row's roots do not
-    depend on the rows batched with it.
+    depend on the rows batched with it.  A non-finite coefficient or companion
+    entry leaves a row unsolved (x = nan, m = 0); a closed-form root may be +-inf.
     """
     D, deg = _derivative_table(rows)
     lone, found = [(np.zeros(0, int), np.zeros(0))], []
     with np.errstate(all="ignore"):
-        for n in sorted(set(deg.tolist()) - {0}):
-            idx = np.flatnonzero(deg == n)
+        top = D[np.arange(len(D)), 0, deg]
+        unsolved = ~np.isfinite(D[:, 0] / np.where(top == 0.0, 1.0, top)[:, None]).all(axis=1)
+        for n in sorted(set(deg[~unsolved].tolist()) - {0}):
+            idx = np.flatnonzero((deg == n) & ~unsolved)
             C = D[idx, 0, : n + 1]
             re, im = _quadratic_roots(C) if n == 2 else _companion_roots(C)
             if n > 1 and (fit := _pairs_fit(re, im, D[idx])).any():
                 for i, zr, zi in zip(idx[fit].tolist(), re[fit].tolist(), im[fit].tolist()):
                     found += [(i, x, m) for x, m in _row_clusters(D[i].tolist(), list(map(complex, zr, zi)))]
                 idx, re, im = idx[~fit], re[~fit], im[~fit]
-            # a lone root's centre, sum([z]) / 1, and the real test of _row_clusters
-            sr, si = re.ravel() + 0.0, im.ravel() + 0.0
-            x, ci = sr + si * 0.0, si - sr * 0.0
-            real = ~((ci != 0.0) & (np.abs(ci) > _EPS * np.abs(si)))
+            # a lone root is its own centre, real when its imaginary part is 0 (+ 0.0 turns -0.0 into 0.0)
+            x, real = re.ravel() + 0.0, im.ravel() == 0.0
             lone.append((np.repeat(idx, n)[real], x[real]))
         row, x = (np.concatenate([p[k] for p in lone]) for k in range(2))
-        x = _polish(D[row, [[0], [1]]], x)
+        x = _polish(D[row, :2].T, x)
+    found += [(r, np.nan, 0) for r in np.flatnonzero(unsolved).tolist()]
     fr, fx, fm = np.array(found).reshape(-1, 3).T
     m = np.concatenate([np.ones(len(row), int), fm]).astype(int)
     row, x = np.concatenate([row, fr]).astype(int), np.concatenate([x, fx])
@@ -185,7 +170,7 @@ def root_cluster_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
     """(D, deg): D[i, k] the coefficients of the k-th derivative of row i of the
     rectangular rows, and deg[i] the degree of row i once trailing zeros are dropped.
-    An empty batch, or a batch of rows of width 0, is read at width 1."""
+    An empty batch, or a batch of rows of width 0, is read at width 1, D[:, 1] zero."""
     C = np.array(rows, dtype=float)
     if not C.size:  # np.array([]) has one axis, and a width-0 row no coefficient
         C = np.zeros((len(C), 1))
@@ -193,7 +178,7 @@ def _derivative_table(rows) -> tuple[np.ndarray, np.ndarray]:
     nonzero = C != 0.0
     deg = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     C[np.arange(width) > deg[:, None]] = 0.0  # trailing zeros, -0.0 too, are not coefficients
-    D = np.zeros((len(C), width, width))
+    D = np.zeros((len(C), max(width, 2), width))
     D[:, 0] = C
     j = np.arange(1, width)
     for k in range(1, width):
@@ -227,7 +212,7 @@ def _row_clusters(ders: list[list[float]], roots: list[complex]) -> list[tuple[f
             if m > 1:  # a non-real cluster breaks up; a non-real lone root is dropped
                 clusters += [[z] for z in cl]
             continue
-        x = float(_polish(np.array(ders[m - 1 : m + 1])[:, None], np.array([c.real]))[0])
+        x = float(_polish(np.array(ders[m - 1 : m + 1]).T[..., None], np.array([c.real]))[0])
         vanish = (abs(_horner(d, x)) <= _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in d], abs(x)) for d in ders[:m])
         if m == 1 or all(vanish):
             out.append((x, m))
@@ -240,13 +225,13 @@ def _row_clusters(ders: list[list[float]], roots: list[complex]) -> list[tuple[f
 def _polish(cd: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Newton on each entry's polynomial cd[0], with derivative cd[1], from x, until its step stops shrinking.
 
-    cd has shape (2, entries, width).  An entry stops on its own, so its
+    cd has shape (width, 2, entries).  An entry stops on its own, so its
     result does not depend on the entries polished with it.
     """
     step = np.full(len(x), np.inf)
     live = np.ones(len(x), bool)
     for _ in range(_POLISH_ITERS):
-        c, d = _horner_rows(cd, x)
+        c, d = _horner(cd, x)
         new = c / d  # inf or nan where d = 0: either stops the entry
         live &= np.abs(new) < np.abs(step)
         if not live.any():
@@ -261,19 +246,16 @@ def _pairs_fit(re: np.ndarray, im: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Whether some pair of each row's roots fits the spread of one double root about its mean.
 
     These are the rows whose clusters the merge loop can change.  The
-    spread is _spread's, p'' at the complex mean in the operation order of
-    Python's complex arithmetic; a factor 2 covers the last bits in which
-    the distances, the square root and hypot may differ from the merge
-    loop's.
+    spread is _spread's, by the same Horner at the complex mean; a factor 2
+    covers the last bits in which numpy's complex products (fused where the
+    machine has FMA), abs, the distances and the square root may differ
+    from the merge loop's Python arithmetic.
     """
     i, j = (list(v) for v in zip(*combinations(range(re.shape[1]), 2)))
-    zr, zi = (re[:, i] + re[:, j]) / 2.0, (im[:, i] + im[:, j]) / 2.0
+    z = (re[:, i] + re[:, j]) / 2.0 + 1j * ((im[:, i] + im[:, j]) / 2.0)
     dist = np.hypot(re[:, i] - re[:, j], im[:, i] - im[:, j]) / 2.0  # each member's distance from z
-    lr = li = 0.0
-    for k in range(D.shape[2] - 3, -1, -1):  # p'' at the complex z (its top two coefficients are 0)
-        lr, li = D[:, 2, k, None] + (lr * zr - li * zi), 0.0 + (lr * zi + li * zr)
-    lead = np.hypot(lr, li)
-    rounding = _ROOT_ROUNDING * _EPS * _horner_rows(np.abs(D[:, None, 0]), np.hypot(zr, zi))
+    lead = np.abs(_horner(D.T[:-2, 2, :, None], z))  # p'' at z (its top two coefficients are 0)
+    rounding = _ROOT_ROUNDING * _EPS * _horner(np.abs(D.T[:, 0, :, None]), np.abs(z))
     spread = np.where(lead == 0.0, 0.0, np.sqrt(rounding * 2 / lead))
     return (dist <= 2.0 * spread).any(axis=1)
 
@@ -331,9 +313,7 @@ def _spread(ders: list[list[float]], z: complex, m: int) -> float:
 
     ders holds a polynomial and its derivatives, at least up to the m-th.
     """
-    lead = 0.0
-    for v in reversed(ders[m]):  # Horner at a complex z
-        lead = v + lead * z
+    lead = _horner(ders[m], z)
     if lead == 0.0:  # p^(m) = 0 at the centre: no m-fold root here, only exact copies merge
         return 0.0
     rounding = _ROOT_ROUNDING * _EPS * _horner([abs(v) for v in ders[0]], abs(z))

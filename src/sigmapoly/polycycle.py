@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, PeriodAnnulus, SigmapolyError
-from .maps import Germ, _horner, _horner_rows, root_cluster_rows, root_clusters
+from .errors import ConfigError, NoConvergence, NumericError, PeriodAnnulus, SigmapolyError
+from .flow import _horner
+from .maps import Germ, root_cluster_rows, root_clusters
 
 BOUNDARY_TOL = 1e-9
 
@@ -45,7 +46,7 @@ class SyntheticLeg:
     def land(self, x: float) -> float:
         """DTs^{-1}(Tu(x - 2a)): where the orbit from x reaches the next corner, for an affine DTs."""
         c0, c1 = self.DTs.coeffs[:2]
-        return self.DTs.base + (_horner(self.Tu.coeffs, x - 2 * self.a - self.Tu.base) - c0) / c1
+        return self.DTs.base + (self.Tu(x - 2 * self.a) - c0) / c1
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +120,7 @@ class _LegArrays:
 
     def land(self, x: np.ndarray, g) -> np.ndarray:
         """SyntheticLeg.land of the g[e]-th row at x[e], for each e."""
-        t = _horner_rows(self.tu[g], x - 2 * self.a[g] - self.tu_base[g])
+        t = _horner(self.tu[g].T, x - 2 * self.a[g] - self.tu_base[g])
         return self.dts_base[g] + (t - self.dts[g, 0]) / self.dts[g, 1]
 
 
@@ -224,32 +225,33 @@ class CycleReport:
 def find_cycles(model: SyntheticModel) -> list[CycleReport]:
     """Every real solution of the crossing system, classified, sorted by x_1.
 
-    The one-row case of ``return_polynomial_rows`` and ``_cycle_rows``,
-    raising the row's ConfigError or PeriodAnnulus.
+    The one-row case of ``_cycle_rows``, raising the row's error.
     """
-    legs = [_LegArrays.of([leg]) for leg in model.legs]
-    P, errors = return_polynomial_rows(legs)
+    row, fields, errors = _cycle_rows([_LegArrays.of([leg]) for leg in model.legs])
     if errors:
         raise errors[0]
-    return _cycle_reports(*_cycle_rows(legs, P), 1)[0]
+    return _cycle_reports(row, fields, 1)[0]
 
 
-def _cycle_rows(legs: list[_LegArrays], polys) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(row, fields) of every solution of the batch whose rows' return polynomials are polys.
+def _cycle_rows(legs: list[_LegArrays]) -> tuple[np.ndarray, tuple[np.ndarray, ...], dict[int, SigmapolyError]]:
+    """(row, fields, errors) of every solution of the batch whose legs are legs.
 
     One batched root pass (``maps.root_cluster_rows``) gives every row's root
     clusters, sorted by row and then x_1; each is one solution, propagated
     around its row's legs through the affine DTs inverses, and a cluster of
     multiplicity m >= 2 is a saddle-node.  The solutions are classified as
-    array arithmetic in the operation order of the germs' own evaluation:
+    array arithmetic, the germs evaluated by the one Horner that Germ uses:
     the residual max |Delta_i|, the locus against the windows
     (BOUNDARY_TOL), dP = prod Tu_i' / DTs_i' (inf where the DTs product
     vanishes), and the stability, semistable at an interior saddle-node and
     otherwise attracting for |dP| < 1.  fields are the arrays
     (residual, locus, stability, dP, m, x_1, ..., x_k); locus indexes _LOCI
-    and _KINDS (0 is outside), stability _STABILITY.
+    and _KINDS (0 is outside), stability _STABILITY.  errors are
+    ``return_polynomial_rows``', and a NumericError for each row whose
+    solutions a float overflow left non-finite, which are dropped.
     """
-    row, x, m = root_cluster_rows(polys)
+    P, errors = return_polynomial_rows(legs)
+    row, x, m = root_cluster_rows(P)
     k = len(legs)
     with np.errstate(all="ignore"):
         xs = [x]
@@ -259,10 +261,10 @@ def _cycle_rows(legs: list[_LegArrays], polys) -> tuple[np.ndarray, tuple[np.nda
         outside, boundary = np.zeros(len(x), bool), np.zeros(len(x), bool)
         for j, leg in enumerate(legs):
             u, nxt = xs[j] - 2 * leg.a[row] - leg.tu_base[row], xs[(j + 1) % k] - leg.dts_base[row]
-            d = np.abs(_horner_rows(leg.tu[row], u) - _horner_rows(leg.dts[row], nxt))
+            d = np.abs(_horner(leg.tu[row].T, u) - _horner(leg.dts[row].T, nxt))
             residual = d if j == 0 else np.where(d > residual, d, residual)  # Python's max
-            num = num * _horner_rows(leg.dtu[row], u)
-            den = den * _horner_rows(leg.ddts[row], nxt)
+            num = num * _horner(leg.dtu[row].T, u)
+            den = den * _horner(leg.ddts[row].T, nxt)
             lo, hi = leg.lo[row], leg.hi[row]
             outside |= (xs[j] < lo - BOUNDARY_TOL) | (xs[j] > hi + BOUNDARY_TOL)
             a, b = np.abs(xs[j] - lo), np.abs(xs[j] - hi)
@@ -270,7 +272,10 @@ def _cycle_rows(legs: list[_LegArrays], polys) -> tuple[np.ndarray, tuple[np.nda
         dP = np.where(den == 0.0, np.inf, num / den)
     locus = np.where(outside, 0, np.where(boundary, 1, 2))
     stability = np.where(locus < 2, 0, np.where(m >= 2, 1, np.where(np.abs(dP) < 1.0, 2, 3)))
-    return row, (residual, locus, stability, dP, m, *xs)
+    over = row[~(np.isfinite(residual) & np.isfinite(xs).all(axis=0))].tolist()
+    errors.update((r, NumericError("float overflow: a solution of the crossing system is not finite")) for r in over)
+    keep = ~np.isin(row, over)
+    return row[keep], tuple(f[keep] for f in (residual, locus, stability, dP, m, *xs)), errors
 
 
 def _cycle_reports(row: np.ndarray, fields, n: int) -> list[list[CycleReport]]:

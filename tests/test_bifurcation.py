@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sigmapoly.bifurcation import (
     twofold_curves,
     twofold_family,
 )
-from sigmapoly.errors import ConfigError, NegativeLambda, NoConvergence, NoHit
+from sigmapoly.errors import ConfigError, NegativeLambda, NoConvergence, NoHit, NumericError
 from sigmapoly import polycycle
 from sigmapoly.maps import Germ
 from sigmapoly.polycycle import CycleReport, SyntheticLeg, SyntheticModel, _LegArrays
@@ -40,6 +41,24 @@ def test_cusp_curves_closed_form():
     assert cur["Vbar"] == pytest.approx(-0.102, abs=1e-12)
     assert cur["Ibar"] == pytest.approx(0.098, abs=1e-12)
     assert cur["Abar"] == pytest.approx(0.198, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "curves, fam, p",
+    [(cusp_curves, cusp_family(), 1e300), (twofold_curves, twofold_family(), 1e200),
+     (foldfold_curves, foldfold_family(), 1e200), (foldfold_curves, foldfold_family(), -1e200)],
+    ids=["cusp", "twofold", "foldfold", "foldfold-negative"],
+)
+def test_curve_overflow_is_a_numeric_error(curves, fam, p):
+    # a Python float overflows in ** (OverflowError), a numpy one to inf with a warning:
+    # either is the curve function's NumericError, and no warning is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (p, np.float64(p)):
+            with pytest.raises(NumericError, match=f"{curves.__name__} overflows at"):
+                curves(fam, v)
+    # the wrapper keeps the function's name and module, by which tracers find it
+    assert curves.__module__ == "sigmapoly.bifurcation" and curves.__name__ == curves.__wrapped__.__name__
 
 
 def test_cusp_curves_negative_lambda():

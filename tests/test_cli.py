@@ -90,6 +90,9 @@ def test_transition_oracle(system_path, capsys):
 def test_mirror_oracle(system_path, capsys):
     assert run(["mirror", "--system", system_path, "--x", "0.4"]) == 0
     assert _json_out(capsys)["rho"] == pytest.approx(-0.4, abs=1e-8)
+    # with a window the exclusion set is scanned first: it holds the fold x = 0, not 0.4
+    assert run(["mirror", "--system", system_path, "--x", "0.4", "--window", "1"]) == 0
+    assert _json_out(capsys)["rho"] == pytest.approx(-0.4, abs=1e-8)
 
 
 def test_germ_roundtrip(system_path, tmp_path, capsys):
@@ -122,6 +125,9 @@ def test_scenario_curves_values(capsys):
     assert d["Vbar"] == pytest.approx(-0.102, abs=1e-12)
     assert d["Ibar"] == pytest.approx(0.098, abs=1e-12)
     assert d["Abar"] == pytest.approx(0.198, abs=1e-12)
+    # at lambda1 = 0 the three curves meet at the codim-2 point
+    assert run(["scenario-curves", "--scenario", "cusp-synthetic", "--param", "0"]) == 0
+    assert capsys.readouterr().out == '{"Abar": 0.0, "Ibar": 0.0, "Vbar": 0.0, "degenerate": true}\n'
 
 
 def test_exit_code_config_error(tmp_path, system_path, capsys):
@@ -194,6 +200,12 @@ def test_exit_code_config_error(tmp_path, system_path, capsys):
         # a section of halfwidth <= 0
         *(["transition", "--system", system_path, "--section", sec, "--x", "0.3"]
           for sec in ("1,0,0,1,-1", "1,0,0,1,0")),
+        # a point, a section or a grid of the wrong shape, or with a word for a number
+        *(["classify", "--system", system_path, "--point", p] for p in ("1,2,3", "a,b")),
+        *(["transition", "--system", system_path, "--section", sec, "--x", "0.3"] for sec in ("1,2", "a,b,c,d")),
+        *(["diagram", "--scenario", "cusp-synthetic", "--grid", g, "--out", str(tmp_path / "d")]
+          for g in ("0x3", "3by3")),
+        ["germ", "--system", system_path, "--section", "1,0,0,1,2", "--window", "0"],
     ]
     for argv in cases:
         assert run(argv) == 2, argv
@@ -244,13 +256,53 @@ def test_one_parser_per_process_carries_nothing_from_run_to_run(tmp_path, system
         assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
 
-def test_exit_code_numeric_error(system_path, capsys):
-    # tiny section far from the orbit: NoHit
-    rc = run([
-        "transition", "--system", system_path,
-        "--section=-5,-5,0,1,0.01", "--x", "0.3",
-    ])
-    assert rc == 3
+def test_exit_code_numeric_error(tmp_path, system_path, capsys):
+    def model(name, tu):
+        # one leg with the Tu coefficients tu and DTs(x) = x
+        leg = {"Tu": {"base": 0.0, "coeffs": tu}, "DTs": {"base": 0.0, "coeffs": [0.0, 1.0]}, "sigma": [[-1.0, 1.0]]}
+        (tmp_path / name).write_text(json.dumps({"k": 1, "legs": [leg]}))
+        return str(tmp_path / name)
+
+    huge = "--ranges=-1e200:1e200,-1e200:1e200"
+    cases = [
+        # tiny section far from the orbit: NoHit
+        (["transition", "--system", system_path, "--section=-5,-5,0,1,0.01", "--x", "0.3"], "NoHit"),
+        # the fold x = 0 of X = (1, x) is in the exclusion set of the lower side
+        (["mirror", "--system", system_path, "--x", "0", "--window", "1"], "InExclusionSet"),
+        # float overflow: the companion matrix of 1e-200 x^3 + (1e200 - 1) x is not finite
+        (["polycycle-solve", "--model", model("companion.json", [0.0, 1e200, 0.0, 1e-200])], "NumericError"),
+        # 1e-308 x^2 + 1e308 x + 1, whose closed-form root is -inf: its companion entry 1e308 / 1e-308 overflows
+        (["polycycle-solve", "--model", model("quadratic.json", [1.0, 1e308, 1e-308])], "NumericError"),
+        # a finite root, -1e200, where x^3 + 1e200 x^2 + x overflows
+        (["polycycle-solve", "--model", model("residual.json", [0.0, 2.0, 1e200, 1.0])], "NumericError"),
+        # the curve values overflow, in a sweep or alone
+        *((["diagram", "--scenario", s, "--grid", "3x3", huge, "--out", str(tmp_path / s)], "NumericError")
+          for s in ("twofold-synthetic", "vi-foldfold-synthetic")),
+        *((["scenario-curves", "--scenario", s, "--param", "1e200"], "NumericError")
+          for s in ("twofold-synthetic", "vi-foldfold-synthetic")),
+    ]
+    for argv, error in cases:
+        assert run(argv) == 3, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert json.loads(out.err)["error"] == error, argv
+
+
+def test_diagram_gives_an_overflowing_cell_an_error_label(tmp_path, capsys):
+    # at beta >= 5e307 the fold-fold return polynomial's closed-form roots overflow;
+    # the cells at beta = 0 are solved as in any sweep
+    out = tmp_path / "d"
+    argv = ["diagram", "--scenario", "vi-foldfold-synthetic", "--grid", "3x3", "--ranges=-0.1:0.1,0:1e308"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.reader(stdio.StringIO((out / "diagram.csv").read_text())))[1:]
+    error = "error:NumericError: float overflow: a solution of the crossing system is not finite"
+    assert [r[2] == error for r in rows] == [r[1] != "0.0" for r in rows] == [False, True, True] * 3
+    assert [r[2] for r in rows if r[1] == "0.0"] == [
+        "item1|x0|p0|s0|tangent-X-cycle",
+        "item0|x0|p1|s0|codim2|tangent-polycycle",
+        "item5|x1[a]|p0|s0|tangent-X-cycle",
+    ]
 
 
 def test_exit_code_io_failure(tmp_path, capsys):

@@ -16,7 +16,7 @@ from sigmapoly.bifurcation import (
     twofold_family,
 )
 from sigmapoly.cli import run
-from sigmapoly.errors import ConfigError, PeriodAnnulus
+from sigmapoly.errors import ConfigError, NumericError, PeriodAnnulus
 from sigmapoly.maps import Germ, root_cluster_rows, root_clusters
 from sigmapoly.polycycle import (
     SyntheticLeg,
@@ -325,7 +325,9 @@ def _batch_find_cycles(models) -> list:
         assert errors == {}
         for i, row in zip(of_k, P):
             _assert_bits(row, _scalar_return_polynomial(models[i]))
-        for i, reports in zip(of_k, _cycle_reports(*_cycle_rows(legs, P), len(of_k))):
+        row, fields, errors = _cycle_rows(legs)
+        assert errors == {}
+        for i, reports in zip(of_k, _cycle_reports(row, fields, len(of_k))):
             out[i] = reports
     return out
 
@@ -478,6 +480,37 @@ def test_batched_pass_equals_one_row_calls_on_hand_rows():
     rng = np.random.default_rng(0)
     for order in [range(len(polys)), range(len(polys))[::-1], *(rng.permutation(len(polys)) for _ in range(20))]:
         assert _rows_of([polys[i] for i in order]) == [alone[i] for i in order]
+
+
+def _leg(tu) -> SyntheticLeg:
+    return SyntheticLeg(Tu=Germ(base=0.0, coeffs=tuple(tu)), DTs=Germ(base=0.0, coeffs=(0.0, 1.0)), sigma=(-1.0, 1.0))
+
+
+def test_overflowing_rows_are_numeric_errors_and_leave_the_others():
+    # a non-finite coefficient, a companion matrix past the float range, and closed-form
+    # roots that overflow (the roots of x^2 + 1e200 x + 1 are about -1e200 and -1e-200)
+    overflow = [[np.inf, 1.0, 0.0, 0.0], [0.0, 1e200, 0.0, 1e-200], [1.0, 1e200, 1.0, 0.0]]
+    plain = [[6.0, -5.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]
+    row, x, m = root_cluster_rows([r for pair in zip(plain, overflow) for r in pair])
+    assert row.tolist() == [0, 0, 1, 3, 4, 5, 5] and m.tolist() == [1, 1, 0, 0, 1, 1, 1]
+    assert x[[0, 1, 4, 5, 6]].tolist() == [2.0, 3.0, 1.0, -np.inf, -1e-200] and np.isnan(x[[2, 3]]).all()
+    for r in overflow:
+        with pytest.raises(NumericError):
+            root_clusters(r)
+    assert [root_clusters(r) for r in plain] == [[(2.0, 1), (3.0, 1)], [], [(1.0, 1)]]
+    # one-leg models, displacement Tu(x) - x: the first three overflow, in the companion
+    # matrix, the closed form, and the residual at the finite root -1e200 of x^3 + 1e200 x^2 + x
+    tus = [[0.0, 1e200, 0.0, 1e-200], [1.0, 1e200, 1.0], [0.0, 2.0, 1e200, 1.0], [-0.25, 1.0, 1.0], [0.0, 0.0, 1.0]]
+    models = [SyntheticModel(legs=(_leg(tu),)) for tu in tus]
+    row, fields, errors = _cycle_rows([_LegArrays.of([model.legs[0] for model in models])])
+    assert sorted(errors) == [0, 1, 2] and all(type(e) is NumericError for e in errors.values())
+    assert sorted(set(row.tolist())) == [3, 4]
+    for model, reports in zip(models, _cycle_reports(row, fields, len(models))):
+        if model is models[3] or model is models[4]:
+            assert reports == find_cycles(model) and len(reports) == 2
+        else:
+            with pytest.raises(NumericError, match="float overflow"):
+                find_cycles(model)
 
 
 def test_root_pass_reads_one_rectangular_array():
